@@ -19,7 +19,6 @@ from .concentrate import (
     optimality_certificate,
     single_shot_povm,
     standard_weights,
-    tensor_power,
 )
 from .lp import (
     LpProblem,
@@ -92,7 +91,6 @@ __all__ = [
     "constraint_matrix_inverse",
     "optimality_certificate",
     "single_shot_povm",
-    "tensor_power",
     "asymptotic_yield_curve",
     "LpProblem",
     "LpSolution",

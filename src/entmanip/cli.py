@@ -37,6 +37,13 @@ EXIT_IO = 4
 _LN2 = math.log(2.0)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _emit(doc) -> None:
     sys.stdout.write(dumps(doc) + "\n")
 
@@ -275,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certify", action="store_true", help="attach the optimality certificate")
     p.add_argument(
         "--asymptotic",
-        type=int,
+        type=_positive_int,
         metavar="N",
         help="per-copy yield curve for 1..N identical copies",
     )
@@ -294,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="optimal",
         help="'optimal' for the concentration measurement, or a POVM file",
     )
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_simulate)
     return parser

@@ -10,8 +10,8 @@ costs of the corresponding linear program.
 
 This module provides the closed form, the LP formulation for arbitrary
 level weights, the spectrum-independent optimality certificate, the
-single-measurement protocol achieving the optimum, and tensor-power
-utilities for studying the per-copy yield over many identical copies.
+single-measurement protocol achieving the optimum, and the per-copy
+yield curve over many identical copies.
 """
 
 from __future__ import annotations
@@ -21,13 +21,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
-
-import numpy as np
 
 from .lp import LpProblem
 from .monotones import vidal_monotones
-from .schmidt import SchmidtSpectrum, make_spectrum
+from .schmidt import SchmidtSpectrum
 from .transform import DiagonalPovm, PovmElement
 
 SIZE_CAP = 1 << 20
@@ -45,7 +42,6 @@ __all__ = [
     "constraint_matrix_inverse",
     "optimality_certificate",
     "single_shot_povm",
-    "tensor_power",
     "asymptotic_yield_curve",
 ]
 
@@ -255,82 +251,65 @@ def single_shot_povm(s: SchmidtSpectrum) -> DiagonalPovm:
     return DiagonalPovm(tuple(elements), support_rank=n)
 
 
-def _multinomial(n: int, counts) -> int:
-    result = 1
-    remaining = n
-    for c in counts:
-        result *= math.comb(remaining, c)
-        remaining -= c
-    return result
+def _one_more_copy(classes, n: int, mults):
+    """Type classes of ``n`` copies from those of ``n - 1``, each made once.
 
-
-def tensor_power(
-    s: SchmidtSpectrum, n: int, size_cap: int = SIZE_CAP
-) -> SchmidtSpectrum:
-    """Spectrum of ``n`` identical copies of a state.
-
-    The coefficients are all n-fold products of the input coefficients.
-    Equal input values are grouped first, so the work scales with the
-    number of distinct products rather than rank**n; the result is still
-    the fully expanded spectrum, which is capped at ``size_cap``
-    coefficients.
+    A class is (log-value, count, exponents), the exponents nonzero as
+    ((i, e_i), ...) with ascending i.  It grows by one factor j at or after
+    its last index, and its count multinomial * prod m_i^e_i by
+    n * m_j / (new e_j).  Yields (count, exponents) pairs.
     """
-    if n < 1:
-        raise ValueError("copy count must be >= 1")
-    if s.rank**n > size_cap:
-        raise ValueError(
-            f"tensor power needs {s.rank**n} coefficients, over the cap of "
-            f"{size_cap}"
-        )
-    if n == 1:
-        return s
-
-    distinct = []
-    multiplicity = []
-    for a in s.coeffs:
-        a = float(a)
-        if distinct and a == distinct[-1]:
-            multiplicity[-1] += 1
-        else:
-            distinct.append(a)
-            multiplicity.append(1)
-
-    values = []
-    counts = []
-    k = len(distinct)
-    for combo in combinations_with_replacement(range(k), n):
-        exponents = Counter(combo)
-        product = 1.0
-        weight = _multinomial(n, exponents.values())
-        for idx, e in exponents.items():
-            product *= distinct[idx] ** e
-            weight *= multiplicity[idx] ** e
-        values.append(product)
-        counts.append(weight)
-
-    expanded = np.repeat(np.array(values), counts)
-    expanded = np.sort(expanded, kind="stable")[::-1]
-    return make_spectrum(expanded.tolist(), zero_tol=0.0)
+    for _, count, c in classes:
+        last, e = c[-1]
+        yield count * n * mults[last] // (e + 1), c[:-1] + ((last, e + 1),)
+        for j in range(last + 1, len(mults)):
+            yield count * n * mults[j], c + ((j, 1),)
 
 
-def asymptotic_yield_curve(
-    s: SchmidtSpectrum, max_n: int, size_cap: int = SIZE_CAP
-) -> tuple:
+def asymptotic_yield_curve(s: SchmidtSpectrum, max_n: int) -> tuple:
     """Per-copy concentrated yield for 1..max_n identical copies.
 
     Entry (n, y) gives y = expected entanglement of the optimal plan on the
     n-copy spectrum divided by n.  The per-copy yield is bounded by the
     single-copy entanglement entropy and approaches it as n grows.
+
+    The first point is the single-copy plan.  Beyond it the n-copy
+    spectrum is never expanded: its values come in type classes, where
+    exponents e over the k distinct input values a_i (with multiplicities
+    m_i) give the value prod a_i^e_i, repeated multinomial(n; e) *
+    prod m_i^e_i times.  With classes sorted by value and J_g the
+    cumulative count, the closed-form plan yields
+    sum_g J_g (v_g - v_{g+1}) ln J_g, evaluated in logs so that nothing
+    overflows or underflows at large n.  The classes over all n number
+    comb(k + max_n, max_n) - 1; a curve needing more than ``SIZE_CAP`` is
+    refused before any work is done.
     """
     if max_n < 1:
         raise ValueError("copy count must be >= 1")
-    if s.rank**max_n > size_cap:
+    multiplicity = Counter(s.coeffs)
+    k = len(multiplicity)
+    total = math.comb(k + max_n, max_n) - 1
+    if total > SIZE_CAP:
         raise ValueError(
-            f"curve needs {s.rank**max_n} coefficients at n={max_n}, over "
-            f"the cap of {size_cap}"
+            f"curve needs {total} type classes up to n={max_n}, over the "
+            f"cap of {SIZE_CAP}"
         )
-    curve = []
-    for n in range(1, max_n + 1):
-        plan = optimal_plan(tensor_power(s, n, size_cap=size_cap))
-        curve.append((n, plan.expected_entanglement / n))
+    logs = [math.log(a) for a in multiplicity]
+    mults = list(multiplicity.values())
+    classes = ((logs[i], m, ((i, 1),)) for i, m in enumerate(mults))
+    curve = [(1, optimal_plan(s).expected_entanglement)]
+    for n in range(2, max_n + 1):
+        classes = [
+            (math.fsum(e * logs[i] for i, e in c), count, c)
+            for count, c in _one_more_copy(classes, n, mults)
+        ]
+        classes.sort(reverse=True)
+        terms = []
+        cumulative = 0
+        for g, (lv, count, _) in enumerate(classes):
+            cumulative += count
+            nxt = classes[g + 1][0] if g + 1 < len(classes) else -math.inf
+            ln_j = math.log(cumulative)
+            terms.append(math.exp(ln_j + lv) * -math.expm1(nxt - lv) * ln_j)
+        curve.append((n, math.fsum(terms) / n))
     return tuple(curve)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -74,16 +75,29 @@ def _complex_entry(entry) -> complex:
     raise ValueError(f"amplitude entries must be numbers or re/im objects, got {entry!r}")
 
 
+@contextmanager
+def _fields(kind: str):
+    """Turn a missing key or a value of the wrong type or size into ``ValueError``."""
+    try:
+        yield
+    except KeyError as missing:
+        raise ValueError(f"{kind} file is missing the {missing} key") from None
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{kind} file is malformed: {exc}") from None
+
+
 def load_state(path: str, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
     """Load a state file holding either a spectrum or an amplitude matrix."""
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError("state file must be a JSON object")
-    if "spectrum" in doc:
-        return make_spectrum([float(v) for v in doc["spectrum"]], zero_tol=zero_tol)
-    if "amplitudes" in doc:
-        rows = [[_complex_entry(e) for e in row] for row in doc["amplitudes"]]
-        return schmidt_decompose(np.array(rows, dtype=complex), zero_tol=zero_tol)
+    with _fields("state"):
+        if "spectrum" in doc:
+            raw = [float(v) for v in doc["spectrum"]]
+            return make_spectrum(raw, zero_tol=zero_tol)
+        if "amplitudes" in doc:
+            rows = [[_complex_entry(e) for e in row] for row in doc["amplitudes"]]
+            return schmidt_decompose(np.array(rows, dtype=complex), zero_tol=zero_tol)
     raise ValueError("state file needs a 'spectrum' or 'amplitudes' key")
 
 
@@ -93,12 +107,13 @@ def load_ensemble(path: str, zero_tol: float = ZERO_TOL) -> TargetEnsemble:
     if not isinstance(doc, dict) or "ensemble" not in doc:
         raise ValueError("ensemble file needs an 'ensemble' key")
     pairs = []
-    for entry in doc["ensemble"]:
-        p = float(entry["probability"])
-        target = make_spectrum(
-            [float(v) for v in entry["spectrum"]], zero_tol=zero_tol
-        )
-        pairs.append((p, target))
+    with _fields("ensemble"):
+        for entry in doc["ensemble"]:
+            p = float(entry["probability"])
+            target = make_spectrum(
+                [float(v) for v in entry["spectrum"]], zero_tol=zero_tol
+            )
+            pairs.append((p, target))
     return make_ensemble(pairs)
 
 
@@ -107,16 +122,17 @@ def load_povm(path: str) -> DiagonalPovm:
     doc = read_json(path)
     if not isinstance(doc, dict) or "elements" not in doc:
         raise ValueError("measurement file needs an 'elements' key")
-    elements = tuple(
-        PovmElement(int(e["label"]), tuple(float(d) for d in e["diag"]))
-        for e in doc["elements"]
-    )
-    if "support_rank" in doc:
-        support = int(doc["support_rank"])
-    elif elements:
-        support = len(elements[0].diag)
-    else:
-        raise ValueError("measurement file has no elements")
+    with _fields("measurement"):
+        elements = tuple(
+            PovmElement(int(e["label"]), tuple(float(d) for d in e["diag"]))
+            for e in doc["elements"]
+        )
+        if "support_rank" in doc:
+            support = int(doc["support_rank"])
+        elif elements:
+            support = len(elements[0].diag)
+        else:
+            raise ValueError("measurement file has no elements")
     return DiagonalPovm(elements, support_rank=support)
 
 
@@ -125,10 +141,8 @@ def load_lp(path: str) -> LpProblem:
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError("LP file must be a JSON object")
-    try:
+    with _fields("LP"):
         objective = tuple(float(v) for v in doc["objective"])
         matrix = tuple(tuple(float(v) for v in row) for row in doc["matrix"])
         bounds = tuple(float(v) for v in doc["bounds"])
-    except KeyError as missing:
-        raise ValueError(f"LP file is missing the {missing} key") from None
     return LpProblem(objective, matrix, bounds)

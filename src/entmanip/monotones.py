@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .schmidt import NORM_TOL, SchmidtSpectrum
+from .schmidt import NORM_TOL, SchmidtSpectrum, zero_padded
 
 FEASIBILITY_TOL = 1e-9
 
@@ -85,12 +84,7 @@ def vidal_monotones(s: SchmidtSpectrum) -> MonotoneVector:
 
 def _padded_tails(s: SchmidtSpectrum, length: int) -> list:
     """Tail sums extended with zeros up to ``length`` entries."""
-    tails = list(vidal_monotones(s).values)
-    if isinstance(s.coeffs[0], Fraction):
-        tails += [Fraction(0)] * (length - len(tails))
-    else:
-        tails += [0.0] * (length - len(tails))
-    return tails
+    return zero_padded(vidal_monotones(s).values, length)
 
 
 def _report(source_tails, target_tails, tol) -> FeasibilityReport:

@@ -118,18 +118,20 @@ def make_spectrum(raw: Sequence, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
     normalization is corrected to make ``math.fsum`` of the result exactly
     1.0, which makes the function idempotent on already-valid spectra.
 
-    Raises ``ValueError`` on negative entries or when nothing survives the
-    zero stripping.
+    Raises ``ValueError`` on negative or NaN entries, on a sum that is not
+    finite, or when nothing survives the zero stripping.
     """
     values = list(raw)
     if not values:
         raise ValueError("empty coefficient list")
-    if any(v < 0 for v in values):
-        raise ValueError("coefficients must be nonnegative")
+    if any(not v >= 0 for v in values):
+        raise ValueError("coefficients must be nonnegative numbers")
 
     exact = _is_exact(values)
     if not exact:
         values = [float(v) for v in values]
+        if not math.isfinite(sum(values)):
+            raise ValueError("coefficients must have a finite sum")
     values.sort(key=lambda v: -v)
     values = [v for v in values if v > zero_tol and v > 0]
     if not values:
@@ -153,6 +155,16 @@ def make_spectrum(raw: Sequence, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
             values[0] -= residual
         values.sort(key=lambda v: -v)  # an eps correction may reorder ties
     return SchmidtSpectrum(tuple(values))
+
+
+def zero_padded(values: Sequence, length: int) -> list:
+    """``values`` extended with zeros up to ``length`` entries.
+
+    The zeros are ``Fraction(0)`` when the values are exact and ``0.0``
+    otherwise, so exact spectra stay exact.
+    """
+    zero = Fraction(0) if isinstance(values[0], Fraction) else 0.0
+    return list(values) + [zero] * (length - len(values))
 
 
 def uniform_spectrum(levels: int) -> SchmidtSpectrum:

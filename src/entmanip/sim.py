@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schmidt import SchmidtSpectrum
-from .transform import POVM_TOL, DiagonalPovm
+from .transform import DiagonalPovm, IncompletePovmError
 
 __all__ = [
     "IncompletePovmError",
@@ -26,10 +26,6 @@ __all__ = [
     "simulate",
     "yield_statistics",
 ]
-
-
-class IncompletePovmError(ValueError):
-    """The measurement does not resolve to 1 on the state's support."""
 
 
 @dataclass(frozen=True)
@@ -81,25 +77,6 @@ def counter_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return (x >> np.uint64(11)).astype(np.float64) * (2.0**-53)
 
 
-def _outcome_distribution(povm: DiagonalPovm, state: SchmidtSpectrum):
-    if state.rank > povm.support_rank:
-        raise IncompletePovmError(
-            "state rank exceeds the measurement support"
-        )
-    coeffs = [float(a) for a in state.coeffs]
-    for i in range(state.rank):
-        total = math.fsum(el.diag[i] ** 2 for el in povm.elements)
-        if abs(total - 1.0) > POVM_TOL:
-            raise IncompletePovmError(
-                f"measurement incomplete on the state support at index {i + 1}"
-            )
-    probs = [
-        math.fsum(el.diag[i] ** 2 * coeffs[i] for i in range(state.rank))
-        for el in povm.elements
-    ]
-    return probs
-
-
 def simulate(
     povm: DiagonalPovm,
     state: SchmidtSpectrum,
@@ -111,11 +88,11 @@ def simulate(
     Each trial inverts the outcome CDF on one counter-based uniform
     variate; post-measurement states are known analytically so no state
     update is simulated.  Raises :class:`IncompletePovmError` when the
-    measurement does not sum to the identity on the state's support.
+    state's rank exceeds the measurement's support.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
-    expected = _outcome_distribution(povm, state)
+    expected = povm.outcome_probabilities(state)
     labels = [el.label for el in povm.elements]
     cdf = np.cumsum(expected)
     cdf[-1] = max(cdf[-1], 1.0)  # guard the top edge against rounding

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .schmidt import NORM_TOL, SchmidtSpectrum, make_spectrum
+from .schmidt import NORM_TOL, SchmidtSpectrum, make_spectrum, zero_padded
 
 MERGE_TOL = 1e-9
 POVM_TOL = 1e-10
@@ -30,6 +30,7 @@ POVM_TOL = 1e-10
 __all__ = [
     "MERGE_TOL",
     "POVM_TOL",
+    "IncompletePovmError",
     "TargetEnsemble",
     "make_ensemble",
     "PovmElement",
@@ -41,6 +42,10 @@ __all__ = [
     "build_ensemble_povm",
     "apply_povm_element",
 ]
+
+
+class IncompletePovmError(ValueError):
+    """The measurement does not resolve to 1 on the state's support."""
 
 
 @dataclass(frozen=True)
@@ -140,9 +145,17 @@ class DiagonalPovm:
         object.__setattr__(self, "elements", elements)
 
     def outcome_probabilities(self, state: SchmidtSpectrum) -> tuple:
-        """Probability of each outcome when measuring ``state``."""
+        """Probability sum_i d_i^2 a_i of each outcome when measuring ``state``.
+
+        Raises :class:`IncompletePovmError` when the state's rank exceeds the
+        support, where the measurement does not resolve to 1.
+        """
+        if state.rank > self.support_rank:
+            raise IncompletePovmError("state rank exceeds the measurement support")
+        coeffs = [float(a) for a in state.coeffs]
         return tuple(
-            apply_povm_element(el.diag, state)[0] for el in self.elements
+            math.fsum(el.diag[i] ** 2 * a for i, a in enumerate(coeffs))
+            for el in self.elements
         )
 
 
@@ -177,10 +190,6 @@ class DieTable:
         object.__setattr__(self, "groups", tuple(self.groups))
 
 
-def _padded_coeffs(target: SchmidtSpectrum, length: int) -> list:
-    return list(target.coeffs) + [0.0] * (length - target.rank)
-
-
 def average_target(e: TargetEnsemble) -> SchmidtSpectrum:
     """Probability-weighted average of the ensemble's target spectra.
 
@@ -191,7 +200,7 @@ def average_target(e: TargetEnsemble) -> SchmidtSpectrum:
     n = e.max_rank
     avg = [0.0] * n
     for p, target in e.entries:
-        padded = _padded_coeffs(target, n)
+        padded = zero_padded(target.coeffs, n)
         for i in range(n):
             avg[i] += p * padded[i]
     for i in range(n - 1):
@@ -219,7 +228,7 @@ def merge_duplicates(
     n = e.max_rank
     reps: list[list] = []  # [padded coeffs, summed prob, [(orig idx, p)]]
     for j, (p, target) in enumerate(e.entries, start=1):
-        padded = _padded_coeffs(target, n)
+        padded = zero_padded(target.coeffs, n)
         for group in reps:
             if _same_spectrum(group[0], padded, merge_tol):
                 group[1] += p
@@ -255,7 +264,7 @@ def build_ensemble_povm(e: TargetEnsemble) -> DiagonalPovm:
             # the average dominates every target componentwise, so a target
             # coefficient outside the average's support cannot happen
             raise AssertionError("target support exceeds average support")
-        padded = _padded_coeffs(target, n)
+        padded = zero_padded(target.coeffs, n)
         diag = tuple(
             math.sqrt(p * padded[i] / avg.coeffs[i]) for i in range(n)
         )

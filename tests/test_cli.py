@@ -62,6 +62,15 @@ class TestDecompose:
         path = write_json(tmp_path / "neg.json", {"spectrum": [1.5, -0.5]})
         assert run(["decompose", "--state", str(path)]) == 4
 
+    def test_nan_spectrum(self, tmp_path, capsys):
+        path = write_json(tmp_path / "nan.json", {"spectrum": [0.5, math.nan, 0.5]})
+        assert run(["decompose", "--state", str(path)]) == 4
+
+    @pytest.mark.parametrize("spectrum", [5, [10**400, 1]])
+    def test_malformed_spectrum(self, tmp_path, capsys, spectrum):
+        path = write_json(tmp_path / "bad.json", {"spectrum": spectrum})
+        assert run(["decompose", "--state", str(path)]) == 4
+
 
 class TestCheckFeasible:
     def test_feasible_pair(self, capsys, tmp_path):
@@ -99,6 +108,11 @@ class TestCheckFeasible:
         )
         assert code == 0
         assert doc["feasible"] is True
+
+    def test_ensemble_entry_without_probability(self, capsys, tmp_path):
+        src = write_json(tmp_path / "src.json", {"spectrum": [0.75, 0.25]})
+        ens = write_json(tmp_path / "e.json", {"ensemble": [{"spectrum": [1.0]}]})
+        assert run(["check-feasible", "--source", src, "--ensemble", ens]) == 4
 
     def test_requires_exactly_one_mode(self, tmp_path, capsys):
         a = write_json(tmp_path / "a.json", {"spectrum": [1.0]})
@@ -203,6 +217,20 @@ class TestConcentrate:
         yields = [y for _, y in doc["curve"]]
         assert yields[-1] > yields[0]
 
+    def test_asymptotic_rank_four_to_eleven_copies(self, capsys, tmp_path):
+        # 4**11 expanded coefficients, but only 1364 type classes
+        path = write_json(tmp_path / "r4.json", {"spectrum": [0.4, 0.3, 0.2, 0.1]})
+        code, doc = run_json(
+            capsys, ["concentrate", "--state", path, "--asymptotic", "11"]
+        )
+        assert code == 0
+        assert [n for n, _ in doc["curve"]] == list(range(1, 12))
+
+    @pytest.mark.parametrize("copies", ["0", "-2"])
+    def test_asymptotic_must_be_positive(self, capsys, worked_state, copies):
+        argv = ["concentrate", "--state", worked_state, "--asymptotic", copies]
+        assert run(argv) == 2
+
     def test_csv_format(self, capsys, worked_state):
         code = run(
             ["concentrate", "--state", worked_state, "--format", "csv",
@@ -281,6 +309,18 @@ class TestSimulate:
         )
         assert code == 0
         assert abs(doc["empirical_probs"][0] - 0.5) < 0.1
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_must_be_positive(self, capsys, worked_state, trials):
+        argv = ["simulate", "--state", worked_state, "--trials", trials]
+        assert run(argv) == 2
+
+    def test_povm_element_without_label(self, capsys, tmp_path, worked_state):
+        doc = {"elements": [{"diag": [1.0, 1.0, 1.0]}]}
+        path = write_json(tmp_path / "nolabel.json", doc)
+        argv = ["simulate", "--state", worked_state, "--protocol", str(path),
+                "--trials", "10"]
+        assert run(argv) == 4
 
     def test_mismatched_support_exits_3(self, capsys, tmp_path, worked_state):
         # a 2-level protocol cannot measure a 3-level state

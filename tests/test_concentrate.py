@@ -1,4 +1,4 @@
-"""Closed-form concentration plan, certificate, measurement, tensor powers."""
+"""Closed-form concentration plan, certificate, measurement, yield curves."""
 
 import math
 
@@ -18,11 +18,12 @@ from entmanip import (
     simplex_solve,
     single_shot_povm,
     standard_weights,
-    tensor_power,
     uniform_spectrum,
     vidal_monotones,
 )
-from util import random_spectrum
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from util import expanded_yield_curve, random_spectrum
 
 WORKED_SPECTRUM = [0.5, 0.3, 0.2]
 WORKED_PLAN = (0.2, 0.2, 0.6)
@@ -261,44 +262,6 @@ class TestSingleShotPovm:
                 assert abs(total - 1.0) <= 1e-12
 
 
-class TestTensorPower:
-    def test_uniform_pair_squared(self):
-        tp = tensor_power(make_spectrum([0.5, 0.5]), 2)
-        assert tp.coeffs == pytest.approx((0.25,) * 4, abs=1e-15)
-
-    def test_single_copy_is_identity(self):
-        rng = np.random.default_rng(109)
-        for _ in range(20):
-            s = random_spectrum(rng, int(rng.integers(1, 8)))
-            assert tensor_power(s, 1).coeffs == s.coeffs
-
-    def test_entropy_additivity(self):
-        rng = np.random.default_rng(113)
-        for _ in range(20):
-            s = random_spectrum(rng, int(rng.integers(2, 5)))
-            n = int(rng.integers(2, 6))
-            assert entropy(tensor_power(s, n)) == pytest.approx(
-                n * entropy(s), abs=1e-9
-            )
-
-    def test_matches_explicit_outer_product(self):
-        rng = np.random.default_rng(127)
-        for _ in range(10):
-            s = random_spectrum(rng, int(rng.integers(2, 5)))
-            explicit = np.sort(np.outer(s.as_array(), s.as_array()).ravel())[::-1]
-            tp = tensor_power(s, 2)
-            assert tp.as_array() == pytest.approx(explicit, abs=1e-13)
-
-    def test_size_cap(self):
-        s = make_spectrum([0.5, 0.3, 0.2])
-        with pytest.raises(ValueError, match="cap"):
-            tensor_power(s, 3, size_cap=26)
-
-    def test_rejects_zero_copies(self):
-        with pytest.raises(ValueError):
-            tensor_power(make_spectrum([1.0]), 0)
-
-
 class TestAsymptoticYieldCurve:
     def test_maximally_entangled_saturates(self):
         s = uniform_spectrum(2)
@@ -319,3 +282,31 @@ class TestAsymptoticYieldCurve:
         for n in (1, 2, 4, 8, 16):
             assert curve[n] <= limit + 1e-12
         assert limit - curve[16] < limit - curve[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        distinct=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+        max_n=st.integers(1, 6),
+    )
+    def test_matches_expanded_spectra(self, distinct, picks, max_n):
+        # picking ranks 1-4 from at most four values forces ties often
+        s = make_spectrum([distinct[i % len(distinct)] for i in picks])
+        curve = asymptotic_yield_curve(s, max_n)
+        oracle = expanded_yield_curve(s, max_n)
+        assert [n for n, _ in curve] == list(range(1, max_n + 1))
+        for (_, y), (_, ref) in zip(curve, oracle):
+            assert abs(y - ref) <= 1e-12
+            assert y <= entropy(s) + 1e-12
+
+    def test_rank_three_runs_to_a_hundred_copies(self):
+        s = make_spectrum([0.5, 0.3, 0.2])
+        limit = entropy(s)
+        curve = dict(asymptotic_yield_curve(s, 100))
+        assert curve[100] < limit
+        assert limit - curve[100] < limit - curve[16]
+
+    def test_type_class_cap(self):
+        s = make_spectrum([1.0 + i / 64 for i in range(64)])
+        with pytest.raises(ValueError, match="cap"):
+            asymptotic_yield_curve(s, 5)

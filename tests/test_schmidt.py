@@ -110,6 +110,13 @@ class TestMakeSpectrum:
         with pytest.raises(ValueError, match="nonnegative"):
             make_spectrum([0.5, -0.1, 0.6])
 
+    @pytest.mark.parametrize(
+        "raw", [[0.5, math.nan, 0.5], [math.inf, 1.0], [1e308, 1e308]]
+    )
+    def test_rejects_non_finite(self, raw):
+        with pytest.raises(ValueError):
+            make_spectrum(raw)
+
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError):
             make_spectrum([0.0, 0.0])

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
-from entmanip import SchmidtSpectrum, make_ensemble, make_spectrum
+from entmanip import SchmidtSpectrum, make_ensemble, make_spectrum, optimal_plan
 
 
 def random_spectrum(rng: np.random.Generator, n: int) -> SchmidtSpectrum:
@@ -49,3 +52,17 @@ def concentrate_toward_top(
     coeffs[-1] -= delta
     coeffs = [c for c in coeffs if c > 0]
     return make_spectrum(coeffs, zero_tol=0.0)
+
+
+def expanded_yield_curve(s: SchmidtSpectrum, max_n: int) -> tuple:
+    """Per-copy optimal yield from the fully expanded n-copy spectra.
+
+    Builds all rank**n products, so it is only for small n: the reference
+    that the type-class computation in ``asymptotic_yield_curve`` must match.
+    """
+    curve = []
+    for n in range(1, max_n + 1):
+        products = [math.prod(c) for c in itertools.product(s.coeffs, repeat=n)]
+        plan = optimal_plan(make_spectrum(products, zero_tol=0.0))
+        curve.append((n, plan.expected_entanglement / n))
+    return tuple(curve)
