@@ -22,7 +22,7 @@ from .concentrate import (
     single_shot_povm,
     standard_weights,
 )
-from .jsonio import dumps, load_ensemble, load_lp, load_povm, load_state, read_json
+from .jsonio import dumps, load_ensemble, load_lp, load_povm, load_state, load_weights
 from .lp import simplex_solve
 from .monotones import FEASIBILITY_TOL, ensemble_feasible, nielsen_feasible
 from .schmidt import ZERO_TOL, entropy
@@ -129,10 +129,7 @@ def _cmd_build_povm(args) -> int:
 def _resolve_weights(choice: str, n: int):
     if choice in ("ln", "log2", "indicator"):
         return standard_weights(choice, n)
-    weights = read_json(choice)
-    if not isinstance(weights, list):
-        raise ValueError("weight file must hold a JSON list")
-    return tuple(float(w) for w in weights)
+    return load_weights(choice)
 
 
 def _lp_plan(state, weights):

@@ -8,11 +8,10 @@ a complex amplitude matrix; ``-`` reads from stdin.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
-
-import numpy as np
 
 from .lp import LpProblem
 from .schmidt import ZERO_TOL, SchmidtSpectrum, make_spectrum, schmidt_decompose
@@ -25,17 +24,16 @@ __all__ = [
     "load_ensemble",
     "load_povm",
     "load_lp",
+    "load_weights",
 ]
 
 
 def _format_number(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):
         return str(int(x))
-    if isinstance(x, Fraction):
-        x = float(x)
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, numbers.Real):
         value = float(x)
         if value != value or value in (float("inf"), float("-inf")):
             raise ValueError("cannot serialize non-finite numbers")
@@ -97,7 +95,7 @@ def load_state(path: str, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
             return make_spectrum(raw, zero_tol=zero_tol)
         if "amplitudes" in doc:
             rows = [[_complex_entry(e) for e in row] for row in doc["amplitudes"]]
-            return schmidt_decompose(np.array(rows, dtype=complex), zero_tol=zero_tol)
+            return schmidt_decompose(rows, zero_tol=zero_tol)
     raise ValueError("state file needs a 'spectrum' or 'amplitudes' key")
 
 
@@ -146,3 +144,15 @@ def load_lp(path: str) -> LpProblem:
         matrix = tuple(tuple(float(v) for v in row) for row in doc["matrix"])
         bounds = tuple(float(v) for v in doc["bounds"])
     return LpProblem(objective, matrix, bounds)
+
+
+def load_weights(path: str) -> tuple:
+    """Load a JSON list of finite level weights, ``[c_1, ..., c_n]``."""
+    doc = read_json(path)
+    if not isinstance(doc, list):
+        raise ValueError("weight file must hold a JSON list")
+    with _fields("weight"):
+        for w in doc:
+            if isinstance(w, bool) or not isinstance(w, (int, float)) or not math.isfinite(w):
+                raise ValueError(f"weight file entries must be finite numbers, got {w!r}")
+    return tuple(float(w) for w in doc)

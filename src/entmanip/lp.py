@@ -40,9 +40,10 @@ __all__ = [
 class LpProblem:
     """maximize objective.x  s.t.  constraint_matrix x <= bounds, x >= 0.
 
-    Entries may be floats or ``Fraction``s; dimensions are validated, the
-    sign of the bounds is not (concentration instances always have
-    nonnegative bounds, and the solver guards the rest).
+    Entries may be floats or ``Fraction``s; dimensions and the finiteness
+    of float entries are validated, the sign of the bounds is not
+    (concentration instances always have nonnegative bounds, and the
+    solver guards the rest).
     """
 
     objective: tuple
@@ -60,6 +61,14 @@ class LpProblem:
         for row in matrix:
             if len(row) != len(objective):
                 raise ValueError("constraint row length must match variable count")
+        for name, values in (
+            ("objective", objective),
+            ("constraint_matrix", (v for row in matrix for v in row)),
+            ("bounds", bounds),
+        ):
+            for v in values:
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError(f"LP {name} entries must be finite, got {v!r}")
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "constraint_matrix", matrix)
         object.__setattr__(self, "bounds", bounds)

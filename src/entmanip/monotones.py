@@ -10,7 +10,6 @@ single target (Nielsen's majorization test) and for a target ensemble.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .schmidt import NORM_TOL, SchmidtSpectrum, zero_padded
@@ -123,12 +122,8 @@ def ensemble_feasible(
     comparison holds automatically for normalized inputs and is kept as a
     guard.
     """
-    probs = [p for p, _ in ensemble.entries]
-    total = math.fsum(float(p) for p in probs)
-    if abs(total - 1.0) > NORM_TOL:
-        raise ValueError(f"ensemble probabilities sum to {total!r}, not 1")
     n = max([source.rank] + [t.rank for _, t in ensemble.entries])
-    avg = [0.0] * n
+    avg = [0] * n  # an int start keeps exact (Fraction) ensembles exact
     for p, target in ensemble.entries:
         tails = _padded_tails(target, n)
         for i in range(n):

@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 NORM_TOL = 1e-9
 ZERO_TOL = 1e-12
@@ -54,6 +55,8 @@ class AmplitudeMatrix:
     norm_tol: float = NORM_TOL
 
     def __post_init__(self):
+        import numpy as np
+
         arr = np.array(self.entries, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("amplitude matrix must be a non-empty 2-D array")
@@ -105,9 +108,6 @@ class SchmidtSpectrum:
     def rank(self) -> int:
         """Number of nonzero Schmidt coefficients."""
         return len(self.coeffs)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=float)
 
 
 def make_spectrum(raw: Sequence, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
@@ -189,8 +189,10 @@ def schmidt_decompose(m, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
     SchmidtSpectrum
         Squared singular values, sorted nonincreasing and renormalized.
     """
+    import numpy as np
+
     if not isinstance(m, AmplitudeMatrix):
-        m = AmplitudeMatrix(np.asarray(m, dtype=complex))
+        m = AmplitudeMatrix(m)
     singular = np.linalg.svd(m.entries, compute_uv=False)
     return make_spectrum((singular**2).tolist(), zero_tol=zero_tol)
 

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .schmidt import SchmidtSpectrum
 from .transform import DiagonalPovm, IncompletePovmError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "IncompletePovmError",
@@ -53,9 +55,12 @@ class SimulationReport:
             raise ValueError("outcome counts must sum to the trial count")
 
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+# Trials drawn and tallied per chunk, which bounds the simulator's memory
+# whatever the trial count; the tally does not depend on it.
+_CHUNK_TRIALS = 1 << 16
 
 
 def counter_uniforms(seed: int, start: int, count: int) -> np.ndarray:
@@ -65,16 +70,18 @@ def counter_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     index stream offset by the seed.  Identical values come back for any
     partitioning of the index range.
     """
+    import numpy as np
+
     if count < 0 or start < 0:
         raise ValueError("start and count must be nonnegative")
     x = np.arange(start, start + count, dtype=np.uint64)
-    x = (x + np.uint64(1)) * _GAMMA + np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    x ^= x >> np.uint64(30)
+    x = (x + 1) * _GAMMA + (seed & 0xFFFFFFFFFFFFFFFF)
+    x ^= x >> 30
     x *= _MIX1
-    x ^= x >> np.uint64(27)
+    x ^= x >> 27
     x *= _MIX2
-    x ^= x >> np.uint64(31)
-    return (x >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+    x ^= x >> 31
+    return (x >> 11).astype(np.float64) * (2.0**-53)
 
 
 def simulate(
@@ -87,9 +94,13 @@ def simulate(
 
     Each trial inverts the outcome CDF on one counter-based uniform
     variate; post-measurement states are known analytically so no state
-    update is simulated.  Raises :class:`IncompletePovmError` when the
-    state's rank exceeds the measurement's support.
+    update is simulated.  Trials are drawn and tallied in fixed-size
+    chunks, so memory does not grow with ``trials``.  Raises
+    :class:`IncompletePovmError` when the state's rank exceeds the
+    measurement's support.
     """
+    import numpy as np
+
     if trials <= 0:
         raise ValueError("trials must be positive")
     expected = povm.outcome_probabilities(state)
@@ -97,10 +108,12 @@ def simulate(
     cdf = np.cumsum(expected)
     cdf[-1] = max(cdf[-1], 1.0)  # guard the top edge against rounding
 
-    uniforms = counter_uniforms(seed, 0, trials)
-    outcomes = np.searchsorted(cdf, uniforms, side="right")
-    outcomes = np.minimum(outcomes, len(labels) - 1)
-    counts = np.bincount(outcomes, minlength=len(labels))
+    counts = np.zeros(len(labels), dtype=np.int64)
+    for start in range(0, trials, _CHUNK_TRIALS):
+        uniforms = counter_uniforms(seed, start, min(_CHUNK_TRIALS, trials - start))
+        outcomes = np.searchsorted(cdf, uniforms, side="right")
+        np.minimum(outcomes, len(labels) - 1, out=outcomes)
+        counts += np.bincount(outcomes, minlength=len(labels))
 
     empirical = tuple(int(c) / trials for c in counts)
     mean_yield = math.fsum(

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import entmanip
 from entmanip.cli import run
 
 
@@ -207,6 +211,25 @@ class TestConcentrate:
         assert code == 0
         assert doc["plan"]["objective"] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[0.0, null, 1.0]",
+            '[0.0, "1.0", 1.0]',
+            "[0.0, true, 1.0]",
+            "[0.0, 1e999, 1.0]",
+            '{"weights": [0.0, 1.0, 1.0]}',
+        ],
+    )
+    def test_bad_weight_file_exits_4(self, capsys, worked_state, tmp_path, text):
+        path = tmp_path / "w.json"
+        path.write_text(text)
+        argv = ["concentrate", "--state", worked_state, "--weights", str(path)]
+        assert run(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("entmanip: weight file")
+
     def test_asymptotic_curve(self, capsys, tmp_path):
         path = write_json(tmp_path / "p82.json", {"spectrum": [0.8, 0.2]})
         code, doc = run_json(
@@ -271,6 +294,14 @@ class TestLpSolve:
         code, doc = run_json(capsys, ["lp-solve", path])
         assert code == 3
         assert doc["status"] == "unbounded"
+
+    def test_nan_bound_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "lp.json"
+        path.write_text('{"objective": [1.0], "matrix": [[1.0]], "bounds": [NaN]}')
+        assert run(["lp-solve", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bounds" in captured.err and "Traceback" not in captured.err
 
 
 class TestSimulate:
@@ -388,3 +419,82 @@ class TestHarness:
         code, doc = run_json(capsys, ["decompose", "--state", "-"])
         assert code == 0
         assert doc["spectrum"] == pytest.approx([0.5, 0.5])
+
+
+class TestNumpyStaysUnimported:
+    """Spectrum-only calls never import numpy; only the SVD and simulate do.
+
+    Each call runs ``cli.run`` in a fresh interpreter, which then reports
+    whether ``numpy`` got imported.  A numpy tableau in ``lp.py`` would put
+    the import back on ``lp-solve`` and ``concentrate --weights``.
+    """
+
+    CHILD = (
+        "import json, sys\n"
+        "from entmanip.cli import run\n"
+        "code = run(json.loads(sys.argv[1]))\n"
+        "sys.stderr.write(json.dumps([code, 'numpy' in sys.modules]))\n"
+    )
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        ensemble = {
+            "ensemble": [
+                {"probability": 0.5, "spectrum": [1.0]},
+                {"probability": 0.5, "spectrum": [0.5, 0.5]},
+            ]
+        }
+        r = 1 / math.sqrt(2)
+        docs = {
+            "state": {"spectrum": [0.5, 0.3, 0.2]},
+            "source": {"spectrum": [0.6, 0.4]},
+            "target": {"spectrum": [0.8, 0.2]},
+            "ensemble": ensemble,
+            "weights": [0.0, 1.0, 1.0],
+            "lp": {"objective": [1.0], "matrix": [[1.0]], "bounds": [1.0]},
+            "amplitudes": {"amplitudes": [[r, 0.0], [0.0, r]]},
+        }
+        return {k: write_json(tmp_path / f"{k}.json", v) for k, v in docs.items()}
+
+    def child(self, argv):
+        package_root = os.path.dirname(os.path.dirname(entmanip.__file__))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, json.dumps(argv)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        code, numpy_imported = json.loads(proc.stderr.splitlines()[-1])
+        return code, numpy_imported, proc.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--state", "{state}"],
+            ["check-feasible", "--source", "{source}", "--target", "{target}"],
+            ["check-feasible", "--source", "{source}", "--ensemble", "{ensemble}"],
+            ["build-povm", "--source", "{source}", "--ensemble", "{ensemble}"],
+            ["concentrate", "--state", "{state}"],
+            ["concentrate", "--state", "{state}", "--weights", "indicator"],
+            ["concentrate", "--state", "{state}", "--weights", "log2"],
+            ["concentrate", "--state", "{state}", "--weights", "{weights}"],
+            ["concentrate", "--state", "{state}", "--certify", "--asymptotic", "3"],
+            ["lp-solve", "{lp}"],
+        ],
+        ids=lambda argv: " ".join(a.strip("{}") for a in argv),
+    )
+    def test_spectrum_only_calls(self, files, argv):
+        code, numpy_imported, out = self.child([a.format(**files) for a in argv])
+        assert code == 0 and json.loads(out)
+        assert not numpy_imported
+
+    def test_amplitudes_and_simulate_still_work(self, files):
+        code, numpy_imported, out = self.child(
+            ["decompose", "--state", files["amplitudes"]]
+        )
+        assert code == 0 and numpy_imported
+        assert json.loads(out)["spectrum"] == pytest.approx([0.5, 0.5], abs=1e-12)
+        code, numpy_imported, out = self.child(
+            ["simulate", "--state", files["state"], "--trials", "1000"]
+        )
+        assert code == 0 and numpy_imported
+        assert sum(json.loads(out)["counts"]) == 1000

@@ -241,3 +241,17 @@ def test_problem_validation():
         LpProblem((1.0,), ((1.0,),), (1.0, 2.0))
     with pytest.raises(ValueError, match="row length"):
         LpProblem((1.0, 2.0), ((1.0,),), (1.0,))
+
+
+@pytest.mark.parametrize(
+    "field, objective, matrix, bounds",
+    [
+        ("objective", (math.nan,), ((1.0,),), (1.0,)),
+        ("constraint_matrix", (1.0,), ((math.inf,),), (1.0,)),
+        ("bounds", (1.0,), ((1.0,),), (math.nan,)),
+    ],
+    ids=["objective", "constraint_matrix", "bounds"],
+)
+def test_problem_rejects_non_finite_floats(field, objective, matrix, bounds):
+    with pytest.raises(ValueError, match=f"LP {field} entries must be finite"):
+        LpProblem(objective, matrix, bounds)

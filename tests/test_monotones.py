@@ -1,9 +1,12 @@
 """Tail-sum monotones and the LQCC feasibility criteria."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmanip import (
     LpProblem,
@@ -16,6 +19,13 @@ from entmanip import (
     vidal_monotones,
 )
 from util import concentrate_toward_top, random_spectrum
+
+
+# Exact spectra of rank 1-5 normalised from small integer weights, so every
+# monotone and slack is a Fraction and tol=0 comparisons are exact.
+exact_spectra = st.lists(st.integers(0, 9), min_size=1, max_size=5).filter(any).map(
+    lambda weights: make_spectrum([Fraction(w) for w in weights])
+)
 
 
 def brute_force_tails(coeffs):
@@ -100,6 +110,12 @@ class TestNielsenFeasible:
             assert nielsen_feasible(b, c).feasible
             assert nielsen_feasible(a, c).feasible
 
+    @settings(max_examples=200, deadline=None)
+    @given(exact_spectra, exact_spectra, exact_spectra)
+    def test_transitivity_exact(self, a, b, c):
+        if nielsen_feasible(a, b, tol=0).feasible and nielsen_feasible(b, c, tol=0).feasible:
+            assert nielsen_feasible(a, c, tol=0).feasible
+
 
 class TestEnsembleFeasible:
     def test_identity_singleton(self):
@@ -134,6 +150,15 @@ class TestEnsembleFeasible:
             assert single.feasible == pair.feasible
             assert single.slack == pytest.approx(pair.slack, abs=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(exact_spectra, exact_spectra)
+    def test_singleton_report_equals_nielsen_exact(self, source, target):
+        single = make_ensemble([(Fraction(1), target)])
+        for tol in (0, 1e-9):
+            assert ensemble_feasible(source, single, tol) == nielsen_feasible(
+                source, target, tol
+            )
+
 
 class TestMaxConversionProbability:
     def test_identity(self):
@@ -160,6 +185,12 @@ class TestMaxConversionProbability:
             p = max_conversion_probability(source, target)
             feasible = nielsen_feasible(source, target).feasible
             assert (p >= 1.0 - 1e-9) == feasible
+
+    @settings(max_examples=200, deadline=None)
+    @given(exact_spectra, exact_spectra)
+    def test_probability_one_exactly_iff_feasible_exact(self, source, target):
+        p = max_conversion_probability(source, target)
+        assert (p == 1.0) == nielsen_feasible(source, target, tol=0).feasible
 
     def test_matches_lp_optimum(self):
         # one-variable LP: maximize p with p * E_l(target) <= E_l(source)

@@ -60,7 +60,7 @@ class TestSchmidtDecompose:
             expected = np.clip(expected, 0.0, None)
             expected = expected[expected > 1e-12]
             s = schmidt_decompose(z)
-            assert s.as_array() == pytest.approx(expected, abs=1e-12)
+            assert np.asarray(s.coeffs) == pytest.approx(expected, abs=1e-12)
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(23)
@@ -70,8 +70,8 @@ class TestSchmidtDecompose:
             z = z / np.linalg.norm(z)
             u = random_unitary(rng, n)
             v = random_unitary(rng, n)
-            base = schmidt_decompose(z).as_array()
-            rotated = schmidt_decompose(u @ z @ v).as_array()
+            base = np.asarray(schmidt_decompose(z).coeffs)
+            rotated = np.asarray(schmidt_decompose(u @ z @ v).coeffs)
             assert rotated == pytest.approx(base, abs=1e-10)
 
     def test_rejects_unnormalized(self):

@@ -1,6 +1,7 @@
 """Monte Carlo protocol simulation: reproducibility and statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,32 @@ class TestSimulate:
         report = simulate(single_shot_povm(s), s, trials=1234, seed=5)
         assert report.mean_yield == pytest.approx(math.log(4), abs=1e-15)
         assert report.max_abs_deviation == pytest.approx(0.0, abs=1e-12)
+
+    def test_chunked_tally_matches_one_shot_in_bounded_memory(self):
+        s = make_spectrum([0.5, 0.3, 0.2])
+        povm = single_shot_povm(s)
+        trials, seed = 10**6, 5
+
+        tracemalloc.start()
+        try:
+            cdf = np.cumsum(povm.outcome_probabilities(s))
+            cdf[-1] = max(cdf[-1], 1.0)
+            outcomes = np.searchsorted(
+                cdf, counter_uniforms(seed, 0, trials), side="right"
+            )
+            one_shot = np.bincount(np.minimum(outcomes, 2), minlength=3)
+            del outcomes
+            one_shot_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            report = simulate(povm, s, trials=trials, seed=seed)
+            streamed_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+        assert report.counts == tuple(int(c) for c in one_shot)
+        # one uint64 per trial alone takes 8 MB; the chunks stay far below
+        assert one_shot_peak > 8 * trials
+        assert streamed_peak < one_shot_peak / 4
 
     def test_incomplete_on_state_support(self):
         povm = single_shot_povm(make_spectrum([0.6, 0.4]))
