@@ -35,8 +35,10 @@ def _format_number(x) -> str:
         return str(int(x))
     if isinstance(x, numbers.Real):
         value = float(x)
-        if value != value or value in (float("inf"), float("-inf")):
+        if not math.isfinite(value):
             raise ValueError("cannot serialize non-finite numbers")
+        if value == 0:
+            value = 0.0  # no "-0" in the output
         return format(value, ".17g")
     raise TypeError(f"not a JSON number: {x!r}")
 
@@ -65,12 +67,30 @@ def read_json(path: str):
         return json.load(fh)
 
 
+def _number(value, what: str) -> float:
+    """A finite JSON number as a float; strings, booleans, null and NaN fail."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise ValueError(f"{what} must be finite numbers, got {value!r}")
+    return float(value)
+
+
+def _integer(value, what: str) -> int:
+    if not _number(value, what).is_integer():
+        raise ValueError(f"{what} must be integers, got {value!r}")
+    return int(value)
+
+
 def _complex_entry(entry) -> complex:
     if isinstance(entry, dict):
-        return complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
-    if isinstance(entry, (int, float)):
-        return complex(float(entry), 0.0)
-    raise ValueError(f"amplitude entries must be numbers or re/im objects, got {entry!r}")
+        return complex(
+            _number(entry.get("re", 0.0), "amplitude re/im parts"),
+            _number(entry.get("im", 0.0), "amplitude re/im parts"),
+        )
+    return complex(_number(entry, "amplitude entries (or re/im objects)"), 0.0)
 
 
 @contextmanager
@@ -91,7 +111,7 @@ def load_state(path: str, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
         raise ValueError("state file must be a JSON object")
     with _fields("state"):
         if "spectrum" in doc:
-            raw = [float(v) for v in doc["spectrum"]]
+            raw = [_number(v, "spectrum entries") for v in doc["spectrum"]]
             return make_spectrum(raw, zero_tol=zero_tol)
         if "amplitudes" in doc:
             rows = [[_complex_entry(e) for e in row] for row in doc["amplitudes"]]
@@ -107,9 +127,10 @@ def load_ensemble(path: str, zero_tol: float = ZERO_TOL) -> TargetEnsemble:
     pairs = []
     with _fields("ensemble"):
         for entry in doc["ensemble"]:
-            p = float(entry["probability"])
+            p = _number(entry["probability"], "ensemble probabilities")
             target = make_spectrum(
-                [float(v) for v in entry["spectrum"]], zero_tol=zero_tol
+                [_number(v, "spectrum entries") for v in entry["spectrum"]],
+                zero_tol=zero_tol,
             )
             pairs.append((p, target))
     return make_ensemble(pairs)
@@ -122,11 +143,14 @@ def load_povm(path: str) -> DiagonalPovm:
         raise ValueError("measurement file needs an 'elements' key")
     with _fields("measurement"):
         elements = tuple(
-            PovmElement(int(e["label"]), tuple(float(d) for d in e["diag"]))
+            PovmElement(
+                _integer(e["label"], "element labels"),
+                tuple(_number(d, "element diagonals") for d in e["diag"]),
+            )
             for e in doc["elements"]
         )
         if "support_rank" in doc:
-            support = int(doc["support_rank"])
+            support = _integer(doc["support_rank"], "support ranks")
         elif elements:
             support = len(elements[0].diag)
         else:
@@ -140,9 +164,11 @@ def load_lp(path: str) -> LpProblem:
     if not isinstance(doc, dict):
         raise ValueError("LP file must be a JSON object")
     with _fields("LP"):
-        objective = tuple(float(v) for v in doc["objective"])
-        matrix = tuple(tuple(float(v) for v in row) for row in doc["matrix"])
-        bounds = tuple(float(v) for v in doc["bounds"])
+        objective = tuple(_number(v, "LP objective entries") for v in doc["objective"])
+        matrix = tuple(
+            tuple(_number(v, "LP matrix entries") for v in row) for row in doc["matrix"]
+        )
+        bounds = tuple(_number(v, "LP bounds entries") for v in doc["bounds"])
     return LpProblem(objective, matrix, bounds)
 
 
@@ -152,7 +178,4 @@ def load_weights(path: str) -> tuple:
     if not isinstance(doc, list):
         raise ValueError("weight file must hold a JSON list")
     with _fields("weight"):
-        for w in doc:
-            if isinstance(w, bool) or not isinstance(w, (int, float)) or not math.isfinite(w):
-                raise ValueError(f"weight file entries must be finite numbers, got {w!r}")
-    return tuple(float(w) for w in doc)
+        return tuple(_number(w, "weight file entries") for w in doc)

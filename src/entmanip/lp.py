@@ -1,12 +1,20 @@
 """Self-contained dense simplex solver for small inequality-form LPs.
 
 Solves  maximize c.x  subject to  B x <= q,  x >= 0  on dense tableaus with
-Bland's anti-cycling pivot rule.  Instances here are tiny (tens of variables
-at most), so the implementation favours determinism and auditability over
-speed: plain Python lists, ``math.fsum`` for the dot products that matter,
-and an exact-rational mode that reruns the identical pivot logic over
-``fractions.Fraction`` so saturation identities can be certified without
-floating-point doubt.
+Bland's anti-cycling pivot rule.  Instances here are small (at most a few
+hundred variables), so the implementation favours determinism and
+auditability: plain Python lists, ``math.fsum`` for the dot products that
+matter, and an exact-rational mode that reruns the identical pivot logic
+over ``fractions.Fraction`` so saturation identities can be certified
+without floating-point doubt.
+
+The tableau is stored densely but updated sparsely: a pivot, and each
+elimination step of the basis solves in :func:`verify_solution`, visits
+only the nonzero columns of the pivot row and only the rows with a nonzero
+factor.  Skipped entries would be updated by ``x - factor * 0``, so the
+results are the same number for number as a full sweep, at a fraction of
+the cost on the sparse tableaus the concentration LPs produce.  The one
+routine serves float and exact mode alike.
 
 A brute-force vertex enumerator doubles as an independent oracle for small
 instances, and :func:`verify_solution` recomputes feasibility and reduced
@@ -18,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 PIVOT_TOL = 1e-11
 ENUMERATION_LIMIT = 12
@@ -107,10 +115,21 @@ class LpSolution:
         object.__setattr__(self, "reduced_costs", tuple(self.reduced_costs))
 
 
-def _dot(a, b):
-    if any(isinstance(x, Fraction) for x in a) or any(
-        isinstance(x, Fraction) for x in b
-    ):
+def _has_fraction(values) -> bool:
+    # one subclass test per distinct type: isinstance on every entry goes
+    # through Fraction's slow ABC instance check
+    return any(issubclass(kind, Fraction) for kind in set(map(type, values)))
+
+
+def _dot(a, b, exact=None):
+    """Exact sum for ``Fraction`` operands, ``math.fsum`` otherwise.
+
+    ``exact`` fixes the kind for callers that take many dot products with
+    the same vector; by default both vectors are scanned.
+    """
+    if exact is None:
+        exact = _has_fraction(a) or _has_fraction(b)
+    if exact:
         return sum(x * y for x, y in zip(a, b))
     return math.fsum(float(x) * float(y) for x, y in zip(a, b))
 
@@ -180,7 +199,6 @@ def simplex_solve(
             )
 
     zero, one = conv(0), conv(1)
-    width = n + m + 1
     tableau = []
     for i in range(m):
         row = rows[i] + [zero] * m + [q[i]]
@@ -199,21 +217,26 @@ def simplex_solve(
         leaving = None
         best = None
         for i in range(m):
-            coeff = tableau[i][entering]
+            row = tableau[i]
+            coeff = row[entering]
             if coeff > tol:
-                ratio = tableau[i][-1] / coeff
+                # a step of at most tol ties at zero: ranking the +-1e-15
+                # drift of degenerate rows would let Bland's rule cycle
+                ratio = row[-1] / coeff
+                if ratio <= tol:
+                    ratio = zero
                 key = (ratio, basis[i])
                 if best is None or key < best:
                     best = key
                     leaving = i
         if leaving is None:
             return _non_optimal("unbounded")
-        _pivot(tableau, zrow, leaving, entering, width)
+        _pivot(tableau, zrow, leaving, entering, zero, one)
         basis[leaving] = entering
     else:
         raise RuntimeError("simplex failed to terminate (pivot cap reached)")
 
-    _absorb_slack(tableau, zrow, basis, n, m, width, tol)
+    _absorb_slack(tableau, zrow, basis, n, m, tol, zero, one)
 
     extended = [zero] * (n + m)
     for i in range(m):
@@ -223,7 +246,7 @@ def simplex_solve(
     return LpSolution(values, objective, tuple(basis), tuple(zrow[:-1]), "optimal")
 
 
-def _absorb_slack(tableau, zrow, basis, n, m, width, tol):
+def _absorb_slack(tableau, zrow, basis, n, m, tol, zero, one):
     """Exchange basic slack for zero-reduced-cost structural columns.
 
     Runs at a primal/dual optimal tableau.  Every executed pivot enters a
@@ -252,43 +275,50 @@ def _absorb_slack(tableau, zrow, basis, n, m, width, tol):
                         leaving = i
             if leaving is None or basis[leaving] < n:
                 continue
-            _pivot(tableau, zrow, leaving, j, width)
+            _pivot(tableau, zrow, leaving, j, zero, one)
             in_basis.discard(basis[leaving])
             in_basis.add(j)
             basis[leaving] = j
             changed = True
 
 
-def _pivot(tableau, zrow, leaving, entering, width):
-    pivot = tableau[leaving][entering]
+def _pivot(tableau, zrow, leaving, entering, zero, one):
+    """Pivot on (leaving, entering) over the pivot row's nonzero columns.
+
+    ``zero`` and ``one`` are the tableau's own constants (float or
+    ``Fraction``); they fill the eliminated entering column and the pivot.
+    """
     prow = tableau[leaving]
-    for k in range(width):
-        prow[k] = prow[k] / pivot
-    prow[entering] = type(pivot)(1) if not isinstance(pivot, float) else 1.0
-    for row in tableau:
-        if row is prow:
-            continue
+    pivot = prow[entering]
+    nonzero = [
+        (k, x / pivot) for k, x in enumerate(prow) if x and k != entering
+    ]
+    for k, x in nonzero:
+        prow[k] = x
+    prow[entering] = one
+    for row in (*tableau, zrow):
         factor = row[entering]
-        if factor:
-            for k in range(width):
-                row[k] -= factor * prow[k]
-            row[entering] = 0 if not isinstance(factor, float) else 0.0
-    factor = zrow[entering]
-    if factor:
-        for k in range(width):
-            zrow[k] -= factor * prow[k]
-        zrow[entering] = 0 if not isinstance(factor, float) else 0.0
+        if factor and row is not prow:
+            for k, x in nonzero:
+                row[k] -= factor * x
+            row[entering] = zero
 
 
 def _solve_square(matrix, rhs):
-    """Gaussian elimination with partial pivoting; raises on singularity.
+    """Gauss-Jordan elimination with partial pivoting; raises on singularity.
 
-    Works for float and ``Fraction`` entries alike; for floats a pivot below
-    1e-13 (relative to the largest remaining entry) counts as singular.
+    Works for float and ``Fraction`` entries alike.  For floats a pivot no
+    larger than ``1e-13 * max(scale, 1)`` counts as singular, where
+    ``scale`` is the largest coefficient magnitude in the rows not yet
+    pivoted.  Each row's magnitude is kept alongside it and recomputed only
+    when an elimination step changes the row; each step visits only the
+    pivot row's nonzero columns.
     """
     size = len(rhs)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    exact = any(isinstance(x, Fraction) for row in a for x in row)
+    a = [list(row) for row in matrix]
+    b = list(rhs)
+    exact = _has_fraction(chain(b, *a))
+    row_scale = None if exact else [max(map(abs, row)) for row in a]
     for col in range(size):
         pivot_row = max(range(col, size), key=lambda r: abs(a[r][col]))
         pivot = a[pivot_row][col]
@@ -296,19 +326,24 @@ def _solve_square(matrix, rhs):
             if pivot == 0:
                 raise ZeroDivisionError("singular matrix")
         else:
-            scale = max(abs(a[r][k]) for r in range(col, size) for k in range(size))
+            scale = max(row_scale[col:])
             if scale == 0 or abs(pivot) <= 1e-13 * max(scale, 1.0):
                 raise ZeroDivisionError("singular matrix")
+            row_scale[col], row_scale[pivot_row] = row_scale[pivot_row], row_scale[col]
         a[col], a[pivot_row] = a[pivot_row], a[col]
-        prow = a[col]
-        for r in range(size):
-            if r == col:
+        b[col], b[pivot_row] = b[pivot_row], b[col]
+        prow, prhs = a[col], b[col]
+        nonzero = [(k, prow[k]) for k in range(col, size) if prow[k]]
+        for r, row in enumerate(a):
+            if r == col or not row[col]:
                 continue
-            factor = a[r][col] / pivot
-            if factor:
-                for k in range(col, size + 1):
-                    a[r][k] -= factor * prow[k]
-    return [a[i][size] / a[i][i] for i in range(size)]
+            factor = row[col] / pivot
+            for k, x in nonzero:
+                row[k] -= factor * x
+            b[r] -= factor * prhs
+            if r > col and not exact:
+                row_scale[r] = max(map(abs, row))
+    return [b[i] / a[i][i] for i in range(size)]
 
 
 def _extended_column(prob: LpProblem, j: int) -> list:
@@ -337,17 +372,19 @@ def _basis_solution(prob: LpProblem, basis):
 def _basis_reduced_costs(prob: LpProblem, basis):
     """Reduced costs z_j - c_j for every extended column, from the basis."""
     m = prob.num_constraints
-    columns = [_extended_column(prob, j) for j in basis]
     # y solves  (A_B)^T y = c_B ; rows of the transposed system are the
     # basis columns themselves
-    matrix = [list(col) for col in columns]
-    rhs = [_extended_cost(prob, j) for j in basis]
-    y = _solve_square(matrix, rhs)
-    costs = []
-    for j in range(prob.num_variables + m):
-        col = _extended_column(prob, j)
-        costs.append(_dot(y, col) - _extended_cost(prob, j))
-    return costs
+    columns = [_extended_column(prob, j) for j in basis]
+    y = _solve_square(columns, [_extended_cost(prob, j) for j in basis])
+    # every product takes y's kind, unless a float y meets Fraction entries
+    # of a mixed problem: then each column decides, as _dot does by default
+    exact = _has_fraction(y)
+    if not exact and _has_fraction(chain(*prob.constraint_matrix)):
+        exact = None
+    return [
+        _dot(y, _extended_column(prob, j), exact) - _extended_cost(prob, j)
+        for j in range(prob.num_variables + m)
+    ]
 
 
 def verify_solution(prob: LpProblem, sol: LpSolution, tol: float = 1e-9) -> bool:

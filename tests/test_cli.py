@@ -10,6 +10,7 @@ import pytest
 
 import entmanip
 from entmanip.cli import run
+from util import CYCLING_LP, highs_optimum
 
 
 def write_json(path, doc):
@@ -295,6 +296,38 @@ class TestLpSolve:
         assert code == 3
         assert doc["status"] == "unbounded"
 
+    def test_degenerate_drift_does_not_cycle(self, capsys, tmp_path):
+        path = write_json(tmp_path / "lp.json", CYCLING_LP)
+        code = run(["lp-solve", path])
+        captured = capsys.readouterr()
+        assert code == 0 and "Traceback" not in captured.err
+        doc = json.loads(captured.out)
+        assert doc["status"] == "optimal"
+        assert doc["objective"] == pytest.approx(highs_optimum(**CYCLING_LP), abs=1e-9)
+
+    def test_small_right_hand_side_keeps_its_ratio(self, capsys, tmp_path):
+        lp_doc = {"objective": [1.0], "matrix": [[1e-10], [1.0]], "bounds": [5e-12, 0.01]}
+        path = write_json(tmp_path / "lp.json", lp_doc)
+        assert run(["lp-solve", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "optimal"
+        assert doc["objective"] == pytest.approx(0.01, abs=1e-12)
+        prob = entmanip.LpProblem(lp_doc["objective"], lp_doc["matrix"], lp_doc["bounds"])
+        claim = entmanip.LpSolution(
+            tuple(doc["values"]), doc["objective"], tuple(doc["basis"]), (), "optimal"
+        )
+        assert entmanip.verify_solution(prob, claim)
+
+    def test_zero_weight_prints_no_negative_zero(self, capsys, tmp_path):
+        path = write_json(
+            tmp_path / "lp.json",
+            {"objective": [0.0], "matrix": [[1.0]], "bounds": [1.0]},
+        )
+        assert run(["lp-solve", path]) == 0
+        out = capsys.readouterr().out
+        assert "-0" not in out
+        assert json.loads(out)["reduced_costs"] == [0, 0]
+
     def test_nan_bound_exits_4(self, capsys, tmp_path):
         path = tmp_path / "lp.json"
         path.write_text('{"objective": [1.0], "matrix": [[1.0]], "bounds": [NaN]}')
@@ -419,6 +452,72 @@ class TestHarness:
         code, doc = run_json(capsys, ["decompose", "--state", "-"])
         assert code == 0
         assert doc["spectrum"] == pytest.approx([0.5, 0.5])
+
+
+_SPECTRUM = {"spectrum": [0.5, 0.5]}
+_POVM = {"support_rank": 2, "elements": [{"label": 1, "diag": [1.0, 1.0]}]}
+
+
+_DECOMPOSE = ["decompose", "--state", "{doc}"]
+_ENSEMBLE = ["check-feasible", "--source", "{spectrum}", "--ensemble", "{doc}"]
+_POVM_RUN = ["simulate", "--state", "{spectrum}", "--protocol", "{doc}", "--trials", "10"]
+_LP = ["lp-solve", "{doc}"]
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        pytest.param(_DECOMPOSE, {"spectrum": ["0.5", "0.5"]}, id="spectrum-strings"),
+        pytest.param(_DECOMPOSE, {"spectrum": [True, 1]}, id="spectrum-bool"),
+        pytest.param(_DECOMPOSE, {"amplitudes": [[{"re": "1"}]]}, id="amplitude-string"),
+        pytest.param(_DECOMPOSE, {"amplitudes": [[True]]}, id="amplitude-bool"),
+        pytest.param(
+            _ENSEMBLE,
+            {"ensemble": [{"probability": "1", "spectrum": [1.0]}]},
+            id="probability-string",
+        ),
+        pytest.param(
+            _ENSEMBLE,
+            {"ensemble": [{"probability": 1.0, "spectrum": [True]}]},
+            id="ensemble-spectrum-bool",
+        ),
+        pytest.param(
+            _POVM_RUN,
+            dict(_POVM, elements=[{"label": "1", "diag": [1.0, 1.0]}]),
+            id="label-string",
+        ),
+        pytest.param(
+            _POVM_RUN,
+            dict(_POVM, elements=[{"label": 1.5, "diag": [1.0, 1.0]}]),
+            id="label-fraction",
+        ),
+        pytest.param(
+            _POVM_RUN,
+            dict(_POVM, elements=[{"label": 1, "diag": [True, 1.0]}]),
+            id="diag-bool",
+        ),
+        pytest.param(_POVM_RUN, dict(_POVM, support_rank="2"), id="support-string"),
+        pytest.param(
+            _LP,
+            {"objective": ["1"], "matrix": [[True]], "bounds": ["2"]},
+            id="lp-strings",
+        ),
+        pytest.param(
+            _LP,
+            {"objective": [1.0], "matrix": [[True]], "bounds": [2.0]},
+            id="lp-bool",
+        ),
+    ],
+)
+def test_loaders_refuse_non_numbers(capsys, tmp_path, argv, doc):
+    files = {
+        "doc": write_json(tmp_path / "doc.json", doc),
+        "spectrum": write_json(tmp_path / "spectrum.json", _SPECTRUM),
+    }
+    assert run([a.format(**files) for a in argv]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be" in captured.err and "Traceback" not in captured.err
 
 
 class TestNumpyStaysUnimported:

@@ -2,9 +2,12 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmanip import (
     LpProblem,
@@ -15,9 +18,17 @@ from entmanip import (
     make_spectrum,
     optimal_plan,
     simplex_solve,
+    standard_weights,
     verify_solution,
 )
-from util import random_spectrum
+from entmanip import lp
+from util import (
+    CYCLING_LP,
+    highs_optimum,
+    random_spectrum,
+    reference_pivot,
+    reference_solve_square,
+)
 
 
 def random_bounded_problem(rng, n, m):
@@ -108,6 +119,26 @@ class TestSimplexSolve:
                 float(b.objective_value), abs=1e-9
             )
 
+    def test_degenerate_drift_does_not_cycle(self):
+        prob = LpProblem(
+            CYCLING_LP["objective"], CYCLING_LP["matrix"], CYCLING_LP["bounds"]
+        )
+        sol = simplex_solve(prob)
+        assert sol.status == "optimal"
+        assert float(sol.objective_value) == pytest.approx(
+            highs_optimum(**CYCLING_LP), abs=1e-9
+        )
+        assert verify_solution(prob, sol)
+
+    def test_small_right_hand_side_keeps_its_ratio(self):
+        # row 0's ratio 5e-12 / 1e-10 = 0.05 must lose to row 1's 0.01,
+        # although its right-hand side is below the pivot tolerance
+        prob = LpProblem((1.0,), ((1e-10,), (1.0,)), (5e-12, 0.01))
+        sol = simplex_solve(prob)
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(0.01, abs=1e-12)
+        assert verify_solution(prob, sol)
+
     def test_weak_duality_from_final_tableau(self):
         rng = np.random.default_rng(61)
         for _ in range(50):
@@ -157,6 +188,55 @@ class TestVerifySolution:
         prob = LpProblem((1.0,), ((1.0,),), (1.0,))
         claim = LpSolution((), None, (), (), "unbounded")
         assert not verify_solution(prob, claim)
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @pytest.mark.parametrize("n", [2, 64])
+    def test_singular_basis_fails_without_raising(self, n, exact):
+        # an extra variable whose column copies column 0: a basis holding
+        # both columns has a singular matrix
+        coeffs = [Fraction(n - i, 1) for i in range(n)] if exact else [
+            float(n - i) for i in range(n)
+        ]
+        prob = concentration_lp(make_spectrum(coeffs))
+        matrix = tuple(row + (row[0],) for row in prob.constraint_matrix)
+        twin = LpProblem(prob.objective + (prob.objective[0],), matrix, prob.bounds)
+        basis = (0, n, *range(2, n))
+        claim = LpSolution((0,) * (n + 1), 0, basis, (), "optimal")
+        assert len(claim.basis) == twin.num_constraints
+        assert not verify_solution(twin, claim)
+
+
+def test_reduced_costs_of_a_mixed_problem():
+    # float y, and a Fraction column summed naively as the per-column rule
+    # does: 1e16 + 1.0 - 1e16 is 0.0 there, 1.0 under math.fsum
+    matrix = (
+        (1.0, 0.0, 0.0, Fraction(1)),
+        (0.0, 1.0, 0.0, Fraction(1)),
+        (0.0, 0.0, 1.0, Fraction(1)),
+    )
+    prob = LpProblem((1e16, 1.0, -1e16, 0.0), matrix, (1.0, 1.0, 1.0))
+    costs = lp._basis_reduced_costs(prob, (0, 1, 2))
+    assert costs == [0.0, 0.0, 0.0, 0.0, 1e16, 1.0, -1e16]
+
+
+class TestLargeConcentrationLp:
+    """n = 64 and 128 against scipy's HiGHS, and the basis verification."""
+
+    @pytest.mark.parametrize("weights", ["log2", "random"])
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_objective_matches_highs_and_verifies(self, n, weights):
+        rng = np.random.default_rng(1000 + n)
+        s = random_spectrum(rng, n)
+        if weights == "log2":
+            w = standard_weights("log2", n)
+        else:
+            w = tuple(rng.random(n).tolist())
+        prob = concentration_lp(s, w)
+        sol = simplex_solve(prob)
+        assert sol.status == "optimal"
+        reference = highs_optimum(prob.objective, prob.constraint_matrix, prob.bounds)
+        assert float(sol.objective_value) == pytest.approx(reference, abs=1e-9)
+        assert verify_solution(prob, sol)
 
 
 class TestEnumerateVertices:
@@ -255,3 +335,108 @@ def test_problem_validation():
 def test_problem_rejects_non_finite_floats(field, objective, matrix, bounds):
     with pytest.raises(ValueError, match=f"LP {field} entries must be finite"):
         LpProblem(objective, matrix, bounds)
+
+
+# ------------------------------------------- sparse kernels vs references
+
+_FLOAT_ENTRIES = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.0, 1.0, 0.5, 1e-14, 1e14]),
+    st.floats(-0.5, 1.5).map(lambda x: round(x, 2)),
+)
+_EXACT_ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-6, 18), st.integers(1, 6)),
+)
+
+
+def _entries(exact):
+    return _EXACT_ENTRIES if exact else _FLOAT_ENTRIES
+
+
+@st.composite
+def _problems(draw, exact):
+    entries = _entries(exact)
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    row = st.lists(entries, min_size=n, max_size=n)
+    objective = draw(row)
+    matrix = draw(st.lists(row, min_size=m, max_size=m))
+    bounds = [abs(q) for q in draw(st.lists(entries, min_size=m, max_size=m))]
+    return LpProblem(objective, matrix, bounds)
+
+
+@st.composite
+def _square_systems(draw, exact):
+    entries = _entries(exact)
+    size = draw(st.integers(1, 6))
+    row = st.lists(entries, min_size=size, max_size=size)
+    matrix = draw(st.lists(row, min_size=size, max_size=size))
+    if size > 1 and draw(st.booleans()):
+        # the last row repeats the first up to a 1e-14 term: singular or
+        # as near to it as the float threshold can see
+        twin = list(matrix[0])
+        k = draw(st.integers(0, size - 1))
+        twin[k] += draw(st.sampled_from([0, Fraction(1, 10**14) if exact else 1e-14]))
+        matrix[-1] = twin
+    return matrix, draw(row)
+
+
+def _solve_or_error(prob, exact):
+    try:
+        return simplex_solve(prob, exact=exact)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+class TestSparseKernelsMatchDenseReferences:
+    """The sparse kernels return what a full dense sweep returns."""
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_pivot(self, exact, data):
+        prob = data.draw(_problems(exact))
+        sparse = _solve_or_error(prob, exact)
+        with mock.patch.object(lp, "_pivot", reference_pivot):
+            dense = _solve_or_error(prob, exact)
+        if isinstance(sparse, str) or isinstance(dense, str):
+            assert sparse == dense
+            return
+        assert (sparse.status, sparse.basis) == (dense.status, dense.basis)
+        assert sparse.values == dense.values
+        assert [type(v) for v in sparse.values] == [type(v) for v in dense.values]
+        assert sparse.objective_value == dense.objective_value
+        assert sparse.reduced_costs == dense.reduced_costs
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_solve_square(self, exact, data):
+        matrix, rhs = data.draw(_square_systems(exact))
+        assert_same_solve(matrix, rhs)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            # the pivot row's scale of 1e14 must move out with its row
+            [[0.0, 1.0], [1e14, 1.0]],
+            # the scale must shrink when elimination cancels a row's 1e14
+            [[1e14, 1e14], [1e14, 1e14 + 1.0]],
+            [[1.0, 1e14], [1.0, 1e14]],
+        ],
+    )
+    def test_solve_square_scale_bookkeeping(self, matrix):
+        assert_same_solve(matrix, [1.0] * len(matrix))
+
+
+def assert_same_solve(matrix, rhs):
+    def solve(kernel):
+        try:
+            return kernel(matrix, rhs)
+        except ZeroDivisionError:
+            return "singular"
+
+    sparse = solve(lp._solve_square)
+    dense = solve(reference_solve_square)
+    assert sparse == dense
+    if sparse != "singular":
+        assert [type(x) for x in sparse] == [type(x) for x in dense]

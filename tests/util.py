@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -66,3 +67,103 @@ def expanded_yield_curve(s: SchmidtSpectrum, max_n: int) -> tuple:
         plan = optimal_plan(make_spectrum(products, zero_tol=0.0))
         curve.append((n, plan.expected_entanglement / n))
     return tuple(curve)
+
+
+def reference_pivot(tableau, zrow, leaving, entering, zero, one):
+    """Dense pivot: every row with a nonzero factor, across the full width.
+
+    The reference that the sparse ``entmanip.lp._pivot`` must match value
+    for value; it takes the same arguments but, like the dense original,
+    derives the pivot's 1 and the cleared 0 from the entries' own types.
+    """
+    width = len(tableau[leaving])
+    pivot = tableau[leaving][entering]
+    prow = tableau[leaving]
+    for k in range(width):
+        prow[k] = prow[k] / pivot
+    prow[entering] = type(pivot)(1) if not isinstance(pivot, float) else 1.0
+    for row in tableau:
+        if row is prow:
+            continue
+        factor = row[entering]
+        if factor:
+            for k in range(width):
+                row[k] -= factor * prow[k]
+            row[entering] = 0 if not isinstance(factor, float) else 0.0
+    factor = zrow[entering]
+    if factor:
+        for k in range(width):
+            zrow[k] -= factor * prow[k]
+        zrow[entering] = 0 if not isinstance(factor, float) else 0.0
+
+
+def reference_solve_square(matrix, rhs):
+    """Dense Gauss-Jordan that rescans the trailing submatrix for its scale.
+
+    The reference for ``entmanip.lp._solve_square``: the same solution and
+    the same singular/non-singular decision are expected from both.
+    """
+    size = len(rhs)
+    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    exact = any(isinstance(x, Fraction) for row in a for x in row)
+    for col in range(size):
+        pivot_row = max(range(col, size), key=lambda r: abs(a[r][col]))
+        pivot = a[pivot_row][col]
+        if exact:
+            if pivot == 0:
+                raise ZeroDivisionError("singular matrix")
+        else:
+            scale = max(abs(a[r][k]) for r in range(col, size) for k in range(size))
+            if scale == 0 or abs(pivot) <= 1e-13 * max(scale, 1.0):
+                raise ZeroDivisionError("singular matrix")
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        prow = a[col]
+        for r in range(size):
+            if r == col:
+                continue
+            factor = a[r][col] / pivot
+            if factor:
+                for k in range(col, size + 1):
+                    a[r][k] -= factor * prow[k]
+    return [a[i][size] / a[i][i] for i in range(size)]
+
+
+# Float-mode degenerate instance on which the right-hand sides of tied rows
+# drift to +-1e-15; ranking that drift in the ratio test made Bland's rule
+# cycle until the pivot cap.
+CYCLING_LP = {
+    "objective": [0.13, 0.95, -0.33, 0.59, 0.45, 1.38, 1.38],
+    "matrix": [
+        [1.0, 1.0, 0.0, 1.0, 1.0, 0.88, 0.0],
+        [1e-14, 0.04, 0.0, 1.0, 1e-14, 1e-14, 0.0],
+        [1.0, 1e-14, 0.0, 1.0, 0.22, 0.15, 0.47],
+        [0.09, 1e-14, 1.0, 0.89, 0.15, 1e-14, 1.0],
+        [1.0, 1.0, 0.35, 0.0, 0.0, 1e-14, 0.0],
+        [0.0, 1.0, 1.0, 1e-14, 1e-14, 1e-14, 0.26],
+    ],
+    "bounds": [0.43, 0.0, 0.99, 0.0, 0.0, 0.24],
+}
+
+
+def highs_optimum(objective, matrix, bounds) -> float:
+    """Optimal value of max c.x, B x <= q, x >= 0 from scipy's HiGHS.
+
+    Feasibility tolerances are tightened to 1e-10: at the default 1e-7
+    HiGHS can stop 1e-8 short of the optimum on log2 weights.
+    """
+    from scipy.optimize import linprog
+
+    res = linprog(
+        [-float(c) for c in objective],
+        A_ub=[[float(x) for x in row] for row in matrix],
+        b_ub=[float(q) for q in bounds],
+        bounds=(0, None),
+        method="highs",
+        options={
+            "primal_feasibility_tolerance": 1e-10,
+            "dual_feasibility_tolerance": 1e-10,
+        },
+    )
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS failed: {res.message}")
+    return -float(res.fun)
