@@ -143,7 +143,7 @@ def _lp_plan(state, weights):
     solution = simplex_solve(problem)
     if solution.status != "optimal":
         raise ValueError(f"concentration LP came back {solution.status}")
-    probs = [max(0.0, float(v)) for v in solution.values]
+    probs = [float(v) for v in solution.values]
     probs[0] += max(0.0, 1.0 - math.fsum(probs))
     return probs, float(solution.objective_value)
 

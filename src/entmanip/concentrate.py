@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .lp import LpProblem
 from .monotones import vidal_monotones
-from .schmidt import SchmidtSpectrum
+from .schmidt import SchmidtSpectrum, numeric_kind
 from .transform import DiagonalPovm, PovmElement
 
 SIZE_CAP = 1 << 20
@@ -66,7 +66,7 @@ class ConcentrationPlan:
             raise ValueError("plan probabilities must be nonnegative")
         total = (
             sum(probabilities)
-            if any(isinstance(p, Fraction) for p in probabilities)
+            if numeric_kind(probabilities) != "float"
             else math.fsum(probabilities)
         )
         if abs(total - 1) > 1e-12:
@@ -120,7 +120,7 @@ def optimal_plan(s: SchmidtSpectrum) -> ConcentrationPlan:
     for j in range(1, n + 1):
         nxt = coeffs[j] if j < n else 0
         probs.append(j * (coeffs[j - 1] - nxt))
-    exact = any(isinstance(p, Fraction) for p in probs)
+    exact = numeric_kind(probs) != "float"
     total = sum(probs) if exact else math.fsum(probs)
     assert abs(total - 1) <= 1e-12, "telescoping identity failed"
     expected = math.fsum(
@@ -167,7 +167,7 @@ def concentration_lp(s: SchmidtSpectrum, weights=None) -> LpProblem:
         raise ValueError(
             f"expected {n} weights for a rank-{n} spectrum, got {len(weights)}"
         )
-    exact = any(isinstance(c, Fraction) for c in s.coeffs)
+    exact = numeric_kind(s.coeffs) != "float"
     matrix = []
     for l in range(1, n + 1):
         if exact:

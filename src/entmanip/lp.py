@@ -8,9 +8,8 @@ matter, and an exact-rational mode that reruns the identical pivot logic
 over ``fractions.Fraction`` so saturation identities can be certified
 without floating-point doubt.
 
-The tableau is stored densely but updated sparsely: a pivot, and each
-elimination step of the basis solves in :func:`verify_solution`, visits
-only the nonzero columns of the pivot row and only the rows with a nonzero
+The tableau is stored densely but updated sparsely: a pivot visits only
+the nonzero columns of the pivot row and only the rows with a nonzero
 factor.  Skipped entries would be updated by ``x - factor * 0``, so the
 results are the same number for number as a full sweep, at a fraction of
 the cost on the sparse tableaus the concentration LPs produce.  The one
@@ -18,7 +17,11 @@ routine serves float and exact mode alike.
 
 A brute-force vertex enumerator doubles as an independent oracle for small
 instances, and :func:`verify_solution` recomputes feasibility and reduced
-costs of a claimed optimum from its stated basis.
+costs of a claimed optimum from its stated basis.  Both factor the basis
+matrix B once (LU with partial pivoting, eliminating over the pivot row's
+nonzeros) and answer B x = q and B^T y = c_B from that one factorisation
+by sparse triangular substitution; on the triangular bases of the
+concentration LPs the factorisation does no elimination at all.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+
+from .schmidt import numeric_kind
 
 PIVOT_TOL = 1e-11
 ENUMERATION_LIMIT = 12
@@ -99,6 +104,11 @@ class LpSolution:
     maximization optimum every reduced cost (z_j - c_j) is nonnegative up to
     tolerance.  ``status`` is one of ``optimal``, ``unbounded``,
     ``infeasible``; only ``optimal`` solutions carry values.
+
+    The solver counters are ``pivots`` (Bland's-rule pivots),
+    ``degenerate_pivots`` (those of them whose ratio step tied at zero) and
+    ``absorb_pivots`` (slack-absorption pivots taken after optimality, at
+    most one per structural variable).
     """
 
     values: tuple
@@ -106,6 +116,9 @@ class LpSolution:
     basis: tuple
     reduced_costs: tuple
     status: str
+    pivots: int = 0
+    degenerate_pivots: int = 0
+    absorb_pivots: int = 0
 
     def __post_init__(self):
         if self.status not in ("optimal", "unbounded", "infeasible"):
@@ -115,12 +128,6 @@ class LpSolution:
         object.__setattr__(self, "reduced_costs", tuple(self.reduced_costs))
 
 
-def _has_fraction(values) -> bool:
-    # one subclass test per distinct type: isinstance on every entry goes
-    # through Fraction's slow ABC instance check
-    return any(issubclass(kind, Fraction) for kind in set(map(type, values)))
-
-
 def _dot(a, b, exact=None):
     """Exact sum for ``Fraction`` operands, ``math.fsum`` otherwise.
 
@@ -128,7 +135,7 @@ def _dot(a, b, exact=None):
     the same vector; by default both vectors are scanned.
     """
     if exact is None:
-        exact = _has_fraction(a) or _has_fraction(b)
+        exact = numeric_kind(a) != "float" or numeric_kind(b) != "float"
     if exact:
         return sum(x * y for x, y in zip(a, b))
     return math.fsum(float(x) * float(y) for x, y in zip(a, b))
@@ -173,10 +180,11 @@ def simplex_solve(
     zero-reduced-cost pivots moves residual slack into the lowest-indexed
     structural variables, so the returned vertex saturates as many
     constraints as the optimal face allows; the objective value is
-    unaffected.  Bounds below ``-pivot_tol`` whose rows have nonnegative
-    coefficients make the instance provably infeasible (x >= 0); other
-    negative bounds are outside the supported form and raise
-    ``ValueError``.
+    unaffected.  In float mode a basic value in [-pivot_tol, 0] is drift on
+    a degenerate row and is returned as 0.0.  Bounds below ``-pivot_tol``
+    whose rows have nonnegative coefficients make the instance provably
+    infeasible (x >= 0); other negative bounds are outside the supported
+    form and raise ``ValueError``.
     """
     n, m = prob.num_variables, prob.num_constraints
     if exact:
@@ -208,6 +216,7 @@ def simplex_solve(
     basis = list(range(n, n + m))
 
     max_pivots = _MAX_PIVOTS_FACTOR * (n + m + 4)
+    pivots = degenerate = 0
     for _ in range(max_pivots):
         entering = next(
             (j for j in range(n + m) if zrow[j] < -tol), None
@@ -233,17 +242,24 @@ def simplex_solve(
             return _non_optimal("unbounded")
         _pivot(tableau, zrow, leaving, entering, zero, one)
         basis[leaving] = entering
+        pivots += 1
+        if best[0] == 0:
+            degenerate += 1
     else:
         raise RuntimeError("simplex failed to terminate (pivot cap reached)")
 
-    _absorb_slack(tableau, zrow, basis, n, m, tol, zero, one)
+    absorbed = _absorb_slack(tableau, zrow, basis, n, m, tol, zero, one)
 
     extended = [zero] * (n + m)
     for i in range(m):
-        extended[basis[i]] = tableau[i][-1]
+        value = tableau[i][-1]
+        extended[basis[i]] = zero if -tol <= value <= 0 else value
     values = tuple(extended[:n])
     objective = _dot(c, values)
-    return LpSolution(values, objective, tuple(basis), tuple(zrow[:-1]), "optimal")
+    return LpSolution(
+        values, objective, tuple(basis), tuple(zrow[:-1]), "optimal",
+        pivots, degenerate, absorbed,
+    )
 
 
 def _absorb_slack(tableau, zrow, basis, n, m, tol, zero, one):
@@ -254,8 +270,10 @@ def _absorb_slack(tableau, zrow, basis, n, m, tol, zero, one):
     slack, so it walks the optimal face without changing the objective and
     the structural count strictly grows (at most n pivots).  Needed so that
     degenerate objectives still return the constraint-saturating vertex.
+    Returns the number of pivots taken.
     """
     in_basis = set(basis)
+    pivots = 0
     changed = True
     while changed:
         changed = False
@@ -279,7 +297,9 @@ def _absorb_slack(tableau, zrow, basis, n, m, tol, zero, one):
             in_basis.discard(basis[leaving])
             in_basis.add(j)
             basis[leaving] = j
+            pivots += 1
             changed = True
+    return pivots
 
 
 def _pivot(tableau, zrow, leaving, entering, zero, one):
@@ -304,21 +324,25 @@ def _pivot(tableau, zrow, leaving, entering, zero, one):
             row[entering] = zero
 
 
-def _solve_square(matrix, rhs):
-    """Gauss-Jordan elimination with partial pivoting; raises on singularity.
+def _factor(matrix, exact):
+    """LU factorisation with partial pivoting; raises on singularity.
 
-    Works for float and ``Fraction`` entries alike.  For floats a pivot no
-    larger than ``1e-13 * max(scale, 1)`` counts as singular, where
-    ``scale`` is the largest coefficient magnitude in the rows not yet
-    pivoted.  Each row's magnitude is kept alongside it and recomputed only
-    when an elimination step changes the row; each step visits only the
-    pivot row's nonzero columns.
+    Works for float and ``Fraction`` entries alike; ``exact`` selects the
+    singularity test.  Exact: a zero pivot.  Float: a pivot no larger than
+    ``1e-13 * max(scale, 1)``, where ``scale`` is the largest coefficient
+    magnitude in the rows not yet pivoted.  Each row's magnitude is kept
+    alongside it and recomputed only when an elimination step changes the
+    row; each step visits only the pivot row's nonzero columns.
+
+    Returns ``(steps, upper)``.  ``steps[col]`` is the row swapped into
+    position ``col`` and the ``(row, factor)`` pairs that eliminated the
+    column below it; ``upper[col]`` is the pivot and the ``(k, u)`` pairs of
+    the nonzero entries right of it.
     """
-    size = len(rhs)
+    size = len(matrix)
     a = [list(row) for row in matrix]
-    b = list(rhs)
-    exact = _has_fraction(chain(b, *a))
     row_scale = None if exact else [max(map(abs, row)) for row in a]
+    steps, upper = [], []
     for col in range(size):
         pivot_row = max(range(col, size), key=lambda r: abs(a[r][col]))
         pivot = a[pivot_row][col]
@@ -331,70 +355,132 @@ def _solve_square(matrix, rhs):
                 raise ZeroDivisionError("singular matrix")
             row_scale[col], row_scale[pivot_row] = row_scale[pivot_row], row_scale[col]
         a[col], a[pivot_row] = a[pivot_row], a[col]
-        b[col], b[pivot_row] = b[pivot_row], b[col]
-        prow, prhs = a[col], b[col]
+        prow = a[col]
+        # the pivot's own column is eliminated too, so a row keeps the
+        # rounding residue there and its scale sees it
         nonzero = [(k, prow[k]) for k in range(col, size) if prow[k]]
-        for r, row in enumerate(a):
-            if r == col or not row[col]:
+        eliminated = []
+        for r in range(col + 1, size):
+            row = a[r]
+            if not row[col]:
                 continue
             factor = row[col] / pivot
             for k, x in nonzero:
                 row[k] -= factor * x
-            b[r] -= factor * prhs
-            if r > col and not exact:
+            eliminated.append((r, factor))
+            if not exact:
                 row_scale[r] = max(map(abs, row))
-    return [b[i] / a[i][i] for i in range(size)]
+        steps.append((pivot_row, eliminated))
+        upper.append((pivot, nonzero[1:]))
+    return steps, upper
 
 
-def _extended_column(prob: LpProblem, j: int) -> list:
-    n, m = prob.num_variables, prob.num_constraints
-    if j < n:
-        return [prob.constraint_matrix[i][j] for i in range(m)]
-    return [1 if i == j - n else 0 for i in range(m)]
+def _lu_solve(lu, rhs):
+    """Solve B x = rhs from ``_factor(B)``."""
+    steps, upper = lu
+    b = list(rhs)
+    for col, (pivot_row, eliminated) in enumerate(steps):
+        b[col], b[pivot_row] = b[pivot_row], b[col]
+        x = b[col]
+        if x:
+            for r, factor in eliminated:
+                b[r] -= factor * x
+    for col in reversed(range(len(b))):
+        pivot, right = upper[col]
+        x = b[col]
+        for k, u in right:
+            x -= u * b[k]
+        b[col] = x / pivot
+    return b
 
 
-def _extended_cost(prob: LpProblem, j: int):
-    return prob.objective[j] if j < prob.num_variables else 0
+def _lu_solve_transposed(lu, rhs):
+    """Solve B^T y = rhs from ``_factor(B)``.
+
+    With M B = U, M the swaps and eliminations in order, y = M^T w for
+    U^T w = rhs: forward substitution over the rows of U, then the
+    transposed eliminations and the swaps in reverse order.
+    """
+    steps, upper = lu
+    w = list(rhs)
+    for col, (pivot, right) in enumerate(upper):
+        x = w[col] / pivot
+        w[col] = x
+        if x:
+            for k, u in right:
+                w[k] -= u * x
+    for col in reversed(range(len(w))):
+        pivot_row, eliminated = steps[col]
+        x = w[col]
+        for r, factor in eliminated:
+            x -= factor * w[r]
+        w[col] = x
+        w[col], w[pivot_row] = w[pivot_row], w[col]
+    return w
 
 
-def _basis_solution(prob: LpProblem, basis):
-    """Basic solution (extended vector) for a basis; raises if singular."""
-    m = prob.num_constraints
-    columns = [_extended_column(prob, j) for j in basis]
-    matrix = [[columns[k][i] for k in range(m)] for i in range(m)]
-    basic_values = _solve_square(matrix, list(prob.bounds))
-    extended = [0.0] * (prob.num_variables + m)
+def _factor_basis(prob: LpProblem, basis):
+    """``_factor`` of the basis matrix B; raises if it is singular.
+
+    B holds the basis columns of the extended matrix (a slack column is a
+    unit vector).  The factorisation is exact when B, the bounds or the
+    basic costs hold a ``Fraction``.
+    """
+    n = prob.num_variables
+    matrix = [
+        [row[j] if j < n else int(j - n == i) for j in basis]
+        for i, row in enumerate(prob.constraint_matrix)
+    ]
+    costs = _basic_costs(prob, basis)
+    exact = numeric_kind(chain(prob.bounds, costs, *matrix)) != "float"
+    return _factor(matrix, exact)
+
+
+def _basic_costs(prob: LpProblem, basis) -> list:
+    n = prob.num_variables
+    return [prob.objective[j] if j < n else 0 for j in basis]
+
+
+def _basis_solution(prob: LpProblem, basis, lu):
+    """Basic solution (extended vector) for a basis and its factorisation."""
+    basic_values = _lu_solve(lu, prob.bounds)
+    extended = [0.0] * (prob.num_variables + prob.num_constraints)
     for j, value in zip(basis, basic_values):
         extended[j] = value
     return extended
 
 
-def _basis_reduced_costs(prob: LpProblem, basis):
-    """Reduced costs z_j - c_j for every extended column, from the basis."""
-    m = prob.num_constraints
-    # y solves  (A_B)^T y = c_B ; rows of the transposed system are the
-    # basis columns themselves
-    columns = [_extended_column(prob, j) for j in basis]
-    y = _solve_square(columns, [_extended_cost(prob, j) for j in basis])
+def _basis_reduced_costs(prob: LpProblem, basis, lu):
+    """Reduced costs z_j - c_j for every extended column, from the basis.
+
+    y solves B^T y = c_B.  A structural column costs one dot product with
+    y; a slack column is a unit vector with cost 0, so its reduced cost is
+    y_i itself.
+    """
+    y = _lu_solve_transposed(lu, _basic_costs(prob, basis))
     # every product takes y's kind, unless a float y meets Fraction entries
     # of a mixed problem: then each column decides, as _dot does by default
-    exact = _has_fraction(y)
-    if not exact and _has_fraction(chain(*prob.constraint_matrix)):
+    exact = numeric_kind(y) != "float"
+    if not exact and numeric_kind(chain(*prob.constraint_matrix)) != "float":
         exact = None
-    return [
-        _dot(y, _extended_column(prob, j), exact) - _extended_cost(prob, j)
-        for j in range(prob.num_variables + m)
+    # with no constraints every column is empty
+    columns = list(zip(*prob.constraint_matrix)) or [()] * prob.num_variables
+    structural = [
+        _dot(y, column, exact) - c for column, c in zip(columns, prob.objective)
     ]
+    return structural + y
 
 
 def verify_solution(prob: LpProblem, sol: LpSolution, tol: float = 1e-9) -> bool:
     """Independently check a claimed optimum against its stated basis.
 
-    Recomputes the basic solution and reduced costs from ``sol.basis`` and
-    verifies: claimed values are feasible, they agree with the basis
-    solution, the objective matches, and every reduced cost satisfies the
-    maximization sign condition.  A singular basis matrix fails the
-    verification rather than raising.
+    Factors the basis matrix of ``sol.basis`` once (LU with partial
+    pivoting), solves it for the basic solution and its transpose for the
+    duals y, and takes the reduced costs from y.  Then verifies: claimed
+    values are feasible, they agree with the basis solution, the objective
+    matches, and every reduced cost satisfies the maximization sign
+    condition.  A singular basis matrix fails the verification rather than
+    raising.
     """
     if sol.status != "optimal":
         return False
@@ -402,10 +488,11 @@ def verify_solution(prob: LpProblem, sol: LpSolution, tol: float = 1e-9) -> bool
     if len(sol.basis) != m or len(sol.values) != n:
         return False
     try:
-        extended = _basis_solution(prob, sol.basis)
-        reduced = _basis_reduced_costs(prob, sol.basis)
+        lu = _factor_basis(prob, sol.basis)
     except ZeroDivisionError:
         return False
+    extended = _basis_solution(prob, sol.basis, lu)
+    reduced = _basis_reduced_costs(prob, sol.basis, lu)
     if any(x < -tol for x in extended):
         return False
     if any(abs(float(extended[j]) - float(sol.values[j])) > tol for j in range(n)):
@@ -425,7 +512,8 @@ def enumerate_vertices(prob: LpProblem, tol: float = 1e-9) -> LpSolution:
 
     Intended as an independent oracle for tiny bounded instances (at most
     ``ENUMERATION_LIMIT`` total variables including slacks): every basis
-    subset is solved directly and the best feasible vertex wins.  Raises
+    subset is factored and solved directly, and the best feasible vertex
+    wins; its reduced costs come from the same factorisation.  Raises
     ``ValueError`` above the size limit.
     """
     n, m = prob.num_variables, prob.num_constraints
@@ -435,24 +523,19 @@ def enumerate_vertices(prob: LpProblem, tol: float = 1e-9) -> LpSolution:
             f"{ENUMERATION_LIMIT} variables)"
         )
     best = None
-    best_basis = None
-    best_values = None
     for basis in combinations(range(n + m), m):
         try:
-            extended = _basis_solution(prob, basis)
+            lu = _factor_basis(prob, basis)
         except ZeroDivisionError:
             continue
+        extended = _basis_solution(prob, basis, lu)
         if any(x < -tol for x in extended):
             continue
         objective = _dot(prob.objective, extended[:n])
-        if best is None or objective > best:
-            best = objective
-            best_basis = basis
-            best_values = tuple(extended[:n])
+        if best is None or objective > best[0]:
+            best = objective, basis, lu, tuple(extended[:n])
     if best is None:
         return _non_optimal("infeasible")
-    try:
-        reduced = tuple(_basis_reduced_costs(prob, best_basis))
-    except ZeroDivisionError:
-        reduced = ()  # near-singular winning basis; values still stand
-    return LpSolution(best_values, best, best_basis, reduced, "optimal")
+    objective, basis, lu, values = best
+    reduced = _basis_reduced_costs(prob, basis, lu)
+    return LpSolution(values, objective, basis, reduced, "optimal")

@@ -36,11 +36,20 @@ __all__ = [
 ]
 
 
-def _is_exact(values) -> bool:
-    """True when every entry is an exact rational (Fraction)."""
-    return any(isinstance(v, Fraction) for v in values) and all(
-        isinstance(v, (Fraction, int)) for v in values
-    )
+def numeric_kind(values) -> str:
+    """``"exact"``, ``"float"`` or ``"mixed"``, from the entry types of ``values``.
+
+    ``"exact"``: some ``Fraction`` entries and otherwise only ints.
+    ``"float"``: no ``Fraction`` at all.  ``"mixed"``: a ``Fraction`` beside
+    any other type.  Each distinct type is tested once: ``isinstance(v,
+    Fraction)`` per entry goes through the slow ABC instance check.
+    """
+    kinds = set(map(type, values))
+    if not any(issubclass(kind, Fraction) for kind in kinds):
+        return "float"
+    if all(issubclass(kind, (Fraction, int)) for kind in kinds):
+        return "exact"
+    return "mixed"
 
 
 @dataclass(frozen=True)
@@ -99,7 +108,7 @@ class SchmidtSpectrum:
             raise ValueError("spectrum coefficients must be strictly positive")
         if any(coeffs[i] < coeffs[i + 1] for i in range(len(coeffs) - 1)):
             raise ValueError("spectrum coefficients must be nonincreasing")
-        total = math.fsum(coeffs) if not _is_exact(coeffs) else sum(coeffs)
+        total = sum(coeffs) if numeric_kind(coeffs) == "exact" else math.fsum(coeffs)
         if abs(total - 1) > NORM_TOL:
             raise ValueError(f"spectrum is not normalized: sum = {total!r}")
         object.__setattr__(self, "coeffs", coeffs)
@@ -127,7 +136,7 @@ def make_spectrum(raw: Sequence, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
     if any(not v >= 0 for v in values):
         raise ValueError("coefficients must be nonnegative numbers")
 
-    exact = _is_exact(values)
+    exact = numeric_kind(values) == "exact"
     if not exact:
         values = [float(v) for v in values]
         if not math.isfinite(sum(values)):

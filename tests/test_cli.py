@@ -1,14 +1,21 @@
 """Command-line interface: dispatch, exit codes, serialization."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import entmanip
+from entmanip import cli
 from entmanip.cli import run
 from util import CYCLING_LP, highs_optimum
 
@@ -304,6 +311,8 @@ class TestLpSolve:
         doc = json.loads(captured.out)
         assert doc["status"] == "optimal"
         assert doc["objective"] == pytest.approx(highs_optimum(**CYCLING_LP), abs=1e-9)
+        # float drift of the degenerate rows is read out as 0, never below
+        assert all(v >= 0 for v in doc["values"])
 
     def test_small_right_hand_side_keeps_its_ratio(self, capsys, tmp_path):
         lp_doc = {"objective": [1.0], "matrix": [[1e-10], [1.0]], "bounds": [5e-12, 0.01]}
@@ -518,6 +527,106 @@ def test_loaders_refuse_non_numbers(capsys, tmp_path, argv, doc):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be" in captured.err and "Traceback" not in captured.err
+
+
+# ------------------------------------------ any document through the loaders
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 1e-300, 1e300]),
+    st.text(max_size=3),
+)
+_KEYS = st.sampled_from(
+    [
+        "spectrum", "amplitudes", "re", "im", "ensemble", "probability",
+        "support_rank", "elements", "label", "diag", "objective", "matrix",
+        "bounds",
+    ]
+)
+
+
+def _lists(elements, size=None):
+    if size is None:
+        return st.lists(elements, max_size=4)
+    return st.lists(elements, min_size=size, max_size=size)
+
+
+def _record(**fields):
+    return st.fixed_dictionaries(fields)
+
+
+@st.composite
+def _shaped_lp(draw):
+    n, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return {
+        "objective": draw(_lists(_SCALARS, n)),
+        "matrix": draw(_lists(_lists(_SCALARS, n), m)),
+        "bounds": draw(_lists(_SCALARS, m)),
+    }
+
+
+# free-form JSON, and documents shaped like each loader's format with any
+# JSON values in them, so that the fuzz reaches past the first key check
+_DOCUMENTS = st.one_of(
+    st.recursive(
+        _SCALARS,
+        lambda kids: _lists(kids)
+        | st.dictionaries(_KEYS | st.text(max_size=2), kids, max_size=4),
+        max_leaves=12,
+    ),
+    _record(spectrum=_lists(_SCALARS)),
+    _record(amplitudes=_lists(_lists(_SCALARS | _record(re=_SCALARS, im=_SCALARS)))),
+    _record(ensemble=_lists(_record(probability=_SCALARS, spectrum=_lists(_SCALARS)))),
+    _record(
+        support_rank=_SCALARS,
+        elements=_lists(_record(label=_SCALARS, diag=_lists(_SCALARS))),
+    ),
+    _shaped_lp(),
+    _lists(_SCALARS),
+)
+
+# one call per loader: load_state, load_ensemble, load_povm, load_lp,
+# load_weights
+_LOADER_CALLS = [
+    ["decompose", "--state", "{doc}"],
+    ["check-feasible", "--source", "{spectrum}", "--ensemble", "{doc}"],
+    ["simulate", "--state", "{spectrum}", "--protocol", "{doc}", "--trials", "10"],
+    ["lp-solve", "{doc}"],
+    ["concentrate", "--state", "{spectrum}", "--weights", "{doc}"],
+]
+
+
+def _main_exit_code(argv):
+    """Exit code of ``cli.main`` on ``argv``, with its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "argv", ["entmanip", *argv]):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                cli.main()
+            except SystemExit as exc:
+                return exc.code, out.getvalue(), err.getvalue()
+    raise AssertionError("cli.main returned without exiting")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_DOCUMENTS)
+def test_any_document_exits_with_a_mapped_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {name: os.path.join(tmp, f"{name}.json") for name in ("doc", "spectrum")}
+        with open(files["doc"], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)  # NaN and Infinity are written as such
+        with open(files["spectrum"], "w", encoding="utf-8") as fh:
+            json.dump({"spectrum": [0.5, 0.3, 0.2]}, fh)
+        for argv in _LOADER_CALLS:
+            code, out, err = _main_exit_code([a.format(**files) for a in argv])
+            assert code in (0, 2, 3, 4), (argv[0], code, err)
+            assert "Traceback" not in err
+            if code == 4:
+                assert out == ""
 
 
 class TestNumpyStaysUnimported:

@@ -28,6 +28,7 @@ from util import (
     random_spectrum,
     reference_pivot,
     reference_solve_square,
+    reference_verify,
 )
 
 
@@ -130,6 +131,15 @@ class TestSimplexSolve:
         )
         assert verify_solution(prob, sol)
 
+    def test_degenerate_drift_reads_out_as_zero(self):
+        # float drift left x7 at -4.9e-15; a basic value in [-tol, 0] is 0.0
+        prob = LpProblem(
+            CYCLING_LP["objective"], CYCLING_LP["matrix"], CYCLING_LP["bounds"]
+        )
+        sol = simplex_solve(prob)
+        assert all(v >= 0 for v in sol.values)
+        assert sol.values[6] == 0.0
+
     def test_small_right_hand_side_keeps_its_ratio(self):
         # row 0's ratio 5e-12 / 1e-10 = 0.05 must lose to row 1's 0.01,
         # although its right-hand side is below the pivot tolerance
@@ -153,6 +163,40 @@ class TestSimplexSolve:
             assert dual_objective == pytest.approx(
                 float(sol.objective_value), abs=1e-9
             )
+
+
+def _counters(sol):
+    return sol.pivots, sol.degenerate_pivots, sol.absorb_pivots
+
+
+class TestSolverCounters:
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_repeat_exactly_on_a_fixed_lp(self, exact):
+        # indicator weights leave slack at the optimum for absorption
+        prob = concentration_lp(
+            make_spectrum([0.4, 0.3, 0.2, 0.1]), standard_weights("indicator", 4)
+        )
+        runs = [simplex_solve(prob, exact=exact) for _ in range(3)]
+        assert {_counters(sol) for sol in runs} == {(1, 0, 2)}
+
+    def test_degenerate_pivots_of_the_cycling_lp(self):
+        prob = LpProblem(
+            CYCLING_LP["objective"], CYCLING_LP["matrix"], CYCLING_LP["bounds"]
+        )
+        assert _counters(simplex_solve(prob)) == (8, 7, 0)
+        assert _counters(simplex_solve(prob)) == (8, 7, 0)
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_bounds(self, exact, data):
+        prob = data.draw(_problems(exact))
+        sol = _solve_or_error(prob, exact)
+        if isinstance(sol, str) or sol.status != "optimal":
+            return
+        assert sol.degenerate_pivots <= sol.pivots
+        assert sol.absorb_pivots <= prob.num_variables
+        assert _counters(simplex_solve(prob, exact=exact)) == _counters(sol)
 
 
 class TestVerifySolution:
@@ -192,16 +236,7 @@ class TestVerifySolution:
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
     @pytest.mark.parametrize("n", [2, 64])
     def test_singular_basis_fails_without_raising(self, n, exact):
-        # an extra variable whose column copies column 0: a basis holding
-        # both columns has a singular matrix
-        coeffs = [Fraction(n - i, 1) for i in range(n)] if exact else [
-            float(n - i) for i in range(n)
-        ]
-        prob = concentration_lp(make_spectrum(coeffs))
-        matrix = tuple(row + (row[0],) for row in prob.constraint_matrix)
-        twin = LpProblem(prob.objective + (prob.objective[0],), matrix, prob.bounds)
-        basis = (0, n, *range(2, n))
-        claim = LpSolution((0,) * (n + 1), 0, basis, (), "optimal")
+        twin, claim = _twin_problem(n, exact)
         assert len(claim.basis) == twin.num_constraints
         assert not verify_solution(twin, claim)
 
@@ -215,7 +250,8 @@ def test_reduced_costs_of_a_mixed_problem():
         (0.0, 0.0, 1.0, Fraction(1)),
     )
     prob = LpProblem((1e16, 1.0, -1e16, 0.0), matrix, (1.0, 1.0, 1.0))
-    costs = lp._basis_reduced_costs(prob, (0, 1, 2))
+    basis = (0, 1, 2)
+    costs = lp._basis_reduced_costs(prob, basis, lp._factor_basis(prob, basis))
     assert costs == [0.0, 0.0, 0.0, 0.0, 1e16, 1.0, -1e16]
 
 
@@ -412,7 +448,7 @@ class TestSparseKernelsMatchDenseReferences:
     @given(data=st.data())
     def test_solve_square(self, exact, data):
         matrix, rhs = data.draw(_square_systems(exact))
-        assert_same_solve(matrix, rhs)
+        assert_lu_matches_reference(matrix, rhs, exact)
 
     @pytest.mark.parametrize(
         "matrix",
@@ -425,18 +461,110 @@ class TestSparseKernelsMatchDenseReferences:
         ],
     )
     def test_solve_square_scale_bookkeeping(self, matrix):
-        assert_same_solve(matrix, [1.0] * len(matrix))
+        assert_lu_matches_reference(matrix, [1.0] * len(matrix), exact=False)
 
 
-def assert_same_solve(matrix, rhs):
-    def solve(kernel):
-        try:
-            return kernel(matrix, rhs)
-        except ZeroDivisionError:
-            return "singular"
+def _reference_or_singular(matrix, rhs):
+    try:
+        return reference_solve_square(matrix, rhs)
+    except ZeroDivisionError:
+        return "singular"
 
-    sparse = solve(lp._solve_square)
-    dense = solve(reference_solve_square)
-    assert sparse == dense
-    if sparse != "singular":
-        assert [type(x) for x in sparse] == [type(x) for x in dense]
+
+def _norm(rows):
+    return max(math.fsum(abs(x) for x in row) for row in rows)
+
+
+def assert_lu_matches_reference(matrix, rhs, exact):
+    """The LU of A solves A and A^T as the dense Gauss-Jordan reference does.
+
+    Exact mode: the same values, and singular exactly when the reference
+    is, on A and on A^T.  Float mode: the same singular decision on A, and
+    otherwise a backward error ||A x - b|| <= 1e-12 (||A|| ||x|| + ||b||) for
+    both solves (the triangular substitution rounds differently from
+    Gauss-Jordan, so the last bits may differ).
+    """
+    transposed = [list(column) for column in zip(*matrix)]
+    try:
+        lu = lp._factor(matrix, exact)
+    except ZeroDivisionError:
+        lu = None
+    reference = _reference_or_singular(matrix, rhs)
+    assert (lu is None) == (reference == "singular")
+    if exact:
+        reference_t = _reference_or_singular(transposed, rhs)
+        assert (reference_t == "singular") == (reference == "singular")
+    if lu is None:
+        return
+    solves = [
+        (matrix, lp._lu_solve(lu, rhs)),
+        (transposed, lp._lu_solve_transposed(lu, rhs)),
+    ]
+    for a, x in solves:
+        if exact:
+            assert x == reference_solve_square(a, rhs)
+            assert all(type(v) is Fraction for v in x)
+            continue
+        residual = [
+            math.fsum([*(u * v for u, v in zip(row, x)), -b])
+            for row, b in zip(a, rhs)
+        ]
+        scale = _norm(a) * max(map(abs, x)) + max(map(abs, rhs))
+        assert max(map(abs, residual)) <= 1e-12 * scale
+
+
+def _twin_problem(n, exact):
+    """A concentration LP plus a variable whose column copies column 0.
+
+    Returns it with a claimed optimum whose basis holds both columns, so
+    its basis matrix is singular.
+    """
+    coeffs = [Fraction(n - i, 1) for i in range(n)] if exact else [
+        float(n - i) for i in range(n)
+    ]
+    prob = concentration_lp(make_spectrum(coeffs))
+    matrix = tuple(row + (row[0],) for row in prob.constraint_matrix)
+    twin = LpProblem(prob.objective + (prob.objective[0],), matrix, prob.bounds)
+    basis = (0, n, *range(2, n))
+    return twin, LpSolution((0,) * (n + 1), 0, basis, (), "optimal")
+
+
+@st.composite
+def _claims(draw, exact):
+    """A problem and a claimed optimum: the solver's, or a drawn basis's.
+
+    A third of the draws are the singular twin-column cases.
+    """
+    if draw(st.integers(0, 2)) == 0:
+        return _twin_problem(draw(st.integers(2, 8)), exact)
+    prob = draw(_problems(exact))
+    sol = _solve_or_error(prob, exact)
+    if isinstance(sol, str) or sol.status != "optimal":
+        sol = LpSolution((0,) * prob.num_variables, 0, (), (), "optimal")
+    if draw(st.booleans()):
+        columns = range(prob.num_variables + prob.num_constraints)
+        basis = draw(st.permutations(columns))[: prob.num_constraints]
+        sol = LpSolution(sol.values, sol.objective_value, basis, (), "optimal")
+    return prob, sol
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_verify_matches_dense_reference(exact, data):
+    """The shared-LU verification gives the dense reference's verdict.
+
+    Exact mode: the same verdict.  Float mode: the absolute tolerance lies
+    below the rounding of large values (1e14 / 0.38 is off its exact value
+    by 0.03), so the verdict is pinned up to rounding: whatever the exact
+    reference accepts at thresholds tightened by 1e-12 of the instance's
+    scale is accepted, and whatever it rejects at thresholds loosened by as
+    much is rejected.
+    """
+    prob, sol = data.draw(_claims(exact))
+    verdict = verify_solution(prob, sol)
+    if exact:
+        assert verdict == reference_verify(prob, sol)
+    else:
+        assert reference_verify(prob, sol, slack=-1e-12) <= verdict
+        assert verdict <= reference_verify(prob, sol, slack=1e-12)

@@ -1,9 +1,16 @@
 """Spectrum construction, decomposition and entropy."""
 
+import ast
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import entmanip
 
 from entmanip import (
     AmplitudeMatrix,
@@ -13,6 +20,7 @@ from entmanip import (
     schmidt_decompose,
     uniform_spectrum,
 )
+from entmanip.schmidt import numeric_kind
 from util import random_unitary
 
 
@@ -171,3 +179,61 @@ class TestAmplitudeMatrix:
     def test_rejects_non_matrix(self):
         with pytest.raises(ValueError):
             AmplitudeMatrix(np.array([1.0, 0.0]))
+
+
+class TestNumericKind:
+    @pytest.mark.parametrize(
+        "values, kind",
+        [
+            ([], "float"),
+            ([0.5, 0.5], "float"),
+            ([1, 2], "float"),
+            ([np.float64(0.5), 0.5], "float"),
+            ([Fraction(1, 2), Fraction(1, 2)], "exact"),
+            ([Fraction(1, 2), 1, True], "exact"),
+            ([Fraction(1, 2), 0.5], "mixed"),
+            ([Fraction(1, 2), np.int64(1)], "mixed"),
+        ],
+    )
+    def test_kinds(self, values, kind):
+        assert numeric_kind(values) == kind
+        assert numeric_kind(iter(values)) == kind
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False),
+                st.integers(),
+                st.booleans(),
+                st.fractions(),
+            )
+        )
+    )
+    def test_matches_the_per_entry_tests(self, values):
+        # the per-entry definitions it replaced in schmidt, concentrate and lp
+        has_fraction = any(isinstance(v, Fraction) for v in values)
+        all_rational = all(isinstance(v, (Fraction, int)) for v in values)
+        kind = numeric_kind(values)
+        assert (kind != "float") == has_fraction
+        assert (kind == "exact") == (has_fraction and all_rational)
+
+    def test_no_per_entry_fraction_test_in_the_package(self):
+        # isinstance(v, Fraction) per entry is an ABC check, ten times the
+        # cost of one numeric_kind scan over a long float vector
+        comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+        found = []
+        for path in sorted(Path(entmanip.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for comp in ast.walk(tree):
+                if not isinstance(comp, comprehensions):
+                    continue
+                for node in ast.walk(comp):
+                    if (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "isinstance"
+                        and len(node.args) == 2
+                        and "Fraction" in ast.unparse(node.args[1])
+                    ):
+                        found.append(f"{path.name}:{node.lineno}")
+        assert not found, f"per-entry Fraction tests at {found}; use numeric_kind"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmanip import (
     DiagonalPovm,
@@ -147,6 +149,48 @@ class TestBuildEnsemblePovm:
             )
             probs = povm.outcome_probabilities(state)
             assert math.fsum(probs) == pytest.approx(1.0, abs=1e-10)
+
+
+_SPECTRA = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5).map(make_spectrum)
+
+
+@st.composite
+def _feasible_cases(draw):
+    """A source and a target ensemble that it can reach.
+
+    Targets come from a pool of at most three spectra, so duplicates that
+    merge are common.  The source mixes the ensemble's average with the
+    uniform spectrum on at least as many levels: its tail sums are at least
+    the average's, so the ensemble is feasible from it.
+    """
+    pool = draw(st.lists(_SPECTRA, min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(picks), max_size=len(picks)))
+    total = math.fsum(weights)
+    ensemble = make_ensemble([(w / total, pool[k]) for w, k in zip(weights, picks)])
+    avg = average_target(ensemble)
+    levels = avg.rank + draw(st.integers(0, 2))
+    t = draw(st.floats(0.0, 1.0))
+    source = make_spectrum(
+        [(1 - t) * a + t / levels for a in padded(avg.coeffs, levels)], zero_tol=0.0
+    )
+    return source, ensemble
+
+
+@settings(max_examples=200, deadline=None)
+@given(_feasible_cases())
+def test_povm_reproduces_any_feasible_ensemble(case):
+    source, ensemble = case
+    assert ensemble_feasible(source, ensemble).feasible
+    merged, die = merge_duplicates(ensemble)
+    povm = build_ensemble_povm(merged)
+    outcome = povm.outcome_probabilities(average_target(merged))
+    for w, (p, _) in zip(outcome, merged.entries):
+        assert abs(w - p) <= 1e-9
+    # the die splits each merged outcome back into the original entries
+    for group in die.groups:
+        for j, r in group.members:
+            assert abs(outcome[group.representative - 1] * r - ensemble.entries[j - 1][0]) <= 1e-9
 
 
 class TestApplyPovmElement:

@@ -100,8 +100,9 @@ def reference_pivot(tableau, zrow, leaving, entering, zero, one):
 def reference_solve_square(matrix, rhs):
     """Dense Gauss-Jordan that rescans the trailing submatrix for its scale.
 
-    The reference for ``entmanip.lp._solve_square``: the same solution and
-    the same singular/non-singular decision are expected from both.
+    The reference for the LU solves of ``entmanip.lp``: the same
+    singular/non-singular decision is expected from both, and in exact mode
+    the same solution.
     """
     size = len(rhs)
     a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
@@ -126,6 +127,78 @@ def reference_solve_square(matrix, rhs):
                 for k in range(col, size + 1):
                     a[r][k] -= factor * prow[k]
     return [a[i][size] / a[i][i] for i in range(size)]
+
+
+def reference_verify(prob, sol, tol: float = 1e-9, slack: float = 0.0) -> bool:
+    """Dense check of a claimed optimum: the reference for ``verify_solution``.
+
+    The singular decision is ``reference_solve_square``'s on the basis
+    matrix B, in the problem's own arithmetic.  Everything after it is
+    exact over the entries as ``Fraction``s: B^-1 column by column,
+    x = B^-1 q, y = c_B B^-1, and the reduced cost y.A_j - c_j of every
+    extended column.  Float Gauss-Jordan would not do as the reference:
+    on B = [[1, 1, 0], [0, 1, 0], [0, 1.5, 1]], q = (1.12, 0, 1e14) it
+    returns x_1 = 1.1171875, so its verdict flips on rounding.  The
+    acceptance conditions are those ``verify_solution`` documents, each
+    threshold moved by ``slack`` times 1 + M^2, M the largest of 1 and the
+    magnitudes of x, y, the claimed values and the entries of the problem
+    (so M^2 bounds every product the conditions sum): a negative slack
+    tightens them and a positive one loosens them.
+    """
+    if sol.status != "optimal":
+        return False
+    n, m = prob.num_variables, prob.num_constraints
+    if len(sol.basis) != m or len(sol.values) != n:
+        return False
+    columns = [
+        [row[j] for row in prob.constraint_matrix] if j < n else
+        [1 if i == j - n else 0 for i in range(m)]
+        for j in range(n + m)
+    ]
+    costs = list(prob.objective) + [0] * m
+    basis_matrix = [[columns[j][i] for j in sol.basis] for i in range(m)]
+    try:
+        reference_solve_square(basis_matrix, list(prob.bounds))
+        exact_matrix = [[Fraction(v) for v in row] for row in basis_matrix]
+        inverse_columns = [
+            reference_solve_square(exact_matrix, [Fraction(int(i == k)) for i in range(m)])
+            for k in range(m)
+        ]
+    except ZeroDivisionError:
+        return False
+    x = [
+        sum(col[i] * Fraction(q) for col, q in zip(inverse_columns, prob.bounds))
+        for i in range(m)
+    ]
+    y = [
+        sum(Fraction(costs[j]) * col[r] for r, j in enumerate(sol.basis))
+        for col in inverse_columns
+    ]
+    reduced = [
+        sum(a * Fraction(b) for a, b in zip(y, columns[j])) - Fraction(costs[j])
+        for j in range(n + m)
+    ]
+    extended = [Fraction(0)] * (n + m)
+    for j, value in zip(sol.basis, x):
+        extended[j] = value
+    values = [Fraction(v) for v in sol.values]
+    magnitude = max(map(abs, itertools.chain(
+        [1], x, y, values, prob.bounds, prob.objective, *prob.constraint_matrix
+    )))
+    loose = Fraction(slack) * (1 + magnitude**2)
+    tol = Fraction(tol) + loose
+    return (
+        all(v >= -tol for v in extended)
+        and all(abs(extended[j] - values[j]) <= tol for j in range(n))
+        and all(
+            sum(Fraction(a) * v for a, v in zip(row, values)) - Fraction(q) <= tol
+            for row, q in zip(prob.constraint_matrix, prob.bounds)
+        )
+        and all(v >= -max(tol, Fraction(1e-12) + loose) for v in values)
+        and abs(sum(Fraction(c) * v for c, v in zip(prob.objective, values))
+                - Fraction(sol.objective_value)) <= tol
+        and all(d >= -tol for d in reduced)
+    )
 
 
 # Float-mode degenerate instance on which the right-hand sides of tied rows
