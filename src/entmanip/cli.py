@@ -151,13 +151,13 @@ def _lp_plan(state, weights):
 def _cmd_concentrate(args) -> int:
     state = load_state(args.state)
     n = state.rank
+    weights = _resolve_weights(args.weights, n)
     if args.weights == "ln":
         plan = optimal_plan(state)
         probs = [float(p) for p in plan.probabilities]
         expected = plan.expected_entanglement
         objective = expected
     else:
-        weights = _resolve_weights(args.weights, n)
         probs, objective = _lp_plan(state, weights)
         expected = math.fsum(
             p * math.log(j) for j, p in enumerate(probs, start=1)
@@ -168,7 +168,7 @@ def _cmd_concentrate(args) -> int:
     if args.weights != "ln":
         doc["plan"]["objective"] = objective
     if args.certify:
-        cert = optimality_certificate(n)
+        cert = optimality_certificate(n, weights)
         doc["certificate"] = {"z": list(cert.z_values), "passed": cert.passed}
     curve = None
     if args.asymptotic is not None:

@@ -20,7 +20,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .lp import LpProblem
 from .monotones import vidal_monotones
@@ -78,18 +77,23 @@ class ConcentrationPlan:
 class OptimalityCertificate:
     """Reduced costs of the concentration LP at the closed-form vertex.
 
-    The certificate depends only on the dimension (the weights are ln j),
-    not on the spectrum; it passes when every value is nonnegative up to
-    ``CERT_TOL``.
+    The certificate depends only on the level weights, not on the
+    spectrum; it passes when every value is nonnegative, up to
+    ``CERT_TOL`` for float values and exactly for ``Fraction`` values,
+    which are kept as they are.
     """
 
     z_values: tuple
     passed: bool
 
     def __post_init__(self):
-        z_values = tuple(float(z) for z in self.z_values)
-        expected = all(z >= -CERT_TOL for z in z_values)
-        if self.passed != expected:
+        z_values = tuple(self.z_values)
+        if numeric_kind(z_values) == "float":
+            z_values = tuple(float(z) for z in z_values)
+            tol = CERT_TOL
+        else:
+            tol = 0
+        if self.passed != all(z >= -tol for z in z_values):
             raise ValueError("passed flag inconsistent with certificate values")
         object.__setattr__(self, "z_values", z_values)
 
@@ -184,7 +188,6 @@ def concentration_lp(s: SchmidtSpectrum, weights=None) -> LpProblem:
     return LpProblem(weights, tuple(matrix), bounds)
 
 
-@lru_cache(maxsize=None)
 def constraint_matrix_inverse(n: int) -> tuple:
     """Closed-form inverse of the concentration constraint matrix.
 
@@ -203,30 +206,30 @@ def constraint_matrix_inverse(n: int) -> tuple:
     return tuple(tuple(row) for row in inverse)
 
 
-@lru_cache(maxsize=None)
-def optimality_certificate(n: int) -> OptimalityCertificate:
+def optimality_certificate(n: int, weights=None) -> OptimalityCertificate:
     """Reduced-cost certificate that the closed-form plan is LP-optimal.
 
-    z_k weighs column k of the inverse constraint matrix with ln i; the
-    first two values are trivially nonnegative and for k >= 3
+    At the closed-form vertex every constraint is tight, and the slack
+    reduced costs are z = c B^-1.  With the three nonzeros per column of
+    :func:`constraint_matrix_inverse`, z is a second difference:
 
-        z_k = (k-2) ln(k-2) + k ln k - 2(k-1) ln(k-1)
+        z_k = f(k-2) + f(k) - 2 f(k-1),   f(j) = j c_j,  f(0) = f(-1) = 0,
 
-    (0 ln 0 := 0), which is nonnegative by convexity of x ln x.
+    so the plan is optimal for any weights with c_1 >= 0 and j c_j convex.
+    ``weights`` defaults to ln j, where z_k >= 0 by convexity of x ln x.
+    ``Fraction`` weights give exact z values.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    z_values = []
-    for k in range(1, n + 1):
-        if k == 1:
-            z_values.append(0.0)
-        elif k == 2:
-            z_values.append(2.0 * math.log(2.0))
-        else:
-            low = 0.0 if k == 3 else (k - 2) * math.log(k - 2)
-            z_values.append(low + k * math.log(k) - 2 * (k - 1) * math.log(k - 1))
-    passed = all(z >= -CERT_TOL for z in z_values)
-    return OptimalityCertificate(tuple(z_values), passed)
+    if weights is None:
+        weights = standard_weights("ln", n)
+    weights = tuple(weights)
+    if len(weights) != n:
+        raise ValueError(f"expected {n} weights, got {len(weights)}")
+    f = [0, 0] + [j * c for j, c in enumerate(weights, start=1)]
+    z_values = tuple(f[k - 2] + f[k] - 2 * f[k - 1] for k in range(2, n + 2))
+    tol = CERT_TOL if numeric_kind(z_values) == "float" else 0
+    return OptimalityCertificate(z_values, all(z >= -tol for z in z_values))
 
 
 def single_shot_povm(s: SchmidtSpectrum) -> DiagonalPovm:

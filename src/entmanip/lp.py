@@ -15,6 +15,15 @@ results are the same number for number as a full sweep, at a fraction of
 the cost on the sparse tableaus the concentration LPs produce.  The one
 routine serves float and exact mode alike.
 
+Square problems (as many constraints as variables) are first given a
+crash check of the all-structural basis (R. E. Bixby, "Implementing the
+simplex method: the initial basis", ORSA J. Computing 4(3), 1992): B is
+factored once, and if B^-1 q and the duals B^-T c are nonnegative, that
+basis is returned without a pivot.  The concentration LPs of weights with
+c_1 >= 0 and j c_j convex (ln, log2) are settled this way.  Otherwise the
+pivots start from the slack basis exactly as if no check had been made;
+the check never hands the pivots a starting basis of its own.
+
 A brute-force vertex enumerator doubles as an independent oracle for small
 instances, and :func:`verify_solution` recomputes feasibility and reduced
 costs of a claimed optimum from its stated basis.  Both factor the basis
@@ -27,6 +36,7 @@ concentration LPs the factorisation does no elimination at all.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
@@ -128,17 +138,42 @@ class LpSolution:
         object.__setattr__(self, "reduced_costs", tuple(self.reduced_costs))
 
 
-def _dot(a, b, exact=None):
+def _dot(a, b, kinds=None):
     """Exact sum for ``Fraction`` operands, ``math.fsum`` otherwise.
 
-    ``exact`` fixes the kind for callers that take many dot products with
-    the same vector; by default both vectors are scanned.
+    ``kinds`` is the set of entry types of ``a`` and ``b``, or of a larger
+    collection holding both; callers that take many dot products over the
+    same entries pass it once.  By default both vectors are scanned.
+    All-float operands are multiplied as they are, which is what
+    ``float(x) * float(y)`` computes for floats; other float-mode entries
+    (ints, say) still go through ``float()``.
     """
-    if exact is None:
-        exact = numeric_kind(a) != "float" or numeric_kind(b) != "float"
-    if exact:
+    if kinds is None:
+        kinds = {*map(type, a), *map(type, b)}
+    if kinds <= {float}:
+        return math.fsum(map(operator.mul, a, b))
+    if _holds_fraction(kinds):
         return sum(x * y for x, y in zip(a, b))
     return math.fsum(float(x) * float(y) for x, y in zip(a, b))
+
+
+def _holds_fraction(kinds) -> bool:
+    return any(issubclass(kind, Fraction) for kind in kinds)
+
+
+def _shared_kinds(shared, rows):
+    """``kinds`` for ``_dot(shared, row)`` over many rows, or None.
+
+    Every product takes the kind of ``shared`` and all rows together,
+    unless a ``shared`` without ``Fraction`` entries meets ``Fraction``
+    entries in some row (a mixed problem): then each product decides on
+    its own entries, and None says so.
+    """
+    kinds = set(map(type, shared))
+    if _holds_fraction(kinds):
+        return kinds
+    kinds.update(map(type, chain(*rows)))
+    return None if _holds_fraction(kinds) else kinds
 
 
 def constraint_residuals(prob: LpProblem, values) -> tuple:
@@ -146,8 +181,9 @@ def constraint_residuals(prob: LpProblem, values) -> tuple:
     values = tuple(values)
     if len(values) != prob.num_variables:
         raise ValueError("value vector length must match variable count")
+    kinds = _shared_kinds(values, prob.constraint_matrix)
     return tuple(
-        _dot(row, values) - q
+        _dot(row, values, kinds) - q
         for row, q in zip(prob.constraint_matrix, prob.bounds)
     )
 
@@ -173,6 +209,15 @@ def simplex_solve(
     pivot_tol : float
         Pivot/optimality tolerance in float mode.
 
+    A square problem (as many constraints as variables) first gets a crash
+    check of the all-structural basis: B is factored once, and when
+    x = B^-1 q and the slack reduced costs y = B^-T c are both nonnegative
+    (to within ``pivot_tol`` in float mode), that basis is optimal and is
+    returned with ``pivots == 0``.  Every constraint is tight there, so
+    there is no slack to absorb.  A singular B, or a failed check, leaves
+    the problem to the pivots below, which start from the slack basis as if
+    no check had been made.
+
     Entering columns follow Bland's least-index rule and ratio ties leave
     the smallest basic index, so the result is deterministic and the method
     cannot cycle on degenerate vertices.  When alternative optima exist
@@ -186,7 +231,28 @@ def simplex_solve(
     infeasible (x >= 0); other negative bounds are outside the supported
     form and raise ``ValueError``.
     """
-    n, m = prob.num_variables, prob.num_constraints
+    c, rows, q, exact, tol = _converted(prob, exact, pivot_tol)
+    for l in range(prob.num_constraints):
+        if q[l] < -tol:
+            if all(x >= 0 for x in rows[l]):
+                return _non_optimal("infeasible")
+            raise ValueError(
+                "negative bound with mixed-sign row: instance is outside the "
+                "supported inequality form"
+            )
+    if prob.num_variables == prob.num_constraints:
+        crash = _structural_optimum(c, rows, q, exact, tol)
+        if crash is not None:
+            return crash
+    return _solve_from_slack_basis(c, rows, q, exact, tol)
+
+
+def _converted(prob: LpProblem, exact: bool, pivot_tol: float):
+    """Objective, rows and bounds in the solver's arithmetic, and its tolerance.
+
+    Exact mode converts every entry to ``Fraction`` and compares with zero
+    tolerance; float mode converts to ``float`` and uses ``pivot_tol``.
+    """
     if exact:
         conv = lambda x: x if isinstance(x, Fraction) else Fraction(x)
         tol = 0
@@ -196,17 +262,48 @@ def simplex_solve(
     c = [conv(x) for x in prob.objective]
     rows = [[conv(x) for x in row] for row in prob.constraint_matrix]
     q = [conv(x) for x in prob.bounds]
+    return c, rows, q, exact, tol
 
-    for l in range(m):
-        if q[l] < -tol:
-            if all(x >= 0 for x in rows[l]):
-                return _non_optimal("infeasible")
-            raise ValueError(
-                "negative bound with mixed-sign row: instance is outside the "
-                "supported inequality form"
-            )
 
-    zero, one = conv(0), conv(1)
+def _constants(exact):
+    return (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+
+
+def _structural_optimum(c, rows, q, exact, tol):
+    """The all-structural basis of a square problem if it is optimal, else None.
+
+    One LU of B answers both halves of the check: the duals y = B^-T c are
+    the slack reduced costs (a structural column's is zero), and
+    x = B^-1 q are the basic values.  The duals go first: on a
+    concentration LP x is the closed-form plan, which is never negative,
+    so a check that fails there fails on y.
+    """
+    try:
+        lu = _factor(rows, exact)
+    except ZeroDivisionError:
+        return None
+    y = _lu_solve_transposed(lu, c)
+    if any(v < -tol for v in y):
+        return None
+    x = _lu_solve(lu, q)
+    if any(v < -tol for v in x):
+        return None
+    zero, _ = _constants(exact)
+    values = tuple(zero if v <= 0 else v for v in x)
+    n = len(c)
+    return LpSolution(
+        values, _dot(c, values), tuple(range(n)), [zero] * n + y, "optimal"
+    )
+
+
+def _solve_from_slack_basis(c, rows, q, exact, tol):
+    """Bland's-rule pivots from the slack basis, then slack absorption.
+
+    Takes the output of ``_converted``; bounds must be nonnegative up to
+    ``tol``, so that the slack basis is feasible.
+    """
+    n, m = len(c), len(q)
+    zero, one = _constants(exact)
     tableau = []
     for i in range(m):
         row = rows[i] + [zero] * m + [q[i]]
@@ -458,15 +555,11 @@ def _basis_reduced_costs(prob: LpProblem, basis, lu):
     y_i itself.
     """
     y = _lu_solve_transposed(lu, _basic_costs(prob, basis))
-    # every product takes y's kind, unless a float y meets Fraction entries
-    # of a mixed problem: then each column decides, as _dot does by default
-    exact = numeric_kind(y) != "float"
-    if not exact and numeric_kind(chain(*prob.constraint_matrix)) != "float":
-        exact = None
+    kinds = _shared_kinds(y, prob.constraint_matrix)
     # with no constraints every column is empty
     columns = list(zip(*prob.constraint_matrix)) or [()] * prob.num_variables
     structural = [
-        _dot(y, column, exact) - c for column, c in zip(columns, prob.objective)
+        _dot(y, column, kinds) - c for column, c in zip(columns, prob.objective)
     ]
     return structural + y
 

@@ -11,6 +11,7 @@ single target (Nielsen's majorization test) and for a target ensemble.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .schmidt import NORM_TOL, SchmidtSpectrum, zero_padded
 
@@ -72,12 +73,8 @@ class FeasibilityReport:
 
 def vidal_monotones(s: SchmidtSpectrum) -> MonotoneVector:
     """All tail-sum monotones of a spectrum, by backward accumulation."""
-    coeffs = s.coeffs
-    tails = [None] * len(coeffs)
-    running = 0
-    for i in range(len(coeffs) - 1, -1, -1):
-        running = running + coeffs[i]
-        tails[i] = running
+    tails = list(accumulate(reversed(s.coeffs)))
+    tails.reverse()
     return MonotoneVector(tuple(tails))
 
 

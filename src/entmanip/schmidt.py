@@ -141,7 +141,7 @@ def make_spectrum(raw: Sequence, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
         values = [float(v) for v in values]
         if not math.isfinite(sum(values)):
             raise ValueError("coefficients must have a finite sum")
-    values.sort(key=lambda v: -v)
+    values.sort(reverse=True)
     values = [v for v in values if v > zero_tol and v > 0]
     if not values:
         raise ValueError("all coefficients are zero (or below zero_tol)")
@@ -162,7 +162,7 @@ def make_spectrum(raw: Sequence, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
             if residual == 0.0:
                 break
             values[0] -= residual
-        values.sort(key=lambda v: -v)  # an eps correction may reorder ties
+        values.sort(reverse=True)  # an eps correction may reorder ties
     return SchmidtSpectrum(tuple(values))
 
 

@@ -210,6 +210,19 @@ class TestConcentrate:
         assert doc["plan"]["objective"] == pytest.approx(1.0, abs=1e-9)
         assert math.fsum(doc["plan"]["p"]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_indicator_certificate_fails(self, capsys, worked_state):
+        # the certificate belongs to the weights in use, not to ln
+        code, doc = run_json(
+            capsys,
+            [
+                "concentrate", "--state", worked_state,
+                "--weights", "indicator", "--certify",
+            ],
+        )
+        assert code == 0
+        assert doc["plan"]["p"] == [0, 1, 0]
+        assert doc["certificate"] == {"z": [0, 2, -1], "passed": False}
+
     def test_weight_file(self, capsys, worked_state, tmp_path):
         weights = write_json(tmp_path / "w.json", [0.0, 1.0, 1.0])
         code, doc = run_json(

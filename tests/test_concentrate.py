@@ -1,6 +1,7 @@
 """Closed-form concentration plan, certificate, measurement, yield curves."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -212,6 +213,55 @@ class TestOptimalityCertificate:
         assert optimality_certificate(n).z_values == pytest.approx(
             tuple(z), abs=1e-12
         )
+
+
+def _z_by_substitution(weights):
+    """Solve z B = c exactly, column by column (B upper triangular)."""
+    n = len(weights)
+    column = lambda l, j: Fraction(j + 1 - l, j)
+    z = []
+    for j in range(1, n + 1):
+        known = sum(z[l - 1] * column(l, j) for l in range(1, j))
+        z.append((weights[j - 1] - known) / column(j, j))
+    return tuple(z)
+
+
+class TestCertificateForAnyWeights:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9)),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_exact_weights_give_exact_z(self, weights):
+        cert = optimality_certificate(len(weights), weights)
+        z = _z_by_substitution(weights)
+        assert cert.z_values == z
+        assert cert.passed == all(v >= 0 for v in z)
+
+    @pytest.mark.parametrize("kind", ["ln", "log2", "indicator"])
+    def test_float_weights_match_substitution(self, kind):
+        weights = standard_weights(kind, 40)
+        z = _z_by_substitution([Fraction(c) for c in weights])
+        cert = optimality_certificate(40, weights)
+        assert cert.z_values == pytest.approx([float(v) for v in z], abs=1e-12)
+        assert cert.passed == (kind != "indicator")
+
+    def test_ln_is_the_default(self):
+        assert optimality_certificate(64) == optimality_certificate(
+            64, standard_weights("ln", 64)
+        )
+
+    def test_indicator_fails_at_level_three(self):
+        cert = optimality_certificate(3, standard_weights("indicator", 3))
+        assert cert.z_values == (0.0, 2.0, -1.0)
+        assert not cert.passed
+
+    def test_weight_count_must_match(self):
+        with pytest.raises(ValueError, match="expected 3 weights"):
+            optimality_certificate(3, (0.0, 1.0))
 
 
 class TestSingleShotPovm:

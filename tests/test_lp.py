@@ -17,11 +17,13 @@ from entmanip import (
     enumerate_vertices,
     make_spectrum,
     optimal_plan,
+    optimality_certificate,
     simplex_solve,
     standard_weights,
     verify_solution,
 )
 from entmanip import lp
+from entmanip.schmidt import numeric_kind
 from util import (
     CYCLING_LP,
     highs_optimum,
@@ -352,6 +354,100 @@ class TestConcentrationBasisStructure:
             assert max(abs(float(r)) for r in residuals) <= 1e-10
 
 
+@st.composite
+def _concentration_lps(draw):
+    """A concentration LP with its mode and weights, n = 2-40.
+
+    Exact mode: a ``Fraction`` spectrum, and ``Fraction`` weights when they
+    are random.  Float mode: floats throughout.  Random weights have
+    denominators up to 5, so each certificate value is 0 or at least 1/60
+    away from it, clear of both the solver's and the certificate's float
+    tolerance.  Spectra draw from twelve values, so ties (degenerate
+    vertices) are common.
+    """
+    exact = draw(st.booleans())
+    n = draw(st.integers(2, 40))
+    raw = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    s = make_spectrum([Fraction(x) if exact else float(x) for x in raw])
+    kind = draw(st.sampled_from(["ln", "log2", "random", "indicator"]))
+    if kind == "random":
+        fraction = st.builds(Fraction, st.integers(-6, 12), st.integers(1, 5))
+        weights = draw(st.lists(fraction, min_size=n, max_size=n))
+        if not exact:
+            weights = [float(c) for c in weights]
+    else:
+        weights = standard_weights(kind, n)
+    return concentration_lp(s, weights), exact, tuple(weights)
+
+
+class TestCrashBasis:
+    """The all-structural crash check against the pivots and the certificate."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_concentration_lps())
+    def test_same_optimum_as_the_slack_start(self, case):
+        prob, exact, _ = case
+        sol = simplex_solve(prob, exact=exact)
+        pivoted = _slack_start(prob, exact)
+        assert sol.status == pivoted.status == "optimal"
+        if exact:
+            assert sol.objective_value == pivoted.objective_value
+        else:
+            assert sol.objective_value == pytest.approx(
+                pivoted.objective_value, rel=1e-12, abs=1e-14
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_concentration_lps())
+    def test_taken_exactly_when_the_certificate_passes(self, case):
+        prob, exact, weights = case
+        n = prob.num_variables
+        sol = simplex_solve(prob, exact=exact)
+        cert = optimality_certificate(n, weights)
+        crashed = sol.pivots == 0 and sol.basis == tuple(range(n))
+        assert crashed == cert.passed
+        if not crashed:
+            return
+        assert sol.reduced_costs[:n] == (0,) * n
+        slack_costs = sol.reduced_costs[n:]
+        if numeric_kind(weights) == "exact":
+            assert slack_costs == cert.z_values
+        else:
+            assert [float(y) for y in slack_costs] == pytest.approx(
+                cert.z_values, rel=1e-12, abs=1e-12
+            )
+
+    @pytest.mark.parametrize("weights", ["ln", "log2"])
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_float_values_match_the_exact_closed_form(self, n, weights):
+        s = random_spectrum(np.random.default_rng(2000 + n), n)
+        sol = simplex_solve(concentration_lp(s, standard_weights(weights, n)))
+        assert sol.pivots == 0
+        a = [Fraction(x) for x in s.coeffs] + [Fraction(0)]
+        closed = [j * (a[j - 1] - a[j]) for j in range(1, n + 1)]
+        worst = max(abs(Fraction(v) - p) for v, p in zip(sol.values, closed))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @pytest.mark.parametrize(
+        "objective, matrix, bounds, values, basis, pivots",
+        [
+            # B^-1 q = (1.5, -0.5): the x check fails
+            ((1.0, 0.0), ((1.0, 1.0), (1.0, -1.0)), (1.0, 2.0), (1, 0), (0, 3), 1),
+            # equal rows: B is singular, so there is no check
+            ((1.0, 2.0), ((1.0, 1.0), (1.0, 1.0)), (1.0, 2.0), (0, 1), (1, 3), 2),
+        ],
+        ids=["x-fails", "singular"],
+    )
+    def test_failed_or_skipped_check_pivots(
+        self, exact, objective, matrix, bounds, values, basis, pivots
+    ):
+        prob = LpProblem(objective, matrix, bounds)
+        sol = simplex_solve(prob, exact=exact)
+        assert sol == _slack_start(prob, exact)
+        assert (sol.values, sol.basis, sol.pivots) == (values, basis, pivots)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError, match="row count"):
         LpProblem((1.0,), ((1.0,),), (1.0, 2.0))
@@ -416,11 +512,16 @@ def _square_systems(draw, exact):
     return matrix, draw(row)
 
 
-def _solve_or_error(prob, exact):
+def _solve_or_error(prob, exact, solve=simplex_solve):
     try:
-        return simplex_solve(prob, exact=exact)
+        return solve(prob, exact=exact)
     except RuntimeError as exc:
         return str(exc)
+
+
+def _slack_start(prob, exact=False):
+    """Bland's rule from the slack basis alone, without the crash check."""
+    return lp._solve_from_slack_basis(*lp._converted(prob, exact, lp.PIVOT_TOL))
 
 
 class TestSparseKernelsMatchDenseReferences:
@@ -430,10 +531,11 @@ class TestSparseKernelsMatchDenseReferences:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_pivot(self, exact, data):
+        # from the slack basis, so that square problems pivot too
         prob = data.draw(_problems(exact))
-        sparse = _solve_or_error(prob, exact)
+        sparse = _solve_or_error(prob, exact, _slack_start)
         with mock.patch.object(lp, "_pivot", reference_pivot):
-            dense = _solve_or_error(prob, exact)
+            dense = _solve_or_error(prob, exact, _slack_start)
         if isinstance(sparse, str) or isinstance(dense, str):
             assert sparse == dense
             return
