@@ -4,102 +4,72 @@ Feasibility of local (LQCC) pure-state transformations via tail-sum
 entanglement monotones, explicit measurement protocols realising feasible
 transformations, and the provably optimal entanglement-concentration
 distribution with an independent linear-programming certificate.
+
+``import entmanip`` loads no submodule.  Each public name is looked up in
+its submodule on first access (PEP 562), so a caller, and each CLI
+subcommand, loads only the modules it uses.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .concentrate import (
-    ConcentrationPlan,
-    OptimalityCertificate,
-    asymptotic_yield_curve,
-    concentration_lp,
-    constraint_matrix_inverse,
-    max_entangled_monotone,
-    optimal_plan,
-    optimality_certificate,
-    single_shot_povm,
-    standard_weights,
-)
-from .lp import (
-    LpProblem,
-    LpSolution,
-    constraint_residuals,
-    enumerate_vertices,
-    simplex_solve,
-    verify_solution,
-)
-from .monotones import (
-    FeasibilityReport,
-    MonotoneVector,
-    ensemble_feasible,
-    max_conversion_probability,
-    nielsen_feasible,
-    vidal_monotones,
-)
-from .schmidt import (
-    AmplitudeMatrix,
-    SchmidtSpectrum,
-    entropy,
-    make_spectrum,
-    schmidt_decompose,
-    uniform_spectrum,
-)
-from .sim import IncompletePovmError, SimulationReport, simulate, yield_statistics
-from .transform import (
-    DiagonalPovm,
-    DieGroup,
-    DieTable,
-    PovmElement,
-    TargetEnsemble,
-    apply_povm_element,
-    average_target,
-    build_ensemble_povm,
-    make_ensemble,
-    merge_duplicates,
-)
+# Public name -> the submodule that defines it.
+_SUBMODULE_OF = {
+    "AmplitudeMatrix": "schmidt",
+    "SchmidtSpectrum": "schmidt",
+    "schmidt_decompose": "schmidt",
+    "make_spectrum": "schmidt",
+    "uniform_spectrum": "schmidt",
+    "entropy": "schmidt",
+    "MonotoneVector": "monotones",
+    "FeasibilityReport": "monotones",
+    "vidal_monotones": "monotones",
+    "nielsen_feasible": "monotones",
+    "ensemble_feasible": "monotones",
+    "max_conversion_probability": "monotones",
+    "TargetEnsemble": "transform",
+    "make_ensemble": "transform",
+    "PovmElement": "transform",
+    "DiagonalPovm": "transform",
+    "DieGroup": "transform",
+    "DieTable": "transform",
+    "average_target": "transform",
+    "merge_duplicates": "transform",
+    "build_ensemble_povm": "transform",
+    "apply_povm_element": "transform",
+    "ConcentrationPlan": "concentrate",
+    "OptimalityCertificate": "concentrate",
+    "optimal_plan": "concentrate",
+    "standard_weights": "concentrate",
+    "concentration_lp": "concentrate",
+    "optimality_certificate": "concentrate",
+    "single_shot_povm": "concentrate",
+    "asymptotic_yield_curve": "concentrate",
+    "LpProblem": "lp",
+    "LpSolution": "lp",
+    "simplex_solve": "lp",
+    "verify_solution": "lp",
+    "enumerate_vertices": "lp",
+    "constraint_residuals": "lp",
+    "IncompletePovmError": "transform",
+    "SimulationReport": "sim",
+    "simulate": "sim",
+    "yield_statistics": "sim",
+}
 
-__all__ = [
-    "__version__",
-    "AmplitudeMatrix",
-    "SchmidtSpectrum",
-    "schmidt_decompose",
-    "make_spectrum",
-    "uniform_spectrum",
-    "entropy",
-    "MonotoneVector",
-    "FeasibilityReport",
-    "vidal_monotones",
-    "nielsen_feasible",
-    "ensemble_feasible",
-    "max_conversion_probability",
-    "TargetEnsemble",
-    "make_ensemble",
-    "PovmElement",
-    "DiagonalPovm",
-    "DieGroup",
-    "DieTable",
-    "average_target",
-    "merge_duplicates",
-    "build_ensemble_povm",
-    "apply_povm_element",
-    "ConcentrationPlan",
-    "OptimalityCertificate",
-    "max_entangled_monotone",
-    "optimal_plan",
-    "standard_weights",
-    "concentration_lp",
-    "constraint_matrix_inverse",
-    "optimality_certificate",
-    "single_shot_povm",
-    "asymptotic_yield_curve",
-    "LpProblem",
-    "LpSolution",
-    "simplex_solve",
-    "verify_solution",
-    "enumerate_vertices",
-    "constraint_residuals",
-    "IncompletePovmError",
-    "SimulationReport",
-    "simulate",
-    "yield_statistics",
-]
+__all__ = ["__version__", *_SUBMODULE_OF]
+
+
+def __getattr__(name):
+    try:
+        module = _SUBMODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

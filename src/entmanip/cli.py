@@ -14,20 +14,12 @@ import math
 import sys
 
 from . import __version__
-from .concentrate import (
-    asymptotic_yield_curve,
-    concentration_lp,
-    optimal_plan,
-    optimality_certificate,
-    single_shot_povm,
-    standard_weights,
-)
 from .jsonio import dumps, load_ensemble, load_lp, load_povm, load_state, load_weights
-from .lp import simplex_solve
-from .monotones import FEASIBILITY_TOL, ensemble_feasible, nielsen_feasible
 from .schmidt import ZERO_TOL, entropy
-from .sim import IncompletePovmError, simulate
-from .transform import build_ensemble_povm, merge_duplicates
+
+# Each _cmd_* imports the kernel modules it calls, so a call loads only
+# what its subcommand uses.  load_state and dumps are looked up in this
+# module's globals at call time, so a caller can wrap them from outside.
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -73,13 +65,16 @@ def _report_dict(report) -> dict:
 
 
 def _cmd_check_feasible(args) -> int:
+    from .monotones import FEASIBILITY_TOL, ensemble_feasible, nielsen_feasible
+
+    tol = FEASIBILITY_TOL if args.tol is None else args.tol
     source = load_state(args.source)
     if args.target is not None:
         target = load_state(args.target)
-        report = nielsen_feasible(source, target, tol=args.tol)
+        report = nielsen_feasible(source, target, tol=tol)
     else:
         ensemble = load_ensemble(args.ensemble)
-        report = ensemble_feasible(source, ensemble, tol=args.tol)
+        report = ensemble_feasible(source, ensemble, tol=tol)
     _emit(_report_dict(report))
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
@@ -105,6 +100,9 @@ def _povm_dict(povm, die=None) -> dict:
 
 
 def _cmd_build_povm(args) -> int:
+    from .monotones import ensemble_feasible
+    from .transform import build_ensemble_povm, merge_duplicates
+
     source = load_state(args.source)
     ensemble = load_ensemble(args.ensemble)
     report = ensemble_feasible(source, ensemble)
@@ -127,6 +125,8 @@ def _cmd_build_povm(args) -> int:
 
 
 def _resolve_weights(choice: str, n: int):
+    from .concentrate import standard_weights
+
     if choice in ("ln", "log2", "indicator"):
         return standard_weights(choice, n)
     return load_weights(choice)
@@ -139,6 +139,9 @@ def _lp_plan(state, weights):
     credit for the product level; the remainder goes to level 1, which is
     always feasible and does not change the objective.
     """
+    from .concentrate import concentration_lp
+    from .lp import simplex_solve
+
     problem = concentration_lp(state, weights)
     solution = simplex_solve(problem)
     if solution.status != "optimal":
@@ -149,6 +152,8 @@ def _lp_plan(state, weights):
 
 
 def _cmd_concentrate(args) -> int:
+    from .concentrate import asymptotic_yield_curve, optimal_plan, optimality_certificate
+
     state = load_state(args.state)
     n = state.rank
     weights = _resolve_weights(args.weights, n)
@@ -195,6 +200,8 @@ def _emit_concentrate_csv(probs, curve, units) -> None:
 
 
 def _cmd_lp_solve(args) -> int:
+    from .lp import simplex_solve
+
     problem = load_lp(args.problem)
     solution = simplex_solve(problem)
     doc = {"status": solution.status}
@@ -208,12 +215,20 @@ def _cmd_lp_solve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .sim import IncompletePovmError, simulate
+
     state = load_state(args.state)
     if args.protocol == "optimal":
+        from .concentrate import single_shot_povm
+
         povm = single_shot_povm(state)
     else:
         povm = load_povm(args.protocol)
-    report = simulate(povm, state, trials=args.trials, seed=args.seed)
+    try:
+        report = simulate(povm, state, trials=args.trials, seed=args.seed)
+    except IncompletePovmError as exc:
+        print(f"entmanip: failed check: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     _emit(
         {
             "trials": report.trials,
@@ -255,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--target", help="single target state file")
     group.add_argument("--ensemble", help="target ensemble file")
-    p.add_argument("--tol", type=float, default=FEASIBILITY_TOL)
+    p.add_argument("--tol", type=float)  # None: monotones.FEASIBILITY_TOL
     p.set_defaults(func=_cmd_check_feasible)
 
     p = sub.add_parser(
@@ -313,9 +328,6 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except IncompletePovmError as exc:
-        print(f"entmanip: failed check: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"entmanip: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -17,14 +17,19 @@ yield curve over many identical copies.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from typing import TYPE_CHECKING
 
-from .lp import LpProblem
 from .monotones import vidal_monotones
 from .schmidt import SchmidtSpectrum, numeric_kind
-from .transform import DiagonalPovm, PovmElement
+
+if TYPE_CHECKING:
+    from .lp import LpProblem
+    from .transform import DiagonalPovm
 
 SIZE_CAP = 1 << 20
 CERT_TOL = 1e-12
@@ -34,11 +39,9 @@ __all__ = [
     "CERT_TOL",
     "ConcentrationPlan",
     "OptimalityCertificate",
-    "max_entangled_monotone",
     "optimal_plan",
     "standard_weights",
     "concentration_lp",
-    "constraint_matrix_inverse",
     "optimality_certificate",
     "single_shot_povm",
     "asymptotic_yield_curve",
@@ -61,15 +64,20 @@ class ConcentrationPlan:
         probabilities = tuple(self.probabilities)
         if not probabilities:
             raise ValueError("plan must cover at least one level")
-        if any(p < 0 for p in probabilities):
+        if not all(map(operator.ge, probabilities, repeat(0))):
             raise ValueError("plan probabilities must be nonnegative")
         total = (
             sum(probabilities)
             if numeric_kind(probabilities) != "float"
             else math.fsum(probabilities)
         )
-        if abs(total - 1) > 1e-12:
+        if not abs(total - 1) <= 1e-12:
             raise ValueError(f"plan probabilities sum to {total!r}, not 1")
+        if not math.isfinite(self.expected_entanglement):
+            raise ValueError(
+                "expected entanglement must be finite, got "
+                f"{self.expected_entanglement!r}"
+            )
         object.__setattr__(self, "probabilities", probabilities)
 
 
@@ -96,19 +104,6 @@ class OptimalityCertificate:
         if self.passed != all(z >= -tol for z in z_values):
             raise ValueError("passed flag inconsistent with certificate values")
         object.__setattr__(self, "z_values", z_values)
-
-
-def max_entangled_monotone(levels: int, index: int):
-    """Tail-sum monotone of the maximally entangled state on ``levels``.
-
-    Equals (levels - index + 1) / levels for index <= levels and vanishes
-    beyond the state's rank.
-    """
-    if levels < 1 or index < 1:
-        raise ValueError("level count and index must be >= 1")
-    if index > levels:
-        return 0.0
-    return (levels - index + 1) / levels
 
 
 def optimal_plan(s: SchmidtSpectrum) -> ConcentrationPlan:
@@ -163,6 +158,8 @@ def concentration_lp(s: SchmidtSpectrum, weights=None) -> LpProblem:
     from ``Fraction`` coefficients produces an exactly rational matrix and
     bounds.
     """
+    from .lp import LpProblem
+
     n = s.rank
     if weights is None:
         weights = standard_weights("ln", n)
@@ -188,30 +185,13 @@ def concentration_lp(s: SchmidtSpectrum, weights=None) -> LpProblem:
     return LpProblem(weights, tuple(matrix), bounds)
 
 
-def constraint_matrix_inverse(n: int) -> tuple:
-    """Closed-form inverse of the concentration constraint matrix.
-
-    Column k has at most three nonzero entries: k - 2 at row k - 2,
-    -2(k - 1) at row k - 1, and k on the diagonal.
-    """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    inverse = [[0.0] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        inverse[k - 1][k - 1] = float(k)
-        if k >= 2:
-            inverse[k - 2][k - 1] = -2.0 * (k - 1)
-        if k >= 3:
-            inverse[k - 3][k - 1] = float(k - 2)
-    return tuple(tuple(row) for row in inverse)
-
-
 def optimality_certificate(n: int, weights=None) -> OptimalityCertificate:
     """Reduced-cost certificate that the closed-form plan is LP-optimal.
 
     At the closed-form vertex every constraint is tight, and the slack
-    reduced costs are z = c B^-1.  With the three nonzeros per column of
-    :func:`constraint_matrix_inverse`, z is a second difference:
+    reduced costs are z = c B^-1.  Column k of B^-1 has at most three
+    nonzeros: k - 2 at row k - 2, -2(k - 1) at row k - 1 and k on the
+    diagonal, which makes z a second difference:
 
         z_k = f(k-2) + f(k) - 2 f(k-1),   f(j) = j c_j,  f(0) = f(-1) = 0,
 
@@ -241,6 +221,8 @@ def single_shot_povm(s: SchmidtSpectrum) -> DiagonalPovm:
     spectrum.  Levels with tied coefficients give zero elements, retained
     under their labels so outcome indexing stays stable.
     """
+    from .transform import DiagonalPovm, PovmElement
+
     coeffs = [float(a) for a in s.coeffs]
     n = len(coeffs)
     elements = []

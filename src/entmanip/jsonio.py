@@ -12,10 +12,13 @@ import math
 import numbers
 import sys
 from contextlib import contextmanager
+from typing import TYPE_CHECKING
 
-from .lp import LpProblem
 from .schmidt import ZERO_TOL, SchmidtSpectrum, make_spectrum, schmidt_decompose
-from .transform import DiagonalPovm, PovmElement, TargetEnsemble, make_ensemble
+
+if TYPE_CHECKING:
+    from .lp import LpProblem
+    from .transform import DiagonalPovm, TargetEnsemble
 
 __all__ = [
     "dumps",
@@ -121,6 +124,8 @@ def load_state(path: str, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
 
 def load_ensemble(path: str, zero_tol: float = ZERO_TOL) -> TargetEnsemble:
     """Load {"ensemble": [{"probability": p, "spectrum": [...]}, ...]}."""
+    from .transform import make_ensemble
+
     doc = read_json(path)
     if not isinstance(doc, dict) or "ensemble" not in doc:
         raise ValueError("ensemble file needs an 'ensemble' key")
@@ -138,6 +143,8 @@ def load_ensemble(path: str, zero_tol: float = ZERO_TOL) -> TargetEnsemble:
 
 def load_povm(path: str) -> DiagonalPovm:
     """Load {"support_rank": N, "elements": [{"label": j, "diag": [...]}]}."""
+    from .transform import DiagonalPovm, PovmElement
+
     doc = read_json(path)
     if not isinstance(doc, dict) or "elements" not in doc:
         raise ValueError("measurement file needs an 'elements' key")
@@ -155,11 +162,13 @@ def load_povm(path: str) -> DiagonalPovm:
             support = len(elements[0].diag)
         else:
             raise ValueError("measurement file has no elements")
-    return DiagonalPovm(elements, support_rank=support)
+        return DiagonalPovm(elements, support_rank=support)
 
 
 def load_lp(path: str) -> LpProblem:
     """Load {"objective": [...], "matrix": [[...], ...], "bounds": [...]}."""
+    from .lp import LpProblem
+
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError("LP file must be a JSON object")

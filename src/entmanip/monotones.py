@@ -10,10 +10,16 @@ single target (Nielsen's majorization test) and for a target ensemble.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .schmidt import NORM_TOL, SchmidtSpectrum, zero_padded
+from .schmidt import (
+    NORM_TOL,
+    SchmidtSpectrum,
+    check_positive_nonincreasing,
+    zero_padded,
+)
 
 FEASIBILITY_TOL = 1e-9
 
@@ -42,12 +48,9 @@ class MonotoneVector:
         values = tuple(self.values)
         if not values:
             raise ValueError("monotone vector must be non-empty")
-        if abs(values[0] - 1) > 1e-12:
+        if not abs(values[0] - 1) <= 1e-12:
             raise ValueError(f"leading monotone must be 1, got {values[0]!r}")
-        if any(v <= 0 for v in values):
-            raise ValueError("monotone values must be strictly positive")
-        if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
-            raise ValueError("monotone values must be nonincreasing")
+        check_positive_nonincreasing(values, "monotone values")
         object.__setattr__(self, "values", values)
 
 
@@ -139,14 +142,14 @@ def max_conversion_probability(
     """Largest probability of converting ``source`` into ``target`` by LQCC.
 
     Equals the smallest ratio of source to target tail sums over the
-    indices where the target monotone is nonzero, clamped to [0, 1].  A
-    target rank exceeding the source rank forces 0.
+    indices where the target monotone is nonzero (the first
+    ``target.rank``), clamped to [0, 1].  A target rank exceeding the
+    source rank forces 0.  Each ratio divides the tails as floats, exact
+    spectra included.
     """
-    n = max(source.rank, target.rank)
-    source_tails = _padded_tails(source, n)
-    target_tails = _padded_tails(target, n)
-    best = 1.0
-    for es, et in zip(source_tails, target_tails):
-        if et > 0:
-            best = min(best, float(es) / float(et))
-    return max(0.0, min(1.0, best))
+    ratios = map(
+        operator.truediv,
+        map(float, _padded_tails(source, target.rank)),
+        map(float, vidal_monotones(target).values),
+    )
+    return max(0.0, min(1.0, min(ratios, default=1.0)))

@@ -14,8 +14,10 @@ certifying saturation identities without floating-point doubt.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -50,6 +52,22 @@ def numeric_kind(values) -> str:
     if all(issubclass(kind, (Fraction, int)) for kind in kinds):
         return "exact"
     return "mixed"
+
+
+def check_positive_nonincreasing(values: tuple, what: str) -> None:
+    """Raise ``ValueError`` unless ``values`` are > 0 and nonincreasing.
+
+    Each test is a single pass in positive form, so that a NaN anywhere
+    fails it.  A nonincreasing run whose last entry is positive is
+    positive throughout, so the per-entry sign test runs only on failure,
+    to pick the message.
+    """
+    ordered = all(map(operator.ge, values, values[1:]))
+    if ordered and values[-1] > 0:
+        return
+    if not all(map(operator.gt, values, repeat(0))):
+        raise ValueError(f"{what} must be strictly positive")
+    raise ValueError(f"{what} must be nonincreasing")
 
 
 @dataclass(frozen=True)
@@ -104,12 +122,9 @@ class SchmidtSpectrum:
         coeffs = tuple(self.coeffs)
         if not coeffs:
             raise ValueError("spectrum must have at least one coefficient")
-        if any(c <= 0 for c in coeffs):
-            raise ValueError("spectrum coefficients must be strictly positive")
-        if any(coeffs[i] < coeffs[i + 1] for i in range(len(coeffs) - 1)):
-            raise ValueError("spectrum coefficients must be nonincreasing")
+        check_positive_nonincreasing(coeffs, "spectrum coefficients")
         total = sum(coeffs) if numeric_kind(coeffs) == "exact" else math.fsum(coeffs)
-        if abs(total - 1) > NORM_TOL:
+        if not abs(total - 1) <= NORM_TOL:
             raise ValueError(f"spectrum is not normalized: sum = {total!r}")
         object.__setattr__(self, "coeffs", coeffs)
 

@@ -20,7 +20,6 @@ from entmanip import (
     average_target,
     build_ensemble_povm,
     concentration_lp,
-    constraint_matrix_inverse,
     constraint_residuals,
     ensemble_feasible,
     entropy,
@@ -37,7 +36,7 @@ from entmanip import (
     uniform_spectrum,
     vidal_monotones,
 )
-from util import random_ensemble, random_spectrum
+from util import constraint_matrix_inverse, random_ensemble, random_spectrum
 
 WORKED = make_spectrum([0.5, 0.3, 0.2])
 WORKED_YIELD = 0.2 * math.log(2) + 0.6 * math.log(3)

@@ -424,6 +424,17 @@ class TestSimulate:
         )
         assert code == 3
 
+    def test_overflowing_diagonal_exits_4(self, capsys, tmp_path, worked_state):
+        # squaring 1e300 overflows inside the completeness check
+        doc = {"support_rank": 2, "elements": [{"label": 1, "diag": [1e300, 0]}]}
+        path = write_json(tmp_path / "huge.json", doc)
+        code = run(
+            ["simulate", "--state", worked_state, "--protocol", str(path),
+             "--trials", "10"]
+        )
+        assert code == 4
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestHarness:
     def test_version_exits_zero(self, capsys):
@@ -642,19 +653,30 @@ def test_any_document_exits_with_a_mapped_code(doc):
                 assert out == ""
 
 
+def _call(argv, *modules):
+    """An argv and the ``entmanip`` submodules its call may load."""
+    loaded = {"cli", "jsonio", "schmidt", *modules}
+    return pytest.param(argv, loaded, id=" ".join(a.strip("{}") for a in argv))
+
+
 class TestNumpyStaysUnimported:
-    """Spectrum-only calls never import numpy; only the SVD and simulate do.
+    """Each call loads only the modules its subcommand uses.
 
     Each call runs ``cli.run`` in a fresh interpreter, which then reports
-    whether ``numpy`` got imported.  A numpy tableau in ``lp.py`` would put
-    the import back on ``lp-solve`` and ``concentrate --weights``.
+    whether ``numpy`` got imported and which ``entmanip`` submodules did.
+    Spectrum-only calls never import numpy; only the SVD and simulate do.
+    A numpy tableau in ``lp.py`` would put the import back on ``lp-solve``
+    and ``concentrate --weights``, and a module-level kernel import in
+    ``cli``, ``jsonio`` or the package would load modules a call never
+    runs.
     """
 
     CHILD = (
         "import json, sys\n"
         "from entmanip.cli import run\n"
         "code = run(json.loads(sys.argv[1]))\n"
-        "sys.stderr.write(json.dumps([code, 'numpy' in sys.modules]))\n"
+        "modules = [m.split('.', 1)[1] for m in sys.modules if m.startswith('entmanip.')]\n"
+        "sys.stderr.write(json.dumps([code, 'numpy' in sys.modules, modules]))\n"
     )
 
     @pytest.fixture
@@ -674,6 +696,7 @@ class TestNumpyStaysUnimported:
             "weights": [0.0, 1.0, 1.0],
             "lp": {"objective": [1.0], "matrix": [[1.0]], "bounds": [1.0]},
             "amplitudes": {"amplitudes": [[r, 0.0], [0.0, r]]},
+            "povm": {"support_rank": 3, "elements": [{"label": 1, "diag": [1, 1, 1]}]},
         }
         return {k: write_json(tmp_path / f"{k}.json", v) for k, v in docs.items()}
 
@@ -684,38 +707,72 @@ class TestNumpyStaysUnimported:
             [sys.executable, "-c", self.CHILD, json.dumps(argv)],
             capture_output=True, text=True, env=env, timeout=60,
         )
-        code, numpy_imported = json.loads(proc.stderr.splitlines()[-1])
-        return code, numpy_imported, proc.stdout
+        code, numpy_imported, modules = json.loads(proc.stderr.splitlines()[-1])
+        return code, numpy_imported, set(modules), proc.stdout
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, loaded",
         [
-            ["decompose", "--state", "{state}"],
-            ["check-feasible", "--source", "{source}", "--target", "{target}"],
-            ["check-feasible", "--source", "{source}", "--ensemble", "{ensemble}"],
-            ["build-povm", "--source", "{source}", "--ensemble", "{ensemble}"],
-            ["concentrate", "--state", "{state}"],
-            ["concentrate", "--state", "{state}", "--weights", "indicator"],
-            ["concentrate", "--state", "{state}", "--weights", "log2"],
-            ["concentrate", "--state", "{state}", "--weights", "{weights}"],
-            ["concentrate", "--state", "{state}", "--certify", "--asymptotic", "3"],
-            ["lp-solve", "{lp}"],
+            _call(["decompose", "--state", "{state}"]),
+            _call(
+                ["check-feasible", "--source", "{source}", "--target", "{target}"],
+                "monotones",
+            ),
+            _call(
+                ["check-feasible", "--source", "{source}", "--ensemble", "{ensemble}"],
+                "monotones", "transform",
+            ),
+            _call(
+                ["build-povm", "--source", "{source}", "--ensemble", "{ensemble}"],
+                "monotones", "transform",
+            ),
+            _call(["concentrate", "--state", "{state}"], "concentrate", "monotones"),
+            _call(
+                ["concentrate", "--state", "{state}", "--weights", "indicator"],
+                "concentrate", "monotones", "lp",
+            ),
+            _call(
+                ["concentrate", "--state", "{state}", "--weights", "log2"],
+                "concentrate", "monotones", "lp",
+            ),
+            _call(
+                ["concentrate", "--state", "{state}", "--weights", "{weights}"],
+                "concentrate", "monotones", "lp",
+            ),
+            _call(
+                ["concentrate", "--state", "{state}", "--certify", "--asymptotic", "3"],
+                "concentrate", "monotones",
+            ),
+            _call(["lp-solve", "{lp}"], "lp"),
         ],
-        ids=lambda argv: " ".join(a.strip("{}") for a in argv),
     )
-    def test_spectrum_only_calls(self, files, argv):
-        code, numpy_imported, out = self.child([a.format(**files) for a in argv])
+    def test_spectrum_only_calls(self, files, argv, loaded):
+        code, numpy_imported, modules, out = self.child(
+            [a.format(**files) for a in argv]
+        )
         assert code == 0 and json.loads(out)
         assert not numpy_imported
+        assert modules == loaded
 
     def test_amplitudes_and_simulate_still_work(self, files):
-        code, numpy_imported, out = self.child(
+        code, numpy_imported, modules, out = self.child(
             ["decompose", "--state", files["amplitudes"]]
         )
         assert code == 0 and numpy_imported
+        assert modules == {"cli", "jsonio", "schmidt"}
         assert json.loads(out)["spectrum"] == pytest.approx([0.5, 0.5], abs=1e-12)
-        code, numpy_imported, out = self.child(
+        code, numpy_imported, modules, out = self.child(
             ["simulate", "--state", files["state"], "--trials", "1000"]
         )
         assert code == 0 and numpy_imported
+        assert modules == {
+            "cli", "jsonio", "schmidt", "concentrate", "monotones", "transform", "sim"
+        }
         assert sum(json.loads(out)["counts"]) == 1000
+        code, numpy_imported, modules, out = self.child(
+            ["simulate", "--state", files["state"], "--protocol", files["povm"],
+             "--trials", "10"]
+        )
+        assert code == 0 and numpy_imported
+        assert modules == {"cli", "jsonio", "schmidt", "transform", "sim"}
+        assert json.loads(out)["counts"] == [10]

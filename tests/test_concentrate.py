@@ -10,10 +10,8 @@ from entmanip import (
     apply_povm_element,
     asymptotic_yield_curve,
     concentration_lp,
-    constraint_matrix_inverse,
     entropy,
     make_spectrum,
-    max_entangled_monotone,
     optimal_plan,
     optimality_certificate,
     simplex_solve,
@@ -24,7 +22,12 @@ from entmanip import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from util import expanded_yield_curve, random_spectrum
+from util import (
+    constraint_matrix_inverse,
+    expanded_yield_curve,
+    max_entangled_monotone,
+    random_spectrum,
+)
 
 WORKED_SPECTRUM = [0.5, 0.3, 0.2]
 WORKED_PLAN = (0.2, 0.2, 0.6)

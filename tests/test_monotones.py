@@ -18,13 +18,21 @@ from entmanip import (
     simplex_solve,
     vidal_monotones,
 )
-from util import concentrate_toward_top, random_spectrum
+from util import (
+    concentrate_toward_top,
+    random_spectrum,
+    reference_max_conversion_probability,
+)
 
 
 # Exact spectra of rank 1-5 normalised from small integer weights, so every
 # monotone and slack is a Fraction and tol=0 comparisons are exact.
 exact_spectra = st.lists(st.integers(0, 9), min_size=1, max_size=5).filter(any).map(
     lambda weights: make_spectrum([Fraction(w) for w in weights])
+)
+
+float_spectra = st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8).map(
+    make_spectrum
 )
 
 
@@ -191,6 +199,17 @@ class TestMaxConversionProbability:
     def test_probability_one_exactly_iff_feasible_exact(self, source, target):
         p = max_conversion_probability(source, target)
         assert (p == 1.0) == nielsen_feasible(source, target, tol=0).feasible
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(float_spectra, exact_spectra),
+        st.one_of(float_spectra, exact_spectra),
+    )
+    def test_bit_for_bit_equal_to_loop_oracle(self, a, b):
+        for source, target in ((a, b), (b, a)):
+            p = max_conversion_probability(source, target)
+            assert type(p) is float
+            assert p.hex() == reference_max_conversion_probability(source, target).hex()
 
     def test_matches_lp_optimum(self):
         # one-variable LP: maximize p with p * E_l(target) <= E_l(source)

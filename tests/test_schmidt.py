@@ -14,6 +14,8 @@ import entmanip
 
 from entmanip import (
     AmplitudeMatrix,
+    ConcentrationPlan,
+    MonotoneVector,
     SchmidtSpectrum,
     entropy,
     make_spectrum,
@@ -146,6 +148,31 @@ class TestSpectrumValidation:
     def test_rejects_zero_entry(self):
         with pytest.raises(ValueError, match="positive"):
             SchmidtSpectrum((1.0, 0.0))
+
+
+# A valid vector of each validated value type, and how to build the type.
+_VALID_VECTORS = {
+    "SchmidtSpectrum": (SchmidtSpectrum, (0.5, 0.3, 0.2)),
+    "MonotoneVector": (MonotoneVector, (1.0, 0.5, 0.2)),
+    "ConcentrationPlan": (lambda p: ConcentrationPlan(p, 0.5), (0.2, 0.2, 0.6)),
+}
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("kind", sorted(_VALID_VECTORS))
+def test_nan_entry_is_rejected(kind, position):
+    build, values = _VALID_VECTORS[kind]
+    build(values)
+    with pytest.raises(ValueError):
+        build(values[:position] + (math.nan,) + values[position + 1 :])
+    with pytest.raises(ValueError):
+        build((math.nan,))
+
+
+@pytest.mark.parametrize("expected", [math.nan, math.inf, -math.inf])
+def test_plan_needs_a_finite_expected_entanglement(expected):
+    with pytest.raises(ValueError, match="finite"):
+        ConcentrationPlan((1.0,), expected)
 
 
 class TestEntropy:

@@ -8,7 +8,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from entmanip import SchmidtSpectrum, make_ensemble, make_spectrum, optimal_plan
+from entmanip import (
+    SchmidtSpectrum,
+    make_ensemble,
+    make_spectrum,
+    optimal_plan,
+    vidal_monotones,
+)
+from entmanip.schmidt import zero_padded
 
 
 def random_spectrum(rng: np.random.Generator, n: int) -> SchmidtSpectrum:
@@ -53,6 +60,56 @@ def concentrate_toward_top(
     coeffs[-1] -= delta
     coeffs = [c for c in coeffs if c > 0]
     return make_spectrum(coeffs, zero_tol=0.0)
+
+
+def max_entangled_monotone(levels: int, index: int):
+    """Tail-sum monotone of the maximally entangled state on ``levels``.
+
+    Equals (levels - index + 1) / levels for index <= levels and vanishes
+    beyond the state's rank.
+    """
+    if levels < 1 or index < 1:
+        raise ValueError("level count and index must be >= 1")
+    if index > levels:
+        return 0.0
+    return (levels - index + 1) / levels
+
+
+def constraint_matrix_inverse(n: int) -> tuple:
+    """Closed-form inverse of the concentration constraint matrix.
+
+    Column k has at most three nonzero entries: k - 2 at row k - 2,
+    -2(k - 1) at row k - 1, and k on the diagonal.
+    """
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    inverse = [[0.0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        inverse[k - 1][k - 1] = float(k)
+        if k >= 2:
+            inverse[k - 2][k - 1] = -2.0 * (k - 1)
+        if k >= 3:
+            inverse[k - 3][k - 1] = float(k - 2)
+    return tuple(tuple(row) for row in inverse)
+
+
+def reference_max_conversion_probability(
+    source: SchmidtSpectrum, target: SchmidtSpectrum
+) -> float:
+    """Per-entry loop over both zero-padded tail vectors.
+
+    The reference that ``max_conversion_probability`` must match bit for
+    bit: the smallest float ratio of source to target tail sums where the
+    target's is nonzero, starting from 1.0 and clamped to [0, 1].
+    """
+    n = max(source.rank, target.rank)
+    source_tails = zero_padded(vidal_monotones(source).values, n)
+    target_tails = zero_padded(vidal_monotones(target).values, n)
+    best = 1.0
+    for es, et in zip(source_tails, target_tails):
+        if et > 0:
+            best = min(best, float(es) / float(et))
+    return max(0.0, min(1.0, best))
 
 
 def expanded_yield_curve(s: SchmidtSpectrum, max_n: int) -> tuple:
