@@ -135,20 +135,23 @@ def _resolve_weights(choice: str, n: int):
 def _lp_plan(state, weights):
     """Level distribution optimizing arbitrary weights, via the simplex.
 
-    The solver may leave probability unassigned when the weights give no
-    credit for the product level; the remainder goes to level 1, which is
-    always feasible and does not change the objective.
+    Every plan sums to 1, so the LP is solved on the shifted weights
+    c_j - c_1, which give level 1 no credit and move each plan's objective
+    by the same c_1.  The solver may then leave probability unassigned; the
+    remainder goes to level 1, which is always feasible and does not change
+    the shifted objective.  The objective returned is sum_j c_j p_j of the
+    completed plan.
     """
     from .concentrate import concentration_lp
     from .lp import simplex_solve
 
-    problem = concentration_lp(state, weights)
-    solution = simplex_solve(problem)
+    shifted = [c - weights[0] for c in weights]
+    solution = simplex_solve(concentration_lp(state, shifted))
     if solution.status != "optimal":
         raise ValueError(f"concentration LP came back {solution.status}")
     probs = [float(v) for v in solution.values]
     probs[0] += max(0.0, 1.0 - math.fsum(probs))
-    return probs, float(solution.objective_value)
+    return probs, math.fsum(c * p for c, p in zip(weights, probs))
 
 
 def _cmd_concentrate(args) -> int:

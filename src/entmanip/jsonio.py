@@ -122,7 +122,7 @@ def load_state(path: str, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
     raise ValueError("state file needs a 'spectrum' or 'amplitudes' key")
 
 
-def load_ensemble(path: str, zero_tol: float = ZERO_TOL) -> TargetEnsemble:
+def load_ensemble(path: str) -> TargetEnsemble:
     """Load {"ensemble": [{"probability": p, "spectrum": [...]}, ...]}."""
     from .transform import make_ensemble
 
@@ -134,8 +134,7 @@ def load_ensemble(path: str, zero_tol: float = ZERO_TOL) -> TargetEnsemble:
         for entry in doc["ensemble"]:
             p = _number(entry["probability"], "ensemble probabilities")
             target = make_spectrum(
-                [_number(v, "spectrum entries") for v in entry["spectrum"]],
-                zero_tol=zero_tol,
+                [_number(v, "spectrum entries") for v in entry["spectrum"]]
             )
             pairs.append((p, target))
     return make_ensemble(pairs)

@@ -44,11 +44,13 @@ from itertools import chain, combinations
 from .schmidt import numeric_kind
 
 PIVOT_TOL = 1e-11
+VERIFY_TOL = 1e-9
 ENUMERATION_LIMIT = 12
 _MAX_PIVOTS_FACTOR = 64
 
 __all__ = [
     "PIVOT_TOL",
+    "VERIFY_TOL",
     "ENUMERATION_LIMIT",
     "LpProblem",
     "LpSolution",
@@ -192,9 +194,7 @@ def _non_optimal(status: str) -> LpSolution:
     return LpSolution((), None, (), (), status)
 
 
-def simplex_solve(
-    prob: LpProblem, exact: bool = False, pivot_tol: float = PIVOT_TOL
-) -> LpSolution:
+def simplex_solve(prob: LpProblem, exact: bool = False) -> LpSolution:
     """Solve an inequality-form LP by the primal simplex method.
 
     Parameters
@@ -206,13 +206,11 @@ def simplex_solve(
         Rerun the identical pivot logic over ``Fraction`` values (inputs
         are converted exactly); comparisons then use zero tolerance and the
         returned values are exact rationals.
-    pivot_tol : float
-        Pivot/optimality tolerance in float mode.
 
     A square problem (as many constraints as variables) first gets a crash
     check of the all-structural basis: B is factored once, and when
     x = B^-1 q and the slack reduced costs y = B^-T c are both nonnegative
-    (to within ``pivot_tol`` in float mode), that basis is optimal and is
+    (to within ``PIVOT_TOL`` in float mode), that basis is optimal and is
     returned with ``pivots == 0``.  Every constraint is tight there, so
     there is no slack to absorb.  A singular B, or a failed check, leaves
     the problem to the pivots below, which start from the slack basis as if
@@ -225,13 +223,13 @@ def simplex_solve(
     zero-reduced-cost pivots moves residual slack into the lowest-indexed
     structural variables, so the returned vertex saturates as many
     constraints as the optimal face allows; the objective value is
-    unaffected.  In float mode a basic value in [-pivot_tol, 0] is drift on
-    a degenerate row and is returned as 0.0.  Bounds below ``-pivot_tol``
+    unaffected.  In float mode a basic value in [-PIVOT_TOL, 0] is drift on
+    a degenerate row and is returned as 0.0.  Bounds below ``-PIVOT_TOL``
     whose rows have nonnegative coefficients make the instance provably
     infeasible (x >= 0); other negative bounds are outside the supported
     form and raise ``ValueError``.
     """
-    c, rows, q, exact, tol = _converted(prob, exact, pivot_tol)
+    c, rows, q, exact, tol = _converted(prob, exact)
     for l in range(prob.num_constraints):
         if q[l] < -tol:
             if all(x >= 0 for x in rows[l]):
@@ -247,18 +245,18 @@ def simplex_solve(
     return _solve_from_slack_basis(c, rows, q, exact, tol)
 
 
-def _converted(prob: LpProblem, exact: bool, pivot_tol: float):
+def _converted(prob: LpProblem, exact: bool):
     """Objective, rows and bounds in the solver's arithmetic, and its tolerance.
 
     Exact mode converts every entry to ``Fraction`` and compares with zero
-    tolerance; float mode converts to ``float`` and uses ``pivot_tol``.
+    tolerance; float mode converts to ``float`` and uses ``PIVOT_TOL``.
     """
     if exact:
         conv = lambda x: x if isinstance(x, Fraction) else Fraction(x)
         tol = 0
     else:
         conv = float
-        tol = pivot_tol
+        tol = PIVOT_TOL
     c = [conv(x) for x in prob.objective]
     rows = [[conv(x) for x in row] for row in prob.constraint_matrix]
     q = [conv(x) for x in prob.bounds]
@@ -564,7 +562,7 @@ def _basis_reduced_costs(prob: LpProblem, basis, lu):
     return structural + y
 
 
-def verify_solution(prob: LpProblem, sol: LpSolution, tol: float = 1e-9) -> bool:
+def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
     """Independently check a claimed optimum against its stated basis.
 
     Factors the basis matrix of ``sol.basis`` once (LU with partial
@@ -572,8 +570,8 @@ def verify_solution(prob: LpProblem, sol: LpSolution, tol: float = 1e-9) -> bool
     duals y, and takes the reduced costs from y.  Then verifies: claimed
     values are feasible, they agree with the basis solution, the objective
     matches, and every reduced cost satisfies the maximization sign
-    condition.  A singular basis matrix fails the verification rather than
-    raising.
+    condition, each to within ``VERIFY_TOL``.  A singular basis matrix
+    fails the verification rather than raising.
     """
     if sol.status != "optimal":
         return False
@@ -586,6 +584,7 @@ def verify_solution(prob: LpProblem, sol: LpSolution, tol: float = 1e-9) -> bool
         return False
     extended = _basis_solution(prob, sol.basis, lu)
     reduced = _basis_reduced_costs(prob, sol.basis, lu)
+    tol = VERIFY_TOL
     if any(x < -tol for x in extended):
         return False
     if any(abs(float(extended[j]) - float(sol.values[j])) > tol for j in range(n)):
@@ -593,14 +592,14 @@ def verify_solution(prob: LpProblem, sol: LpSolution, tol: float = 1e-9) -> bool
     residuals = constraint_residuals(prob, sol.values)
     if any(r > tol for r in residuals):
         return False
-    if any(v < -max(tol, 1e-12) for v in sol.values):
+    if any(v < -tol for v in sol.values):
         return False
     if abs(float(_dot(prob.objective, sol.values)) - float(sol.objective_value)) > tol:
         return False
     return all(d >= -tol for d in reduced)
 
 
-def enumerate_vertices(prob: LpProblem, tol: float = 1e-9) -> LpSolution:
+def enumerate_vertices(prob: LpProblem) -> LpSolution:
     """Exact brute-force optimum over all basic feasible solutions.
 
     Intended as an independent oracle for tiny bounded instances (at most
@@ -622,7 +621,7 @@ def enumerate_vertices(prob: LpProblem, tol: float = 1e-9) -> LpSolution:
         except ZeroDivisionError:
             continue
         extended = _basis_solution(prob, basis, lu)
-        if any(x < -tol for x in extended):
+        if any(x < -VERIFY_TOL for x in extended):
             continue
         objective = _dot(prob.objective, extended[:n])
         if best is None or objective > best[0]:

@@ -18,6 +18,7 @@ from .schmidt import (
     NORM_TOL,
     SchmidtSpectrum,
     check_positive_nonincreasing,
+    padded_average,
     zero_padded,
 )
 
@@ -60,18 +61,19 @@ class FeasibilityReport:
 
     ``slack[l-1]`` is the source monotone minus the (averaged) target
     monotone at index l; the check fails exactly at the indices where the
-    slack drops below ``-tol``.
+    slack drops below ``-tol``, and is feasible when there are none.
     """
 
-    feasible: bool
     violated_indices: tuple
     slack: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "violated_indices", tuple(self.violated_indices))
         object.__setattr__(self, "slack", tuple(self.slack))
-        if self.feasible != (len(self.violated_indices) == 0):
-            raise ValueError("feasible flag inconsistent with violated indices")
+
+    @property
+    def feasible(self) -> bool:
+        return not self.violated_indices
 
 
 def vidal_monotones(s: SchmidtSpectrum) -> MonotoneVector:
@@ -89,7 +91,7 @@ def _padded_tails(s: SchmidtSpectrum, length: int) -> list:
 def _report(source_tails, target_tails, tol) -> FeasibilityReport:
     slack = tuple(es - et for es, et in zip(source_tails, target_tails))
     violated = tuple(l for l, gap in enumerate(slack, start=1) if gap < -tol)
-    return FeasibilityReport(not violated, violated, slack)
+    return FeasibilityReport(violated, slack)
 
 
 def nielsen_feasible(
@@ -123,11 +125,9 @@ def ensemble_feasible(
     guard.
     """
     n = max([source.rank] + [t.rank for _, t in ensemble.entries])
-    avg = [0] * n  # an int start keeps exact (Fraction) ensembles exact
-    for p, target in ensemble.entries:
-        tails = _padded_tails(target, n)
-        for i in range(n):
-            avg[i] += p * tails[i]
+    avg = padded_average(
+        ((p, vidal_monotones(t).values) for p, t in ensemble.entries), n
+    )
     report = _report(_padded_tails(source, n), avg, tol)
     if abs(report.slack[0]) > max(tol, 2 * NORM_TOL):
         raise ValueError(

@@ -75,11 +75,10 @@ class AmplitudeMatrix:
     """Complex amplitudes of a bipartite pure state in a product basis.
 
     Rows index the first subsystem, columns the second.  The squared
-    magnitudes must sum to 1 within ``norm_tol``.
+    magnitudes must sum to 1 within ``NORM_TOL``.
     """
 
     entries: np.ndarray
-    norm_tol: float = NORM_TOL
 
     def __post_init__(self):
         import numpy as np
@@ -90,7 +89,7 @@ class AmplitudeMatrix:
         if not np.all(np.isfinite(arr.view(float))):
             raise ValueError("amplitude matrix entries must be finite")
         total = float(np.sum(np.abs(arr) ** 2))
-        if abs(total - 1.0) > self.norm_tol:
+        if abs(total - 1.0) > NORM_TOL:
             raise ValueError(
                 f"amplitude matrix is not normalized: |psi|^2 = {total!r}"
             )
@@ -189,6 +188,18 @@ def zero_padded(values: Sequence, length: int) -> list:
     """
     zero = Fraction(0) if isinstance(values[0], Fraction) else 0.0
     return list(values) + [zero] * (length - len(values))
+
+
+def padded_average(pairs, length: int) -> list:
+    """Sum of ``p * zero_padded(values, length)`` over ``(p, values)`` pairs.
+
+    The sum starts from int 0, so float pairs give what a 0.0 start gives,
+    bit for bit, and exact (``Fraction``) pairs give an exact average.
+    """
+    avg = [0] * length
+    for p, values in pairs:
+        avg = [a + p * v for a, v in zip(avg, zero_padded(values, length))]
+    return avg
 
 
 def uniform_spectrum(levels: int) -> SchmidtSpectrum:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .schmidt import NORM_TOL, SchmidtSpectrum, make_spectrum, zero_padded
+from .schmidt import NORM_TOL, SchmidtSpectrum, make_spectrum, padded_average, zero_padded
 
 MERGE_TOL = 1e-9
 POVM_TOL = 1e-10
@@ -63,12 +63,12 @@ class TargetEnsemble:
         if not entries:
             raise ValueError("ensemble must have at least one entry")
         for p, target in entries:
-            if p <= 0:
+            if not p > 0:
                 raise ValueError(f"ensemble probabilities must be positive, got {p!r}")
             if not isinstance(target, SchmidtSpectrum):
                 raise ValueError("ensemble targets must be SchmidtSpectrum values")
         total = math.fsum(float(p) for p, _ in entries)
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise ValueError(f"ensemble probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "entries", entries)
 
@@ -84,12 +84,12 @@ class TargetEnsemble:
 def make_ensemble(pairs) -> TargetEnsemble:
     """Build an ensemble from (probability, spectrum) pairs.
 
-    Entries with probability exactly zero are dropped; negative
+    Entries with probability exactly zero are dropped; negative or NaN
     probabilities raise.
     """
     kept = []
     for p, target in pairs:
-        if p < 0:
+        if not p >= 0:
             raise ValueError(f"ensemble probabilities must be nonnegative, got {p!r}")
         if p > 0:
             kept.append((p, target))
@@ -100,8 +100,9 @@ def make_ensemble(pairs) -> TargetEnsemble:
 class PovmElement:
     """One measurement operator, diagonal in the Schmidt basis.
 
-    ``diag`` holds the nonnegative diagonal entries; outcome labels are
-    1-based and stable even for zero-probability elements.
+    ``diag`` holds the diagonal entries, each in [0, 1 + ``POVM_TOL``] (no
+    complete measurement has a larger one); outcome labels are 1-based and
+    stable even for zero-probability elements.
     """
 
     label: int
@@ -109,8 +110,8 @@ class PovmElement:
 
     def __post_init__(self):
         diag = tuple(float(d) for d in self.diag)
-        if any(d < 0 for d in diag):
-            raise ValueError("measurement diagonals must be nonnegative")
+        if not all(0 <= d <= 1 + POVM_TOL for d in diag):
+            raise ValueError("measurement diagonals must be nonnegative and at most 1")
         object.__setattr__(self, "diag", diag)
 
 
@@ -138,7 +139,7 @@ class DiagonalPovm:
                 )
         for i in range(self.support_rank):
             total = math.fsum(el.diag[i] ** 2 for el in elements)
-            if abs(total - 1.0) > POVM_TOL:
+            if not abs(total - 1.0) <= POVM_TOL:
                 raise ValueError(
                     f"measurement incomplete at index {i + 1}: sum = {total!r}"
                 )
@@ -175,7 +176,7 @@ class DieGroup:
         if not members:
             raise ValueError("die group must have at least one member")
         total = math.fsum(r for _, r in members)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"die group probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "members", members)
 
@@ -198,11 +199,7 @@ def average_target(e: TargetEnsemble) -> SchmidtSpectrum:
     sums equal the averaged tail sums of the individual targets.
     """
     n = e.max_rank
-    avg = [0.0] * n
-    for p, target in e.entries:
-        padded = zero_padded(target.coeffs, n)
-        for i in range(n):
-            avg[i] += p * padded[i]
+    avg = padded_average(((p, t.coeffs) for p, t in e.entries), n)
     for i in range(n - 1):
         # ordered targets average to an ordered spectrum; anything else is
         # an internal error, not bad input
@@ -210,16 +207,14 @@ def average_target(e: TargetEnsemble) -> SchmidtSpectrum:
     return make_spectrum(avg, zero_tol=0.0)
 
 
-def _same_spectrum(a: list, b: list, tol: float) -> bool:
-    return all(abs(x - y) <= tol for x, y in zip(a, b))
+def _same_spectrum(a: list, b: list) -> bool:
+    return all(abs(x - y) <= MERGE_TOL for x, y in zip(a, b))
 
 
-def merge_duplicates(
-    e: TargetEnsemble, merge_tol: float = MERGE_TOL
-) -> tuple[TargetEnsemble, DieTable]:
+def merge_duplicates(e: TargetEnsemble) -> tuple[TargetEnsemble, DieTable]:
     """Merge ensemble entries whose spectra agree componentwise.
 
-    Targets equal within ``merge_tol`` (after zero padding) collapse into a
+    Targets equal within ``MERGE_TOL`` (after zero padding) collapse into a
     single entry with the summed probability; the returned die table records
     how to redistribute each merged outcome over the original indices by a
     classical coin toss.  Ensembles with all-distinct targets come back
@@ -230,7 +225,7 @@ def merge_duplicates(
     for j, (p, target) in enumerate(e.entries, start=1):
         padded = zero_padded(target.coeffs, n)
         for group in reps:
-            if _same_spectrum(group[0], padded, merge_tol):
+            if _same_spectrum(group[0], padded):
                 group[1] += p
                 group[2].append((j, p))
                 break

@@ -233,6 +233,26 @@ class TestConcentrate:
         assert doc["plan"]["objective"] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize(
+        "weights, objective", [([-1.0, -0.5], -0.6), ([-1.0, 0.5], 0.2)]
+    )
+    def test_weight_file_with_nonzero_first_weight(
+        self, capsys, tmp_path, weights, objective
+    ):
+        # every plan sums to 1, so level 1 is never free: the optimum on
+        # [0.6, 0.4] moves 0.8 to level 2 and leaves 0.2 on level 1
+        state = write_json(tmp_path / "s64.json", {"spectrum": [0.6, 0.4]})
+        path = write_json(tmp_path / "w.json", weights)
+        code, doc = run_json(
+            capsys, ["concentrate", "--state", state, "--weights", path]
+        )
+        assert code == 0
+        assert doc["plan"]["p"] == pytest.approx([0.2, 0.8], abs=1e-12)
+        assert doc["plan"]["objective"] == pytest.approx(objective, abs=1e-12)
+        assert doc["plan"]["objective"] == math.fsum(
+            w * p for w, p in zip(weights, doc["plan"]["p"])
+        )
+
+    @pytest.mark.parametrize(
         "text",
         [
             "[0.0, null, 1.0]",
@@ -425,7 +445,7 @@ class TestSimulate:
         assert code == 3
 
     def test_overflowing_diagonal_exits_4(self, capsys, tmp_path, worked_state):
-        # squaring 1e300 overflows inside the completeness check
+        # no diagonal may exceed 1, and squaring 1e300 would overflow
         doc = {"support_rank": 2, "elements": [{"label": 1, "diag": [1e300, 0]}]}
         path = write_json(tmp_path / "huge.json", doc)
         code = run(

@@ -20,11 +20,12 @@ from entmanip import (
     uniform_spectrum,
     vidal_monotones,
 )
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from util import (
     constraint_matrix_inverse,
     expanded_yield_curve,
+    highs_optimum,
     max_entangled_monotone,
     random_spectrum,
 )
@@ -265,6 +266,61 @@ class TestCertificateForAnyWeights:
     def test_weight_count_must_match(self):
         with pytest.raises(ValueError, match="expected 3 weights"):
             optimality_certificate(3, (0.0, 1.0))
+
+
+def _convex_weights(steps):
+    """Weights c_j = f(j) / j, f(0) = 0, f(j) - f(j-1) = sum(steps[:j]).
+
+    Nonnegative steps give c_1 = steps[0] >= 0 and a convex f(j) = j c_j,
+    the certificate's condition.
+    """
+    f = increment = 0
+    weights = []
+    for j, step in enumerate(steps, start=1):
+        increment += step
+        f += increment
+        weights.append(f / j)
+    return weights
+
+
+@st.composite
+def _certified_cases(draw):
+    """A rank 2-40 spectrum and weights meant to pass the certificate:
+    exact ``Fraction`` spectra with exact convex weights, or float spectra
+    with ln, log2 or float convex weights."""
+    n = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        raw = draw(st.lists(st.integers(1, 50), min_size=n, max_size=n))
+        steps = st.builds(Fraction, st.integers(0, 20), st.integers(1, 9))
+        weights = _convex_weights(draw(st.lists(steps, min_size=n, max_size=n)))
+        return make_spectrum([Fraction(r) for r in raw]), weights
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["ln", "log2", "convex"]))
+    if kind == "convex":
+        steps = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+        weights = _convex_weights(draw(steps))
+    else:
+        weights = standard_weights(kind, n)
+    return make_spectrum(raw), weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(_certified_cases())
+def test_certified_closed_form_is_the_lp_optimum(case):
+    s, weights = case
+    assume(optimality_certificate(s.rank, weights).passed)
+    exact = isinstance(weights[0], Fraction)
+    probs = optimal_plan(s).probabilities
+    prob = concentration_lp(s, weights)
+    simplex = simplex_solve(prob, exact=exact).objective_value
+    highs = highs_optimum(prob.objective, prob.constraint_matrix, prob.bounds)
+    if exact:
+        closed = sum(c * p for c, p in zip(weights, probs))
+        assert simplex == closed
+    else:
+        closed = math.fsum(c * p for c, p in zip(weights, probs))
+        assert math.isclose(simplex, closed, rel_tol=1e-12)
+    assert math.isclose(highs, closed, rel_tol=1e-12)
 
 
 class TestSingleShotPovm:

@@ -521,7 +521,7 @@ def _solve_or_error(prob, exact, solve=simplex_solve):
 
 def _slack_start(prob, exact=False):
     """Bland's rule from the slack basis alone, without the crash check."""
-    return lp._solve_from_slack_basis(*lp._converted(prob, exact, lp.PIVOT_TOL))
+    return lp._solve_from_slack_basis(*lp._converted(prob, exact))
 
 
 class TestSparseKernelsMatchDenseReferences:

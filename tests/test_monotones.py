@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from entmanip import (
     LpProblem,
+    TargetEnsemble,
     ensemble_feasible,
     make_ensemble,
     make_spectrum,
@@ -235,3 +236,10 @@ def test_ensemble_probabilities_must_sum_to_one():
     s = make_spectrum([0.5, 0.5])
     with pytest.raises(ValueError, match="sum"):
         make_ensemble([(0.4, s), (0.4, s)])
+
+
+def test_nan_probability_ensemble_gets_no_verdict():
+    # a NaN probability makes every slack NaN, and no index reads NaN as violated
+    s = make_spectrum([0.5, 0.5])
+    with pytest.raises(ValueError):
+        ensemble_feasible(s, TargetEnsemble(((math.nan, s), (1.0, s))))

@@ -3,7 +3,9 @@
 import ast
 import math
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,9 +17,14 @@ import entmanip
 from entmanip import (
     AmplitudeMatrix,
     ConcentrationPlan,
+    DiagonalPovm,
+    DieGroup,
     MonotoneVector,
+    PovmElement,
     SchmidtSpectrum,
+    TargetEnsemble,
     entropy,
+    make_ensemble,
     make_spectrum,
     schmidt_decompose,
     uniform_spectrum,
@@ -150,11 +157,26 @@ class TestSpectrumValidation:
             SchmidtSpectrum((1.0, 0.0))
 
 
+_PAIR = SchmidtSpectrum((0.5, 0.5))
+
 # A valid vector of each validated value type, and how to build the type.
 _VALID_VECTORS = {
     "SchmidtSpectrum": (SchmidtSpectrum, (0.5, 0.3, 0.2)),
     "MonotoneVector": (MonotoneVector, (1.0, 0.5, 0.2)),
     "ConcentrationPlan": (lambda p: ConcentrationPlan(p, 0.5), (0.2, 0.2, 0.6)),
+    "TargetEnsemble": (
+        lambda p: TargetEnsemble(tuple(zip(p, repeat(_PAIR)))),
+        (0.2, 0.3, 0.5),
+    ),
+    # the zero entry is dropped, so a NaN in its place must not be
+    "make_ensemble": (lambda p: make_ensemble(zip(p, repeat(_PAIR))), (0.5, 0.5, 0.0)),
+    "DieGroup": (lambda r: DieGroup(1, tuple(enumerate(r, start=1))), (0.2, 0.3, 0.5)),
+    "PovmElement": (lambda d: PovmElement(1, d), (1.0, 0.5, 0.0)),
+    # a bare element, so that the completeness test is what meets the NaN
+    "DiagonalPovm": (
+        lambda d: DiagonalPovm((SimpleNamespace(label=1, diag=d),), len(d)),
+        (1.0, 1.0, 1.0),
+    ),
 }
 
 

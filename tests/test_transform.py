@@ -1,6 +1,7 @@
 """Average targets, duplicate merging, and the ensemble measurement."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from entmanip import (
     merge_duplicates,
     vidal_monotones,
 )
+from entmanip.schmidt import padded_average
 from util import random_ensemble, random_spectrum
 
 
@@ -53,6 +55,47 @@ class TestAverageTarget:
                 for i in range(n):
                     by_hand[i] += p * tails[i]
             assert avg_tails == pytest.approx(by_hand, abs=1e-12)
+
+
+def _loop_average(pairs, n):
+    """The per-caller averaging loop that ``padded_average`` replaced."""
+    avg = [0.0] * n
+    for p, values in pairs:
+        values = padded(values, n)
+        for i in range(n):
+            avg[i] += p * values[i]
+    return avg
+
+
+class TestPaddedAverage:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 1.0),
+                st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_float_average_is_the_loop_bit_for_bit(self, pairs):
+        n = max(len(values) for _, values in pairs)
+        got = padded_average(pairs, n)
+        assert [x.hex() for x in got] == [
+            x.hex() for x in _loop_average(pairs, n)
+        ]
+
+    def test_exact_ensemble_averages_exactly(self):
+        one = make_spectrum([Fraction(1)])
+        pair = make_spectrum([Fraction(1), Fraction(1)])
+        e = make_ensemble([(Fraction(1, 3), one), (Fraction(2, 3), pair)])
+        assert padded_average(
+            ((p, t.coeffs) for p, t in e.entries), 2
+        ) == [Fraction(2, 3), Fraction(1, 3)]
+        avg = average_target(e)
+        assert avg.coeffs == (Fraction(2, 3), Fraction(1, 3))
+        assert all(isinstance(a, Fraction) for a in avg.coeffs)
 
 
 class TestMergeDuplicates:
@@ -241,3 +284,10 @@ class TestDiagonalPovmValidation:
     def test_negative_diagonal_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             PovmElement(1, (-0.1, 1.0))
+
+    @pytest.mark.parametrize("big", [1.0 + 1e-9, 1e300, math.inf])
+    def test_diagonal_above_one_rejected(self, big):
+        # no complete measurement has a diagonal above 1, and squaring 1e300
+        # in the completeness sum would overflow
+        with pytest.raises(ValueError, match="at most 1"):
+            PovmElement(1, (big, 0.0))
