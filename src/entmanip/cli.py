@@ -36,6 +36,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 def _emit(doc) -> None:
     sys.stdout.write(dumps(doc) + "\n")
 
@@ -263,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="Schmidt spectrum and entropy of a state")
     p.add_argument("--state", required=True, help="state file (JSON), or - for stdin")
     p.add_argument("--units", choices=("nats", "bits"), default="nats")
-    p.add_argument("--zero-tol", type=float, default=ZERO_TOL)
+    p.add_argument("--zero-tol", type=_tolerance, default=ZERO_TOL)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser(
@@ -273,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--target", help="single target state file")
     group.add_argument("--ensemble", help="target ensemble file")
-    p.add_argument("--tol", type=float)  # None: monotones.FEASIBILITY_TOL
+    p.add_argument("--tol", type=_tolerance)  # None: monotones.FEASIBILITY_TOL
     p.set_defaults(func=_cmd_check_feasible)
 
     p = sub.add_parser(

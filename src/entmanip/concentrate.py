@@ -25,7 +25,7 @@ from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .monotones import vidal_monotones
-from .schmidt import SchmidtSpectrum, numeric_kind
+from .schmidt import SchmidtSpectrum, holds_fraction
 
 if TYPE_CHECKING:
     from .lp import LpProblem
@@ -66,11 +66,8 @@ class ConcentrationPlan:
             raise ValueError("plan must cover at least one level")
         if not all(map(operator.ge, probabilities, repeat(0))):
             raise ValueError("plan probabilities must be nonnegative")
-        total = (
-            sum(probabilities)
-            if numeric_kind(probabilities) != "float"
-            else math.fsum(probabilities)
-        )
+        exact = holds_fraction(probabilities)
+        total = sum(probabilities) if exact else math.fsum(probabilities)
         if not abs(total - 1) <= 1e-12:
             raise ValueError(f"plan probabilities sum to {total!r}, not 1")
         if not math.isfinite(self.expected_entanglement):
@@ -95,13 +92,13 @@ class OptimalityCertificate:
 
     def __post_init__(self):
         z_values = tuple(self.z_values)
-        if numeric_kind(z_values) == "float":
+        if not holds_fraction(z_values):
             z_values = tuple(float(z) for z in z_values)
         object.__setattr__(self, "z_values", z_values)
 
     @property
     def passed(self) -> bool:
-        tol = CERT_TOL if numeric_kind(self.z_values) == "float" else 0
+        tol = 0 if holds_fraction(self.z_values) else CERT_TOL
         return all(z >= -tol for z in self.z_values)
 
 
@@ -153,7 +150,8 @@ def concentration_lp(s: SchmidtSpectrum, weights=None) -> LpProblem:
     The constraint matrix is upper triangular; the bounds are the
     spectrum's tail sums.  ``weights`` defaults to ln j.  A spectrum built
     from ``Fraction`` coefficients produces an exactly rational matrix and
-    bounds.
+    bounds, and with them an exact problem (float weights are converted
+    exactly).
     """
     from .lp import LpProblem
 
@@ -165,21 +163,16 @@ def concentration_lp(s: SchmidtSpectrum, weights=None) -> LpProblem:
         raise ValueError(
             f"expected {n} weights for a rank-{n} spectrum, got {len(weights)}"
         )
-    exact = numeric_kind(s.coeffs) != "float"
-    matrix = []
-    for l in range(1, n + 1):
-        if exact:
-            row = tuple(
-                Fraction(j + 1 - l, j) if j >= l else Fraction(0)
-                for j in range(1, n + 1)
-            )
-        else:
-            row = tuple(
-                (j + 1 - l) / j if j >= l else 0.0 for j in range(1, n + 1)
-            )
-        matrix.append(row)
+    # row l holds (j + 1 - l) / j from column j = l on, zeros before it;
+    # an int true division is rounded once, as Fraction(k, j) is exact
+    divide = Fraction if holds_fraction(s.coeffs) else operator.truediv
+    zero = divide(0, 1)
+    matrix = tuple(
+        (zero,) * (l - 1) + tuple(map(divide, range(1, n + 2 - l), range(l, n + 1)))
+        for l in range(1, n + 1)
+    )
     bounds = vidal_monotones(s).values
-    return LpProblem(weights, tuple(matrix), bounds)
+    return LpProblem(weights, matrix, bounds)
 
 
 def optimality_certificate(n: int, weights=None) -> OptimalityCertificate:

@@ -8,6 +8,14 @@ matter, and an exact-rational mode that reruns the identical pivot logic
 over ``fractions.Fraction`` so saturation identities can be certified
 without floating-point doubt.
 
+Each problem has one arithmetic, fixed when it is built: a problem that
+holds any ``Fraction`` is exact, and every entry is stored as a
+``Fraction`` (floats and ints are converted exactly); any other problem
+stores floats.  Every kernel reads ``LpProblem.exact`` and computes in that
+arithmetic throughout, and a claimed solution is converted into it before
+it is checked.  The solver converts a problem only when asked for the
+other arithmetic.
+
 The tableau is stored densely but updated sparsely: a pivot visits only
 the nonzero columns of the pivot row and only the rows with a nonzero
 factor.  Skipped entries would be updated by ``x - factor * 0``, so the
@@ -41,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .schmidt import numeric_kind
+from .schmidt import as_fraction, holds_fraction
 
 PIVOT_TOL = 1e-11
 VERIFY_TOL = 1e-9
@@ -65,9 +73,12 @@ __all__ = [
 class LpProblem:
     """maximize objective.x  s.t.  constraint_matrix x <= bounds, x >= 0.
 
-    Entries may be floats or ``Fraction``s; dimensions and the finiteness
-    of float entries are validated, the sign of the bounds is not
-    (concentration instances always have nonnegative bounds, and the
+    Entries may be ints, floats or ``Fraction``s.  If any entry is a
+    ``Fraction`` the problem is exact and stores every entry as a
+    ``Fraction``; otherwise it stores floats.  ``exact`` tells which, so
+    every kernel computes in one arithmetic.  Dimensions and the
+    finiteness of float entries are validated, the sign of the bounds is
+    not (concentration instances always have nonnegative bounds, and the
     solver guards the rest).
     """
 
@@ -94,9 +105,16 @@ class LpProblem:
             for v in values:
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ValueError(f"LP {name} entries must be finite, got {v!r}")
-        object.__setattr__(self, "objective", objective)
+        exact = holds_fraction(chain(objective, *matrix, bounds))
+        matrix = tuple(_in_arithmetic(row, exact) for row in matrix)
+        object.__setattr__(self, "objective", _in_arithmetic(objective, exact))
         object.__setattr__(self, "constraint_matrix", matrix)
-        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "bounds", _in_arithmetic(bounds, exact))
+
+    @property
+    def exact(self) -> bool:
+        """True when the entries are ``Fraction``s, False when floats."""
+        return isinstance(self.objective[0], Fraction)
 
     @property
     def num_variables(self) -> int:
@@ -140,52 +158,32 @@ class LpSolution:
         object.__setattr__(self, "reduced_costs", tuple(self.reduced_costs))
 
 
-def _dot(a, b, kinds=None):
-    """Exact sum for ``Fraction`` operands, ``math.fsum`` otherwise.
-
-    ``kinds`` is the set of entry types of ``a`` and ``b``, or of a larger
-    collection holding both; callers that take many dot products over the
-    same entries pass it once.  By default both vectors are scanned.
-    All-float operands are multiplied as they are, which is what
-    ``float(x) * float(y)`` computes for floats; other float-mode entries
-    (ints, say) still go through ``float()``.
-    """
-    if kinds is None:
-        kinds = {*map(type, a), *map(type, b)}
-    if kinds <= {float}:
-        return math.fsum(map(operator.mul, a, b))
-    if _holds_fraction(kinds):
-        return sum(x * y for x, y in zip(a, b))
-    return math.fsum(float(x) * float(y) for x, y in zip(a, b))
+def _in_arithmetic(values, exact) -> tuple:
+    """``values`` as ``Fraction``s if ``exact``, else as floats."""
+    return tuple(map(as_fraction if exact else float, values))
 
 
-def _holds_fraction(kinds) -> bool:
-    return any(issubclass(kind, Fraction) for kind in kinds)
+def _zero(prob: LpProblem):
+    return Fraction(0) if prob.exact else 0.0
 
 
-def _shared_kinds(shared, rows):
-    """``kinds`` for ``_dot(shared, row)`` over many rows, or None.
-
-    Every product takes the kind of ``shared`` and all rows together,
-    unless a ``shared`` without ``Fraction`` entries meets ``Fraction``
-    entries in some row (a mixed problem): then each product decides on
-    its own entries, and None says so.
-    """
-    kinds = set(map(type, shared))
-    if _holds_fraction(kinds):
-        return kinds
-    kinds.update(map(type, chain(*rows)))
-    return None if _holds_fraction(kinds) else kinds
+def _dot(a, b, exact):
+    """Exact sum of the products if ``exact``, else their ``math.fsum``."""
+    products = map(operator.mul, a, b)
+    return sum(products) if exact else math.fsum(products)
 
 
 def constraint_residuals(prob: LpProblem, values) -> tuple:
-    """Componentwise B.x - q; exact when problem and values are rational."""
-    values = tuple(values)
+    """Componentwise B.x - q, in the problem's arithmetic.
+
+    ``values`` are converted into that arithmetic first, so the residuals
+    of an exact problem are exact.
+    """
+    values = _in_arithmetic(values, prob.exact)
     if len(values) != prob.num_variables:
         raise ValueError("value vector length must match variable count")
-    kinds = _shared_kinds(values, prob.constraint_matrix)
     return tuple(
-        _dot(row, values, kinds) - q
+        _dot(row, values, prob.exact) - q
         for row, q in zip(prob.constraint_matrix, prob.bounds)
     )
 
@@ -203,9 +201,10 @@ def simplex_solve(prob: LpProblem, exact: bool = False) -> LpSolution:
         Maximization problem with x >= 0; slack variables are added
         internally, so nonnegative bounds give an immediate feasible basis.
     exact : bool
-        Rerun the identical pivot logic over ``Fraction`` values (inputs
-        are converted exactly); comparisons then use zero tolerance and the
-        returned values are exact rationals.
+        Rerun the identical pivot logic over ``Fraction`` values (a float
+        problem is converted exactly); comparisons then use zero tolerance
+        and the returned values are exact rationals.  An exact problem
+        solved with ``exact=False`` is converted to floats.
 
     A square problem (as many constraints as variables) first gets a crash
     check of the all-structural basis: B is factored once, and when
@@ -229,45 +228,35 @@ def simplex_solve(prob: LpProblem, exact: bool = False) -> LpSolution:
     infeasible (x >= 0); other negative bounds are outside the supported
     form and raise ``ValueError``.
     """
-    c, rows, q, exact, tol = _converted(prob, exact)
-    for l in range(prob.num_constraints):
-        if q[l] < -tol:
-            if all(x >= 0 for x in rows[l]):
+    prob = _converted(prob, exact)
+    tol = 0 if exact else PIVOT_TOL
+    for row, q in zip(prob.constraint_matrix, prob.bounds):
+        if q < -tol:
+            if all(x >= 0 for x in row):
                 return _non_optimal("infeasible")
             raise ValueError(
                 "negative bound with mixed-sign row: instance is outside the "
                 "supported inequality form"
             )
     if prob.num_variables == prob.num_constraints:
-        crash = _structural_optimum(c, rows, q, exact, tol)
+        crash = _structural_optimum(prob, tol)
         if crash is not None:
             return crash
-    return _solve_from_slack_basis(c, rows, q, exact, tol)
+    return _solve_from_slack_basis(prob)
 
 
-def _converted(prob: LpProblem, exact: bool):
-    """Objective, rows and bounds in the solver's arithmetic, and its tolerance.
-
-    Exact mode converts every entry to ``Fraction`` and compares with zero
-    tolerance; float mode converts to ``float`` and uses ``PIVOT_TOL``.
-    """
-    if exact:
-        conv = lambda x: x if isinstance(x, Fraction) else Fraction(x)
-        tol = 0
-    else:
-        conv = float
-        tol = PIVOT_TOL
-    c = [conv(x) for x in prob.objective]
-    rows = [[conv(x) for x in row] for row in prob.constraint_matrix]
-    q = [conv(x) for x in prob.bounds]
-    return c, rows, q, exact, tol
+def _converted(prob: LpProblem, exact: bool) -> LpProblem:
+    """``prob`` in the requested arithmetic, converted only if it differs."""
+    if prob.exact == exact:
+        return prob
+    return LpProblem(
+        _in_arithmetic(prob.objective, exact),
+        tuple(_in_arithmetic(row, exact) for row in prob.constraint_matrix),
+        _in_arithmetic(prob.bounds, exact),
+    )
 
 
-def _constants(exact):
-    return (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
-
-
-def _structural_optimum(c, rows, q, exact, tol):
+def _structural_optimum(prob: LpProblem, tol):
     """The all-structural basis of a square problem if it is optimal, else None.
 
     One LU of B answers both halves of the check: the duals y = B^-T c are
@@ -276,37 +265,37 @@ def _structural_optimum(c, rows, q, exact, tol):
     concentration LP x is the closed-form plan, which is never negative,
     so a check that fails there fails on y.
     """
+    n = prob.num_variables
     try:
-        lu = _factor(rows, exact)
+        lu = _factor_basis(prob, range(n))
     except ZeroDivisionError:
         return None
-    y = _lu_solve_transposed(lu, c)
+    y = _lu_solve_transposed(lu, prob.objective)
     if any(v < -tol for v in y):
         return None
-    x = _lu_solve(lu, q)
+    x = _lu_solve(lu, prob.bounds)
     if any(v < -tol for v in x):
         return None
-    zero, _ = _constants(exact)
+    zero = _zero(prob)
     values = tuple(zero if v <= 0 else v for v in x)
-    n = len(c)
-    return LpSolution(
-        values, _dot(c, values), tuple(range(n)), [zero] * n + y, "optimal"
-    )
+    objective = _dot(prob.objective, values, prob.exact)
+    return LpSolution(values, objective, tuple(range(n)), [zero] * n + y, "optimal")
 
 
-def _solve_from_slack_basis(c, rows, q, exact, tol):
+def _solve_from_slack_basis(prob: LpProblem):
     """Bland's-rule pivots from the slack basis, then slack absorption.
 
-    Takes the output of ``_converted``; bounds must be nonnegative up to
-    ``tol``, so that the slack basis is feasible.
+    Computes in the problem's arithmetic; bounds must be nonnegative up to
+    the tolerance, so that the slack basis is feasible.
     """
+    c, q = prob.objective, prob.bounds
     n, m = len(c), len(q)
-    zero, one = _constants(exact)
-    tableau = []
-    for i in range(m):
-        row = rows[i] + [zero] * m + [q[i]]
+    tol = 0 if prob.exact else PIVOT_TOL
+    zero = _zero(prob)
+    one = zero + 1
+    tableau = [[*row, *[zero] * m, b] for row, b in zip(prob.constraint_matrix, q)]
+    for i, row in enumerate(tableau):
         row[n + i] = one
-        tableau.append(row)
     zrow = [-x for x in c] + [zero] * m + [zero]
     basis = list(range(n, n + m))
 
@@ -350,7 +339,7 @@ def _solve_from_slack_basis(c, rows, q, exact, tol):
         value = tableau[i][-1]
         extended[basis[i]] = zero if -tol <= value <= 0 else value
     values = tuple(extended[:n])
-    objective = _dot(c, values)
+    objective = _dot(c, values, prob.exact)
     return LpSolution(
         values, objective, tuple(basis), tuple(zrow[:-1]), "optimal",
         pivots, degenerate, absorbed,
@@ -518,28 +507,25 @@ def _factor_basis(prob: LpProblem, basis):
     """``_factor`` of the basis matrix B; raises if it is singular.
 
     B holds the basis columns of the extended matrix (a slack column is a
-    unit vector).  The factorisation is exact when B, the bounds or the
-    basic costs hold a ``Fraction``.
+    unit vector).  The factorisation is exact when the problem is.
     """
     n = prob.num_variables
     matrix = [
         [row[j] if j < n else int(j - n == i) for j in basis]
         for i, row in enumerate(prob.constraint_matrix)
     ]
-    costs = _basic_costs(prob, basis)
-    exact = numeric_kind(chain(prob.bounds, costs, *matrix)) != "float"
-    return _factor(matrix, exact)
+    return _factor(matrix, prob.exact)
 
 
 def _basic_costs(prob: LpProblem, basis) -> list:
-    n = prob.num_variables
-    return [prob.objective[j] if j < n else 0 for j in basis]
+    n, zero = prob.num_variables, _zero(prob)
+    return [prob.objective[j] if j < n else zero for j in basis]
 
 
 def _basis_solution(prob: LpProblem, basis, lu):
     """Basic solution (extended vector) for a basis and its factorisation."""
     basic_values = _lu_solve(lu, prob.bounds)
-    extended = [0.0] * (prob.num_variables + prob.num_constraints)
+    extended = [_zero(prob)] * (prob.num_variables + prob.num_constraints)
     for j, value in zip(basis, basic_values):
         extended[j] = value
     return extended
@@ -553,11 +539,11 @@ def _basis_reduced_costs(prob: LpProblem, basis, lu):
     y_i itself.
     """
     y = _lu_solve_transposed(lu, _basic_costs(prob, basis))
-    kinds = _shared_kinds(y, prob.constraint_matrix)
     # with no constraints every column is empty
     columns = list(zip(*prob.constraint_matrix)) or [()] * prob.num_variables
     structural = [
-        _dot(y, column, kinds) - c for column, c in zip(columns, prob.objective)
+        _dot(y, column, prob.exact) - c
+        for column, c in zip(columns, prob.objective)
     ]
     return structural + y
 
@@ -570,14 +556,17 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
     duals y, and takes the reduced costs from y.  Then verifies: claimed
     values are feasible, they agree with the basis solution, the objective
     matches, and every reduced cost satisfies the maximization sign
-    condition, each to within ``VERIFY_TOL``.  A singular basis matrix
-    fails the verification rather than raising.
+    condition, each to within ``VERIFY_TOL``.  The claimed values are
+    converted into the problem's arithmetic first, so an exact problem is
+    checked exactly.  A singular basis matrix fails the verification rather
+    than raising.
     """
     if sol.status != "optimal":
         return False
     n, m = prob.num_variables, prob.num_constraints
     if len(sol.basis) != m or len(sol.values) != n:
         return False
+    values = _in_arithmetic(sol.values, prob.exact)
     try:
         lu = _factor_basis(prob, sol.basis)
     except ZeroDivisionError:
@@ -587,14 +576,15 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
     tol = VERIFY_TOL
     if any(x < -tol for x in extended):
         return False
-    if any(abs(float(extended[j]) - float(sol.values[j])) > tol for j in range(n)):
+    if any(abs(float(extended[j]) - float(values[j])) > tol for j in range(n)):
         return False
-    residuals = constraint_residuals(prob, sol.values)
+    residuals = constraint_residuals(prob, values)
     if any(r > tol for r in residuals):
         return False
-    if any(v < -tol for v in sol.values):
+    if any(v < -tol for v in values):
         return False
-    if abs(float(_dot(prob.objective, sol.values)) - float(sol.objective_value)) > tol:
+    objective = _dot(prob.objective, values, prob.exact)
+    if abs(float(objective) - float(sol.objective_value)) > tol:
         return False
     return all(d >= -tol for d in reduced)
 
@@ -623,7 +613,7 @@ def enumerate_vertices(prob: LpProblem) -> LpSolution:
         extended = _basis_solution(prob, basis, lu)
         if any(x < -VERIFY_TOL for x in extended):
             continue
-        objective = _dot(prob.objective, extended[:n])
+        objective = _dot(prob.objective, extended[:n], prob.exact)
         if best is None or objective > best[0]:
             best = objective, basis, lu, tuple(extended[:n])
     if best is None:

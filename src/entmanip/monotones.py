@@ -10,6 +10,7 @@ single target (Nielsen's majorization test) and for a target ensemble.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from itertools import accumulate
@@ -89,6 +90,9 @@ def _padded_tails(s: SchmidtSpectrum, length: int) -> list:
 
 
 def _report(source_tails, target_tails, tol) -> FeasibilityReport:
+    # a NaN tolerance would pass every index, a negative one fail ties
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     slack = tuple(es - et for es, et in zip(source_tails, target_tails))
     violated = tuple(l for l, gap in enumerate(slack, start=1) if gap < -tol)
     return FeasibilityReport(violated, slack)
@@ -105,7 +109,8 @@ def nielsen_feasible(
     over the larger of the two ranks (shorter spectra padded with zeros)
     also enforces that the target cannot have more nonzero Schmidt
     components than the source: a larger target rank shows up as a violated
-    index, not an error.
+    index, not an error.  ``tol`` must be finite and >= 0, or
+    ``ValueError`` is raised.
     """
     n = max(source.rank, target.rank)
     return _report(_padded_tails(source, n), _padded_tails(target, n), tol)
@@ -122,7 +127,7 @@ def ensemble_feasible(
     iff the probability-weighted average of each tail-sum monotone over the
     targets does not exceed the source value, for every index.  The l = 1
     comparison holds automatically for normalized inputs and is kept as a
-    guard.
+    guard.  ``tol`` must be finite and >= 0, as for :func:`nielsen_feasible`.
     """
     n = max([source.rank] + [t.rank for _, t in ensemble.entries])
     avg = padded_average(

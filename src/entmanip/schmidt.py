@@ -6,9 +6,10 @@ coefficients.  Everything downstream (monotones, measurement protocols,
 concentration plans) works on that spectrum, so this module owns its
 construction and validation.
 
-Spectra normally hold floats.  They may also hold ``fractions.Fraction``
-entries, in which case normalisation is exact; the LP layer uses this for
-certifying saturation identities without floating-point doubt.
+Spectra normally hold floats.  A spectrum given any ``fractions.Fraction``
+entry is exact: every entry is then stored as a ``Fraction`` and
+normalisation is exact; the LP layer uses this for certifying saturation
+identities without floating-point doubt.
 """
 
 from __future__ import annotations
@@ -38,20 +39,21 @@ __all__ = [
 ]
 
 
-def numeric_kind(values) -> str:
-    """``"exact"``, ``"float"`` or ``"mixed"``, from the entry types of ``values``.
+def holds_fraction(values) -> bool:
+    """Whether some entry of ``values`` is a ``Fraction``.
 
-    ``"exact"``: some ``Fraction`` entries and otherwise only ints.
-    ``"float"``: no ``Fraction`` at all.  ``"mixed"``: a ``Fraction`` beside
-    any other type.  Each distinct type is tested once: ``isinstance(v,
-    Fraction)`` per entry goes through the slow ABC instance check.
+    This is the one rule that decides the arithmetic of a value: a spectrum,
+    plan, certificate or LP that holds any ``Fraction`` is exact, and one
+    that holds none is float.  Each distinct type is tested once:
+    ``isinstance(v, Fraction)`` per entry goes through the slow ABC
+    instance check.
     """
-    kinds = set(map(type, values))
-    if not any(issubclass(kind, Fraction) for kind in kinds):
-        return "float"
-    if all(issubclass(kind, (Fraction, int)) for kind in kinds):
-        return "exact"
-    return "mixed"
+    return any(issubclass(kind, Fraction) for kind in set(map(type, values)))
+
+
+def as_fraction(x) -> Fraction:
+    """``x`` as a ``Fraction``, converted exactly; a ``Fraction`` is kept."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def check_positive_nonincreasing(values: tuple, what: str) -> None:
@@ -111,7 +113,8 @@ class SchmidtSpectrum:
 
     Invariants: nonincreasing, strictly positive entries summing to 1 within
     ``NORM_TOL``.  Trailing zeros are never stored; the rank equals the
-    number of entries.  Use :func:`make_spectrum` or
+    number of entries.  Coefficients that hold a ``Fraction`` are stored as
+    ``Fraction``s and summed exactly.  Use :func:`make_spectrum` or
     :func:`schmidt_decompose` to build instances.
     """
 
@@ -122,7 +125,10 @@ class SchmidtSpectrum:
         if not coeffs:
             raise ValueError("spectrum must have at least one coefficient")
         check_positive_nonincreasing(coeffs, "spectrum coefficients")
-        total = sum(coeffs) if numeric_kind(coeffs) == "exact" else math.fsum(coeffs)
+        exact = holds_fraction(coeffs)
+        if exact:
+            coeffs = tuple(map(as_fraction, coeffs))
+        total = sum(coeffs) if exact else math.fsum(coeffs)
         if not abs(total - 1) <= NORM_TOL:
             raise ValueError(f"spectrum is not normalized: sum = {total!r}")
         object.__setattr__(self, "coeffs", coeffs)
@@ -137,9 +143,11 @@ def make_spectrum(raw: Sequence, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
     """Build a valid spectrum from raw nonnegative weights.
 
     Sorts nonincreasing (stable, so ties keep their input order), drops
-    entries below ``zero_tol``, and renormalizes.  For float input the
-    normalization is corrected to make ``math.fsum`` of the result exactly
-    1.0, which makes the function idempotent on already-valid spectra.
+    entries below ``zero_tol``, and renormalizes.  Input holding any
+    ``Fraction`` is exact: its entries are converted to ``Fraction`` and the
+    result sums to exactly 1.  For float input the normalization is
+    corrected to make ``math.fsum`` of the result exactly 1.0, which makes
+    the function idempotent on already-valid spectra.
 
     Raises ``ValueError`` on negative or NaN entries, on a sum that is not
     finite, or when nothing survives the zero stripping.
@@ -150,8 +158,12 @@ def make_spectrum(raw: Sequence, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
     if any(not v >= 0 for v in values):
         raise ValueError("coefficients must be nonnegative numbers")
 
-    exact = numeric_kind(values) == "exact"
-    if not exact:
+    exact = holds_fraction(values)
+    if exact:
+        if math.inf in values:
+            raise ValueError("coefficients must have a finite sum")
+        values = list(map(as_fraction, values))
+    else:
         values = [float(v) for v in values]
         if not math.isfinite(sum(values)):
             raise ValueError("coefficients must have a finite sum")
@@ -162,7 +174,7 @@ def make_spectrum(raw: Sequence, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
 
     if exact:
         total = sum(values)
-        values = [Fraction(v) / total for v in values]
+        values = [v / total for v in values]
     else:
         total = math.fsum(values)
         if total <= 0:

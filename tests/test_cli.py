@@ -130,6 +130,18 @@ class TestCheckFeasible:
         a = write_json(tmp_path / "a.json", {"spectrum": [1.0]})
         assert run(["check-feasible", "--source", a]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, capsys, tmp_path, tol):
+        # NaN used to pass every index (exit 0 on a pair that exits 3) and
+        # -1 to flag a slack of exactly 0
+        a = write_json(tmp_path / "a.json", {"spectrum": [0.9, 0.1]})
+        b = write_json(tmp_path / "b.json", {"spectrum": [0.5, 0.5]})
+        argv = ["check-feasible", "--source", a, "--target", b, "--tol", tol]
+        assert run(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert run(["decompose", "--state", a, "--zero-tol", tol]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestBuildPovm:
     def test_emits_elements_and_die(self, capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ from entmanip import (
     verify_solution,
 )
 from entmanip import lp
-from entmanip.schmidt import numeric_kind
+from entmanip.schmidt import holds_fraction
 from util import (
     CYCLING_LP,
     highs_optimum,
@@ -244,8 +245,9 @@ class TestVerifySolution:
 
 
 def test_reduced_costs_of_a_mixed_problem():
-    # float y, and a Fraction column summed naively as the per-column rule
-    # does: 1e16 + 1.0 - 1e16 is 0.0 there, 1.0 under math.fsum
+    # one Fraction makes the whole problem exact, so y and every reduced
+    # cost are Fractions: column 4's 1e16 + 1 - 1e16 is exactly 1, where a
+    # naive float sum gives 0.0
     matrix = (
         (1.0, 0.0, 0.0, Fraction(1)),
         (0.0, 1.0, 0.0, Fraction(1)),
@@ -254,7 +256,67 @@ def test_reduced_costs_of_a_mixed_problem():
     prob = LpProblem((1e16, 1.0, -1e16, 0.0), matrix, (1.0, 1.0, 1.0))
     basis = (0, 1, 2)
     costs = lp._basis_reduced_costs(prob, basis, lp._factor_basis(prob, basis))
-    assert costs == [0.0, 0.0, 0.0, 0.0, 1e16, 1.0, -1e16]
+    assert costs == [0, 0, 0, Fraction(1), Fraction(10**16), 1, -Fraction(10**16)]
+    assert all(type(c) is Fraction for c in costs)
+
+
+def test_exact_concentration_lp_is_exact_end_to_end():
+    # the exact LPs a library caller builds: a Fraction spectrum beside the
+    # default float ln weights
+    prob = concentration_lp(make_spectrum([Fraction(k) for k in (7, 5, 3, 2, 1)]))
+    sol = simplex_solve(prob, exact=True)
+    lu = lp._factor_basis(prob, sol.basis)
+    reduced = lp._basis_reduced_costs(prob, sol.basis, lu)
+    residuals = constraint_residuals(prob, simplex_solve(prob).values)
+    vertex = enumerate_vertices(prob)
+    for values in (reduced, residuals, vertex.values, [vertex.objective_value]):
+        assert all(type(v) is Fraction for v in values)
+    assert vertex.objective_value == sol.objective_value
+    assert verify_solution(prob, sol)
+
+
+_MIXED_ENTRIES = st.one_of(
+    st.integers(-3, 9),
+    st.floats(-2, 4),
+    st.fractions(min_value=-3, max_value=9, max_denominator=8),
+)
+
+
+@st.composite
+def _mixed_problems(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    row = st.lists(_MIXED_ENTRIES, min_size=n, max_size=n)
+    objective = draw(row)
+    matrix = draw(st.lists(row, min_size=m, max_size=m))
+    bounds = [abs(q) for q in draw(st.lists(_MIXED_ENTRIES, min_size=m, max_size=m))]
+    return objective, matrix, bounds
+
+
+class TestOneArithmetic:
+    """Any Fraction makes a problem exact; without one it is float."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(parts=_mixed_problems())
+    def test_stored_in_one_arithmetic_and_solved_alike(self, parts):
+        objective, matrix, bounds = parts
+        prob = LpProblem(objective, matrix, bounds)
+        given_entries = [*objective, *chain(*matrix), *bounds]
+        stored = [*prob.objective, *chain(*prob.constraint_matrix), *prob.bounds]
+        exact = any(isinstance(v, Fraction) for v in given_entries)
+        assert prob.exact == exact
+        assert all(type(v) is (Fraction if exact else float) for v in stored)
+        assert stored == given_entries
+        # both modes solve it as they solve it converted to Fraction by hand
+        by_hand = LpProblem(
+            [Fraction(v) for v in objective],
+            [[Fraction(v) for v in row] for row in matrix],
+            [Fraction(v) for v in bounds],
+        )
+        for mode in (False, True):
+            sol = _solve_or_error(prob, mode)
+            assert sol == _solve_or_error(by_hand, mode)
+            if not isinstance(sol, str):
+                assert {type(v) for v in sol.values} <= {Fraction if mode else float}
 
 
 class TestLargeConcentrationLp:
@@ -410,7 +472,7 @@ class TestCrashBasis:
             return
         assert sol.reduced_costs[:n] == (0,) * n
         slack_costs = sol.reduced_costs[n:]
-        if numeric_kind(weights) == "exact":
+        if holds_fraction(weights):
             assert slack_costs == cert.z_values
         else:
             assert [float(y) for y in slack_costs] == pytest.approx(
@@ -521,7 +583,7 @@ def _solve_or_error(prob, exact, solve=simplex_solve):
 
 def _slack_start(prob, exact=False):
     """Bland's rule from the slack basis alone, without the crash check."""
-    return lp._solve_from_slack_basis(*lp._converted(prob, exact))
+    return lp._solve_from_slack_basis(lp._converted(prob, exact))
 
 
 class TestSparseKernelsMatchDenseReferences:

@@ -238,6 +238,15 @@ def test_ensemble_probabilities_must_sum_to_one():
         make_ensemble([(0.4, s), (0.4, s)])
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    source, target = make_spectrum([0.9, 0.1]), make_spectrum([0.5, 0.5])
+    with pytest.raises(ValueError, match="tolerance"):
+        nielsen_feasible(source, target, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        ensemble_feasible(source, make_ensemble([(1.0, target)]), tol=tol)
+
+
 def test_nan_probability_ensemble_gets_no_verdict():
     # a NaN probability makes every slack NaN, and no index reads NaN as violated
     s = make_spectrum([0.5, 0.5])

@@ -29,7 +29,7 @@ from entmanip import (
     schmidt_decompose,
     uniform_spectrum,
 )
-from entmanip.schmidt import numeric_kind
+from entmanip.schmidt import ZERO_TOL, holds_fraction
 from util import random_unitary
 
 
@@ -143,6 +143,49 @@ class TestMakeSpectrum:
             make_spectrum([])
 
 
+_MIXED_ENTRIES = st.one_of(
+    st.integers(0, 9),
+    st.floats(0, 1),
+    st.fractions(min_value=0, max_value=9, max_denominator=12),
+)
+
+
+class TestOneArithmetic:
+    """Any Fraction makes a spectrum exact; without one it is float."""
+
+    @given(
+        st.lists(_MIXED_ENTRIES, min_size=1, max_size=8).filter(
+            lambda raw: any(v > ZERO_TOL for v in raw)
+        )
+    )
+    def test_make_spectrum_stores_one_arithmetic(self, raw):
+        s = make_spectrum(raw)
+        if not any(isinstance(v, Fraction) for v in raw):
+            assert all(type(c) is float for c in s.coeffs)
+            return
+        assert all(type(c) is Fraction for c in s.coeffs)
+        assert sum(s.coeffs) == 1
+        # every kept input, exactly, in its sorted place
+        kept = sorted((Fraction(v) for v in raw if v > ZERO_TOL), reverse=True)
+        total = sum(kept)
+        assert [c * total for c in s.coeffs] == kept
+
+    def test_mixed_input_makes_an_exact_spectrum(self):
+        s = make_spectrum([Fraction(1, 3), 0.5, 1])
+        assert s.coeffs == (Fraction(6, 11), Fraction(3, 11), Fraction(2, 11))
+        assert all(type(c) is Fraction for c in s.coeffs)
+        assert sum(s.coeffs) == 1
+
+    def test_mixed_coefficients_are_stored_as_fractions(self):
+        s = SchmidtSpectrum((Fraction(1, 2), 0.25, Fraction(1, 4)))
+        assert s.coeffs == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+        assert all(type(c) is Fraction for c in s.coeffs)
+
+    def test_infinite_entry_beside_a_fraction_is_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            make_spectrum([Fraction(1), math.inf])
+
+
 class TestSpectrumValidation:
     def test_rejects_increasing(self):
         with pytest.raises(ValueError, match="nonincreasing"):
@@ -231,6 +274,8 @@ class TestAmplitudeMatrix:
 
 
 class TestNumericKind:
+    # ``kind`` names what the entries are; any Fraction makes them exact,
+    # so a mixed list is exact too
     @pytest.mark.parametrize(
         "values, kind",
         [
@@ -245,8 +290,8 @@ class TestNumericKind:
         ],
     )
     def test_kinds(self, values, kind):
-        assert numeric_kind(values) == kind
-        assert numeric_kind(iter(values)) == kind
+        assert holds_fraction(values) == (kind != "float")
+        assert holds_fraction(iter(values)) == (kind != "float")
 
     @given(
         st.lists(
@@ -261,14 +306,11 @@ class TestNumericKind:
     def test_matches_the_per_entry_tests(self, values):
         # the per-entry definitions it replaced in schmidt, concentrate and lp
         has_fraction = any(isinstance(v, Fraction) for v in values)
-        all_rational = all(isinstance(v, (Fraction, int)) for v in values)
-        kind = numeric_kind(values)
-        assert (kind != "float") == has_fraction
-        assert (kind == "exact") == (has_fraction and all_rational)
+        assert holds_fraction(values) == has_fraction
 
     def test_no_per_entry_fraction_test_in_the_package(self):
         # isinstance(v, Fraction) per entry is an ABC check, ten times the
-        # cost of one numeric_kind scan over a long float vector
+        # cost of one holds_fraction scan over a long float vector
         comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
         found = []
         for path in sorted(Path(entmanip.__file__).parent.glob("*.py")):
@@ -285,4 +327,4 @@ class TestNumericKind:
                         and "Fraction" in ast.unparse(node.args[1])
                     ):
                         found.append(f"{path.name}:{node.lineno}")
-        assert not found, f"per-entry Fraction tests at {found}; use numeric_kind"
+        assert not found, f"per-entry Fraction tests at {found}; use holds_fraction"
