@@ -22,7 +22,6 @@ _SUBMODULE_OF = {
     "make_spectrum": "schmidt",
     "uniform_spectrum": "schmidt",
     "entropy": "schmidt",
-    "MonotoneVector": "monotones",
     "FeasibilityReport": "monotones",
     "vidal_monotones": "monotones",
     "nielsen_feasible": "monotones",

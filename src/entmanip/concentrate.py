@@ -25,7 +25,7 @@ from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .monotones import vidal_monotones
-from .schmidt import SchmidtSpectrum, holds_fraction
+from .schmidt import NORM_TOL, SchmidtSpectrum, holds_fraction
 
 if TYPE_CHECKING:
     from .lp import LpProblem
@@ -54,7 +54,8 @@ class ConcentrationPlan:
 
     ``probabilities[j-1]`` is the chance of finishing on the j-level
     maximally entangled state; ``expected_entanglement`` is the mean of
-    ln j under that distribution, in nats.
+    ln j under that distribution, in nats.  The probabilities sum to 1
+    within ``NORM_TOL``, the rule a spectrum's coefficients meet.
     """
 
     probabilities: tuple
@@ -68,7 +69,7 @@ class ConcentrationPlan:
             raise ValueError("plan probabilities must be nonnegative")
         exact = holds_fraction(probabilities)
         total = sum(probabilities) if exact else math.fsum(probabilities)
-        if not abs(total - 1) <= 1e-12:
+        if not abs(total - 1) <= NORM_TOL:
             raise ValueError(f"plan probabilities sum to {total!r}, not 1")
         if not math.isfinite(self.expected_entanglement):
             raise ValueError(
@@ -171,8 +172,7 @@ def concentration_lp(s: SchmidtSpectrum, weights=None) -> LpProblem:
         (zero,) * (l - 1) + tuple(map(divide, range(1, n + 2 - l), range(l, n + 1)))
         for l in range(1, n + 1)
     )
-    bounds = vidal_monotones(s).values
-    return LpProblem(weights, matrix, bounds)
+    return LpProblem(weights, matrix, vidal_monotones(s))
 
 
 def optimality_certificate(n: int, weights=None) -> OptimalityCertificate:

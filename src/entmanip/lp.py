@@ -44,12 +44,13 @@ concentration LPs the factorisation does no elimination at all.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .schmidt import as_fraction, holds_fraction
+from .schmidt import as_fraction
 
 PIVOT_TOL = 1e-11
 VERIFY_TOL = 1e-9
@@ -73,13 +74,14 @@ __all__ = [
 class LpProblem:
     """maximize objective.x  s.t.  constraint_matrix x <= bounds, x >= 0.
 
-    Entries may be ints, floats or ``Fraction``s.  If any entry is a
-    ``Fraction`` the problem is exact and stores every entry as a
-    ``Fraction``; otherwise it stores floats.  ``exact`` tells which, so
-    every kernel computes in one arithmetic.  Dimensions and the
-    finiteness of float entries are validated, the sign of the bounds is
-    not (concentration instances always have nonnegative bounds, and the
-    solver guards the rest).
+    Entries must be real numbers (``numbers.Real``: ints, floats,
+    ``Fraction``s); anything else, a numeric string included, raises
+    ``ValueError``.  If any entry is a ``Fraction`` the problem is exact
+    and stores every entry as a ``Fraction``; otherwise it stores floats.
+    ``exact`` tells which, so every kernel computes in one arithmetic.
+    Dimensions and the finiteness of every entry are validated, the sign
+    of the bounds is not (concentration instances always have nonnegative
+    bounds, and the solver guards the rest).
     """
 
     objective: tuple
@@ -97,19 +99,17 @@ class LpProblem:
         for row in matrix:
             if len(row) != len(objective):
                 raise ValueError("constraint row length must match variable count")
-        for name, values in (
-            ("objective", objective),
-            ("constraint_matrix", (v for row in matrix for v in row)),
-            ("bounds", bounds),
-        ):
-            for v in values:
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise ValueError(f"LP {name} entries must be finite, got {v!r}")
-        exact = holds_fraction(chain(objective, *matrix, bounds))
-        matrix = tuple(_in_arithmetic(row, exact) for row in matrix)
-        object.__setattr__(self, "objective", _in_arithmetic(objective, exact))
+        kinds = set(map(type, chain(objective, *matrix, bounds)))
+        if not all(issubclass(kind, numbers.Real) for kind in kinds):
+            raise ValueError("LP entries must be real numbers")
+        # the rule of schmidt.holds_fraction, read off the same type scan
+        exact = any(issubclass(kind, Fraction) for kind in kinds)
+        (objective,) = _finite("objective", (objective,), exact)
+        matrix = _finite("constraint_matrix", matrix, exact)
+        (bounds,) = _finite("bounds", (bounds,), exact)
+        object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "constraint_matrix", matrix)
-        object.__setattr__(self, "bounds", _in_arithmetic(bounds, exact))
+        object.__setattr__(self, "bounds", bounds)
 
     @property
     def exact(self) -> bool:
@@ -161,6 +161,18 @@ class LpSolution:
 def _in_arithmetic(values, exact) -> tuple:
     """``values`` as ``Fraction``s if ``exact``, else as floats."""
     return tuple(map(as_fraction if exact else float, values))
+
+
+def _finite(name: str, rows, exact) -> tuple:
+    """``rows`` in the given arithmetic; ``ValueError`` unless all finite."""
+    try:  # NaN or inf to Fraction, or a huge int to float, raises
+        rows = tuple(_in_arithmetic(row, exact) for row in rows)
+        finite = exact or all(map(math.isfinite, chain.from_iterable(rows)))
+    except (ValueError, OverflowError):
+        finite = False
+    if not finite:
+        raise ValueError(f"LP {name} entries must be finite")
+    return rows
 
 
 def _zero(prob: LpProblem):

@@ -4,8 +4,10 @@ The tail sums of an ordered Schmidt spectrum form a family of entanglement
 monotones (one per starting index).  A pure-state transformation, possibly
 probabilistic, can be realised with local operations and classical
 communication exactly when none of these monotones increases on average.
-This module computes the monotones and applies that criterion, both for a
-single target (Nielsen's majorization test) and for a target ensemble.
+This module computes the monotones, as a plain tuple of tail sums, and
+applies that criterion, both for a single target (Nielsen's majorization
+test) and for a target ensemble.  Tail vectors of different rank are
+compared with zeros filled in past the shorter one.
 """
 
 from __future__ import annotations
@@ -13,47 +15,20 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, repeat, starmap, zip_longest
 
-from .schmidt import (
-    NORM_TOL,
-    SchmidtSpectrum,
-    check_positive_nonincreasing,
-    padded_average,
-    zero_padded,
-)
+from .schmidt import NORM_TOL, SchmidtSpectrum, padded_average
 
 FEASIBILITY_TOL = 1e-9
 
 __all__ = [
     "FEASIBILITY_TOL",
-    "MonotoneVector",
     "FeasibilityReport",
     "vidal_monotones",
     "nielsen_feasible",
     "ensemble_feasible",
     "max_conversion_probability",
 ]
-
-
-@dataclass(frozen=True)
-class MonotoneVector:
-    """Tail sums E_l = sum of the spectrum from index l on, l = 1..rank.
-
-    E_1 is the full normalization (1 within 1e-12) and consecutive
-    differences recover the spectrum coefficients.
-    """
-
-    values: tuple
-
-    def __post_init__(self):
-        values = tuple(self.values)
-        if not values:
-            raise ValueError("monotone vector must be non-empty")
-        if not abs(values[0] - 1) <= 1e-12:
-            raise ValueError(f"leading monotone must be 1, got {values[0]!r}")
-        check_positive_nonincreasing(values, "monotone values")
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -77,23 +52,27 @@ class FeasibilityReport:
         return not self.violated_indices
 
 
-def vidal_monotones(s: SchmidtSpectrum) -> MonotoneVector:
-    """All tail-sum monotones of a spectrum, by backward accumulation."""
-    tails = list(accumulate(reversed(s.coeffs)))
-    tails.reverse()
-    return MonotoneVector(tuple(tails))
+def vidal_monotones(s: SchmidtSpectrum) -> tuple:
+    """All tail-sum monotones of a spectrum, by backward accumulation.
 
-
-def _padded_tails(s: SchmidtSpectrum, length: int) -> list:
-    """Tail sums extended with zeros up to ``length`` entries."""
-    return zero_padded(vidal_monotones(s).values, length)
+    Returns the tuple (E_1, ..., E_rank), E_l = sum of the coefficients
+    from index l on.  The spectrum's invariants carry over: the tails are
+    positive and nonincreasing, and consecutive differences are the
+    coefficients.  E_1 is the running sum of all coefficients: exactly 1
+    for an exact spectrum, and for a float one 1 up to the spectrum's
+    normalization and the rounding of the sum.
+    """
+    return tuple(accumulate(reversed(s.coeffs)))[::-1]
 
 
 def _report(source_tails, target_tails, tol) -> FeasibilityReport:
     # a NaN tolerance would pass every index, a negative one fail ties
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
-    slack = tuple(es - et for es, et in zip(source_tails, target_tails))
+    # int 0 past the shorter vector keeps floats float and Fractions exact
+    slack = tuple(
+        starmap(operator.sub, zip_longest(source_tails, target_tails, fillvalue=0))
+    )
     violated = tuple(l for l, gap in enumerate(slack, start=1) if gap < -tol)
     return FeasibilityReport(violated, slack)
 
@@ -106,14 +85,13 @@ def nielsen_feasible(
     """Can ``source`` be converted to ``target`` deterministically by LQCC?
 
     Feasible iff every target tail sum is at most the source's.  Comparing
-    over the larger of the two ranks (shorter spectra padded with zeros)
+    over the larger of the two ranks (zeros past the shorter tail vector)
     also enforces that the target cannot have more nonzero Schmidt
     components than the source: a larger target rank shows up as a violated
     index, not an error.  ``tol`` must be finite and >= 0, or
     ``ValueError`` is raised.
     """
-    n = max(source.rank, target.rank)
-    return _report(_padded_tails(source, n), _padded_tails(target, n), tol)
+    return _report(vidal_monotones(source), vidal_monotones(target), tol)
 
 
 def ensemble_feasible(
@@ -129,11 +107,8 @@ def ensemble_feasible(
     comparison holds automatically for normalized inputs and is kept as a
     guard.  ``tol`` must be finite and >= 0, as for :func:`nielsen_feasible`.
     """
-    n = max([source.rank] + [t.rank for _, t in ensemble.entries])
-    avg = padded_average(
-        ((p, vidal_monotones(t).values) for p, t in ensemble.entries), n
-    )
-    report = _report(_padded_tails(source, n), avg, tol)
+    avg = padded_average((p, vidal_monotones(t)) for p, t in ensemble.entries)
+    report = _report(vidal_monotones(source), avg, tol)
     if abs(report.slack[0]) > max(tol, 2 * NORM_TOL):
         raise ValueError(
             "leading monotones differ; source or targets are not normalized"
@@ -154,7 +129,7 @@ def max_conversion_probability(
     """
     ratios = map(
         operator.truediv,
-        map(float, _padded_tails(source, target.rank)),
-        map(float, vidal_monotones(target).values),
+        map(float, chain(vidal_monotones(source), repeat(0))),
+        map(float, vidal_monotones(target)),
     )
     return max(0.0, min(1.0, min(ratios, default=1.0)))

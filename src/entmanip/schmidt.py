@@ -18,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import repeat, zip_longest
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
@@ -163,6 +163,8 @@ def make_spectrum(raw: Sequence, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
         if math.inf in values:
             raise ValueError("coefficients must have a finite sum")
         values = list(map(as_fraction, values))
+        if math.isfinite(zero_tol):  # a Fraction meets a float slowly
+            zero_tol = as_fraction(zero_tol)
     else:
         values = [float(v) for v in values]
         if not math.isfinite(sum(values)):
@@ -177,8 +179,6 @@ def make_spectrum(raw: Sequence, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
         values = [v / total for v in values]
     else:
         total = math.fsum(values)
-        if total <= 0:
-            raise ValueError("coefficient sum must be positive")
         values = [v / total for v in values]
         # Fold the rounding residual into the largest coefficient so that
         # fsum(values) == 1.0 exactly; the correction is O(eps) and the
@@ -192,25 +192,17 @@ def make_spectrum(raw: Sequence, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
     return SchmidtSpectrum(tuple(values))
 
 
-def zero_padded(values: Sequence, length: int) -> list:
-    """``values`` extended with zeros up to ``length`` entries.
+def padded_average(pairs) -> list:
+    """Sum of ``p * values`` over ``(p, values)`` pairs, zero-filled.
 
-    The zeros are ``Fraction(0)`` when the values are exact and ``0.0``
-    otherwise, so exact spectra stay exact.
+    The result is as long as the longest ``values``; shorter ones count as
+    zero past their end.  Sum and fill are int 0, so float pairs give what
+    a 0.0 start and 0.0 padding give, bit for bit, and exact
+    (``Fraction``) pairs give an exact average.
     """
-    zero = Fraction(0) if isinstance(values[0], Fraction) else 0.0
-    return list(values) + [zero] * (length - len(values))
-
-
-def padded_average(pairs, length: int) -> list:
-    """Sum of ``p * zero_padded(values, length)`` over ``(p, values)`` pairs.
-
-    The sum starts from int 0, so float pairs give what a 0.0 start gives,
-    bit for bit, and exact (``Fraction``) pairs give an exact average.
-    """
-    avg = [0] * length
+    avg = []
     for p, values in pairs:
-        avg = [a + p * v for a, v in zip(avg, zero_padded(values, length))]
+        avg = [a + p * v for a, v in zip_longest(avg, values, fillvalue=0)]
     return avg
 
 

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
-from .schmidt import NORM_TOL, SchmidtSpectrum, make_spectrum, padded_average, zero_padded
+from .schmidt import NORM_TOL, SchmidtSpectrum, make_spectrum, padded_average
 
 MERGE_TOL = 1e-9
 POVM_TOL = 1e-10
@@ -198,17 +199,16 @@ def average_target(e: TargetEnsemble) -> SchmidtSpectrum:
     basis; the result is automatically ordered and normalized, and its tail
     sums equal the averaged tail sums of the individual targets.
     """
-    n = e.max_rank
-    avg = padded_average(((p, t.coeffs) for p, t in e.entries), n)
-    for i in range(n - 1):
+    avg = padded_average((p, t.coeffs) for p, t in e.entries)
+    for i in range(len(avg) - 1):
         # ordered targets average to an ordered spectrum; anything else is
         # an internal error, not bad input
         assert avg[i] >= avg[i + 1] - 1e-12, "average spectrum out of order"
     return make_spectrum(avg, zero_tol=0.0)
 
 
-def _same_spectrum(a: list, b: list) -> bool:
-    return all(abs(x - y) <= MERGE_TOL for x, y in zip(a, b))
+def _same_spectrum(a: tuple, b: tuple) -> bool:
+    return all(abs(x - y) <= MERGE_TOL for x, y in zip_longest(a, b, fillvalue=0))
 
 
 def merge_duplicates(e: TargetEnsemble) -> tuple[TargetEnsemble, DieTable]:
@@ -220,17 +220,15 @@ def merge_duplicates(e: TargetEnsemble) -> tuple[TargetEnsemble, DieTable]:
     classical coin toss.  Ensembles with all-distinct targets come back
     unchanged, with a trivial die.
     """
-    n = e.max_rank
-    reps: list[list] = []  # [padded coeffs, summed prob, [(orig idx, p)]]
+    reps: list[list] = []  # [coeffs, summed prob, [(orig idx, p)]]
     for j, (p, target) in enumerate(e.entries, start=1):
-        padded = zero_padded(target.coeffs, n)
         for group in reps:
-            if _same_spectrum(group[0], padded):
+            if _same_spectrum(group[0], target.coeffs):
                 group[1] += p
                 group[2].append((j, p))
                 break
         else:
-            reps.append([padded, p, [(j, p)]])
+            reps.append([target.coeffs, p, [(j, p)]])
 
     merged_entries = []
     groups = []
@@ -259,10 +257,8 @@ def build_ensemble_povm(e: TargetEnsemble) -> DiagonalPovm:
             # the average dominates every target componentwise, so a target
             # coefficient outside the average's support cannot happen
             raise AssertionError("target support exceeds average support")
-        padded = zero_padded(target.coeffs, n)
-        diag = tuple(
-            math.sqrt(p * padded[i] / avg.coeffs[i]) for i in range(n)
-        )
+        pairs = zip_longest(target.coeffs, avg.coeffs, fillvalue=0)
+        diag = tuple(math.sqrt(p * t / a) for t, a in pairs)
         elements.append(PovmElement(j, diag))
     return DiagonalPovm(tuple(elements), support_rank=n)
 

@@ -211,7 +211,7 @@ def test_criterion_7_irreversibility_and_asymptotics():
 
 def _lp_feasibility_oracle(source, avg_tails) -> bool:
     """Feasible iff the scaled conversion LP reaches probability one."""
-    source_tails = list(vidal_monotones(source).values)
+    source_tails = list(vidal_monotones(source))
     n = max(len(source_tails), len(avg_tails))
     source_tails += [0.0] * (n - len(source_tails))
     avg_tails = list(avg_tails) + [0.0] * (n - len(avg_tails))
@@ -227,7 +227,7 @@ def _averaged_tails(ensemble):
     n = ensemble.max_rank
     avg = [0.0] * n
     for p, target in ensemble.entries:
-        tails = list(vidal_monotones(target).values) + [0.0] * n
+        tails = list(vidal_monotones(target)) + [0.0] * n
         for i in range(n):
             avg[i] += p * tails[i]
     return avg
@@ -241,7 +241,7 @@ def test_criterion_8_feasibility_oracle_equivalence():
         source = random_spectrum(rng, int(rng.integers(1, 7)))
         target = random_spectrum(rng, int(rng.integers(1, 7)))
         direct = nielsen_feasible(source, target).feasible
-        via_lp = _lp_feasibility_oracle(source, vidal_monotones(target).values)
+        via_lp = _lp_feasibility_oracle(source, vidal_monotones(target))
         assert direct == via_lp
         agreements += 1
 

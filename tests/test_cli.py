@@ -104,6 +104,15 @@ class TestCheckFeasible:
         assert doc["feasible"] is False
         assert doc["violated_indices"] == [2]
 
+    def test_maximally_entangled_rank_1e5_source(self, capsys, tmp_path):
+        src = write_json(tmp_path / "a.json", {"spectrum": [1.0] * 100_000})
+        tgt = write_json(tmp_path / "b.json", {"spectrum": [1.0]})
+        code, doc = run_json(
+            capsys, ["check-feasible", "--source", src, "--target", tgt]
+        )
+        assert code == 0
+        assert doc["feasible"] is True
+
     def test_ensemble(self, capsys, tmp_path):
         src = write_json(tmp_path / "src.json", {"spectrum": [0.75, 0.25]})
         ens = write_json(

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from entmanip import (
+    ConcentrationPlan,
+    SchmidtSpectrum,
     apply_povm_element,
     asymptotic_yield_curve,
     concentration_lp,
@@ -18,6 +20,7 @@ from entmanip import (
     single_shot_povm,
     standard_weights,
     uniform_spectrum,
+    verify_solution,
     vidal_monotones,
 )
 from hypothesis import assume, given, settings
@@ -48,7 +51,7 @@ class TestMaxEntangledMonotone:
 
     def test_matches_uniform_spectrum_tails(self):
         for levels in (1, 2, 3, 6):
-            tails = vidal_monotones(uniform_spectrum(levels)).values
+            tails = vidal_monotones(uniform_spectrum(levels))
             for l in range(1, levels + 1):
                 assert max_entangled_monotone(levels, l) == pytest.approx(
                     tails[l - 1], abs=1e-12
@@ -86,6 +89,21 @@ class TestOptimalPlan:
                 1.0, abs=1e-12
             )
 
+    def test_plan_of_a_spectrum_normalized_within_norm_tol(self):
+        s = SchmidtSpectrum((0.5 + 5e-10, 0.5))
+        plan = optimal_plan(s)
+        assert plan.probabilities == pytest.approx((0.0, 1.0), abs=1e-9)
+        prob = concentration_lp(s)
+        sol = simplex_solve(prob)
+        assert sol.status == "optimal"
+        assert verify_solution(prob, sol)
+        assert sol.values == pytest.approx(plan.probabilities, abs=1e-9)
+
+    def test_plan_sum_is_held_to_norm_tol(self):
+        ConcentrationPlan((0.5 + 5e-10, 0.5), 0.0)
+        with pytest.raises(ValueError, match="sum"):
+            ConcentrationPlan((0.5 + 2e-9, 0.5), 0.0)
+
     def test_yield_bounded_by_entropy(self):
         rng = np.random.default_rng(83)
         for _ in range(100):
@@ -110,7 +128,7 @@ class TestOptimalPlan:
         for _ in range(50):
             s = random_spectrum(rng, int(rng.integers(1, 9)))
             plan = optimal_plan(s)
-            tails = vidal_monotones(s).values
+            tails = vidal_monotones(s)
             for l in range(1, s.rank + 1):
                 conserved = math.fsum(
                     p * max_entangled_monotone(j, l)

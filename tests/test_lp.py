@@ -531,6 +531,31 @@ def test_problem_rejects_non_finite_floats(field, objective, matrix, bounds):
         LpProblem(objective, matrix, bounds)
 
 
+@pytest.mark.parametrize(
+    "objective, matrix, bounds, message",
+    [
+        (("1",), (("2",),), ("3",), "real numbers"),
+        ((Fraction(1),), (("1/2",),), (Fraction(1),), "real numbers"),
+        ((None,), ((1.0,),), (1.0,), "real numbers"),
+        ((10**400,), ((1.0,),), (1.0,), "LP objective entries must be finite"),
+        ((1.0,), ((1.0,),), (-(10**400),), "LP bounds entries must be finite"),
+        ((Fraction(1),), ((math.inf,),), (1,), "LP constraint_matrix entries must be finite"),
+    ],
+    ids=["string", "fraction-string", "none", "huge-int", "huge-int-bound", "exact-inf"],
+)
+def test_problem_rejects_entries_that_are_not_finite_reals(
+    objective, matrix, bounds, message
+):
+    with pytest.raises(ValueError, match=message):
+        LpProblem(objective, matrix, bounds)
+
+
+def test_huge_int_is_a_finite_entry_of_an_exact_problem():
+    prob = LpProblem((10**400,), ((Fraction(1),),), (1,))
+    assert prob.exact
+    assert prob.objective == (Fraction(10**400),)
+
+
 # ------------------------------------------- sparse kernels vs references
 
 _FLOAT_ENTRIES = st.one_of(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from entmanip import (
     LpProblem,
+    SchmidtSpectrum,
     TargetEnsemble,
     ensemble_feasible,
     make_ensemble,
@@ -17,6 +18,7 @@ from entmanip import (
     max_conversion_probability,
     nielsen_feasible,
     simplex_solve,
+    uniform_spectrum,
     vidal_monotones,
 )
 from util import (
@@ -47,32 +49,58 @@ def brute_force_tails(coeffs):
 
 class TestVidalMonotones:
     def test_product_state(self):
-        assert vidal_monotones(make_spectrum([1.0])).values == (1.0,)
+        assert vidal_monotones(make_spectrum([1.0])) == (1.0,)
 
     def test_worked_example(self):
-        values = vidal_monotones(make_spectrum([0.5, 0.3, 0.2])).values
+        values = vidal_monotones(make_spectrum([0.5, 0.3, 0.2]))
         assert values == pytest.approx((1.0, 0.5, 0.2), abs=1e-15)
         assert values == pytest.approx(
             brute_force_tails((0.5, 0.3, 0.2)), abs=1e-15
         )
 
     def test_uniform(self):
-        values = vidal_monotones(make_spectrum([0.25] * 4)).values
+        values = vidal_monotones(make_spectrum([0.25] * 4))
         assert values == pytest.approx((1.0, 0.75, 0.5, 0.25), abs=1e-15)
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             s = random_spectrum(rng, int(rng.integers(1, 10)))
-            assert vidal_monotones(s).values == pytest.approx(
+            assert vidal_monotones(s) == pytest.approx(
                 brute_force_tails(s.coeffs), abs=1e-13
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(float_spectra, exact_spectra))
+    def test_tails_are_positive_and_nonincreasing(self, s):
+        tails = vidal_monotones(s)
+        assert type(tails) is tuple
+        assert len(tails) == s.rank
+        assert all(t > 0 for t in tails)
+        assert all(a >= b for a, b in zip(tails, tails[1:]))
+        if isinstance(s.coeffs[0], Fraction):
+            assert tails[0] == 1
+            assert [a - b for a, b in zip(tails, tails[1:] + (0,))] == list(s.coeffs)
+
+    @pytest.mark.parametrize(
+        "s",
+        [uniform_spectrum(39_500), SchmidtSpectrum((0.5 + 5e-10, 0.5))],
+        ids=["uniform-39500", "sum-one-plus-5e-10"],
+    )
+    def test_valid_spectrum_whose_sum_is_not_one_to_1e_12(self, s):
+        # the running sum of 39,500 equal floats misses 1 by about 1e-12
+        tails = vidal_monotones(s)
+        assert len(tails) == s.rank
+        product = make_spectrum([1.0])
+        assert nielsen_feasible(s, product).feasible
+        assert ensemble_feasible(s, make_ensemble([(1.0, product)])).feasible
+        assert max_conversion_probability(s, product) == 1.0
 
     def test_reconstruction_round_trip(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             s = random_spectrum(rng, int(rng.integers(1, 10)))
-            tails = vidal_monotones(s).values
+            tails = vidal_monotones(s)
             diffs = [
                 tails[i] - (tails[i + 1] if i + 1 < len(tails) else 0.0)
                 for i in range(len(tails))
@@ -159,6 +187,18 @@ class TestEnsembleFeasible:
             assert single.feasible == pair.feasible
             assert single.slack == pytest.approx(pair.slack, abs=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(float_spectra, exact_spectra),
+        st.one_of(float_spectra, exact_spectra),
+    )
+    def test_singleton_report_is_nielsen_bit_for_bit(self, a, b):
+        for source, target in ((a, b), (b, a)):
+            single = ensemble_feasible(source, make_ensemble([(1, target)]))
+            pair = nielsen_feasible(source, target)
+            assert single.violated_indices == pair.violated_indices
+            assert list(map(repr, single.slack)) == list(map(repr, pair.slack))
+
     @settings(max_examples=100, deadline=None)
     @given(exact_spectra, exact_spectra)
     def test_singleton_report_equals_nielsen_exact(self, source, target):
@@ -219,8 +259,8 @@ class TestMaxConversionProbability:
             n = int(rng.integers(1, 7))
             source = random_spectrum(rng, n)
             target = random_spectrum(rng, int(rng.integers(1, n + 1)))
-            source_tails = vidal_monotones(source).values
-            target_tails = vidal_monotones(target).values
+            source_tails = vidal_monotones(source)
+            target_tails = vidal_monotones(target)
             rows = tuple(
                 (target_tails[l] if l < len(target_tails) else 0.0,)
                 for l in range(n)

@@ -19,7 +19,6 @@ from entmanip import (
     ConcentrationPlan,
     DiagonalPovm,
     DieGroup,
-    MonotoneVector,
     PovmElement,
     SchmidtSpectrum,
     TargetEnsemble,
@@ -181,6 +180,13 @@ class TestOneArithmetic:
         assert s.coeffs == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
         assert all(type(c) is Fraction for c in s.coeffs)
 
+    def test_exact_input_meets_zero_tol_exactly(self):
+        at = Fraction(1e-12)
+        s = make_spectrum([Fraction(1), at, at + Fraction(1, 10**40)], zero_tol=1e-12)
+        assert s.rank == 2
+        with pytest.raises(ValueError, match="zero"):
+            make_spectrum([Fraction(1)], zero_tol=math.inf)
+
     def test_infinite_entry_beside_a_fraction_is_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             make_spectrum([Fraction(1), math.inf])
@@ -205,7 +211,6 @@ _PAIR = SchmidtSpectrum((0.5, 0.5))
 # A valid vector of each validated value type, and how to build the type.
 _VALID_VECTORS = {
     "SchmidtSpectrum": (SchmidtSpectrum, (0.5, 0.3, 0.2)),
-    "MonotoneVector": (MonotoneVector, (1.0, 0.5, 0.2)),
     "ConcentrationPlan": (lambda p: ConcentrationPlan(p, 0.5), (0.2, 0.2, 0.6)),
     "TargetEnsemble": (
         lambda p: TargetEnsemble(tuple(zip(p, repeat(_PAIR)))),

@@ -48,10 +48,10 @@ class TestAverageTarget:
             e = random_ensemble(rng, int(rng.integers(1, 6)), 6)
             avg = average_target(e)
             n = max(avg.rank, e.max_rank)
-            avg_tails = padded(vidal_monotones(avg).values, n)
+            avg_tails = padded(vidal_monotones(avg), n)
             by_hand = [0.0] * n
             for p, target in e.entries:
-                tails = padded(vidal_monotones(target).values, n)
+                tails = padded(vidal_monotones(target), n)
                 for i in range(n):
                     by_hand[i] += p * tails[i]
             assert avg_tails == pytest.approx(by_hand, abs=1e-12)
@@ -81,7 +81,7 @@ class TestPaddedAverage:
     )
     def test_float_average_is_the_loop_bit_for_bit(self, pairs):
         n = max(len(values) for _, values in pairs)
-        got = padded_average(pairs, n)
+        got = padded_average(pairs)
         assert [x.hex() for x in got] == [
             x.hex() for x in _loop_average(pairs, n)
         ]
@@ -91,7 +91,7 @@ class TestPaddedAverage:
         pair = make_spectrum([Fraction(1), Fraction(1)])
         e = make_ensemble([(Fraction(1, 3), one), (Fraction(2, 3), pair)])
         assert padded_average(
-            ((p, t.coeffs) for p, t in e.entries), 2
+            ((p, t.coeffs) for p, t in e.entries)
         ) == [Fraction(2, 3), Fraction(1, 3)]
         avg = average_target(e)
         assert avg.coeffs == (Fraction(2, 3), Fraction(1, 3))

@@ -15,7 +15,6 @@ from entmanip import (
     optimal_plan,
     vidal_monotones,
 )
-from entmanip.schmidt import zero_padded
 
 
 def random_spectrum(rng: np.random.Generator, n: int) -> SchmidtSpectrum:
@@ -103,8 +102,8 @@ def reference_max_conversion_probability(
     target's is nonzero, starting from 1.0 and clamped to [0, 1].
     """
     n = max(source.rank, target.rank)
-    source_tails = zero_padded(vidal_monotones(source).values, n)
-    target_tails = zero_padded(vidal_monotones(target).values, n)
+    source_tails = list(vidal_monotones(source)) + [0.0] * (n - source.rank)
+    target_tails = list(vidal_monotones(target)) + [0.0] * (n - target.rank)
     best = 1.0
     for es, et in zip(source_tails, target_tails):
         if et > 0:
