@@ -36,7 +36,6 @@ _SUBMODULE_OF = {
     "average_target": "transform",
     "merge_duplicates": "transform",
     "build_ensemble_povm": "transform",
-    "apply_povm_element": "transform",
     "ConcentrationPlan": "concentrate",
     "OptimalityCertificate": "concentrate",
     "optimal_plan": "concentrate",
@@ -49,12 +48,10 @@ _SUBMODULE_OF = {
     "LpSolution": "lp",
     "simplex_solve": "lp",
     "verify_solution": "lp",
-    "enumerate_vertices": "lp",
     "constraint_residuals": "lp",
     "IncompletePovmError": "transform",
     "SimulationReport": "sim",
     "simulate": "sim",
-    "yield_statistics": "sim",
 }
 
 __all__ = ["__version__", *_SUBMODULE_OF]

@@ -78,6 +78,19 @@ class ConcentrationPlan:
             )
         object.__setattr__(self, "probabilities", probabilities)
 
+    @classmethod
+    def _of_spectrum(cls, probabilities: tuple, expected_entanglement: float):
+        """The plan of a checked spectrum, built without checking it again.
+
+        Its probabilities are nonnegative and telescope to the coefficient
+        sum, which the spectrum already holds to ``NORM_TOL``; summing them
+        again can round a valid spectrum's plan just past that bound.
+        """
+        plan = object.__new__(cls)
+        object.__setattr__(plan, "probabilities", probabilities)
+        object.__setattr__(plan, "expected_entanglement", expected_entanglement)
+        return plan
+
 
 @dataclass(frozen=True)
 class OptimalityCertificate:
@@ -107,9 +120,9 @@ def optimal_plan(s: SchmidtSpectrum) -> ConcentrationPlan:
     """Yield-maximizing concentration distribution for a spectrum.
 
     Level j receives probability j * (a_j - a_{j+1}) with a_{N+1} = 0; the
-    probabilities telescope back to the coefficient sum, which
-    :class:`ConcentrationPlan` checks.  The expected entanglement is the
-    ln j average in nats.
+    probabilities telescope back to the coefficient sum, so the plan is
+    normalised because the spectrum is, and its sum is not checked again.
+    The expected entanglement is the ln j average in nats.
     """
     coeffs = s.coeffs
     n = len(coeffs)
@@ -120,7 +133,7 @@ def optimal_plan(s: SchmidtSpectrum) -> ConcentrationPlan:
     expected = math.fsum(
         float(p) * math.log(j) for j, p in enumerate(probs, start=1) if j > 1
     )
-    return ConcentrationPlan(tuple(probs), expected)
+    return ConcentrationPlan._of_spectrum(tuple(probs), expected)
 
 
 def standard_weights(kind: str, n: int) -> tuple:

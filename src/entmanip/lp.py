@@ -32,13 +32,12 @@ c_1 >= 0 and j c_j convex (ln, log2) are settled this way.  Otherwise the
 pivots start from the slack basis exactly as if no check had been made;
 the check never hands the pivots a starting basis of its own.
 
-A brute-force vertex enumerator doubles as an independent oracle for small
-instances, and :func:`verify_solution` recomputes feasibility and reduced
-costs of a claimed optimum from its stated basis.  Both factor the basis
-matrix B once (LU with partial pivoting, eliminating over the pivot row's
-nonzeros) and answer B x = q and B^T y = c_B from that one factorisation
-by sparse triangular substitution; on the triangular bases of the
-concentration LPs the factorisation does no elimination at all.
+:func:`verify_solution` recomputes feasibility and reduced costs of a
+claimed optimum from its stated basis.  It factors the basis matrix B once
+(LU with partial pivoting, eliminating over the pivot row's nonzeros) and
+answers B x = q and B^T y = c_B from that one factorisation by sparse
+triangular substitution; on the triangular bases of the concentration LPs
+the factorisation does no elimination at all.
 """
 
 from __future__ import annotations
@@ -48,24 +47,21 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 
 from .schmidt import as_fraction
 
 PIVOT_TOL = 1e-11
 VERIFY_TOL = 1e-9
-ENUMERATION_LIMIT = 12
 _MAX_PIVOTS_FACTOR = 64
 
 __all__ = [
     "PIVOT_TOL",
     "VERIFY_TOL",
-    "ENUMERATION_LIMIT",
     "LpProblem",
     "LpSolution",
     "simplex_solve",
     "verify_solution",
-    "enumerate_vertices",
     "constraint_residuals",
 ]
 
@@ -165,7 +161,7 @@ def _in_arithmetic(values, exact) -> tuple:
 
 def _finite(name: str, rows, exact) -> tuple:
     """``rows`` in the given arithmetic; ``ValueError`` unless all finite."""
-    try:  # NaN or inf to Fraction, or a huge int to float, raises
+    try:  # NaN or inf to Fraction, or a huge int or Fraction to float, raises
         rows = tuple(_in_arithmetic(row, exact) for row in rows)
         finite = exact or all(map(math.isfinite, chain.from_iterable(rows)))
     except (ValueError, OverflowError):
@@ -258,14 +254,17 @@ def simplex_solve(prob: LpProblem, exact: bool = False) -> LpSolution:
 
 
 def _converted(prob: LpProblem, exact: bool) -> LpProblem:
-    """``prob`` in the requested arithmetic, converted only if it differs."""
+    """``prob`` in the requested arithmetic, converted only if it differs.
+
+    An exact entry past the float range raises ``ValueError``, as it
+    would in a float problem.
+    """
     if prob.exact == exact:
         return prob
-    return LpProblem(
-        _in_arithmetic(prob.objective, exact),
-        tuple(_in_arithmetic(row, exact) for row in prob.constraint_matrix),
-        _in_arithmetic(prob.bounds, exact),
-    )
+    (objective,) = _finite("objective", (prob.objective,), exact)
+    matrix = _finite("constraint_matrix", prob.constraint_matrix, exact)
+    (bounds,) = _finite("bounds", (prob.bounds,), exact)
+    return LpProblem(objective, matrix, bounds)
 
 
 def _structural_optimum(prob: LpProblem, tol):
@@ -600,36 +599,3 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
         return False
     return all(d >= -tol for d in reduced)
 
-
-def enumerate_vertices(prob: LpProblem) -> LpSolution:
-    """Exact brute-force optimum over all basic feasible solutions.
-
-    Intended as an independent oracle for tiny bounded instances (at most
-    ``ENUMERATION_LIMIT`` total variables including slacks): every basis
-    subset is factored and solved directly, and the best feasible vertex
-    wins; its reduced costs come from the same factorisation.  Raises
-    ``ValueError`` above the size limit.
-    """
-    n, m = prob.num_variables, prob.num_constraints
-    if n + m > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"instance too large for vertex enumeration ({n + m} > "
-            f"{ENUMERATION_LIMIT} variables)"
-        )
-    best = None
-    for basis in combinations(range(n + m), m):
-        try:
-            lu = _factor_basis(prob, basis)
-        except ZeroDivisionError:
-            continue
-        extended = _basis_solution(prob, basis, lu)
-        if any(x < -VERIFY_TOL for x in extended):
-            continue
-        objective = _dot(prob.objective, extended[:n], prob.exact)
-        if best is None or objective > best[0]:
-            best = objective, basis, lu, tuple(extended[:n])
-    if best is None:
-        return _non_optimal("infeasible")
-    objective, basis, lu, values = best
-    reduced = _basis_reduced_costs(prob, basis, lu)
-    return LpSolution(values, objective, basis, reduced, "optimal")

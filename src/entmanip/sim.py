@@ -3,10 +3,13 @@
 Outcome probabilities of a diagonal measurement on a known spectrum are
 available in closed form, so a trial only needs to sample the outcome
 index: each trial draws one uniform variate from a counter-based generator
-(the trial index hashed together with the master seed, SplitMix64-style)
-and inverts the outcome CDF.  Because trial t's variate depends on nothing
-but (seed, t), the tally is bit-exactly reproducible no matter how trials
-are partitioned or scheduled.
+(the trial index hashed together with the master seed, SplitMix64-style),
+and its outcome is the first whose CDF value exceeds that variate.  Only
+the counts are reported, so trials are tallied a chunk at a time: the
+chunk's variates are sorted and the number below each CDF threshold is
+read off by one binary search per threshold.  Because trial t's variate
+depends on nothing but (seed, t), the tally is bit-exactly reproducible no
+matter how trials are partitioned or scheduled.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ __all__ = [
     "SimulationReport",
     "counter_uniforms",
     "simulate",
-    "yield_statistics",
 ]
 
 
@@ -92,10 +94,14 @@ def simulate(
 ) -> SimulationReport:
     """Sample measurement outcomes and tally them against the theory.
 
-    Each trial inverts the outcome CDF on one counter-based uniform
-    variate; post-measurement states are known analytically so no state
-    update is simulated.  Trials are drawn and tallied in fixed-size
-    chunks, so memory does not grow with ``trials``.  Raises
+    Each trial draws one counter-based uniform variate u and lands on the
+    first outcome k with u < cdf_k; post-measurement states are known
+    analytically so no state update is simulated.  Trials are drawn and
+    tallied in fixed-size chunks, so memory does not grow with ``trials``:
+    a chunk's variates are sorted in place, #{u < cdf_k} is found for each
+    inner threshold by binary search, and the counts are the differences
+    of those ranks (the last threshold is at least 1, above every u).  The
+    counts are those a search of the CDF per trial gives.  Raises
     :class:`IncompletePovmError` when the state's rank exceeds the
     measurement's support.
     """
@@ -110,10 +116,11 @@ def simulate(
 
     counts = np.zeros(len(labels), dtype=np.int64)
     for start in range(0, trials, _CHUNK_TRIALS):
-        uniforms = counter_uniforms(seed, start, min(_CHUNK_TRIALS, trials - start))
-        outcomes = np.searchsorted(cdf, uniforms, side="right")
-        np.minimum(outcomes, len(labels) - 1, out=outcomes)
-        counts += np.bincount(outcomes, minlength=len(labels))
+        size = min(_CHUNK_TRIALS, trials - start)
+        uniforms = counter_uniforms(seed, start, size)
+        uniforms.sort()
+        below = np.searchsorted(uniforms, cdf[:-1], side="left")
+        counts += np.diff(below, prepend=0, append=size)
 
     empirical = tuple(int(c) / trials for c in counts)
     mean_yield = math.fsum(
@@ -131,14 +138,3 @@ def simulate(
         max_abs_deviation=max_dev,
     )
 
-
-def yield_statistics(report: SimulationReport) -> tuple[float, float]:
-    """Sample mean and standard error of ln(label) over the trials."""
-    if report.trials < 2:
-        raise ValueError("need at least two trials for a standard error")
-    mean = report.mean_yield
-    variance = math.fsum(
-        c * (math.log(label) - mean) ** 2
-        for c, label in zip(report.counts, report.labels)
-    ) / (report.trials - 1)
-    return mean, math.sqrt(variance / report.trials)

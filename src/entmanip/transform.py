@@ -41,7 +41,6 @@ __all__ = [
     "average_target",
     "merge_duplicates",
     "build_ensemble_povm",
-    "apply_povm_element",
 ]
 
 
@@ -76,10 +75,6 @@ class TargetEnsemble:
     @property
     def size(self) -> int:
         return len(self.entries)
-
-    @property
-    def max_rank(self) -> int:
-        return max(t.rank for _, t in self.entries)
 
 
 def make_ensemble(pairs) -> TargetEnsemble:
@@ -262,18 +257,3 @@ def build_ensemble_povm(e: TargetEnsemble) -> DiagonalPovm:
         elements.append(PovmElement(j, diag))
     return DiagonalPovm(tuple(elements), support_rank=n)
 
-
-def apply_povm_element(diag, state: SchmidtSpectrum):
-    """Outcome probability and post-measurement spectrum for one element.
-
-    Returns ``(probability, spectrum)``; a zero-probability outcome returns
-    ``(0.0, None)``.  The diagonal must cover the state's support.
-    """
-    diag = tuple(float(d) for d in diag)
-    if len(diag) < state.rank:
-        raise ValueError("element diagonal shorter than the state's rank")
-    weighted = [diag[i] ** 2 * float(a) for i, a in enumerate(state.coeffs)]
-    probability = math.fsum(weighted)
-    if probability <= 0.0:
-        return 0.0, None
-    return probability, make_spectrum(weighted, zero_tol=0.0)

@@ -15,7 +15,6 @@ from scipy import stats
 
 from entmanip import (
     LpProblem,
-    apply_povm_element,
     asymptotic_yield_curve,
     average_target,
     build_ensemble_povm,
@@ -23,7 +22,6 @@ from entmanip import (
     constraint_residuals,
     ensemble_feasible,
     entropy,
-    enumerate_vertices,
     make_ensemble,
     make_spectrum,
     max_conversion_probability,
@@ -36,7 +34,14 @@ from entmanip import (
     uniform_spectrum,
     vidal_monotones,
 )
-from util import constraint_matrix_inverse, random_ensemble, random_spectrum
+from util import (
+    apply_povm_element,
+    constraint_matrix_inverse,
+    enumerate_vertices,
+    max_rank,
+    random_ensemble,
+    random_spectrum,
+)
 
 WORKED = make_spectrum([0.5, 0.3, 0.2])
 WORKED_YIELD = 0.2 * math.log(2) + 0.6 * math.log(3)
@@ -224,7 +229,7 @@ def _lp_feasibility_oracle(source, avg_tails) -> bool:
 
 
 def _averaged_tails(ensemble):
-    n = ensemble.max_rank
+    n = max_rank(ensemble)
     avg = [0.0] * n
     for p, target in ensemble.entries:
         tails = list(vidal_monotones(target)) + [0.0] * n

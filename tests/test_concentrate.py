@@ -9,7 +9,6 @@ import pytest
 from entmanip import (
     ConcentrationPlan,
     SchmidtSpectrum,
-    apply_povm_element,
     asymptotic_yield_curve,
     concentration_lp,
     entropy,
@@ -23,9 +22,10 @@ from entmanip import (
     verify_solution,
     vidal_monotones,
 )
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from util import (
+    apply_povm_element,
     constraint_matrix_inverse,
     expanded_yield_curve,
     highs_optimum,
@@ -103,6 +103,30 @@ class TestOptimalPlan:
         ConcentrationPlan((0.5 + 5e-10, 0.5), 0.0)
         with pytest.raises(ValueError, match="sum"):
             ConcentrationPlan((0.5 + 2e-9, 0.5), 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        raw=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=30),
+        sign=st.sampled_from((1, -1)),
+        u=st.floats(0.0, 1.0),
+    )
+    @example(raw=[0.1, 0.03], sign=-1, u=0.06)
+    @example(raw=[0.19, 0.02], sign=1, u=0.09)
+    def test_plan_of_a_spectrum_at_the_norm_tol_edge(self, raw, sign, u):
+        # the telescoped plan sum can round past NORM_TOL where the
+        # coefficient sum does not; the plan is still the closed form
+        raw = sorted(raw, reverse=True)
+        total = math.fsum(raw)
+        scale = 1 + sign * 1e-9 * (1 - u * 1e-6)
+        coeffs = tuple(r / total * scale for r in raw)
+        assume(abs(math.fsum(coeffs) - 1) <= 1e-9)
+        plan = optimal_plan(SchmidtSpectrum(coeffs))
+        assert plan.probabilities == tuple(
+            j * (a - b) for j, (a, b) in enumerate(zip(coeffs, coeffs[1:] + (0,)), 1)
+        )
+        assert plan.expected_entanglement == math.fsum(
+            p * math.log(j) for j, p in enumerate(plan.probabilities, 1) if j > 1
+        )
 
     def test_yield_bounded_by_entropy(self):
         rng = np.random.default_rng(83)

@@ -15,7 +15,6 @@ from entmanip import (
     LpSolution,
     concentration_lp,
     constraint_residuals,
-    enumerate_vertices,
     make_spectrum,
     optimal_plan,
     optimality_certificate,
@@ -27,6 +26,7 @@ from entmanip import lp
 from entmanip.schmidt import holds_fraction
 from util import (
     CYCLING_LP,
+    enumerate_vertices,
     highs_optimum,
     random_spectrum,
     reference_pivot,
@@ -554,6 +554,21 @@ def test_huge_int_is_a_finite_entry_of_an_exact_problem():
     prob = LpProblem((10**400,), ((Fraction(1),),), (1,))
     assert prob.exact
     assert prob.objective == (Fraction(10**400),)
+
+
+@pytest.mark.parametrize(
+    "field, prob",
+    [
+        ("objective", LpProblem((Fraction(10**400),), ((1,),), (1,))),
+        ("constraint_matrix", LpProblem((1,), ((Fraction(-(10**400)),),), (1,))),
+        ("bounds", LpProblem((1,), ((1,),), (Fraction(10**400, 3),))),
+    ],
+    ids=["objective", "constraint_matrix", "bounds"],
+)
+def test_float_solve_of_an_exact_problem_past_the_float_range(field, prob):
+    with pytest.raises(ValueError, match=f"LP {field} entries must be finite"):
+        simplex_solve(prob)
+    assert simplex_solve(prob, exact=True).status in ("optimal", "unbounded")
 
 
 # ------------------------------------------- sparse kernels vs references

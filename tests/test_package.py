@@ -40,7 +40,16 @@ def test_unknown_name_raises_attribute_error():
         from entmanip import no_such_name  # noqa: F401
 
 
-@pytest.mark.parametrize("name", ["constraint_matrix_inverse", "max_entangled_monotone"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "apply_povm_element",
+        "constraint_matrix_inverse",
+        "enumerate_vertices",
+        "max_entangled_monotone",
+        "yield_statistics",
+    ],
+)
 def test_test_only_oracles_are_not_exported(name):
     assert name not in entmanip.__all__
     assert not hasattr(entmanip, name)

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from entmanip import (
@@ -18,10 +20,9 @@ from entmanip import (
     simulate,
     single_shot_povm,
     uniform_spectrum,
-    yield_statistics,
 )
-from entmanip.sim import counter_uniforms
-from util import random_ensemble, random_spectrum
+from entmanip.sim import _CHUNK_TRIALS, counter_uniforms
+from util import random_ensemble, random_spectrum, yield_statistics
 
 
 def binomial_bound(p: float, trials: int) -> float:
@@ -59,6 +60,21 @@ class TestCounterUniforms:
         assert not np.array_equal(
             counter_uniforms(1, 0, 100), counter_uniforms(2, 0, 100)
         )
+
+    @pytest.mark.parametrize(
+        "seed, start, multiples",
+        [
+            (0, 0, [7956156453446585, 3886858653415212, 238094247788840, 8744927430068624]),
+            (2**64 - 1, 0, [8051922005355685, 8219944852094672, 1976917772619344, 3839178615387440]),
+            (0, 2**40, [887180520247730, 408896150279600, 2236591560848092, 6428908691148668]),
+            (2**64 - 1, 2**40 - 2, [78477317493866, 7999822389837012, 3686695341870573, 2367499419355937]),
+        ],
+    )
+    def test_golden_values(self, seed, start, multiples):
+        # every variate is k * 2^-53 for a 53-bit k; these pin the hash bit
+        # for bit, which recorded simulation counts depend on
+        u = counter_uniforms(seed, start, len(multiples))
+        assert u.tolist() == [k * 2.0**-53 for k in multiples]
 
 
 class TestSimulate:
@@ -154,6 +170,43 @@ class TestSimulate:
         # one uint64 per trial alone takes 8 MB; the chunks stay far below
         assert one_shot_peak > 8 * trials
         assert streamed_peak < one_shot_peak / 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        raw=st.lists(
+            st.one_of(st.integers(1, 4), st.floats(0.01, 1.0)), min_size=1, max_size=64
+        ),
+        trials=st.one_of(
+            st.integers(1, 50),
+            st.integers(_CHUNK_TRIALS - 2, _CHUNK_TRIALS + 2),
+            st.integers(2 * _CHUNK_TRIALS - 1, 2 * _CHUNK_TRIALS + 1),
+            st.integers(_CHUNK_TRIALS, 3 * _CHUNK_TRIALS),
+        ),
+        seed=st.integers(0, 2**64 - 1),
+        short=st.booleans(),
+    )
+    def test_sorted_chunk_tally_matches_per_trial_search(self, raw, trials, seed, short):
+        # integer weights tie, and tied coefficients are zero-probability
+        # outcomes of the single-shot measurement
+        s = make_spectrum(raw)
+        povm = single_shot_povm(s)
+        if short:
+            # shrink the last element within POVM_TOL, so that the outcome
+            # cdf ends below 1 before the top-edge guard
+            *first, last = povm.elements
+            diag = tuple(d * math.sqrt(1 - 4e-11) for d in last.diag)
+            povm = DiagonalPovm((*first, PovmElement(last.label, diag)), s.rank)
+        expected = povm.outcome_probabilities(s)
+        cdf = np.cumsum(expected)
+        if short:
+            assert cdf[-1] < 1.0
+        cdf[-1] = max(cdf[-1], 1.0)
+        outcomes = np.searchsorted(cdf, counter_uniforms(seed, 0, trials), side="right")
+        per_trial = np.bincount(np.minimum(outcomes, s.rank - 1), minlength=s.rank)
+
+        report = simulate(povm, s, trials=trials, seed=seed)
+        assert report.counts == tuple(int(c) for c in per_trial)
+        assert all(c == 0 for c, p in zip(report.counts, expected) if p == 0)
 
     def test_incomplete_on_state_support(self):
         povm = single_shot_povm(make_spectrum([0.6, 0.4]))

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from entmanip import (
     DiagonalPovm,
     PovmElement,
-    apply_povm_element,
     average_target,
     build_ensemble_povm,
     ensemble_feasible,
@@ -21,7 +20,7 @@ from entmanip import (
     vidal_monotones,
 )
 from entmanip.schmidt import padded_average
-from util import random_ensemble, random_spectrum
+from util import apply_povm_element, max_rank, random_ensemble, random_spectrum
 
 
 def padded(coeffs, n):
@@ -47,7 +46,7 @@ class TestAverageTarget:
         for _ in range(50):
             e = random_ensemble(rng, int(rng.integers(1, 6)), 6)
             avg = average_target(e)
-            n = max(avg.rank, e.max_rank)
+            n = max(avg.rank, max_rank(e))
             avg_tails = padded(vidal_monotones(avg), n)
             by_hand = [0.0] * n
             for p, target in e.entries:

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from entmanip import (
+    LpSolution,
     SchmidtSpectrum,
     make_ensemble,
     make_spectrum,
@@ -90,6 +91,39 @@ def constraint_matrix_inverse(n: int) -> tuple:
         if k >= 3:
             inverse[k - 3][k - 1] = float(k - 2)
     return tuple(tuple(row) for row in inverse)
+
+
+def max_rank(ensemble) -> int:
+    """Largest target rank of a ``TargetEnsemble``."""
+    return max(t.rank for _, t in ensemble.entries)
+
+
+def apply_povm_element(diag, state: SchmidtSpectrum):
+    """Outcome probability and post-measurement spectrum for one element.
+
+    Returns ``(probability, spectrum)``; a zero-probability outcome returns
+    ``(0.0, None)``.  The diagonal must cover the state's support.
+    """
+    diag = tuple(float(d) for d in diag)
+    if len(diag) < state.rank:
+        raise ValueError("element diagonal shorter than the state's rank")
+    weighted = [diag[i] ** 2 * float(a) for i, a in enumerate(state.coeffs)]
+    probability = math.fsum(weighted)
+    if probability <= 0.0:
+        return 0.0, None
+    return probability, make_spectrum(weighted, zero_tol=0.0)
+
+
+def yield_statistics(report) -> tuple[float, float]:
+    """Sample mean and standard error of ln(label) over a simulation's trials."""
+    if report.trials < 2:
+        raise ValueError("need at least two trials for a standard error")
+    mean = report.mean_yield
+    variance = math.fsum(
+        c * (math.log(label) - mean) ** 2
+        for c, label in zip(report.counts, report.labels)
+    ) / (report.trials - 1)
+    return mean, math.sqrt(variance / report.trials)
 
 
 def reference_max_conversion_probability(
@@ -183,6 +217,58 @@ def reference_solve_square(matrix, rhs):
                 for k in range(col, size + 1):
                     a[r][k] -= factor * prow[k]
     return [a[i][size] / a[i][i] for i in range(size)]
+
+
+ENUMERATION_LIMIT = 12
+
+
+def enumerate_vertices(prob) -> LpSolution:
+    """Brute-force optimum over all basic feasible solutions of an LP.
+
+    The oracle for tiny bounded instances (at most ``ENUMERATION_LIMIT``
+    variables, slacks included).  Every basis matrix B is solved for its
+    vertex by ``reference_solve_square``, not by the LU that
+    ``entmanip.lp.verify_solution`` uses, and the best vertex feasible to
+    1e-9 wins; its reduced costs come from y solving B^T y = c_B the same
+    way.  Exact problems are solved exactly.  Raises ``ValueError`` above
+    the size limit.
+    """
+    n, m = prob.num_variables, prob.num_constraints
+    if n + m > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"instance too large for vertex enumeration ({n + m} > "
+            f"{ENUMERATION_LIMIT} variables)"
+        )
+    zero = Fraction(0) if prob.exact else 0.0
+    dot = sum if prob.exact else math.fsum
+    columns = [[row[j] for row in prob.constraint_matrix] for j in range(n)]
+    columns += [[int(i == k) for i in range(m)] for k in range(m)]
+    costs = list(prob.objective) + [zero] * m
+    best = None
+    for basis in itertools.combinations(range(n + m), m):
+        matrix = [[columns[j][i] for j in basis] for i in range(m)]
+        try:
+            basic = reference_solve_square(matrix, list(prob.bounds))
+        except ZeroDivisionError:
+            continue
+        if any(x < -1e-9 for x in basic):
+            continue
+        values = [zero] * (n + m)
+        for j, x in zip(basis, basic):
+            values[j] = x
+        objective = dot(c * x for c, x in zip(prob.objective, values))
+        if best is None or objective > best[0]:
+            best = objective, basis, matrix, tuple(values[:n])
+    if best is None:
+        return LpSolution((), None, (), (), "infeasible")
+    objective, basis, matrix, values = best
+    y = reference_solve_square(
+        [list(column) for column in zip(*matrix)], [costs[j] for j in basis]
+    )
+    reduced = [
+        dot(a * b for a, b in zip(y, columns[j])) - costs[j] for j in range(n + m)
+    ]
+    return LpSolution(values, objective, basis, reduced, "optimal")
 
 
 def reference_verify(prob, sol, tol: float = 1e-9, slack: float = 0.0) -> bool:
