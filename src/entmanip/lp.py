@@ -21,7 +21,14 @@ the nonzero columns of the pivot row and only the rows with a nonzero
 factor.  Skipped entries would be updated by ``x - factor * 0``, so the
 results are the same number for number as a full sweep, at a fraction of
 the cost on the sparse tableaus the concentration LPs produce.  The one
-routine serves float and exact mode alike.
+routine serves float and exact mode alike.  So do the LU kernels below;
+only their substitutions treat the modes apart: a float entry subtracts
+its products one by one, while an exact one accumulates them as an integer
+numerator over the running lcm of their denominators and becomes a single
+``Fraction`` at the end, the same number as term-by-term ``Fraction``
+arithmetic gives (the fraction-free idea of E. H. Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 22, 1968, applied where it changes no value).
 
 Square problems (as many constraints as variables) are first given a
 crash check of the all-structural basis (R. E. Bixby, "Implementing the
@@ -34,10 +41,13 @@ the check never hands the pivots a starting basis of its own.
 
 :func:`verify_solution` recomputes feasibility and reduced costs of a
 claimed optimum from its stated basis.  It factors the basis matrix B once
-(LU with partial pivoting, eliminating over the pivot row's nonzeros) and
-answers B x = q and B^T y = c_B from that one factorisation by sparse
-triangular substitution; on the triangular bases of the concentration LPs
-the factorisation does no elimination at all.
+(LU with partial pivoting: the pivot is sought among the column's nonzero
+entries, only those rows are eliminated, over the pivot row's nonzeros,
+and the float singularity test reads a per-row magnitude bound instead of
+rescanning rows) and answers B x = q and B^T y = c_B from that one
+factorisation by sparse triangular substitution, B^T y = c_B one column
+of U at a time; on the triangular bases of the concentration LPs the
+factorisation does no elimination and compares no magnitudes at all.
 """
 
 from __future__ import annotations
@@ -47,7 +57,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 
 from .schmidt import as_fraction
 
@@ -177,8 +187,9 @@ def _zero(prob: LpProblem):
 
 def _dot(a, b, exact):
     """Exact sum of the products if ``exact``, else their ``math.fsum``."""
-    products = map(operator.mul, a, b)
-    return sum(products) if exact else math.fsum(products)
+    if exact:
+        return -_sub_dot(0, enumerate(a), b, exact)
+    return math.fsum(map(operator.mul, a, b))
 
 
 def constraint_residuals(prob: LpProblem, values) -> tuple:
@@ -423,56 +434,105 @@ def _factor(matrix, exact):
     """LU factorisation with partial pivoting; raises on singularity.
 
     Works for float and ``Fraction`` entries alike; ``exact`` selects the
-    singularity test.  Exact: a zero pivot.  Float: a pivot no larger than
-    ``1e-13 * max(scale, 1)``, where ``scale`` is the largest coefficient
-    magnitude in the rows not yet pivoted.  Each row's magnitude is kept
-    alongside it and recomputed only when an elimination step changes the
-    row; each step visits only the pivot row's nonzero columns.
+    singularity test.  The pivot is the largest of the column's nonzero
+    entries on or below the diagonal (ties go to the first row, and a lone
+    candidate is taken without comparing magnitudes), and only the rows of
+    the other candidates are eliminated, over the pivot row's nonzero
+    columns.
 
-    Returns ``(steps, upper)``.  ``steps[col]`` is the row swapped into
-    position ``col`` and the ``(row, factor)`` pairs that eliminated the
-    column below it; ``upper[col]`` is the pivot and the ``(k, u)`` pairs of
-    the nonzero entries right of it.
+    Exact: a column without a candidate is singular.  Float: so is a pivot
+    no larger than ``1e-13 * max(scale, 1)``, where ``scale`` is the largest
+    coefficient magnitude in the rows not yet pivoted.  That scale is not
+    rescanned after each elimination: each row carries an upper bound on
+    its magnitudes, raised by ``|factor| * bound[pivot row]`` when the row
+    is eliminated.  Rounding is monotone, so the bound holds in floating
+    point, and a pivot that passes the test against the largest bound
+    passes it against the scale.  Only a pivot that fails against the
+    bound rescans the remaining rows (resetting their bounds to the
+    magnitudes found), and that rescan decides.
+
+    Returns ``(steps, upper, columns, exact)``.  ``steps[col]`` is the row
+    swapped into position ``col`` and the ``(row, factor)`` pairs that
+    eliminated the column below it; ``upper[col]`` is the pivot and the
+    ``(k, u)`` pairs of the nonzero entries right of it; ``columns[col]``
+    is the column of U above the pivot, zeros included.
     """
     size = len(matrix)
     a = [list(row) for row in matrix]
-    row_scale = None if exact else [max(map(abs, row)) for row in a]
+    bound = None if exact else [max(map(abs, row)) for row in a]
     steps, upper = [], []
     for col in range(size):
-        pivot_row = max(range(col, size), key=lambda r: abs(a[r][col]))
+        rows = [r for r in range(col, size) if a[r][col]]
+        if not rows:
+            raise ZeroDivisionError("singular matrix")
+        pivot_row = rows[0]
+        if len(rows) > 1:
+            pivot_row = max(rows, key=lambda r: abs(a[r][col]))
         pivot = a[pivot_row][col]
-        if exact:
-            if pivot == 0:
-                raise ZeroDivisionError("singular matrix")
-        else:
-            scale = max(row_scale[col:])
-            if scale == 0 or abs(pivot) <= 1e-13 * max(scale, 1.0):
-                raise ZeroDivisionError("singular matrix")
-            row_scale[col], row_scale[pivot_row] = row_scale[pivot_row], row_scale[col]
+        if not exact:
+            if not abs(pivot) > 1e-13 * max(max(bound[col:]), 1.0):
+                bound[col:] = [max(map(abs, a[r])) for r in range(col, size)]
+                scale = max(bound[col:])
+                if scale == 0 or abs(pivot) <= 1e-13 * max(scale, 1.0):
+                    raise ZeroDivisionError("singular matrix")
+            bound[col], bound[pivot_row] = bound[pivot_row], bound[col]
         a[col], a[pivot_row] = a[pivot_row], a[col]
         prow = a[col]
         # the pivot's own column is eliminated too, so a row keeps the
-        # rounding residue there and its scale sees it
-        nonzero = [(k, prow[k]) for k in range(col, size) if prow[k]]
+        # rounding residue there and a rescan sees it
+        tail = prow[col:]
+        nonzero = list(compress(enumerate(tail, col), tail))
+        # the rows below the pivot with a nonzero entry: the old row col
+        # moved to pivot_row if it was one of them
+        below = rows[1:] if rows[0] == col else [r for r in rows if r != pivot_row]
         eliminated = []
-        for r in range(col + 1, size):
+        for r in below:
             row = a[r]
-            if not row[col]:
-                continue
             factor = row[col] / pivot
             for k, x in nonzero:
                 row[k] -= factor * x
             eliminated.append((r, factor))
-            if not exact:
-                row_scale[r] = max(map(abs, row))
+            # a factor that underflowed to zero changes no magnitude (and
+            # would make 0 * inf a NaN once a bound has overflowed)
+            if not exact and factor:
+                bound[r] += abs(factor) * bound[col]
         steps.append((pivot_row, eliminated))
         upper.append((pivot, nonzero[1:]))
-    return steps, upper
+    # from step col on, row col of a is row col of U
+    columns = [column[:col] for col, column in enumerate(zip(*a))]
+    return steps, upper, columns, exact
+
+
+def _sub_dot(x, terms, vector, exact):
+    """``x`` minus the sum of ``u * vector[k]`` over the ``(k, u)`` terms.
+
+    Float: the terms are subtracted one by one in the given order.  Exact:
+    the entries are ``Fraction``s or ints, and the sum is accumulated as an
+    integer numerator over the running lcm of the denominators, so only the
+    result is made a ``Fraction`` (the same number as subtracting term by
+    term).
+    """
+    if not exact:
+        for k, u in terms:
+            x -= u * vector[k]
+        return x
+    num, den = x.as_integer_ratio()
+    for k, u in terms:
+        un, ud = u.as_integer_ratio()
+        vn, vd = vector[k].as_integer_ratio()
+        p = un * vn
+        if p:
+            q = ud * vd
+            g = math.gcd(den, q)
+            q //= g
+            num = num * q - p * (den // g)
+            den *= q
+    return Fraction(num, den)
 
 
 def _lu_solve(lu, rhs):
     """Solve B x = rhs from ``_factor(B)``."""
-    steps, upper = lu
+    steps, upper, _, exact = lu
     b = list(rhs)
     for col, (pivot_row, eliminated) in enumerate(steps):
         b[col], b[pivot_row] = b[pivot_row], b[col]
@@ -482,10 +542,7 @@ def _lu_solve(lu, rhs):
                 b[r] -= factor * x
     for col in reversed(range(len(b))):
         pivot, right = upper[col]
-        x = b[col]
-        for k, u in right:
-            x -= u * b[k]
-        b[col] = x / pivot
+        b[col] = _sub_dot(b[col], right, b, exact) / pivot
     return b
 
 
@@ -493,23 +550,24 @@ def _lu_solve_transposed(lu, rhs):
     """Solve B^T y = rhs from ``_factor(B)``.
 
     With M B = U, M the swaps and eliminations in order, y = M^T w for
-    U^T w = rhs: forward substitution over the rows of U, then the
+    U^T w = rhs: forward substitution down the columns of U, then the
     transposed eliminations and the swaps in reverse order.
     """
-    steps, upper = lu
+    steps, upper, columns, exact = lu
     w = list(rhs)
-    for col, (pivot, right) in enumerate(upper):
-        x = w[col] / pivot
-        w[col] = x
-        if x:
-            for k, u in right:
-                w[k] -= u * x
+    for col, (pivot, _) in enumerate(upper):
+        x, above = w[col], columns[col]
+        terms = compress(enumerate(above), above)
+        if not x:
+            # the row sweep skipped zero entries of w; a term u * -0.0
+            # would turn a start of -0.0 into 0.0, while any other start
+            # absorbs such terms unchanged
+            terms = [(k, u) for k, u in terms if w[k]]
+        w[col] = _sub_dot(x, terms, w, exact) / pivot
     for col in reversed(range(len(w))):
         pivot_row, eliminated = steps[col]
-        x = w[col]
-        for r, factor in eliminated:
-            x -= factor * w[r]
-        w[col] = x
+        if eliminated:
+            w[col] = _sub_dot(w[col], eliminated, w, exact)
         w[col], w[pivot_row] = w[pivot_row], w[col]
     return w
 

@@ -155,7 +155,7 @@ def make_spectrum(raw: Sequence, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
     values = list(raw)
     if not values:
         raise ValueError("empty coefficient list")
-    if any(not v >= 0 for v in values):
+    if not all(map(operator.ge, values, repeat(0))):  # NaN fails it too
         raise ValueError("coefficients must be nonnegative numbers")
 
     exact = holds_fraction(values)
@@ -166,11 +166,13 @@ def make_spectrum(raw: Sequence, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
         if math.isfinite(zero_tol):  # a Fraction meets a float slowly
             zero_tol = as_fraction(zero_tol)
     else:
-        values = [float(v) for v in values]
+        values = list(map(float, values))
         if not math.isfinite(sum(values)):
             raise ValueError("coefficients must have a finite sum")
     values.sort(reverse=True)
-    values = [v for v in values if v > zero_tol and v > 0]
+    # the test is monotone in v, so the entries that fail it are a suffix
+    while values and not (values[-1] > zero_tol and values[-1] > 0):
+        values.pop()
     if not values:
         raise ValueError("all coefficients are zero (or below zero_tol)")
 

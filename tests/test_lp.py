@@ -29,6 +29,9 @@ from util import (
     enumerate_vertices,
     highs_optimum,
     random_spectrum,
+    reference_factor,
+    reference_lu_solve,
+    reference_lu_solve_transposed,
     reference_pivot,
     reference_solve_square,
     reference_verify,
@@ -666,6 +669,119 @@ class TestSparseKernelsMatchDenseReferences:
     )
     def test_solve_square_scale_bookkeeping(self, matrix):
         assert_lu_matches_reference(matrix, [1.0] * len(matrix), exact=False)
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_lu_matches_the_rescanning_kernels(self, exact, data):
+        matrix, rhs = data.draw(_square_systems(exact))
+        assert_lu_matches_rescanning_kernels(matrix, rhs, exact)
+
+    @pytest.mark.parametrize(
+        "matrix, rhs",
+        [
+            # the scale-bookkeeping matrices above
+            ([[0.0, 1.0], [1e14, 1.0]], [1.0, -0.0]),
+            ([[1e14, 1e14], [1e14, 1e14 + 1.0]], [1.0, 1.0]),
+            ([[1.0, 1e14], [1.0, 1e14]], [1.0, 1.0]),
+            # elimination leaves a pivot of 1.5e-13 in a row whose bound
+            # has grown to 2: the bound test fails, and the rescan of the
+            # remaining row (scale 1.5e-13) accepts the pivot
+            ([[1.0, 1.0], [1.0, 1.0 + 1.5e-13]], [1.0, 0.0]),
+            # the same with 5e-14 left: the rescan rejects it
+            ([[1.0, 1.0], [1.0, 1.0 + 5e-14]], [1.0, 1.0]),
+            # elimination doubles row 1's 1e3 while its pivot becomes
+            # 1.5e-10: only the raised bound (2e3) sends it to the rescan,
+            # which finds it singular
+            ([[1.0, 0.0, 1e3], [1.0, 1.5e-10, -1e3], [0.0, 0.0, 1.0]], [1.0, 1.0, 1.0]),
+            # w_1 = 0.0 and u = -1 make a term of -0.0, which would turn
+            # the -0.0 start of w_2 into 0.0
+            ([[1.0, -1.0], [0.0, 1.0]], [0.0, -0.0]),
+            # w_1 overflows to inf, which a zero entry of U must not
+            # multiply into a NaN
+            ([[1e-12, 0.0], [0.0, 1.0]], [1e300, 1.0]),
+        ],
+    )
+    def test_lu_matches_the_rescanning_kernels_on_fixed_cases(self, matrix, rhs):
+        assert_lu_matches_rescanning_kernels(matrix, rhs, exact=False)
+
+
+def assert_lu_matches_rescanning_kernels(matrix, rhs, exact):
+    """``_factor`` and both solves equal the rescanning references bit for bit.
+
+    The same singular decision; otherwise the same ``steps`` and ``upper``
+    and the same solutions of A and A^T, compared by ``repr`` so that a
+    zero's sign and each value's type count too.
+    """
+    try:
+        lu = lp._factor(matrix, exact)
+    except ZeroDivisionError:
+        lu = None
+    try:
+        reference = reference_factor(matrix, exact)
+    except ZeroDivisionError:
+        reference = None
+    assert (lu is None) == (reference is None)
+    if lu is None:
+        return
+    assert repr(lu[:2]) == repr(reference)
+    assert repr(lp._lu_solve(lu, rhs)) == repr(reference_lu_solve(reference, rhs))
+    assert repr(lp._lu_solve_transposed(lu, rhs)) == repr(
+        reference_lu_solve_transposed(reference, rhs)
+    )
+
+
+_TERM_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_TERM_EXACT = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.integers(-(10**6), 10**6),
+    st.fractions(max_denominator=10**30),
+)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_sub_dot_is_the_term_by_term_difference(exact, data):
+    """Float: bit for bit the sequential loop.  Exact: the same number, a Fraction."""
+    entries = _TERM_EXACT if exact else _TERM_FLOATS
+    x = data.draw(entries)
+    us = data.draw(st.lists(entries, max_size=8))
+    vector = data.draw(st.lists(entries, min_size=len(us), max_size=len(us)))
+    terms = [(k, us[k]) for k in data.draw(st.permutations(range(len(us))))]
+    expected = x
+    for k, u in terms:
+        expected -= u * vector[k]
+    result = lp._sub_dot(x, terms, vector, exact)
+    if exact:
+        assert type(result) is Fraction
+        assert result == expected
+    else:
+        assert repr(result) == repr(expected)
+
+
+def test_exact_substitutions_make_linearly_many_fractions():
+    # the crash check of a rank-24 exact concentration LP: one Fraction per
+    # solved entry and division, not one per product and difference (about
+    # n^2 before integer accumulation)
+    n = 24
+    prob = concentration_lp(make_spectrum([Fraction(k) for k in range(n, 0, -1)]))
+    made = 0
+    construct = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return construct(cls, *args, **kwargs)
+
+    with mock.patch.object(Fraction, "__new__", counting):
+        sol = simplex_solve(prob, exact=True)
+    assert sol.pivots == 0
+    assert made <= 6 * n
 
 
 def _reference_or_singular(matrix, rhs):

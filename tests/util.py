@@ -219,6 +219,94 @@ def reference_solve_square(matrix, rhs):
     return [a[i][size] / a[i][i] for i in range(size)]
 
 
+def reference_factor(matrix, exact):
+    """LU with partial pivoting that rescans for its pivot and its scale.
+
+    The reference that ``entmanip.lp._factor`` must match value for value
+    (``steps`` and ``upper``, and the singular decision): the pivot search
+    takes ``abs`` of every entry on and below the diagonal, and every
+    eliminated row's magnitude is rescanned in full for the float
+    singularity test, ``pivot <= 1e-13 * max(scale, 1)``.  Returns
+    ``(steps, upper)`` as ``_factor`` lays them out.
+    """
+    size = len(matrix)
+    a = [list(row) for row in matrix]
+    row_scale = None if exact else [max(map(abs, row)) for row in a]
+    steps, upper = [], []
+    for col in range(size):
+        pivot_row = max(range(col, size), key=lambda r: abs(a[r][col]))
+        pivot = a[pivot_row][col]
+        if exact:
+            if pivot == 0:
+                raise ZeroDivisionError("singular matrix")
+        else:
+            scale = max(row_scale[col:])
+            if scale == 0 or abs(pivot) <= 1e-13 * max(scale, 1.0):
+                raise ZeroDivisionError("singular matrix")
+            row_scale[col], row_scale[pivot_row] = row_scale[pivot_row], row_scale[col]
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        prow = a[col]
+        nonzero = [(k, prow[k]) for k in range(col, size) if prow[k]]
+        eliminated = []
+        for r in range(col + 1, size):
+            row = a[r]
+            if not row[col]:
+                continue
+            factor = row[col] / pivot
+            for k, x in nonzero:
+                row[k] -= factor * x
+            eliminated.append((r, factor))
+            if not exact:
+                row_scale[r] = max(map(abs, row))
+        steps.append((pivot_row, eliminated))
+        upper.append((pivot, nonzero[1:]))
+    return steps, upper
+
+
+def reference_lu_solve(lu, rhs):
+    """Solve B x = rhs from ``reference_factor(B)``, term by term."""
+    steps, upper = lu
+    b = list(rhs)
+    for col, (pivot_row, eliminated) in enumerate(steps):
+        b[col], b[pivot_row] = b[pivot_row], b[col]
+        x = b[col]
+        if x:
+            for r, factor in eliminated:
+                b[r] -= factor * x
+    for col in reversed(range(len(b))):
+        pivot, right = upper[col]
+        x = b[col]
+        for k, u in right:
+            x -= u * b[k]
+        b[col] = x / pivot
+    return b
+
+
+def reference_lu_solve_transposed(lu, rhs):
+    """Solve B^T y = rhs from ``reference_factor(B)``, column by column.
+
+    Forward substitution sweeps the rows of U: each solved entry, when it
+    is nonzero, is subtracted times its row from the entries right of it.
+    Then the transposed eliminations and the swaps, in reverse order.
+    """
+    steps, upper = lu
+    w = list(rhs)
+    for col, (pivot, right) in enumerate(upper):
+        x = w[col] / pivot
+        w[col] = x
+        if x:
+            for k, u in right:
+                w[k] -= u * x
+    for col in reversed(range(len(w))):
+        pivot_row, eliminated = steps[col]
+        x = w[col]
+        for r, factor in eliminated:
+            x -= factor * w[r]
+        w[col] = x
+        w[col], w[pivot_row] = w[pivot_row], w[col]
+    return w
+
+
 ENUMERATION_LIMIT = 12
 
 
