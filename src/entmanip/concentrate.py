@@ -162,10 +162,9 @@ def concentration_lp(s: SchmidtSpectrum, weights=None) -> LpProblem:
               p >= 0
 
     The constraint matrix is upper triangular; the bounds are the
-    spectrum's tail sums.  ``weights`` defaults to ln j.  A spectrum built
-    from ``Fraction`` coefficients produces an exactly rational matrix and
-    bounds, and with them an exact problem (float weights are converted
-    exactly).
+    spectrum's tail sums.  ``weights`` defaults to ln j.  A ``Fraction`` in
+    the spectrum or in the weights makes the problem exact, with an exactly
+    rational matrix (float bounds and weights are converted exactly).
     """
     from .lp import LpProblem
 
@@ -179,7 +178,7 @@ def concentration_lp(s: SchmidtSpectrum, weights=None) -> LpProblem:
         )
     # row l holds (j + 1 - l) / j from column j = l on, zeros before it;
     # an int true division is rounded once, as Fraction(k, j) is exact
-    divide = Fraction if holds_fraction(s.coeffs) else operator.truediv
+    divide = Fraction if holds_fraction(s.coeffs + weights) else operator.truediv
     zero = divide(0, 1)
     matrix = tuple(
         (zero,) * (l - 1) + tuple(map(divide, range(1, n + 2 - l), range(l, n + 1)))
@@ -236,7 +235,7 @@ def single_shot_povm(s: SchmidtSpectrum) -> DiagonalPovm:
             math.sqrt(gap / coeffs[i]) if i < j else 0.0 for i in range(n)
         )
         elements.append(PovmElement(j, diag))
-    return DiagonalPovm(tuple(elements), support_rank=n)
+    return DiagonalPovm(tuple(elements))
 
 
 def _one_more_copy(classes, n: int, mults):

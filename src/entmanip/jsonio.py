@@ -141,7 +141,11 @@ def load_ensemble(path: str) -> TargetEnsemble:
 
 
 def load_povm(path: str) -> DiagonalPovm:
-    """Load {"support_rank": N, "elements": [{"label": j, "diag": [...]}]}."""
+    """Load {"support_rank": N, "elements": [{"label": j, "diag": [...]}]}.
+
+    ``support_rank`` is optional; when given it must equal the length of
+    the element diagonals.
+    """
     from .transform import DiagonalPovm, PovmElement
 
     doc = read_json(path)
@@ -155,13 +159,11 @@ def load_povm(path: str) -> DiagonalPovm:
             )
             for e in doc["elements"]
         )
-        if "support_rank" in doc:
-            support = _integer(doc["support_rank"], "support ranks")
-        elif elements:
-            support = len(elements[0].diag)
-        else:
-            raise ValueError("measurement file has no elements")
-        return DiagonalPovm(elements, support_rank=support)
+        povm = DiagonalPovm(elements)
+        support = doc.get("support_rank", povm.support_rank)
+        if _integer(support, "support ranks") != povm.support_rank:
+            raise ValueError("every element diagonal must cover the full support")
+        return povm
 
 
 def load_lp(path: str) -> LpProblem:

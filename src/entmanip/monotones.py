@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat, starmap, zip_longest
 
-from .schmidt import NORM_TOL, SchmidtSpectrum, padded_average
+from .schmidt import SchmidtSpectrum, padded_average
 
 FEASIBILITY_TOL = 1e-9
 
@@ -104,16 +104,11 @@ def ensemble_feasible(
     ``ensemble`` is a :class:`~entmanip.transform.TargetEnsemble`.  Feasible
     iff the probability-weighted average of each tail-sum monotone over the
     targets does not exceed the source value, for every index.  The l = 1
-    comparison holds automatically for normalized inputs and is kept as a
-    guard.  ``tol`` must be finite and >= 0, as for :func:`nielsen_feasible`.
+    comparison is reported like any other index.  ``tol`` must be finite
+    and >= 0, as for :func:`nielsen_feasible`.
     """
     avg = padded_average((p, vidal_monotones(t)) for p, t in ensemble.entries)
-    report = _report(vidal_monotones(source), avg, tol)
-    if abs(report.slack[0]) > max(tol, 2 * NORM_TOL):
-        raise ValueError(
-            "leading monotones differ; source or targets are not normalized"
-        )
-    return report
+    return _report(vidal_monotones(source), avg, tol)
 
 
 def max_conversion_probability(

@@ -98,14 +98,6 @@ class AmplitudeMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
 
 @dataclass(frozen=True)
 class SchmidtSpectrum:

@@ -36,25 +36,44 @@ __all__ = [
 class SimulationReport:
     """Tally of a simulated protocol run.
 
-    Outcome j's empirical probability is count_j / trials; ``mean_yield``
-    is the empirical average of ln(label), the entanglement in nats when
-    labels are maximally-entangled level counts.
+    Stores the counts per outcome label and the outcome probabilities the
+    theory expects; the empirical statistics are derived from them.
     """
 
     trials: int
     seed: int
     labels: tuple
     counts: tuple
-    empirical_probs: tuple
     expected_probs: tuple
-    mean_yield: float
-    max_abs_deviation: float
 
     def __post_init__(self):
         if self.trials <= 0:
             raise ValueError("trials must be positive")
         if sum(self.counts) != self.trials:
             raise ValueError("outcome counts must sum to the trial count")
+
+    @property
+    def empirical_probs(self) -> tuple:
+        """Outcome j's empirical probability, count_j / trials."""
+        return tuple(c / self.trials for c in self.counts)
+
+    @property
+    def mean_yield(self) -> float:
+        """Empirical average of ln(label).
+
+        This is the entanglement in nats when labels are
+        maximally-entangled level counts.
+        """
+        return math.fsum(
+            c * math.log(label) for c, label in zip(self.counts, self.labels)
+        ) / self.trials
+
+    @property
+    def max_abs_deviation(self) -> float:
+        """Largest |empirical - expected| over the outcomes."""
+        return max(
+            abs(e - p) for e, p in zip(self.empirical_probs, self.expected_probs)
+        )
 
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -107,8 +126,6 @@ def simulate(
     """
     import numpy as np
 
-    if trials <= 0:
-        raise ValueError("trials must be positive")
     expected = povm.outcome_probabilities(state)
     labels = [el.label for el in povm.elements]
     cdf = np.cumsum(expected)
@@ -122,19 +139,11 @@ def simulate(
         below = np.searchsorted(uniforms, cdf[:-1], side="left")
         counts += np.diff(below, prepend=0, append=size)
 
-    empirical = tuple(int(c) / trials for c in counts)
-    mean_yield = math.fsum(
-        int(c) * math.log(label) for c, label in zip(counts, labels)
-    ) / trials
-    max_dev = max(abs(e - p) for e, p in zip(empirical, expected))
     return SimulationReport(
         trials=trials,
         seed=seed,
         labels=tuple(labels),
         counts=tuple(int(c) for c in counts),
-        empirical_probs=empirical,
         expected_probs=tuple(expected),
-        mean_yield=mean_yield,
-        max_abs_deviation=max_dev,
     )
 

@@ -72,10 +72,6 @@ class TargetEnsemble:
             raise ValueError(f"ensemble probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "entries", entries)
 
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
 
 def make_ensemble(pairs) -> TargetEnsemble:
     """Build an ensemble from (probability, spectrum) pairs.
@@ -97,14 +93,17 @@ class PovmElement:
     """One measurement operator, diagonal in the Schmidt basis.
 
     ``diag`` holds the diagonal entries, each in [0, 1 + ``POVM_TOL``] (no
-    complete measurement has a larger one); outcome labels are 1-based and
-    stable even for zero-probability elements.
+    complete measurement has a larger one); outcome labels are 1-based
+    (a label below 1 is rejected) and stable even for zero-probability
+    elements.
     """
 
     label: int
     diag: tuple
 
     def __post_init__(self):
+        if not self.label >= 1:
+            raise ValueError(f"measurement labels must be >= 1, got {self.label!r}")
         diag = tuple(float(d) for d in self.diag)
         if not all(0 <= d <= 1 + POVM_TOL for d in diag):
             raise ValueError("measurement diagonals must be nonnegative and at most 1")
@@ -115,31 +114,33 @@ class PovmElement:
 class DiagonalPovm:
     """A complete set of diagonal measurement elements on a support.
 
-    Completeness means the squared diagonals sum to 1 at every index of the
-    support, within ``POVM_TOL``.  The implicit complement projector outside
-    the support is bookkeeping only: it has zero probability on supported
-    states.
+    Every element diagonal covers the whole support, so all have the same
+    length, ``support_rank``.  Completeness means the squared diagonals sum
+    to 1 at every index of the support, within ``POVM_TOL``.  The implicit
+    complement projector outside the support is bookkeeping only: it has
+    zero probability on supported states.
     """
 
     elements: tuple
-    support_rank: int
 
     def __post_init__(self):
         elements = tuple(self.elements)
         if not elements:
             raise ValueError("measurement must have at least one element")
-        for el in elements:
-            if len(el.diag) != self.support_rank:
-                raise ValueError(
-                    "every element diagonal must cover the full support"
-                )
+        object.__setattr__(self, "elements", elements)
+        if any(len(el.diag) != self.support_rank for el in elements):
+            raise ValueError("every element diagonal must cover the full support")
         for i in range(self.support_rank):
             total = math.fsum(el.diag[i] ** 2 for el in elements)
             if not abs(total - 1.0) <= POVM_TOL:
                 raise ValueError(
                     f"measurement incomplete at index {i + 1}: sum = {total!r}"
                 )
-        object.__setattr__(self, "elements", elements)
+
+    @property
+    def support_rank(self) -> int:
+        """Number of Schmidt indices the measurement covers."""
+        return len(self.elements[0].diag)
 
     def outcome_probabilities(self, state: SchmidtSpectrum) -> tuple:
         """Probability sum_i d_i^2 a_i of each outcome when measuring ``state``.
@@ -245,15 +246,14 @@ def build_ensemble_povm(e: TargetEnsemble) -> DiagonalPovm:
     diagonals sum to one at every supported index.
     """
     avg = average_target(e)
-    n = avg.rank
     elements = []
     for j, (p, target) in enumerate(e.entries, start=1):
-        if target.rank > n:
+        if target.rank > avg.rank:
             # the average dominates every target componentwise, so a target
             # coefficient outside the average's support cannot happen
             raise AssertionError("target support exceeds average support")
         pairs = zip_longest(target.coeffs, avg.coeffs, fillvalue=0)
         diag = tuple(math.sqrt(p * t / a) for t, a in pairs)
         elements.append(PovmElement(j, diag))
-    return DiagonalPovm(tuple(elements), support_rank=n)
+    return DiagonalPovm(tuple(elements))
 

@@ -83,6 +83,16 @@ class TestDecompose:
         path = write_json(tmp_path / "bad.json", {"spectrum": spectrum})
         assert run(["decompose", "--state", str(path)]) == 4
 
+    def test_zero_tol_sets_what_is_dropped(self, tmp_path, capsys):
+        path = write_json(tmp_path / "tiny.json", {"spectrum": [0.5, 0.5, 1e-8]})
+        code, doc = run_json(capsys, ["decompose", "--state", path])
+        assert code == 0
+        assert len(doc["spectrum"]) == 3
+        argv = ["decompose", "--state", path, "--zero-tol", "1e-6"]
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        assert len(doc["spectrum"]) == 2
+
 
 class TestCheckFeasible:
     def test_feasible_pair(self, capsys, tmp_path):
@@ -103,6 +113,19 @@ class TestCheckFeasible:
         assert code == 3
         assert doc["feasible"] is False
         assert doc["violated_indices"] == [2]
+
+    def test_tol_sets_the_verdict(self, capsys, tmp_path):
+        # the worst slack is about -5e-9: past the default 1e-9, inside 1e-8
+        a = write_json(tmp_path / "a.json", {"spectrum": [0.6, 0.4]})
+        b = write_json(tmp_path / "b.json", {"spectrum": [0.6 - 5e-9, 0.4 + 5e-9]})
+        argv = ["check-feasible", "--source", a, "--target", b]
+        code, doc = run_json(capsys, argv)
+        assert code == 3
+        assert doc["violated_indices"] == [2]
+        assert doc["slack"][1] == pytest.approx(-5e-9, rel=1e-6)
+        code, doc = run_json(capsys, argv + ["--tol", "1e-8"])
+        assert code == 0
+        assert doc["feasible"] is True
 
     def test_maximally_entangled_rank_1e5_source(self, capsys, tmp_path):
         src = write_json(tmp_path / "a.json", {"spectrum": [1.0] * 100_000})
@@ -464,6 +487,36 @@ class TestSimulate:
              "--trials", "10", "--seed", "1"]
         )
         assert code == 3
+
+    def test_support_rank_must_match_the_diagonals(
+        self, capsys, tmp_path, worked_state
+    ):
+        doc = {
+            "support_rank": 2,
+            "elements": [{"label": 1, "diag": [1.0, 1.0, 1.0]}],
+        }
+        path = write_json(tmp_path / "wrong.json", doc)
+        argv = ["simulate", "--state", worked_state, "--protocol", path,
+                "--trials", "10"]
+        assert run(argv) == 4
+        assert "full support" in capsys.readouterr().err
+        del doc["support_rank"]
+        write_json(tmp_path / "wrong.json", doc)
+        code, out = run_json(capsys, argv)
+        assert code == 0
+        assert out["counts"] == [10]
+
+    @pytest.mark.parametrize("label", [0, -1])
+    def test_label_below_one_exits_4(self, capsys, tmp_path, worked_state, label):
+        # a yield is ln(label), undefined for a label below 1
+        doc = {"elements": [{"label": label, "diag": [1.0, 1.0, 1.0]}]}
+        path = write_json(tmp_path / "label.json", doc)
+        argv = ["simulate", "--state", worked_state, "--protocol", path,
+                "--trials", "10"]
+        assert run(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "measurement labels must be >= 1" in captured.err
 
     def test_overflowing_diagonal_exits_4(self, capsys, tmp_path, worked_state):
         # no diagonal may exceed 1, and squaring 1e300 would overflow

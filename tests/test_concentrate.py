@@ -178,6 +178,19 @@ class TestConcentrationLp:
         with pytest.raises(ValueError, match="weights"):
             concentration_lp(make_spectrum([0.5, 0.5]), weights=(1.0,))
 
+    def test_fraction_weights_make_an_exact_matrix(self):
+        # the weights make the problem exact, so the matrix must not hold
+        # the binary rounding of 1/3 or 2/3
+        n = 3
+        prob = concentration_lp(
+            make_spectrum(WORKED_SPECTRUM), [Fraction(0), Fraction(1), Fraction(1)]
+        )
+        assert prob.exact
+        assert prob.constraint_matrix == tuple(
+            tuple(Fraction(j + 1 - l, j) if j >= l else 0 for j in range(1, n + 1))
+            for l in range(1, n + 1)
+        )
+
     def test_simplex_reproduces_plan(self):
         rng = np.random.default_rng(97)
         for _ in range(60):

@@ -239,6 +239,24 @@ class TestVerifySolution:
         claim = LpSolution((), None, (), (), "unbounded")
         assert not verify_solution(prob, claim)
 
+    def test_rejects_a_negative_claimed_value(self):
+        # a claim of -1.2e-9 is within VERIFY_TOL of the basis solution and
+        # of the row bound, but is itself negative past it
+        prob = LpProblem((1.0,), ((1.0,),), (-6e-10,))
+        for value, verdict in ((-1.2e-9, False), (-6e-10, True)):
+            claim = LpSolution((value,), value, (0,), (), "optimal")
+            assert verify_solution(prob, claim) is verdict
+
+    def test_rejects_a_mismatched_objective(self):
+        prob = concentration_lp(make_spectrum([0.5, 0.3, 0.2]))
+        sol = simplex_solve(prob)
+        assert verify_solution(prob, sol)
+        claim = LpSolution(
+            sol.values, sol.objective_value + 1e-6, sol.basis, sol.reduced_costs,
+            "optimal",
+        )
+        assert not verify_solution(prob, claim)
+
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
     @pytest.mark.parametrize("n", [2, 64])
     def test_singular_basis_fails_without_raising(self, n, exact):

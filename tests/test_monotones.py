@@ -21,6 +21,8 @@ from entmanip import (
     uniform_spectrum,
     vidal_monotones,
 )
+from entmanip.monotones import FEASIBILITY_TOL
+from entmanip.schmidt import NORM_TOL
 from util import (
     concentrate_toward_top,
     random_spectrum,
@@ -36,6 +38,16 @@ exact_spectra = st.lists(st.integers(0, 9), min_size=1, max_size=5).filter(any).
 
 float_spectra = st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8).map(
     make_spectrum
+)
+
+# Valid spectra whose coefficients sum to anything within NORM_TOL of 1:
+# a scale of 1 + shift keeps them ordered and positive.  Half the shifts sit
+# at the edges, where the sums of source and targets differ the most.
+_NORM_SHIFTS = (st.sampled_from([-0.99, 0.99]) | st.floats(-0.99, 0.99)).map(
+    lambda u: u * NORM_TOL
+)
+edge_spectra = st.tuples(float_spectra, _NORM_SHIFTS).map(
+    lambda pair: SchmidtSpectrum(tuple(a * (1 + pair[1]) for a in pair[0].coeffs))
 )
 
 
@@ -189,8 +201,8 @@ class TestEnsembleFeasible:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.one_of(float_spectra, exact_spectra),
-        st.one_of(float_spectra, exact_spectra),
+        st.one_of(float_spectra, exact_spectra, edge_spectra),
+        st.one_of(float_spectra, exact_spectra, edge_spectra),
     )
     def test_singleton_report_is_nielsen_bit_for_bit(self, a, b):
         for source, target in ((a, b), (b, a)):
@@ -207,6 +219,31 @@ class TestEnsembleFeasible:
             assert ensemble_feasible(source, single, tol) == nielsen_feasible(
                 source, target, tol
             )
+
+    def test_valid_inputs_at_the_normalisation_edge_are_not_refused(self):
+        h = 0.495e-9
+        source = SchmidtSpectrum((0.5 + h, 0.5 + h))
+        target = SchmidtSpectrum((0.6 - h, 0.4 - h))
+        ensemble = TargetEnsemble(((0.5 - h, target), (0.5 - h, target)))
+        assert ensemble_feasible(source, ensemble).feasible
+        assert nielsen_feasible(source, target).feasible
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        edge_spectra,
+        st.lists(st.tuples(st.integers(1, 9), edge_spectra), min_size=1, max_size=4),
+        _NORM_SHIFTS,
+        st.sampled_from([0, FEASIBILITY_TOL]),
+    )
+    def test_edge_inputs_get_a_verdict(self, source, entries, shift, tol):
+        total = sum(w for w, _ in entries)
+        ensemble = TargetEnsemble(
+            tuple((w / total * (1 + shift), t) for w, t in entries)
+        )
+        report = ensemble_feasible(source, ensemble, tol)
+        assert report.violated_indices == tuple(
+            l for l, gap in enumerate(report.slack, start=1) if gap < -tol
+        )
 
 
 class TestMaxConversionProbability:

@@ -222,7 +222,7 @@ _VALID_VECTORS = {
     "PovmElement": (lambda d: PovmElement(1, d), (1.0, 0.5, 0.0)),
     # a bare element, so that the completeness test is what meets the NaN
     "DiagonalPovm": (
-        lambda d: DiagonalPovm((SimpleNamespace(label=1, diag=d),), len(d)),
+        lambda d: DiagonalPovm((SimpleNamespace(label=1, diag=d),)),
         (1.0, 1.0, 1.0),
     ),
 }
@@ -271,7 +271,7 @@ class TestEntropy:
 class TestAmplitudeMatrix:
     def test_dimensions(self):
         m = AmplitudeMatrix(np.array([[1.0, 0.0]]))
-        assert (m.rows, m.cols) == (1, 2)
+        assert m.entries.shape == (1, 2)
 
     def test_rejects_non_matrix(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from entmanip import (
     PovmElement,
     average_target,
     build_ensemble_povm,
+    make_ensemble,
     make_spectrum,
     optimal_plan,
     simulate,
@@ -77,9 +78,42 @@ class TestCounterUniforms:
         assert u.tolist() == [k * 2.0**-53 for k in multiples]
 
 
+_REPORT_VALUES = (
+    "trials", "seed", "labels", "counts", "empirical_probs", "expected_probs",
+    "mean_yield", "max_abs_deviation",
+)
+_WORKED = make_spectrum([0.5, 0.3, 0.2])
+_TIED = make_spectrum([5, 4, 4, 2, 1])
+_HALVES = make_ensemble([(0.5, make_spectrum([1.0])), (0.5, make_spectrum([0.5, 0.5]))])
+# The repr of every value of a report, pinned bit for bit: the tally and
+# the statistics derived from it.  70001 trials span two chunks.
+_GOLDEN_REPORTS = [
+    (
+        single_shot_povm(_WORKED), _WORKED, 1000, 3,
+        ["1000", "3", "(1, 2, 3)", "(204, 207, 589)", "(0.204, 0.207, 0.589)",
+         "(0.2, 0.19999999999999996, 0.6)", "0.7905641044014253",
+         "0.01100000000000001"],
+    ),
+    (
+        single_shot_povm(_TIED), _TIED, 70001, 11,
+        ["70001", "11", "(1, 2, 3, 4, 5)", "(4380, 0, 26590, 17375, 21656)",
+         "(0.06257053470664704, 0.0, 0.37985171640405135, 0.24821073984657363, "
+         "0.30936700904272796)",
+         "(0.06249999999999999, 0.0, 0.37500000000000006, 0.25, 0.3125)",
+         "1.259309905741575", "0.004851716404051298"],
+    ),
+    (
+        build_ensemble_povm(_HALVES), average_target(_HALVES), 997, 2**64 - 1,
+        ["997", "18446744073709551615", "(1, 2)", "(514, 483)",
+         "(0.5155466399197592, 0.4844533600802407)", "(0.5, 0.5)",
+         "0.33579748065241083", "0.015546639919759297"],
+    ),
+]
+
+
 class TestSimulate:
     def test_identity_povm(self):
-        povm = DiagonalPovm((PovmElement(1, (1.0, 1.0)),), support_rank=2)
+        povm = DiagonalPovm((PovmElement(1, (1.0, 1.0)),))
         report = simulate(povm, make_spectrum([0.6, 0.4]), trials=500, seed=3)
         assert report.counts == (500,)
         assert report.empirical_probs == (1.0,)
@@ -145,6 +179,11 @@ class TestSimulate:
         assert report.mean_yield == pytest.approx(math.log(4), abs=1e-15)
         assert report.max_abs_deviation == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("povm, state, trials, seed, golden", _GOLDEN_REPORTS)
+    def test_golden_reports(self, povm, state, trials, seed, golden):
+        report = simulate(povm, state, trials=trials, seed=seed)
+        assert [repr(getattr(report, name)) for name in _REPORT_VALUES] == golden
+
     def test_chunked_tally_matches_one_shot_in_bounded_memory(self):
         s = make_spectrum([0.5, 0.3, 0.2])
         povm = single_shot_povm(s)
@@ -195,7 +234,7 @@ class TestSimulate:
             # cdf ends below 1 before the top-edge guard
             *first, last = povm.elements
             diag = tuple(d * math.sqrt(1 - 4e-11) for d in last.diag)
-            povm = DiagonalPovm((*first, PovmElement(last.label, diag)), s.rank)
+            povm = DiagonalPovm((*first, PovmElement(last.label, diag)))
         expected = povm.outcome_probabilities(s)
         cdf = np.cumsum(expected)
         if short:
@@ -221,7 +260,7 @@ class TestSimulate:
 
 class TestYieldStatistics:
     def test_deterministic_outcome(self):
-        povm = DiagonalPovm((PovmElement(1, (1.0,)),), support_rank=1)
+        povm = DiagonalPovm((PovmElement(1, (1.0,)),))
         report = simulate(povm, make_spectrum([1.0]), trials=100, seed=1)
         mean, stderr = yield_statistics(report)
         assert mean == 0.0
@@ -236,7 +275,7 @@ class TestYieldStatistics:
         assert abs(mean - truth) <= 4 * stderr
 
     def test_needs_two_trials(self):
-        povm = DiagonalPovm((PovmElement(1, (1.0,)),), support_rank=1)
+        povm = DiagonalPovm((PovmElement(1, (1.0,)),))
         report = simulate(povm, make_spectrum([1.0]), trials=1, seed=1)
         with pytest.raises(ValueError):
             yield_statistics(report)

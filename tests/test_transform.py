@@ -101,7 +101,7 @@ class TestMergeDuplicates:
     def test_merges_equal_targets(self):
         s = make_spectrum([0.5, 0.5])
         merged, die = merge_duplicates(make_ensemble([(0.3, s), (0.7, s)]))
-        assert merged.size == 1
+        assert len(merged.entries) == 1
         assert merged.entries[0][0] == pytest.approx(1.0, abs=1e-15)
         (group,) = die.groups
         assert [j for j, _ in group.members] == [1, 2]
@@ -125,7 +125,7 @@ class TestMergeDuplicates:
             total = 1.0 + p0
             doubled = make_ensemble([(p / total, t) for p, t in pairs])
             merged, _ = merge_duplicates(doubled)
-            assert merged.size < doubled.size
+            assert len(merged.entries) < len(doubled.entries)
             assert average_target(merged).coeffs == pytest.approx(
                 average_target(doubled).coeffs, abs=1e-12
             )
@@ -275,10 +275,25 @@ class TestApplyPovmElement:
 class TestDiagonalPovmValidation:
     def test_incomplete_set_rejected(self):
         with pytest.raises(ValueError, match="incomplete"):
+            DiagonalPovm((PovmElement(1, (0.5, 0.5)),))
+
+    def test_unequal_diagonal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="full support"):
             DiagonalPovm(
-                (PovmElement(1, (0.5, 0.5)),),
-                support_rank=2,
+                (PovmElement(1, (1.0, 0.0)), PovmElement(2, (0.0, 1.0, 1.0)))
             )
+
+    def test_support_rank_is_the_diagonal_length(self):
+        povm = DiagonalPovm(
+            (PovmElement(1, (1.0, 0.0, 0.6)), PovmElement(2, (0.0, 1.0, 0.8)))
+        )
+        assert povm.support_rank == 3
+
+    @pytest.mark.parametrize("label", [0, -1])
+    def test_label_below_one_rejected(self, label):
+        # yields are ln(label), so a label below 1 has none
+        with pytest.raises(ValueError, match="labels must be >= 1"):
+            PovmElement(label, (1.0,))
 
     def test_negative_diagonal_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
