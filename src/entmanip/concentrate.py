@@ -19,17 +19,14 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import TYPE_CHECKING
 
 from .monotones import vidal_monotones
-from .schmidt import NORM_TOL, SchmidtSpectrum, holds_fraction
+from .schmidt import NORM_TOL, Frozen, SchmidtSpectrum, holds_fraction
 
-if TYPE_CHECKING:
-    from .lp import LpProblem
-    from .transform import DiagonalPovm
+# Annotations are not evaluated (PEP 563): the types they name from
+# ``lp`` and ``transform`` are imported only by the functions that build them.
 
 SIZE_CAP = 1 << 20
 CERT_TOL = 1e-12
@@ -48,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConcentrationPlan:
+class ConcentrationPlan(Frozen):
     """Distribution over maximally entangled levels plus its expected yield.
 
     ``probabilities[j-1]`` is the chance of finishing on the j-level
@@ -58,11 +54,10 @@ class ConcentrationPlan:
     within ``NORM_TOL``, the rule a spectrum's coefficients meet.
     """
 
-    probabilities: tuple
-    expected_entanglement: float
+    _fields = ("probabilities", "expected_entanglement")
 
-    def __post_init__(self):
-        probabilities = tuple(self.probabilities)
+    def __init__(self, probabilities, expected_entanglement):
+        probabilities = tuple(probabilities)
         if not probabilities:
             raise ValueError("plan must cover at least one level")
         if not all(map(operator.ge, probabilities, repeat(0))):
@@ -71,12 +66,11 @@ class ConcentrationPlan:
         total = sum(probabilities) if exact else math.fsum(probabilities)
         if not abs(total - 1) <= NORM_TOL:
             raise ValueError(f"plan probabilities sum to {total!r}, not 1")
-        if not math.isfinite(self.expected_entanglement):
+        if not math.isfinite(expected_entanglement):
             raise ValueError(
-                "expected entanglement must be finite, got "
-                f"{self.expected_entanglement!r}"
+                f"expected entanglement must be finite, got {expected_entanglement!r}"
             )
-        object.__setattr__(self, "probabilities", probabilities)
+        self._store(probabilities, expected_entanglement)
 
     @classmethod
     def _of_spectrum(cls, probabilities: tuple, expected_entanglement: float):
@@ -87,13 +81,11 @@ class ConcentrationPlan:
         again can round a valid spectrum's plan just past that bound.
         """
         plan = object.__new__(cls)
-        object.__setattr__(plan, "probabilities", probabilities)
-        object.__setattr__(plan, "expected_entanglement", expected_entanglement)
+        plan._store(probabilities, expected_entanglement)
         return plan
 
 
-@dataclass(frozen=True)
-class OptimalityCertificate:
+class OptimalityCertificate(Frozen):
     """Reduced costs of the concentration LP at the closed-form vertex.
 
     The certificate depends only on the level weights, not on the
@@ -102,13 +94,13 @@ class OptimalityCertificate:
     which are kept as they are.
     """
 
-    z_values: tuple
+    _fields = ("z_values",)
 
-    def __post_init__(self):
-        z_values = tuple(self.z_values)
+    def __init__(self, z_values):
+        z_values = tuple(z_values)
         if not holds_fraction(z_values):
             z_values = tuple(float(z) for z in z_values)
-        object.__setattr__(self, "z_values", z_values)
+        self._store(z_values)
 
     @property
     def passed(self) -> bool:

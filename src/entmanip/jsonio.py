@@ -12,13 +12,11 @@ import math
 import numbers
 import sys
 from contextlib import contextmanager
-from typing import TYPE_CHECKING
 
 from .schmidt import ZERO_TOL, SchmidtSpectrum, make_spectrum, schmidt_decompose
 
-if TYPE_CHECKING:
-    from .lp import LpProblem
-    from .transform import DiagonalPovm, TargetEnsemble
+# Annotations are not evaluated (PEP 563): the types they name from
+# ``lp`` and ``transform`` are imported only by the loaders that build them.
 
 __all__ = [
     "dumps",

@@ -55,11 +55,10 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 
-from .schmidt import as_fraction
+from .schmidt import Frozen, as_fraction
 
 PIVOT_TOL = 1e-11
 VERIFY_TOL = 1e-9
@@ -76,8 +75,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LpProblem:
+class LpProblem(Frozen):
     """maximize objective.x  s.t.  constraint_matrix x <= bounds, x >= 0.
 
     Entries must be real numbers (``numbers.Real``: ints, floats,
@@ -90,14 +88,12 @@ class LpProblem:
     bounds, and the solver guards the rest).
     """
 
-    objective: tuple
-    constraint_matrix: tuple
-    bounds: tuple
+    _fields = ("objective", "constraint_matrix", "bounds")
 
-    def __post_init__(self):
-        objective = tuple(self.objective)
-        matrix = tuple(tuple(row) for row in self.constraint_matrix)
-        bounds = tuple(self.bounds)
+    def __init__(self, objective, constraint_matrix, bounds):
+        objective = tuple(objective)
+        matrix = tuple(tuple(row) for row in constraint_matrix)
+        bounds = tuple(bounds)
         if not objective:
             raise ValueError("objective must have at least one coefficient")
         if len(matrix) != len(bounds):
@@ -113,9 +109,7 @@ class LpProblem:
         (objective,) = _finite("objective", (objective,), exact)
         matrix = _finite("constraint_matrix", matrix, exact)
         (bounds,) = _finite("bounds", (bounds,), exact)
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "constraint_matrix", matrix)
-        object.__setattr__(self, "bounds", bounds)
+        self._store(objective, matrix, bounds)
 
     @property
     def exact(self) -> bool:
@@ -131,8 +125,7 @@ class LpProblem:
         return len(self.bounds)
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(Frozen):
     """Solver output: structural values, objective, basis and reduced costs.
 
     ``basis`` lists basic column indices over the extended variable order
@@ -147,21 +140,21 @@ class LpSolution:
     most one per structural variable).
     """
 
-    values: tuple
-    objective_value: object
-    basis: tuple
-    reduced_costs: tuple
-    status: str
-    pivots: int = 0
-    degenerate_pivots: int = 0
-    absorb_pivots: int = 0
+    _fields = (
+        "values", "objective_value", "basis", "reduced_costs", "status",
+        "pivots", "degenerate_pivots", "absorb_pivots",
+    )
 
-    def __post_init__(self):
-        if self.status not in ("optimal", "unbounded", "infeasible"):
-            raise ValueError(f"unknown status {self.status!r}")
-        object.__setattr__(self, "values", tuple(self.values))
-        object.__setattr__(self, "basis", tuple(sorted(self.basis)))
-        object.__setattr__(self, "reduced_costs", tuple(self.reduced_costs))
+    def __init__(
+        self, values, objective_value, basis, reduced_costs, status,
+        pivots=0, degenerate_pivots=0, absorb_pivots=0,
+    ):
+        if status not in ("optimal", "unbounded", "infeasible"):
+            raise ValueError(f"unknown status {status!r}")
+        self._store(
+            tuple(values), objective_value, tuple(sorted(basis)),
+            tuple(reduced_costs), status, pivots, degenerate_pivots, absorb_pivots,
+        )
 
 
 def _in_arithmetic(values, exact) -> tuple:

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat, starmap, zip_longest
 
-from .schmidt import SchmidtSpectrum, padded_average
+from .schmidt import Frozen, SchmidtSpectrum, padded_average
 
 FEASIBILITY_TOL = 1e-9
 
@@ -31,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(Frozen):
     """Outcome of a monotone non-increase check.
 
     ``slack[l-1]`` is the source monotone minus the (averaged) target
@@ -40,12 +38,10 @@ class FeasibilityReport:
     slack drops below ``-tol``, and is feasible when there are none.
     """
 
-    violated_indices: tuple
-    slack: tuple
+    _fields = ("violated_indices", "slack")
 
-    def __post_init__(self):
-        object.__setattr__(self, "violated_indices", tuple(self.violated_indices))
-        object.__setattr__(self, "slack", tuple(self.slack))
+    def __init__(self, violated_indices, slack):
+        self._store(tuple(violated_indices), tuple(slack))
 
     @property
     def feasible(self) -> bool:

@@ -16,13 +16,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat, zip_longest
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
 
 NORM_TOL = 1e-9
 ZERO_TOL = 1e-12
@@ -72,35 +67,73 @@ def check_positive_nonincreasing(values: tuple, what: str) -> None:
     raise ValueError(f"{what} must be nonincreasing")
 
 
-@dataclass(frozen=True)
-class AmplitudeMatrix:
+class Frozen:
+    """Base of the immutable value types.
+
+    A subclass names its fields, in constructor order, in ``_fields`` and
+    stores them once with :meth:`_store`.  Equality (same class, equal
+    fields), hashing and the ``Name(field=value, ...)`` repr go by those
+    fields; assigning or deleting any attribute raises ``AttributeError``.
+    Values live in the instance ``__dict__``, so ``pickle`` and ``copy``
+    work as for any plain object.
+    """
+
+    _fields = ()
+
+    def _store(self, *values):
+        self.__dict__.update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self._fields, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+
+class AmplitudeMatrix(Frozen):
     """Complex amplitudes of a bipartite pure state in a product basis.
 
     Rows index the first subsystem, columns the second.  The squared
-    magnitudes must sum to 1 within ``NORM_TOL``.
+    magnitudes must sum to 1 within ``NORM_TOL``.  ``entries`` is a
+    read-only complex ``numpy.ndarray``.
     """
 
-    entries: np.ndarray
+    _fields = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries):
         import numpy as np
 
-        arr = np.array(self.entries, dtype=complex)
+        arr = np.array(entries, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("amplitude matrix must be a non-empty 2-D array")
         if not np.all(np.isfinite(arr.view(float))):
             raise ValueError("amplitude matrix entries must be finite")
-        total = float(np.sum(np.abs(arr) ** 2))
+        with np.errstate(over="ignore"):  # an entry past ~1e154 squares to inf
+            total = float(np.sum(np.abs(arr) ** 2))
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(
                 f"amplitude matrix is not normalized: |psi|^2 = {total!r}"
             )
         arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        self._store(arr)
 
 
-@dataclass(frozen=True)
-class SchmidtSpectrum:
+class SchmidtSpectrum(Frozen):
     """Ordered, normalized squared Schmidt coefficients.
 
     Invariants: nonincreasing, strictly positive entries summing to 1 within
@@ -110,10 +143,10 @@ class SchmidtSpectrum:
     :func:`schmidt_decompose` to build instances.
     """
 
-    coeffs: tuple
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+    def __init__(self, coeffs):
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("spectrum must have at least one coefficient")
         check_positive_nonincreasing(coeffs, "spectrum coefficients")
@@ -123,7 +156,7 @@ class SchmidtSpectrum:
         total = sum(coeffs) if exact else math.fsum(coeffs)
         if not abs(total - 1) <= NORM_TOL:
             raise ValueError(f"spectrum is not normalized: sum = {total!r}")
-        object.__setattr__(self, "coeffs", coeffs)
+        self._store(coeffs)
 
     @property
     def rank(self) -> int:
@@ -131,7 +164,7 @@ class SchmidtSpectrum:
         return len(self.coeffs)
 
 
-def make_spectrum(raw: Sequence, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
+def make_spectrum(raw, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
     """Build a valid spectrum from raw nonnegative weights.
 
     Sorts nonincreasing (stable, so ties keep their input order), drops

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .schmidt import SchmidtSpectrum
 from .transform import DiagonalPovm, IncompletePovmError
 
-if TYPE_CHECKING:
-    import numpy as np
+# Annotations are not evaluated (PEP 563): ``np`` in them names numpy,
+# which is imported only inside the functions that use it.
 
 __all__ = [
     "IncompletePovmError",
@@ -51,6 +50,8 @@ class SimulationReport:
             raise ValueError("trials must be positive")
         if sum(self.counts) != self.trials:
             raise ValueError("outcome counts must sum to the trial count")
+        if not len(self.labels) == len(self.counts) == len(self.expected_probs):
+            raise ValueError("labels, counts and expected_probs differ in length")
 
     @property
     def empirical_probs(self) -> tuple:

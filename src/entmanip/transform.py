@@ -20,10 +20,9 @@ from the average state onward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import zip_longest
 
-from .schmidt import NORM_TOL, SchmidtSpectrum, make_spectrum, padded_average
+from .schmidt import NORM_TOL, Frozen, SchmidtSpectrum, make_spectrum, padded_average
 
 MERGE_TOL = 1e-9
 POVM_TOL = 1e-10
@@ -48,18 +47,17 @@ class IncompletePovmError(ValueError):
     """The measurement does not resolve to 1 on the state's support."""
 
 
-@dataclass(frozen=True)
-class TargetEnsemble:
+class TargetEnsemble(Frozen):
     """A list of (probability, target spectrum) pairs summing to one.
 
     Zero-probability entries are not stored; use :func:`make_ensemble`,
     which strips them.
     """
 
-    entries: tuple
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        entries = tuple((p, t) for p, t in self.entries)
+    def __init__(self, entries):
+        entries = tuple((p, t) for p, t in entries)
         if not entries:
             raise ValueError("ensemble must have at least one entry")
         for p, target in entries:
@@ -70,7 +68,7 @@ class TargetEnsemble:
         total = math.fsum(float(p) for p, _ in entries)
         if not abs(total - 1.0) <= NORM_TOL:
             raise ValueError(f"ensemble probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "entries", entries)
+        self._store(entries)
 
 
 def make_ensemble(pairs) -> TargetEnsemble:
@@ -88,8 +86,7 @@ def make_ensemble(pairs) -> TargetEnsemble:
     return TargetEnsemble(tuple(kept))
 
 
-@dataclass(frozen=True)
-class PovmElement:
+class PovmElement(Frozen):
     """One measurement operator, diagonal in the Schmidt basis.
 
     ``diag`` holds the diagonal entries, each in [0, 1 + ``POVM_TOL``] (no
@@ -98,20 +95,18 @@ class PovmElement:
     elements.
     """
 
-    label: int
-    diag: tuple
+    _fields = ("label", "diag")
 
-    def __post_init__(self):
-        if not self.label >= 1:
-            raise ValueError(f"measurement labels must be >= 1, got {self.label!r}")
-        diag = tuple(float(d) for d in self.diag)
+    def __init__(self, label, diag):
+        if not label >= 1:
+            raise ValueError(f"measurement labels must be >= 1, got {label!r}")
+        diag = tuple(float(d) for d in diag)
         if not all(0 <= d <= 1 + POVM_TOL for d in diag):
             raise ValueError("measurement diagonals must be nonnegative and at most 1")
-        object.__setattr__(self, "diag", diag)
+        self._store(label, diag)
 
 
-@dataclass(frozen=True)
-class DiagonalPovm:
+class DiagonalPovm(Frozen):
     """A complete set of diagonal measurement elements on a support.
 
     Every element diagonal covers the whole support, so all have the same
@@ -121,13 +116,13 @@ class DiagonalPovm:
     zero probability on supported states.
     """
 
-    elements: tuple
+    _fields = ("elements",)
 
-    def __post_init__(self):
-        elements = tuple(self.elements)
+    def __init__(self, elements):
+        elements = tuple(elements)
         if not elements:
             raise ValueError("measurement must have at least one element")
-        object.__setattr__(self, "elements", elements)
+        self._store(elements)
         if any(len(el.diag) != self.support_rank for el in elements):
             raise ValueError("every element diagonal must cover the full support")
         for i in range(self.support_rank):
@@ -157,35 +152,32 @@ class DiagonalPovm:
         )
 
 
-@dataclass(frozen=True)
-class DieGroup:
+class DieGroup(Frozen):
     """Relabelling rule for one merged outcome.
 
     ``members`` holds (original 1-based outcome index, relative probability)
     pairs; the relative probabilities sum to one.
     """
 
-    representative: int
-    members: tuple
+    _fields = ("representative", "members")
 
-    def __post_init__(self):
-        members = tuple((int(j), float(r)) for j, r in self.members)
+    def __init__(self, representative, members):
+        members = tuple((int(j), float(r)) for j, r in members)
         if not members:
             raise ValueError("die group must have at least one member")
         total = math.fsum(r for _, r in members)
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"die group probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "members", members)
+        self._store(representative, members)
 
 
-@dataclass(frozen=True)
-class DieTable:
+class DieTable(Frozen):
     """Classical post-processing that expands merged outcomes back out."""
 
-    groups: tuple
+    _fields = ("groups",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "groups", tuple(self.groups))
+    def __init__(self, groups):
+        self._store(tuple(groups))
 
 
 def average_target(e: TargetEnsemble) -> SchmidtSpectrum:

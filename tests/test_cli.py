@@ -83,6 +83,19 @@ class TestDecompose:
         path = write_json(tmp_path / "bad.json", {"spectrum": spectrum})
         assert run(["decompose", "--state", str(path)]) == 4
 
+    def test_overflowing_amplitudes_exit_4_without_a_warning(self, tmp_path):
+        path = write_json(tmp_path / "huge.json", {"amplitudes": [[1e300, 0], [0, 0]]})
+        package_root = os.path.dirname(os.path.dirname(entmanip.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "entmanip", "decompose", "--state", path],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=package_root),
+        )
+        assert proc.returncode == 4
+        assert proc.stderr == (
+            "entmanip: amplitude matrix is not normalized: |psi|^2 = inf\n"
+        )
+
     def test_zero_tol_sets_what_is_dropped(self, tmp_path, capsys):
         path = write_json(tmp_path / "tiny.json", {"spectrum": [0.5, 0.5, 1e-8]})
         code, doc = run_json(capsys, ["decompose", "--state", path])
@@ -762,7 +775,9 @@ class TestNumpyStaysUnimported:
     A numpy tableau in ``lp.py`` would put the import back on ``lp-solve``
     and ``concentrate --weights``, and a module-level kernel import in
     ``cli``, ``jsonio`` or the package would load modules a call never
-    runs.
+    runs.  The value types are plain classes, so only ``simulate``, whose
+    report is a dataclass, imports ``dataclasses``; without numpy nothing
+    imports ``inspect``, which ``dataclasses`` would bring in.
     """
 
     CHILD = (
@@ -770,7 +785,8 @@ class TestNumpyStaysUnimported:
         "from entmanip.cli import run\n"
         "code = run(json.loads(sys.argv[1]))\n"
         "modules = [m.split('.', 1)[1] for m in sys.modules if m.startswith('entmanip.')]\n"
-        "sys.stderr.write(json.dumps([code, 'numpy' in sys.modules, modules]))\n"
+        "loaded = [m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')]\n"
+        "sys.stderr.write(json.dumps([code, loaded, modules]))\n"
     )
 
     @pytest.fixture
@@ -801,7 +817,10 @@ class TestNumpyStaysUnimported:
             [sys.executable, "-c", self.CHILD, json.dumps(argv)],
             capture_output=True, text=True, env=env, timeout=60,
         )
-        code, numpy_imported, modules = json.loads(proc.stderr.splitlines()[-1])
+        code, loaded, modules = json.loads(proc.stderr.splitlines()[-1])
+        numpy_imported, dataclasses_imported, inspect_imported = loaded
+        assert dataclasses_imported == (argv[0] == "simulate")
+        assert inspect_imported <= numpy_imported
         return code, numpy_imported, set(modules), proc.stdout
 
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import warnings
 from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
@@ -276,6 +277,12 @@ class TestAmplitudeMatrix:
     def test_rejects_non_matrix(self):
         with pytest.raises(ValueError):
             AmplitudeMatrix(np.array([1.0, 0.0]))
+
+    def test_overflowing_norm_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"\|psi\|\^2 = inf"):
+                AmplitudeMatrix([[1e300, 0.0], [0.0, 0.0]])
 
 
 class TestNumericKind:

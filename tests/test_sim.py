@@ -13,6 +13,7 @@ from entmanip import (
     DiagonalPovm,
     IncompletePovmError,
     PovmElement,
+    SimulationReport,
     average_target,
     build_ensemble_povm,
     make_ensemble,
@@ -256,6 +257,17 @@ class TestSimulate:
         s = make_spectrum([1.0])
         with pytest.raises(ValueError):
             simulate(single_shot_povm(s), s, trials=0, seed=0)
+
+    @pytest.mark.parametrize(
+        "labels, counts, expected_probs",
+        [((2,), (1, 1), (0.5,)), ((1, 2), (1, 1), (0.5,)), ((1, 2), (2,), (0.5, 0.5))],
+    )
+    def test_report_rejects_unequal_lengths(self, labels, counts, expected_probs):
+        with pytest.raises(ValueError, match="differ in length"):
+            SimulationReport(
+                trials=2, seed=0, labels=labels, counts=counts,
+                expected_probs=expected_probs,
+            )
 
 
 class TestYieldStatistics:
