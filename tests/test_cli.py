@@ -820,7 +820,7 @@ class TestNumpyStaysUnimported:
         code, loaded, modules = json.loads(proc.stderr.splitlines()[-1])
         numpy_imported, dataclasses_imported, inspect_imported = loaded
         assert dataclasses_imported == (argv[0] == "simulate")
-        assert inspect_imported <= numpy_imported
+        assert numpy_imported or not inspect_imported
         return code, numpy_imported, set(modules), proc.stdout
 
     @pytest.mark.parametrize(

@@ -182,7 +182,7 @@ def test_value_type_contract(cls, args, defaults, other, golden):
             setattr(value, name, None)
         with pytest.raises(AttributeError):
             delattr(value, name)
-    assert repr(value) == golden
+    assert repr(value) == golden  # the refused writes changed nothing
     clones = pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)
     for clone in clones:
         assert type(clone) is cls and clone == value and repr(clone) == golden
