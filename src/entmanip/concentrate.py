@@ -23,7 +23,14 @@ from fractions import Fraction
 from itertools import repeat
 
 from .monotones import vidal_monotones
-from .schmidt import NORM_TOL, Frozen, SchmidtSpectrum, holds_fraction
+from .schmidt import (
+    NORM_TOL,
+    Frozen,
+    SchmidtSpectrum,
+    as_fraction,
+    exact_sum,
+    holds_fraction,
+)
 
 # Annotations are not evaluated (PEP 563): the types they name from
 # ``lp`` and ``transform`` are imported only by the functions that build them.
@@ -63,7 +70,7 @@ class ConcentrationPlan(Frozen):
         if not all(map(operator.ge, probabilities, repeat(0))):
             raise ValueError("plan probabilities must be nonnegative")
         exact = holds_fraction(probabilities)
-        total = sum(probabilities) if exact else math.fsum(probabilities)
+        total = exact_sum(probabilities) if exact else math.fsum(probabilities)
         if not abs(total - 1) <= NORM_TOL:
             raise ValueError(f"plan probabilities sum to {total!r}, not 1")
         if not math.isfinite(expected_entanglement):
@@ -114,18 +121,17 @@ def optimal_plan(s: SchmidtSpectrum) -> ConcentrationPlan:
     Level j receives probability j * (a_j - a_{j+1}) with a_{N+1} = 0; the
     probabilities telescope back to the coefficient sum, so the plan is
     normalised because the spectrum is, and its sum is not checked again.
-    The expected entanglement is the ln j average in nats.
+    The expected entanglement is the ln j average in nats.  Both are
+    C-level passes, one for float and exact spectra alike.
     """
     coeffs = s.coeffs
     n = len(coeffs)
-    probs = []
-    for j in range(1, n + 1):
-        nxt = coeffs[j] if j < n else 0
-        probs.append(j * (coeffs[j - 1] - nxt))
+    gaps = map(operator.sub, coeffs, coeffs[1:] + (0,))
+    probs = tuple(map(operator.mul, range(1, n + 1), gaps))
     expected = math.fsum(
-        float(p) * math.log(j) for j, p in enumerate(probs, start=1) if j > 1
+        map(operator.mul, map(float, probs[1:]), map(math.log, range(2, n + 1)))
     )
-    return ConcentrationPlan._of_spectrum(tuple(probs), expected)
+    return ConcentrationPlan._of_spectrum(probs, expected)
 
 
 def standard_weights(kind: str, n: int) -> tuple:
@@ -170,7 +176,10 @@ def concentration_lp(s: SchmidtSpectrum, weights=None) -> LpProblem:
         )
     # row l holds (j + 1 - l) / j from column j = l on, zeros before it;
     # an int true division is rounded once, as Fraction(k, j) is exact
-    divide = Fraction if holds_fraction(s.coeffs + weights) else operator.truediv
+    exact = holds_fraction(s.coeffs + weights)
+    if exact:  # all entries Fractions, which LpProblem stores as given
+        weights = tuple(map(as_fraction, weights))
+    divide = Fraction if exact else operator.truediv
     zero = divide(0, 1)
     matrix = tuple(
         (zero,) * (l - 1) + tuple(map(divide, range(1, n + 2 - l), range(l, n + 1)))

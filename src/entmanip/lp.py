@@ -21,14 +21,19 @@ the nonzero columns of the pivot row and only the rows with a nonzero
 factor.  Skipped entries would be updated by ``x - factor * 0``, so the
 results are the same number for number as a full sweep, at a fraction of
 the cost on the sparse tableaus the concentration LPs produce.  The one
-routine serves float and exact mode alike.  So do the LU kernels below;
-only their substitutions treat the modes apart: a float entry subtracts
-its products one by one, while an exact one accumulates them as an integer
-numerator over the running lcm of their denominators and becomes a single
-``Fraction`` at the end, the same number as term-by-term ``Fraction``
-arithmetic gives (the fraction-free idea of E. H. Bareiss, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination", Math.
-Comp. 22, 1968, applied where it changes no value).
+routine serves float and exact mode alike.  So does the LU factorisation
+below; the substitutions treat the modes apart.  A float entry subtracts
+its products one by one.  Exact substitutions run on integer ratios: the
+factorisation also keeps U's pivots and entries as (numerator,
+denominator) pairs, each solved entry carries its own pair, and an entry's
+products are summed by ``schmidt.ratio_dot``, an integer numerator over
+the running lcm of their denominators, with the division by the pivot
+folded into that ratio.  So each solved entry becomes a ``Fraction`` once,
+the same number as term-by-term ``Fraction`` arithmetic gives (the
+fraction-free idea of E. H. Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968, applied
+where it changes no value).  Exact dot products, such as the objective
+and the residuals, are summed the same way.
 
 Square problems (as many constraints as variables) are first given a
 crash check of the all-structural basis (R. E. Bixby, "Implementing the
@@ -58,7 +63,7 @@ import operator
 from fractions import Fraction
 from itertools import chain, compress
 
-from .schmidt import Frozen, as_fraction
+from .schmidt import Frozen, as_fraction, integer_ratios, ratio_dot
 
 PIVOT_TOL = 1e-11
 VERIFY_TOL = 1e-9
@@ -83,9 +88,11 @@ class LpProblem(Frozen):
     ``ValueError``.  If any entry is a ``Fraction`` the problem is exact
     and stores every entry as a ``Fraction``; otherwise it stores floats.
     ``exact`` tells which, so every kernel computes in one arithmetic.
-    Dimensions and the finiteness of every entry are validated, the sign
-    of the bounds is not (concentration instances always have nonnegative
-    bounds, and the solver guards the rest).
+    Entries that are all ``Fraction``s, or all floats, are stored as given;
+    any other mix is converted.  Dimensions and the finiteness of every
+    entry are validated, the sign of the bounds is not (concentration
+    instances always have nonnegative bounds, and the solver guards the
+    rest).
     """
 
     _fields = ("objective", "constraint_matrix", "bounds")
@@ -106,9 +113,10 @@ class LpProblem(Frozen):
             raise ValueError("LP entries must be real numbers")
         # the rule of schmidt.holds_fraction, read off the same type scan
         exact = any(issubclass(kind, Fraction) for kind in kinds)
-        (objective,) = _finite("objective", (objective,), exact)
-        matrix = _finite("constraint_matrix", matrix, exact)
-        (bounds,) = _finite("bounds", (bounds,), exact)
+        convert = kinds != {Fraction if exact else float}
+        (objective,) = _finite("objective", (objective,), exact, convert)
+        matrix = _finite("constraint_matrix", matrix, exact, convert)
+        (bounds,) = _finite("bounds", (bounds,), exact, convert)
         self._store(objective, matrix, bounds)
 
     @property
@@ -162,10 +170,15 @@ def _in_arithmetic(values, exact) -> tuple:
     return tuple(map(as_fraction if exact else float, values))
 
 
-def _finite(name: str, rows, exact) -> tuple:
-    """``rows`` in the given arithmetic; ``ValueError`` unless all finite."""
+def _finite(name: str, rows, exact, convert=True) -> tuple:
+    """``rows`` in the given arithmetic; ``ValueError`` unless all finite.
+
+    ``convert=False`` takes rows that already hold only that arithmetic's
+    type and checks them as they are.
+    """
     try:  # NaN or inf to Fraction, or a huge int or Fraction to float, raises
-        rows = tuple(_in_arithmetic(row, exact) for row in rows)
+        if convert:
+            rows = tuple(_in_arithmetic(row, exact) for row in rows)
         finite = exact or all(map(math.isfinite, chain.from_iterable(rows)))
     except (ValueError, OverflowError):
         finite = False
@@ -178,11 +191,22 @@ def _zero(prob: LpProblem):
     return Fraction(0) if prob.exact else 0.0
 
 
-def _dot(a, b, exact):
-    """Exact sum of the products if ``exact``, else their ``math.fsum``."""
-    if exact:
-        return -_sub_dot(0, enumerate(a), b, exact)
-    return math.fsum(map(operator.mul, a, b))
+def _dots(rows, vector, exact) -> list:
+    """The dot product of each row with ``vector``.
+
+    Float: the ``math.fsum`` of the products.  Exact: a ``Fraction``, the
+    products summed on integer ratios by :func:`ratio_dot`, with the
+    vector's ratios taken once for all rows.
+    """
+    if not exact:
+        return [math.fsum(map(operator.mul, row, vector)) for row in rows]
+    v_nums, v_dens = _ratios(vector)
+    return [Fraction(*ratio_dot(zip(*_ratios(row), v_nums, v_dens))) for row in rows]
+
+
+def _ratios(values) -> tuple:
+    """The numerators and the denominators of exact ``values``, two tuples."""
+    return tuple(zip(*integer_ratios(values))) or ((), ())
 
 
 def constraint_residuals(prob: LpProblem, values) -> tuple:
@@ -194,10 +218,8 @@ def constraint_residuals(prob: LpProblem, values) -> tuple:
     values = _in_arithmetic(values, prob.exact)
     if len(values) != prob.num_variables:
         raise ValueError("value vector length must match variable count")
-    return tuple(
-        _dot(row, values, prob.exact) - q
-        for row, q in zip(prob.constraint_matrix, prob.bounds)
-    )
+    products = _dots(prob.constraint_matrix, values, prob.exact)
+    return tuple(map(operator.sub, products, prob.bounds))
 
 
 def _non_optimal(status: str) -> LpSolution:
@@ -282,7 +304,7 @@ def _structural_optimum(prob: LpProblem, tol):
     """
     n = prob.num_variables
     try:
-        lu = _factor_basis(prob, range(n))
+        lu = _factor(prob.constraint_matrix, prob.exact)
     except ZeroDivisionError:
         return None
     y = _lu_solve_transposed(lu, prob.objective)
@@ -293,7 +315,7 @@ def _structural_optimum(prob: LpProblem, tol):
         return None
     zero = _zero(prob)
     values = tuple(zero if v <= 0 else v for v in x)
-    objective = _dot(prob.objective, values, prob.exact)
+    (objective,) = _dots((prob.objective,), values, prob.exact)
     return LpSolution(values, objective, tuple(range(n)), [zero] * n + y, "optimal")
 
 
@@ -354,7 +376,7 @@ def _solve_from_slack_basis(prob: LpProblem):
         value = tableau[i][-1]
         extended[basis[i]] = zero if -tol <= value <= 0 else value
     values = tuple(extended[:n])
-    objective = _dot(c, values, prob.exact)
+    (objective,) = _dots((c,), values, prob.exact)
     return LpSolution(
         values, objective, tuple(basis), tuple(zrow[:-1]), "optimal",
         pivots, degenerate, absorbed,
@@ -444,16 +466,19 @@ def _factor(matrix, exact):
     bound rescans the remaining rows (resetting their bounds to the
     magnitudes found), and that rescan decides.
 
-    Returns ``(steps, upper, columns, exact)``.  ``steps[col]`` is the row
-    swapped into position ``col`` and the ``(row, factor)`` pairs that
+    Returns ``(steps, upper, columns, ratios)``.  ``steps[col]`` is the
+    row swapped into position ``col`` and the ``(row, factor)`` pairs that
     eliminated the column below it; ``upper[col]`` is the pivot and the
-    ``(k, u)`` pairs of the nonzero entries right of it; ``columns[col]``
-    is the column of U above the pivot, zeros included.
+    ``(k, u)`` pairs of the nonzero entries right of it.  Float:
+    ``columns[col]`` is the column of U above the pivot, zeros included,
+    and ``ratios`` is None.  Exact: ``columns`` is None and ``ratios`` holds
+    the same factors on integer ratios (:func:`_exact_factors`), which is
+    what the exact solves read.
     """
     size = len(matrix)
     a = [list(row) for row in matrix]
     bound = None if exact else [max(map(abs, row)) for row in a]
-    steps, upper = [], []
+    steps, upper, u_ratios = [], [], []
     for col in range(size):
         rows = [r for r in range(col, size) if a[r][col]]
         if not rows:
@@ -474,7 +499,13 @@ def _factor(matrix, exact):
         # the pivot's own column is eliminated too, so a row keeps the
         # rounding residue there and a rescan sees it
         tail = prow[col:]
-        nonzero = list(compress(enumerate(tail, col), tail))
+        if exact:  # row col of U as integer ratios, whose numerators tell zeros
+            # (its entries are Fractions and ints, the ints of slack columns)
+            ratios = tuple(zip(*[x.as_integer_ratio() for x in tail]))
+            u_ratios.append(ratios)
+            nonzero = list(compress(enumerate(tail, col), ratios[0]))
+        else:
+            nonzero = list(compress(enumerate(tail, col), tail))
         # the rows below the pivot with a nonzero entry: the old row col
         # moved to pivot_row if it was one of them
         below = rows[1:] if rows[0] == col else [r for r in rows if r != pivot_row]
@@ -491,41 +522,70 @@ def _factor(matrix, exact):
                 bound[r] += abs(factor) * bound[col]
         steps.append((pivot_row, eliminated))
         upper.append((pivot, nonzero[1:]))
+    if exact:
+        return steps, upper, None, _exact_factors(steps, u_ratios)
     # from step col on, row col of a is row col of U
     columns = [column[:col] for col, column in enumerate(zip(*a))]
-    return steps, upper, columns, exact
+    return steps, upper, columns, None
 
 
-def _sub_dot(x, terms, vector, exact):
+def _exact_factors(steps, u_ratios):
+    """The factors of an exact ``_factor`` on integer ratios.
+
+    ``u_ratios[i]`` is row i of U from its pivot on.  A vector of ratios is
+    held as two tuples, numerators and denominators.  Returns
+    ``(eliminations, rows, columns)``: ``eliminations[col]`` is the pivot
+    row, the eliminated rows and the ratios of their factors; ``rows[col]``
+    is the pivot's ``(numerator, denominator)`` and the ratios of U's row
+    right of it, last column first (the order back substitution solves
+    them in); ``columns[col]`` the ratios of U's column above it.  Rows and
+    columns are dense: a zero entry is a term whose product is skipped.
+    """
+    rows = [((nums[0], dens[0]), (nums[:0:-1], dens[:0:-1])) for nums, dens in u_ratios]
+    # pad each row with zeros (0/1) left of its pivot, then read columns
+    u_nums = [(0,) * i + nums for i, (nums, _) in enumerate(u_ratios)]
+    u_dens = [(1,) * i + dens for i, (_, dens) in enumerate(u_ratios)]
+    columns = [
+        (nums[:col], dens[:col])
+        for col, (nums, dens) in enumerate(zip(zip(*u_nums), zip(*u_dens)))
+    ]
+    eliminations = [
+        (pivot_row, [r for r, _ in eliminated], _ratios(f for _, f in eliminated))
+        if eliminated else (pivot_row, (), ((), ()))
+        for pivot_row, eliminated in steps
+    ]
+    return eliminations, rows, columns
+
+
+def _sub_dot(x, terms, vector):
     """``x`` minus the sum of ``u * vector[k]`` over the ``(k, u)`` terms.
 
-    Float: the terms are subtracted one by one in the given order.  Exact:
-    the entries are ``Fraction``s or ints, and the sum is accumulated as an
-    integer numerator over the running lcm of the denominators, so only the
-    result is made a ``Fraction`` (the same number as subtracting term by
-    term).
+    The float kernel: the terms are subtracted one by one in the given
+    order.
     """
-    if not exact:
-        for k, u in terms:
-            x -= u * vector[k]
-        return x
-    num, den = x.as_integer_ratio()
     for k, u in terms:
-        un, ud = u.as_integer_ratio()
-        vn, vd = vector[k].as_integer_ratio()
-        p = un * vn
-        if p:
-            q = ud * vd
-            g = math.gcd(den, q)
-            q //= g
-            num = num * q - p * (den // g)
-            den *= q
-    return Fraction(num, den)
+        x -= u * vector[k]
+    return x
+
+
+def _exact_sub_dot(x_num, x_den, terms, pivot=(1, 1)) -> Fraction:
+    """``(x - the sum of the products of the terms) / pivot``, one ``Fraction``.
+
+    The exact kernel: x is ``x_num / x_den``, ``terms`` are the
+    ``(a, b, c, d)`` terms of :func:`ratio_dot`, each the product of two
+    ratios, and ``pivot`` is a ``(numerator, denominator)`` pair.  The sum
+    runs from -x, and the pivot division is folded into its ratio.
+    """
+    num, den = ratio_dot(terms, -x_num, x_den)
+    p_num, p_den = pivot
+    return Fraction(-num * p_den, den * p_num)
 
 
 def _lu_solve(lu, rhs):
     """Solve B x = rhs from ``_factor(B)``."""
-    steps, upper, _, exact = lu
+    steps, upper, _, ratios = lu
+    if ratios is not None:
+        return _exact_lu_solve(ratios, rhs)
     b = list(rhs)
     for col, (pivot_row, eliminated) in enumerate(steps):
         b[col], b[pivot_row] = b[pivot_row], b[col]
@@ -535,8 +595,41 @@ def _lu_solve(lu, rhs):
                 b[r] -= factor * x
     for col in reversed(range(len(b))):
         pivot, right = upper[col]
-        b[col] = _sub_dot(b[col], right, b, exact) / pivot
+        b[col] = _sub_dot(b[col], right, b) / pivot
     return b
+
+
+def _exact_lu_solve(factors, rhs):
+    """Solve B x = rhs from ``_exact_factors``; the values are ``Fraction``s.
+
+    The forward eliminations add into each entry's integer ratio, and an
+    entry is brought to lowest terms once, when it scales the rows below
+    it.  Back substitution makes each solved entry a ``Fraction`` once and
+    keeps its ratio, last entry first, for the rows above.
+    """
+    eliminations, rows, _ = factors
+    nums, dens = map(list, _ratios(rhs))
+    for col, (pivot_row, targets, (f_nums, f_dens)) in enumerate(eliminations):
+        for v in (nums, dens):
+            v[col], v[pivot_row] = v[pivot_row], v[col]
+        if targets and nums[col]:
+            g = math.gcd(nums[col], dens[col])
+            x_num = nums[col] = nums[col] // g
+            x_den = dens[col] = dens[col] // g
+            for r, f_num, f_den in zip(targets, f_nums, f_dens):
+                term = (-f_num, f_den, x_num, x_den)
+                nums[r], dens[r] = ratio_dot((term,), nums[r], dens[r])
+    x, solved_nums, solved_dens = [], [], []
+    for col in reversed(range(len(nums))):
+        pivot, (u_nums, u_dens) = rows[col]
+        terms = zip(u_nums, u_dens, solved_nums, solved_dens)
+        value = _exact_sub_dot(nums[col], dens[col], terms, pivot)
+        x.append(value)
+        num, den = value.as_integer_ratio()
+        solved_nums.append(num)
+        solved_dens.append(den)
+    x.reverse()
+    return x
 
 
 def _lu_solve_transposed(lu, rhs):
@@ -546,7 +639,9 @@ def _lu_solve_transposed(lu, rhs):
     U^T w = rhs: forward substitution down the columns of U, then the
     transposed eliminations and the swaps in reverse order.
     """
-    steps, upper, columns, exact = lu
+    steps, upper, columns, ratios = lu
+    if ratios is not None:
+        return _exact_lu_solve_transposed(ratios, rhs)
     w = list(rhs)
     for col, (pivot, _) in enumerate(upper):
         x, above = w[col], columns[col]
@@ -556,12 +651,39 @@ def _lu_solve_transposed(lu, rhs):
             # would turn a start of -0.0 into 0.0, while any other start
             # absorbs such terms unchanged
             terms = [(k, u) for k, u in terms if w[k]]
-        w[col] = _sub_dot(x, terms, w, exact) / pivot
+        w[col] = _sub_dot(x, terms, w) / pivot
     for col in reversed(range(len(w))):
         pivot_row, eliminated = steps[col]
         if eliminated:
-            w[col] = _sub_dot(w[col], eliminated, w, exact)
+            w[col] = _sub_dot(w[col], eliminated, w)
         w[col], w[pivot_row] = w[pivot_row], w[col]
+    return w
+
+
+def _exact_lu_solve_transposed(factors, rhs):
+    """Solve B^T y = rhs from ``_exact_factors``, as the float solve does.
+
+    Forward substitution down the columns of U, then the transposed
+    eliminations and the swaps in reverse order; each substitution makes
+    one ``Fraction`` and replaces the entry's ratio with its own.
+    """
+    eliminations, rows, columns = factors
+    nums, dens = map(list, _ratios(rhs))
+    w = [None] * len(nums)
+    for col, ((pivot, _), (c_nums, c_dens)) in enumerate(zip(rows, columns)):
+        # the column above the pivot meets the entries solved before it
+        terms = zip(c_nums, c_dens, nums, dens)
+        w[col] = _exact_sub_dot(nums[col], dens[col], terms, pivot)
+        nums[col], dens[col] = w[col].as_integer_ratio()
+    for col in reversed(range(len(w))):
+        pivot_row, targets, (f_nums, f_dens) = eliminations[col]
+        if targets:
+            eliminated = map(nums.__getitem__, targets), map(dens.__getitem__, targets)
+            terms = zip(f_nums, f_dens, *eliminated)
+            w[col] = _exact_sub_dot(nums[col], dens[col], terms)
+            nums[col], dens[col] = w[col].as_integer_ratio()
+        for v in (w, nums, dens):
+            v[col], v[pivot_row] = v[pivot_row], v[col]
     return w
 
 
@@ -603,11 +725,8 @@ def _basis_reduced_costs(prob: LpProblem, basis, lu):
     y = _lu_solve_transposed(lu, _basic_costs(prob, basis))
     # with no constraints every column is empty
     columns = list(zip(*prob.constraint_matrix)) or [()] * prob.num_variables
-    structural = [
-        _dot(y, column, prob.exact) - c
-        for column, c in zip(columns, prob.objective)
-    ]
-    return structural + y
+    products = _dots(columns, y, prob.exact)
+    return list(map(operator.sub, products, prob.objective)) + y
 
 
 def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
@@ -645,7 +764,7 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
         return False
     if any(v < -tol for v in values):
         return False
-    objective = _dot(prob.objective, values, prob.exact)
+    (objective,) = _dots((prob.objective,), values, prob.exact)
     if abs(float(objective) - float(sol.objective_value)) > tol:
         return False
     return all(d >= -tol for d in reduced)

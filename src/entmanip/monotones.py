@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
 from itertools import accumulate, chain, repeat, starmap, zip_longest
 
-from .schmidt import Frozen, SchmidtSpectrum, padded_average
+from .schmidt import Frozen, SchmidtSpectrum, over_common_denominator, padded_average
 
 FEASIBILITY_TOL = 1e-9
 
@@ -56,9 +57,14 @@ def vidal_monotones(s: SchmidtSpectrum) -> tuple:
     positive and nonincreasing, and consecutive differences are the
     coefficients.  E_1 is the running sum of all coefficients: exactly 1
     for an exact spectrum, and for a float one 1 up to the spectrum's
-    normalization and the rounding of the sum.
+    normalization and the rounding of the sum.  Exact tails are summed as
+    integer numerators over one common denominator, each made a
+    ``Fraction`` once.
     """
-    return tuple(accumulate(reversed(s.coeffs)))[::-1]
+    if type(s.coeffs[0]) is not Fraction:
+        return tuple(accumulate(reversed(s.coeffs)))[::-1]
+    nums, den = over_common_denominator(s.coeffs)
+    return tuple(map(Fraction, accumulate(reversed(nums)), repeat(den)))[::-1]
 
 
 def _report(source_tails, target_tails, tol) -> FeasibilityReport:

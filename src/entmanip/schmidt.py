@@ -9,7 +9,11 @@ construction and validation.
 Spectra normally hold floats.  A spectrum given any ``fractions.Fraction``
 entry is exact: every entry is then stored as a ``Fraction`` and
 normalisation is exact; the LP layer uses this for certifying saturation
-identities without floating-point doubt.
+identities without floating-point doubt.  Exact values are summed on
+integer ratios (:func:`ratio_dot`): an integer numerator over the running
+lcm of the denominators, made into one ``Fraction`` at the end, which is
+the number term-by-term ``Fraction`` addition gives without a gcd per
+term.
 """
 
 from __future__ import annotations
@@ -49,6 +53,65 @@ def holds_fraction(values) -> bool:
 def as_fraction(x) -> Fraction:
     """``x`` as a ``Fraction``, converted exactly; a ``Fraction`` is kept."""
     return x if type(x) is Fraction else Fraction(x)
+
+
+def integer_ratios(values) -> list:
+    """Each value as ``(numerator, denominator)`` in lowest terms.
+
+    The pair is that of ``Fraction(v)``; a ``Fraction`` or an int gives
+    its own without a conversion.
+    """
+    return [
+        v.as_integer_ratio() if type(v) is Fraction or type(v) is int
+        else Fraction(v).as_integer_ratio()
+        for v in values
+    ]
+
+
+def ratio_dot(terms, num=0, den=1) -> tuple:
+    """``num / den`` plus the sum of ``(a / b) * (c / d)`` over ``(a, b, c, d)``.
+
+    The terms are ints with b, d > 0; a plain sum passes c = d = 1.  The
+    sum is an integer numerator over the running lcm of the product
+    denominators: a product whose denominator divides it costs one
+    multiplication and one addition, and no term takes the gcd of a
+    numerator.  Returns ``(num, den)``, not in lowest terms;
+    ``Fraction(num, den)`` is the number that adding the products as
+    ``Fraction``s gives.
+    """
+    gcd = math.gcd
+    for a, b, c, d in terms:
+        p = a * c
+        if p:
+            q = b * d
+            g = gcd(den, q)
+            if g == q:
+                num += p * (den // q)
+            else:
+                q //= g
+                num = num * q + p * (den // g)
+                den *= q
+    return num, den
+
+
+def over_common_denominator(values) -> tuple:
+    """Exact values as integer numerators over one denominator.
+
+    Returns ``(numerators, den)``, ``den`` the lcm of the values'
+    denominators, so that value i is ``numerators[i] / den`` exactly.
+    """
+    nums, dens = zip(*integer_ratios(values))
+    den = math.lcm(*dens)
+    return [n * (den // d) for n, d in zip(nums, dens)], den
+
+
+def exact_sum(values) -> Fraction:
+    """The exact sum of real numbers (``Fraction``s, ints, ...) as a ``Fraction``.
+
+    Always a ``Fraction``, ``Fraction(0)`` for no values.
+    """
+    ratios = integer_ratios(values)
+    return Fraction(*ratio_dot((a, b, 1, 1) for a, b in ratios))
 
 
 def check_positive_nonincreasing(values: tuple, what: str) -> None:
@@ -153,15 +216,27 @@ class SchmidtSpectrum(Frozen):
         exact = holds_fraction(coeffs)
         if exact:
             coeffs = tuple(map(as_fraction, coeffs))
-        total = sum(coeffs) if exact else math.fsum(coeffs)
+        total = exact_sum(coeffs) if exact else math.fsum(coeffs)
         if not abs(total - 1) <= NORM_TOL:
             raise ValueError(f"spectrum is not normalized: sum = {total!r}")
         self._store(coeffs)
+
+    @classmethod
+    def _of_exact(cls, coeffs: tuple):
+        """The spectrum of ``Fraction``s that are positive, nonincreasing
+        and sum to exactly 1 by construction, stored without checking them
+        again."""
+        spectrum = object.__new__(cls)
+        spectrum._store(coeffs)
+        return spectrum
 
     @property
     def rank(self) -> int:
         """Number of nonzero Schmidt coefficients."""
         return len(self.coeffs)
+
+
+_ALL_STRIPPED = "all coefficients are zero (or below zero_tol)"
 
 
 def make_spectrum(raw, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
@@ -170,9 +245,12 @@ def make_spectrum(raw, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
     Sorts nonincreasing (stable, so ties keep their input order), drops
     entries below ``zero_tol``, and renormalizes.  Input holding any
     ``Fraction`` is exact: its entries are converted to ``Fraction`` and the
-    result sums to exactly 1.  For float input the normalization is
-    corrected to make ``math.fsum`` of the result exactly 1.0, which makes
-    the function idempotent on already-valid spectra.
+    result sums to exactly 1.  It is computed over one common denominator:
+    the entries' integer numerators over it are sorted, stripped and
+    totalled, and entry i of the result is ``Fraction(n_i, total)``.  For
+    float input the normalization is corrected to make ``math.fsum`` of the
+    result exactly 1.0, which makes the function idempotent on
+    already-valid spectra.
 
     Raises ``ValueError`` on negative or NaN entries, on a sum that is not
     finite, or when nothing survives the zero stripping.
@@ -183,40 +261,51 @@ def make_spectrum(raw, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
     if not all(map(operator.ge, values, repeat(0))):  # NaN fails it too
         raise ValueError("coefficients must be nonnegative numbers")
 
-    exact = holds_fraction(values)
-    if exact:
-        if math.inf in values:
-            raise ValueError("coefficients must have a finite sum")
-        values = list(map(as_fraction, values))
-        if math.isfinite(zero_tol):  # a Fraction meets a float slowly
-            zero_tol = as_fraction(zero_tol)
-    else:
-        values = list(map(float, values))
-        if not math.isfinite(sum(values)):
-            raise ValueError("coefficients must have a finite sum")
+    if holds_fraction(values):
+        return _exact_spectrum(values, zero_tol)
+    values = list(map(float, values))
+    if not math.isfinite(sum(values)):
+        raise ValueError("coefficients must have a finite sum")
     values.sort(reverse=True)
     # the test is monotone in v, so the entries that fail it are a suffix
     while values and not (values[-1] > zero_tol and values[-1] > 0):
         values.pop()
     if not values:
-        raise ValueError("all coefficients are zero (or below zero_tol)")
-
-    if exact:
-        total = sum(values)
-        values = [v / total for v in values]
-    else:
-        total = math.fsum(values)
-        values = [v / total for v in values]
-        # Fold the rounding residual into the largest coefficient so that
-        # fsum(values) == 1.0 exactly; the correction is O(eps) and the
-        # largest entry is at least 1/len(values), so it stays positive.
-        for _ in range(4):
-            residual = math.fsum(values) - 1.0
-            if residual == 0.0:
-                break
-            values[0] -= residual
-        values.sort(reverse=True)  # an eps correction may reorder ties
+        raise ValueError(_ALL_STRIPPED)
+    total = math.fsum(values)
+    values = [v / total for v in values]
+    # Fold the rounding residual into the largest coefficient so that
+    # fsum(values) == 1.0 exactly; the correction is O(eps) and the
+    # largest entry is at least 1/len(values), so it stays positive.
+    for _ in range(4):
+        residual = math.fsum(values) - 1.0
+        if residual == 0.0:
+            break
+        values[0] -= residual
+    values.sort(reverse=True)  # an eps correction may reorder ties
     return SchmidtSpectrum(tuple(values))
+
+
+def _exact_spectrum(values: list, zero_tol) -> SchmidtSpectrum:
+    """``make_spectrum`` of checked nonnegative values, one of them a ``Fraction``.
+
+    Each value is n_i / den over the lcm ``den`` of their denominators, and
+    n_i / den > zero_tol = t holds exactly when n_i > floor(t * den).
+    """
+    try:  # the values are not NaN, so only an infinite one has no ratio
+        scaled, den = over_common_denominator(values)
+    except OverflowError:
+        raise ValueError("coefficients must have a finite sum") from None
+    if math.isfinite(zero_tol):
+        t_num, t_den = as_fraction(zero_tol).as_integer_ratio()
+        floor = max(t_num * den // t_den, 0)
+    else:  # -inf strips only zeros; inf and NaN strip everything
+        floor = 0 if zero_tol < 0 else math.inf
+    kept = sorted((n for n in scaled if n > floor), reverse=True)
+    if not kept:
+        raise ValueError(_ALL_STRIPPED)
+    # positive, nonincreasing and summing to exactly 1, as the spectrum requires
+    return SchmidtSpectrum._of_exact(tuple(map(Fraction, kept, repeat(sum(kept)))))
 
 
 def padded_average(pairs) -> list:

@@ -31,6 +31,7 @@ from util import (
     highs_optimum,
     max_entangled_monotone,
     random_spectrum,
+    reference_optimal_plan,
 )
 
 WORKED_SPECTRUM = [0.5, 0.3, 0.2]
@@ -98,6 +99,27 @@ class TestOptimalPlan:
         assert sol.status == "optimal"
         assert verify_solution(prob, sol)
         assert sol.values == pytest.approx(plan.probabilities, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        raw=st.lists(
+            st.one_of(
+                st.floats(0.0, 1e6),
+                st.fractions(min_value=0, max_value=50, max_denominator=40),
+                st.sampled_from([1.0, 0.5, Fraction(1, 2), 3]),
+            ),
+            min_size=1,
+            max_size=20,
+        ).filter(lambda raw: any(v > 1e-12 for v in raw)),
+    )
+    def test_matches_the_per_level_loop_bit_for_bit(self, raw):
+        s = make_spectrum(raw)
+        plan = optimal_plan(s)
+        probabilities, expected = reference_optimal_plan(s)
+        assert repr(plan.probabilities) == repr(probabilities)
+        assert repr(plan.expected_entanglement) == repr(expected)
+        kind = Fraction if isinstance(s.coeffs[0], Fraction) else float
+        assert all(type(p) is kind for p in plan.probabilities)
 
     def test_plan_sum_is_held_to_norm_tol(self):
         ConcentrationPlan((0.5 + 5e-10, 0.5), 0.0)

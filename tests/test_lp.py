@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from entmanip import (
@@ -338,6 +338,40 @@ class TestOneArithmetic:
             assert sol == _solve_or_error(by_hand, mode)
             if not isinstance(sol, str):
                 assert {type(v) for v in sol.values} <= {Fraction if mode else float}
+
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            (Fraction(1, 2), Fraction(-3), Fraction(0)),
+            (0.5, -3.0, 0.0),
+        ],
+        ids=["fractions", "floats"],
+    )
+    def test_one_type_rows_are_stored_as_given(self, entries):
+        objective = entries
+        matrix = (entries, entries[::-1])
+        bounds = (abs(entries[0]), abs(entries[1]))
+        prob = LpProblem(objective, matrix, bounds)
+        given_entries = [*objective, *chain(*matrix), *bounds]
+        stored = [*prob.objective, *chain(*prob.constraint_matrix), *prob.bounds]
+        assert all(a is b for a, b in zip(stored, given_entries))
+
+    @pytest.mark.parametrize(
+        "entries, kind",
+        [
+            ((1, 2, 3), float),
+            ((True, 2.0, 3.0), float),
+            ((np.float64(0.5), 2.0, 3.0), float),
+            ((Fraction(1, 2), 2, 3), Fraction),
+            ((Fraction(1, 2), 0.25, True), Fraction),
+        ],
+    )
+    def test_other_mixes_are_converted(self, entries, kind):
+        prob = LpProblem(entries, (entries,), (entries[1],))
+        stored = [*prob.objective, *chain(*prob.constraint_matrix), *prob.bounds]
+        assert all(type(v) is kind for v in stored)
+        assert stored == [*entries, *entries, entries[1]]
 
 
 class TestLargeConcentrationLp:
@@ -765,7 +799,11 @@ _TERM_EXACT = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_sub_dot_is_the_term_by_term_difference(exact, data):
-    """Float: bit for bit the sequential loop.  Exact: the same number, a Fraction."""
+    """Float ``_sub_dot``: bit for bit the sequential loop.
+
+    Exact ``_exact_sub_dot`` on the integer ratios of the same entries,
+    with a pivot of 1: the same number, as a ``Fraction``.
+    """
     entries = _TERM_EXACT if exact else _TERM_FLOATS
     x = data.draw(entries)
     us = data.draw(st.lists(entries, max_size=8))
@@ -774,12 +812,42 @@ def test_sub_dot_is_the_term_by_term_difference(exact, data):
     expected = x
     for k, u in terms:
         expected -= u * vector[k]
-    result = lp._sub_dot(x, terms, vector, exact)
-    if exact:
-        assert type(result) is Fraction
-        assert result == expected
-    else:
-        assert repr(result) == repr(expected)
+    if not exact:
+        assert repr(lp._sub_dot(x, terms, vector)) == repr(expected)
+        return
+    (x_num,), (x_den,) = lp._ratios([x])
+    u = lp._ratios(u for _, u in terms)
+    v = lp._ratios(vector[k] for k, _ in terms)
+    result = lp._exact_sub_dot(x_num, x_den, zip(*u, *v))
+    assert type(result) is Fraction
+    assert result == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(1, 60), min_size=1, max_size=9),
+    weights=st.none() | st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=7), min_size=9, max_size=9
+    ),
+)
+def test_exact_results_are_fractions(coeffs, weights):
+    """Every exact value the kernels return is a ``Fraction``, integers too.
+
+    Covers the crash basis (ln weights) and the pivots (random ``Fraction``
+    weights, which often fail the crash check), single levels and ties.
+    """
+    s = make_spectrum([Fraction(c) for c in coeffs])
+    if weights is not None:
+        weights = weights[: s.rank]
+    prob = concentration_lp(s, weights)
+    sol = simplex_solve(prob, exact=True)
+    plan = optimal_plan(s)
+    exact_values = [
+        *s.coeffs, *plan.probabilities, *sol.values, sol.objective_value,
+        *sol.reduced_costs, *constraint_residuals(prob, sol.values),
+    ]
+    assert all(type(v) is Fraction for v in exact_values)
+    assert verify_solution(prob, sol)
 
 
 def test_exact_substitutions_make_linearly_many_fractions():
@@ -800,6 +868,57 @@ def test_exact_substitutions_make_linearly_many_fractions():
         sol = simplex_solve(prob, exact=True)
     assert sol.pivots == 0
     assert made <= 6 * n
+
+
+_SPARSE_EXACT = st.one_of(
+    st.just(Fraction(0)),
+    st.just(0),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+_NONZERO_EXACT = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool)
+
+
+@st.composite
+def _swapping_systems(draw):
+    """A sparse non-singular exact matrix P L U and a right-hand side.
+
+    L is unit lower triangular and U upper triangular with a nonzero
+    diagonal, both sparse, and P a row permutation other than the
+    identity; zeros are ``Fraction(0)`` or int 0.
+    """
+    size = draw(st.integers(2, 7))
+    lower = [
+        [draw(_SPARSE_EXACT) if k < i else int(k == i) for k in range(size)]
+        for i in range(size)
+    ]
+    upper = [
+        [draw(_NONZERO_EXACT) if k == i else draw(_SPARSE_EXACT) if k > i else 0
+         for k in range(size)]
+        for i in range(size)
+    ]
+    product = [
+        [sum(lower[i][t] * upper[t][k] for t in range(size)) for k in range(size)]
+        for i in range(size)
+    ]
+    order = draw(st.permutations(range(size)).filter(lambda p: p != sorted(p)))
+    rhs = draw(st.lists(_SPARSE_EXACT, min_size=size, max_size=size))
+    return [product[i] for i in order], rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=_swapping_systems())
+def test_exact_solves_with_row_swaps_match_the_reference(system):
+    """Exact LU solves of A and A^T equal dense Gauss-Jordan, as ``Fraction``s."""
+    matrix, rhs = system
+    lu = lp._factor(matrix, True)
+    assume(any(pivot_row != col for col, (pivot_row, _) in enumerate(lu[0])))
+    transposed = [list(column) for column in zip(*matrix)]
+    for x, a in (
+        (lp._lu_solve(lu, rhs), matrix),
+        (lp._lu_solve_transposed(lu, rhs), transposed),
+    ):
+        assert x == reference_solve_square(a, rhs)
+        assert all(type(v) is Fraction for v in x)
 
 
 def _reference_or_singular(matrix, rhs):

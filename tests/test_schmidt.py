@@ -29,8 +29,14 @@ from entmanip import (
     schmidt_decompose,
     uniform_spectrum,
 )
-from entmanip.schmidt import ZERO_TOL, holds_fraction
-from util import random_unitary
+from entmanip.schmidt import (
+    ZERO_TOL,
+    exact_sum,
+    holds_fraction,
+    integer_ratios,
+    ratio_dot,
+)
+from util import reference_exact_spectrum, reference_fraction_sum, random_unitary
 
 
 def svd_oracle_2x2(matrix):
@@ -191,6 +197,100 @@ class TestOneArithmetic:
     def test_infinite_entry_beside_a_fraction_is_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             make_spectrum([Fraction(1), math.inf])
+
+
+_SUMMANDS = st.one_of(
+    st.fractions(max_denominator=10**20),
+    st.integers(-(10**30), 10**30),
+    st.booleans(),
+    st.just(Fraction(0)),
+)
+
+
+class TestExactSum:
+    """The integer-ratio accumulator adds as term-by-term ``Fraction``s do."""
+
+    @given(st.lists(_SUMMANDS, max_size=24))
+    def test_equals_builtin_sum(self, values):
+        total = exact_sum(values)
+        assert type(total) is Fraction
+        assert total == sum(values) == reference_fraction_sum(values)
+
+    @given(
+        st.lists(st.tuples(_SUMMANDS, _SUMMANDS), max_size=24),
+        st.fractions(max_denominator=10**6),
+    )
+    def test_ratio_dot_continues_a_start(self, pairs, start):
+        terms = [(*integer_ratios([u])[0], *integer_ratios([v])[0]) for u, v in pairs]
+        num, den = ratio_dot(terms, *start.as_integer_ratio())
+        assert den > 0
+        assert Fraction(num, den) == start + sum(u * v for u, v in pairs)
+
+    def test_integer_totals_stay_fractions(self):
+        assert type(exact_sum([])) is Fraction
+        assert type(exact_sum([1, True, Fraction(-2)])) is Fraction
+        assert exact_sum([Fraction(1, 2), Fraction(1, 2)]) == 1
+        assert type(exact_sum([Fraction(1, 2), Fraction(1, 2)])) is Fraction
+
+
+# entries near and at the strip edge of the zero_tol values below
+_EDGE_ENTRIES = st.sampled_from([
+    0, False, True, 0.0, 1e-12, Fraction(1e-12), Fraction(1, 10**12),
+    Fraction(1e-12) + Fraction(1, 10**40), Fraction(1, 3), Fraction(2, 6),
+    0.25, Fraction(1, 4), 2, 1.5,
+])
+_SPECTRUM_ENTRIES = st.one_of(
+    _EDGE_ENTRIES,
+    st.fractions(min_value=0, max_value=1000, max_denominator=10**9),
+    st.floats(min_value=0, max_value=1e6),
+    st.integers(0, 1000),
+    st.booleans(),
+)
+_ZERO_TOLS = st.sampled_from([
+    0, 1e-12, Fraction(1, 3), Fraction(1, 4), 0.25, Fraction(1e-12), 1,
+    -1.0, math.inf, -math.inf, math.nan,
+])
+
+
+class TestExactMakeSpectrum:
+    """Exact ``make_spectrum`` equals the entry-by-entry ``Fraction`` algorithm."""
+
+    @given(
+        st.lists(_SPECTRUM_ENTRIES, max_size=10),
+        st.fractions(min_value=0, max_value=10, max_denominator=50),
+        st.randoms(use_true_random=False),
+        _ZERO_TOLS,
+    )
+    def test_matches_the_fraction_reference(self, raw, fraction, rng, zero_tol):
+        raw.insert(rng.randint(0, len(raw)), fraction)  # one Fraction at least
+        expected = reference_exact_spectrum(raw, zero_tol)
+        try:
+            coeffs = make_spectrum(raw, zero_tol=zero_tol).coeffs
+        except ValueError as exc:
+            assert str(exc) == expected
+            return
+        assert coeffs == expected
+        assert all(type(c) is Fraction for c in coeffs)
+
+    def test_ties_and_mixed_types(self):
+        raw = [True, Fraction(1, 2), 0.5, 1, Fraction(2, 4), 0]
+        s = make_spectrum(raw)
+        assert s.coeffs == reference_exact_spectrum(raw)
+        assert s.coeffs == (Fraction(2, 7),) * 2 + (Fraction(1, 7),) * 3
+
+    @pytest.mark.parametrize("zero_tol", [0, 1e-12, Fraction(1, 3), math.inf, math.nan])
+    def test_strip_edge(self, zero_tol):
+        raw = [Fraction(1, 3), Fraction(1e-12), 1e-12, Fraction(1, 10**13), 1]
+        expected = reference_exact_spectrum(raw, zero_tol)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match="zero_tol"):
+                make_spectrum(raw, zero_tol=zero_tol)
+        else:
+            assert make_spectrum(raw, zero_tol=zero_tol).coeffs == expected
+
+    def test_single_level_is_fraction_one(self):
+        (c,) = make_spectrum([Fraction(5)]).coeffs
+        assert type(c) is Fraction and c == 1
 
 
 class TestSpectrumValidation:

@@ -145,6 +145,60 @@ def reference_max_conversion_probability(
     return max(0.0, min(1.0, best))
 
 
+def reference_fraction_sum(values) -> Fraction:
+    """Term-by-term ``Fraction`` addition from ``Fraction(0)``."""
+    total = Fraction(0)
+    for v in values:
+        total += v
+    return total
+
+
+def reference_exact_spectrum(raw, zero_tol=1e-12) -> tuple:
+    """Exact ``make_spectrum`` on ``Fraction``s, entry by entry.
+
+    The reference that the common-denominator ``make_spectrum`` must match
+    on input holding a ``Fraction``: every entry converted to ``Fraction``,
+    a stable nonincreasing sort, the entries not above ``zero_tol`` (made a
+    ``Fraction`` when finite) or not above 0 stripped from the end, and each
+    survivor divided by their term-by-term sum.  Returns the coefficients,
+    or the ``ValueError`` message.
+    """
+    values = list(raw)
+    if not all(v >= 0 for v in values):
+        return "coefficients must be nonnegative numbers"
+    if any(v == math.inf for v in values):
+        return "coefficients must have a finite sum"
+    values = sorted((Fraction(v) for v in values), reverse=True)
+    if math.isfinite(zero_tol):
+        zero_tol = Fraction(zero_tol)
+    while values and not (values[-1] > zero_tol and values[-1] > 0):
+        values.pop()
+    if not values:
+        return "all coefficients are zero (or below zero_tol)"
+    total = reference_fraction_sum(values)
+    return tuple(v / total for v in values)
+
+
+def reference_optimal_plan(s: SchmidtSpectrum) -> tuple:
+    """Closed-form plan of ``s`` by the per-level loop.
+
+    The reference that ``optimal_plan`` must match bit for bit: level j
+    gets j * (a_j - a_{j+1}) with an int 0 past the last coefficient, and
+    the expected entanglement is the ``math.fsum`` of float(p_j) * ln j
+    over j > 1.  Returns ``(probabilities, expected_entanglement)``.
+    """
+    coeffs = s.coeffs
+    n = len(coeffs)
+    probs = []
+    for j in range(1, n + 1):
+        nxt = coeffs[j] if j < n else 0
+        probs.append(j * (coeffs[j - 1] - nxt))
+    expected = math.fsum(
+        float(p) * math.log(j) for j, p in enumerate(probs, start=1) if j > 1
+    )
+    return tuple(probs), expected
+
+
 def expanded_yield_curve(s: SchmidtSpectrum, max_n: int) -> tuple:
     """Per-copy optimal yield from the fully expanded n-copy spectra.
 
