@@ -86,15 +86,13 @@ def _cmd_check_feasible(args) -> int:
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
-def _povm_dict(povm, die=None) -> dict:
-    doc = {
+def _povm_dict(povm, die) -> dict:
+    return {
         "support_rank": povm.support_rank,
         "elements": [
             {"label": el.label, "diag": list(el.diag)} for el in povm.elements
         ],
-    }
-    if die is not None:
-        doc["die"] = [
+        "die": [
             {
                 "representative": group.representative,
                 "members": [
@@ -102,8 +100,8 @@ def _povm_dict(povm, die=None) -> dict:
                 ],
             }
             for group in die.groups
-        ]
-    return doc
+        ],
+    }
 
 
 def _cmd_build_povm(args) -> int:
@@ -122,12 +120,11 @@ def _cmd_build_povm(args) -> int:
         )
         return EXIT_INFEASIBLE
     merged, die = merge_duplicates(ensemble)
-    povm = build_ensemble_povm(merged)
-    doc = _povm_dict(povm, die)
-    _emit(doc)
+    text = dumps(_povm_dict(build_ensemble_povm(merged), die)) + "\n"
+    sys.stdout.write(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dumps(doc) + "\n")
+            fh.write(text)
     return EXIT_OK
 
 

@@ -27,7 +27,6 @@ from .schmidt import (
     NORM_TOL,
     Frozen,
     SchmidtSpectrum,
-    as_fraction,
     exact_sum,
     holds_fraction,
 )
@@ -162,7 +161,8 @@ def concentration_lp(s: SchmidtSpectrum, weights=None) -> LpProblem:
     The constraint matrix is upper triangular; the bounds are the
     spectrum's tail sums.  ``weights`` defaults to ln j.  A ``Fraction`` in
     the spectrum or in the weights makes the problem exact, with an exactly
-    rational matrix (float bounds and weights are converted exactly).
+    rational matrix; ``LpProblem`` converts float bounds and weights
+    exactly.
     """
     from .lp import LpProblem
 
@@ -176,10 +176,7 @@ def concentration_lp(s: SchmidtSpectrum, weights=None) -> LpProblem:
         )
     # row l holds (j + 1 - l) / j from column j = l on, zeros before it;
     # an int true division is rounded once, as Fraction(k, j) is exact
-    exact = holds_fraction(s.coeffs + weights)
-    if exact:  # all entries Fractions, which LpProblem stores as given
-        weights = tuple(map(as_fraction, weights))
-    divide = Fraction if exact else operator.truediv
+    divide = Fraction if holds_fraction(s.coeffs + weights) else operator.truediv
     zero = divide(0, 1)
     matrix = tuple(
         (zero,) * (l - 1) + tuple(map(divide, range(1, n + 2 - l), range(l, n + 1)))

@@ -13,8 +13,9 @@ holds any ``Fraction`` is exact, and every entry is stored as a
 ``Fraction`` (floats and ints are converted exactly); any other problem
 stores floats.  Every kernel reads ``LpProblem.exact`` and computes in that
 arithmetic throughout, and a claimed solution is converted into it before
-it is checked.  The solver converts a problem only when asked for the
-other arithmetic.
+it is checked.  The solver solves a problem in its own arithmetic, and
+lifts a float problem to ``Fraction``s only when asked to; it never lowers
+an exact problem to floats.
 
 The tableau is stored densely but updated sparsely: a pivot visits only
 the nonzero columns of the pivot row and only the rows with a nonzero
@@ -88,11 +89,11 @@ class LpProblem(Frozen):
     ``ValueError``.  If any entry is a ``Fraction`` the problem is exact
     and stores every entry as a ``Fraction``; otherwise it stores floats.
     ``exact`` tells which, so every kernel computes in one arithmetic.
-    Entries that are all ``Fraction``s, or all floats, are stored as given;
-    any other mix is converted.  Dimensions and the finiteness of every
-    entry are validated, the sign of the bounds is not (concentration
-    instances always have nonnegative bounds, and the solver guards the
-    rest).
+    A vector (the objective, a row, the bounds) whose entries are all of
+    the problem's type is stored as given; any other is converted.
+    Dimensions and the finiteness of every entry are validated, the sign
+    of the bounds is not (concentration instances always have nonnegative
+    bounds, and the solver guards the rest).
     """
 
     _fields = ("objective", "constraint_matrix", "bounds")
@@ -108,15 +109,16 @@ class LpProblem(Frozen):
         for row in matrix:
             if len(row) != len(objective):
                 raise ValueError("constraint row length must match variable count")
-        kinds = set(map(type, chain(objective, *matrix, bounds)))
-        if not all(issubclass(kind, numbers.Real) for kind in kinds):
+        # the entry types of each vector: the objective, each row, the bounds
+        kinds = [set(map(type, v)) for v in (objective, *matrix, bounds)]
+        every = set().union(*kinds)
+        if not all(issubclass(kind, numbers.Real) for kind in every):
             raise ValueError("LP entries must be real numbers")
         # the rule of schmidt.holds_fraction, read off the same type scan
-        exact = any(issubclass(kind, Fraction) for kind in kinds)
-        convert = kinds != {Fraction if exact else float}
-        (objective,) = _finite("objective", (objective,), exact, convert)
-        matrix = _finite("constraint_matrix", matrix, exact, convert)
-        (bounds,) = _finite("bounds", (bounds,), exact, convert)
+        exact = any(issubclass(kind, Fraction) for kind in every)
+        (objective,) = _finite("objective", (objective,), kinds[:1], exact)
+        matrix = _finite("constraint_matrix", matrix, kinds[1:-1], exact)
+        (bounds,) = _finite("bounds", (bounds,), kinds[-1:], exact)
         self._store(objective, matrix, bounds)
 
     @property
@@ -170,15 +172,19 @@ def _in_arithmetic(values, exact) -> tuple:
     return tuple(map(as_fraction if exact else float, values))
 
 
-def _finite(name: str, rows, exact, convert=True) -> tuple:
+def _finite(name: str, rows, kinds, exact) -> tuple:
     """``rows`` in the given arithmetic; ``ValueError`` unless all finite.
 
-    ``convert=False`` takes rows that already hold only that arithmetic's
-    type and checks them as they are.
+    ``kinds[i]`` is the set of entry types of ``rows[i]``.  A row whose
+    entries are all of that arithmetic's type is kept as it is; any other
+    row is converted.
     """
-    try:  # NaN or inf to Fraction, or a huge int or Fraction to float, raises
-        if convert:
-            rows = tuple(_in_arithmetic(row, exact) for row in rows)
+    own = {Fraction if exact else float}
+    try:  # NaN or inf to Fraction, or a huge int to float, raises
+        rows = tuple(
+            row if k == own else _in_arithmetic(row, exact)
+            for row, k in zip(rows, kinds)
+        )
         finite = exact or all(map(math.isfinite, chain.from_iterable(rows)))
     except (ValueError, OverflowError):
         finite = False
@@ -235,10 +241,11 @@ def simplex_solve(prob: LpProblem, exact: bool = False) -> LpSolution:
         Maximization problem with x >= 0; slack variables are added
         internally, so nonnegative bounds give an immediate feasible basis.
     exact : bool
-        Rerun the identical pivot logic over ``Fraction`` values (a float
-        problem is converted exactly); comparisons then use zero tolerance
-        and the returned values are exact rationals.  An exact problem
-        solved with ``exact=False`` is converted to floats.
+        Solve a float problem over ``Fraction`` values, converted exactly.
+        An exact problem is solved exactly either way: its own arithmetic
+        decides, and ``exact=False`` never lowers it to floats.  Exact
+        solves run the identical pivot logic with zero tolerance and return
+        exact rationals.
 
     A square problem (as many constraints as variables) first gets a crash
     check of the all-structural basis: B is factored once, and when
@@ -256,14 +263,17 @@ def simplex_solve(prob: LpProblem, exact: bool = False) -> LpSolution:
     zero-reduced-cost pivots moves residual slack into the lowest-indexed
     structural variables, so the returned vertex saturates as many
     constraints as the optimal face allows; the objective value is
-    unaffected.  In float mode a basic value in [-PIVOT_TOL, 0] is drift on
-    a degenerate row and is returned as 0.0.  Bounds below ``-PIVOT_TOL``
-    whose rows have nonnegative coefficients make the instance provably
-    infeasible (x >= 0); other negative bounds are outside the supported
-    form and raise ``ValueError``.
+    unaffected.  Both paths read the optimum out alike: in float mode a
+    value in [-PIVOT_TOL, 0] is drift on a degenerate row and is returned
+    as 0.0.  Bounds below ``-PIVOT_TOL`` whose rows have nonnegative
+    coefficients make the instance provably infeasible (x >= 0); other
+    negative bounds are outside the supported form and raise
+    ``ValueError``.
     """
-    prob = _converted(prob, exact)
-    tol = 0 if exact else PIVOT_TOL
+    if exact and not prob.exact:  # a Fraction objective makes it exact
+        objective = _in_arithmetic(prob.objective, True)
+        prob = LpProblem(objective, prob.constraint_matrix, prob.bounds)
+    tol = 0 if prob.exact else PIVOT_TOL
     for row, q in zip(prob.constraint_matrix, prob.bounds):
         if q < -tol:
             if all(x >= 0 for x in row):
@@ -277,20 +287,6 @@ def simplex_solve(prob: LpProblem, exact: bool = False) -> LpSolution:
         if crash is not None:
             return crash
     return _solve_from_slack_basis(prob)
-
-
-def _converted(prob: LpProblem, exact: bool) -> LpProblem:
-    """``prob`` in the requested arithmetic, converted only if it differs.
-
-    An exact entry past the float range raises ``ValueError``, as it
-    would in a float problem.
-    """
-    if prob.exact == exact:
-        return prob
-    (objective,) = _finite("objective", (prob.objective,), exact)
-    matrix = _finite("constraint_matrix", prob.constraint_matrix, exact)
-    (bounds,) = _finite("bounds", (prob.bounds,), exact)
-    return LpProblem(objective, matrix, bounds)
 
 
 def _structural_optimum(prob: LpProblem, tol):
@@ -313,10 +309,7 @@ def _structural_optimum(prob: LpProblem, tol):
     x = _lu_solve(lu, prob.bounds)
     if any(v < -tol for v in x):
         return None
-    zero = _zero(prob)
-    values = tuple(zero if v <= 0 else v for v in x)
-    (objective,) = _dots((prob.objective,), values, prob.exact)
-    return LpSolution(values, objective, tuple(range(n)), [zero] * n + y, "optimal")
+    return _optimum(prob, x, range(n), [_zero(prob)] * n + y, tol)
 
 
 def _solve_from_slack_basis(prob: LpProblem):
@@ -373,14 +366,23 @@ def _solve_from_slack_basis(prob: LpProblem):
 
     extended = [zero] * (n + m)
     for i in range(m):
-        value = tableau[i][-1]
-        extended[basis[i]] = zero if -tol <= value <= 0 else value
-    values = tuple(extended[:n])
-    (objective,) = _dots((c,), values, prob.exact)
-    return LpSolution(
-        values, objective, tuple(basis), tuple(zrow[:-1]), "optimal",
-        pivots, degenerate, absorbed,
+        extended[basis[i]] = tableau[i][-1]
+    return _optimum(
+        prob, extended[:n], basis, zrow[:-1], tol, pivots, degenerate, absorbed
     )
+
+
+def _optimum(prob: LpProblem, values, basis, reduced_costs, tol, *counters):
+    """The optimal ``LpSolution`` of the structural ``values`` at a basis.
+
+    A value in [-tol, 0] reads as zero: drift on a degenerate row, or a
+    float -0.0.  The objective is summed from the values so read.
+    ``counters`` are the solver counters, in ``LpSolution``'s order.
+    """
+    zero = _zero(prob)
+    values = tuple(zero if v <= 0 and v >= -tol else v for v in values)
+    (objective,) = _dots((prob.objective,), values, prob.exact)
+    return LpSolution(values, objective, basis, reduced_costs, "optimal", *counters)
 
 
 def _absorb_slack(tableau, zrow, basis, n, m, tol, zero, one):

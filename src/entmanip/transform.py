@@ -4,17 +4,18 @@ Given a feasible target ensemble, the transformation splits into a
 deterministic majorization step onto the ensemble's average state followed
 by a single generalized measurement, diagonal in the Schmidt basis, whose
 outcome j leaves the parties holding target j with its assigned probability.
-This module builds that average state and measurement.
+This module builds that average state and measurement.  The measurement acts
+on the average state, not on the source: the deterministic step from the
+source to the average is not emitted, nor decomposed into physical
+two-outcome measurements.  Its existence is certified through
+:func:`entmanip.monotones.nielsen_feasible`, and the protocol is modelled
+from the average state onward.  When the source is the average state, as in
+concentration, there is no step to take.
 
 Only Schmidt components are modelled.  Targets that share components but
 live in rotated local bases need a final local unitary correction once the
 measurement outcome is known; that correction is outcome-conditioned
 post-processing and is documented here rather than modelled.
-
-The deterministic majorization step itself is not decomposed into physical
-two-outcome measurements; its existence is certified through
-:func:`entmanip.monotones.nielsen_feasible` and the protocol is modelled
-from the average state onward.
 """
 
 from __future__ import annotations
@@ -230,20 +231,24 @@ def merge_duplicates(e: TargetEnsemble) -> tuple[TargetEnsemble, DieTable]:
 
 
 def build_ensemble_povm(e: TargetEnsemble) -> DiagonalPovm:
-    """Measurement on the average state that realises the ensemble.
+    """Measurement on the ensemble's average state that yields its targets.
 
     Element j has diagonal entries sqrt(p_j * target_ji / average_i) over
     the support of the average state.  Applying element j to the average
     spectrum yields target j with probability p_j, and the squared
-    diagonals sum to one at every supported index.
+    diagonals sum to one at every supported index.  The measurement acts on
+    the average state: from a source other than that average, the
+    deterministic majorization step to it comes first, and it is not part
+    of the result.  A target component that the average loses because
+    p_j * target_ji underflows raises ``ValueError``.
     """
     avg = average_target(e)
     elements = []
     for j, (p, target) in enumerate(e.entries, start=1):
         if target.rank > avg.rank:
-            # the average dominates every target componentwise, so a target
-            # coefficient outside the average's support cannot happen
-            raise AssertionError("target support exceeds average support")
+            # the average dominates every target componentwise, unless a
+            # product p * t underflows and the average loses that component
+            raise ValueError(f"target {j} has support the average lost to underflow")
         pairs = zip_longest(target.coeffs, avg.coeffs, fillvalue=0)
         diag = tuple(math.sqrt(p * t / a) for t, a in pairs)
         elements.append(PovmElement(j, diag))

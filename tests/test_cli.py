@@ -218,6 +218,26 @@ class TestBuildPovm:
         )
         assert run(["build-povm", "--source", src, "--ensemble", ens]) == 3
 
+    def test_target_component_lost_to_underflow_exits_4(self, capsys, tmp_path):
+        # the ensemble is feasible, but 5e-324 * 0.4 underflows, so the
+        # average state lacks the first target's second component
+        src = write_json(tmp_path / "src.json", {"spectrum": [0.5, 0.5]})
+        ens = write_json(
+            tmp_path / "e.json",
+            {
+                "ensemble": [
+                    {"probability": 5e-324, "spectrum": [0.6, 0.4]},
+                    {"probability": 1.0, "spectrum": [1.0]},
+                ]
+            },
+        )
+        assert run(["check-feasible", "--source", src, "--ensemble", ens]) == 0
+        capsys.readouterr()
+        assert run(["build-povm", "--source", src, "--ensemble", ens]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "underflow" in captured.err
+
     def test_merged_duplicates_die(self, capsys, tmp_path):
         src = write_json(tmp_path / "src.json", {"spectrum": [0.5, 0.5]})
         ens = write_json(

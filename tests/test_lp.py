@@ -327,17 +327,19 @@ class TestOneArithmetic:
         assert prob.exact == exact
         assert all(type(v) is (Fraction if exact else float) for v in stored)
         assert stored == given_entries
-        # both modes solve it as they solve it converted to Fraction by hand
-        by_hand = LpProblem(
-            [Fraction(v) for v in objective],
-            [[Fraction(v) for v in row] for row in matrix],
-            [Fraction(v) for v in bounds],
-        )
+        # each mode solves it as it solves it converted by hand into the
+        # arithmetic of the solve: exact when asked for or when it is exact
         for mode in (False, True):
+            kind = Fraction if mode or prob.exact else float
+            by_hand = LpProblem(
+                [kind(v) for v in objective],
+                [[kind(v) for v in row] for row in matrix],
+                [kind(v) for v in bounds],
+            )
             sol = _solve_or_error(prob, mode)
             assert sol == _solve_or_error(by_hand, mode)
             if not isinstance(sol, str):
-                assert {type(v) for v in sol.values} <= {Fraction if mode else float}
+                assert {type(v) for v in sol.values} <= {kind}
 
 
     @pytest.mark.parametrize(
@@ -356,6 +358,16 @@ class TestOneArithmetic:
         given_entries = [*objective, *chain(*matrix), *bounds]
         stored = [*prob.objective, *chain(*prob.constraint_matrix), *prob.bounds]
         assert all(a is b for a, b in zip(stored, given_entries))
+
+    def test_only_vectors_of_another_type_are_converted(self):
+        # an exact problem: its Fraction row is kept, the other vectors
+        # are converted, each as a whole
+        row = (Fraction(1, 2), Fraction(1, 3))
+        prob = LpProblem((0.5, 1), (row, (1, 2.0)), (Fraction(1), 2.0))
+        assert prob.constraint_matrix[0] is row
+        stored = [*prob.objective, *prob.constraint_matrix[1], *prob.bounds]
+        assert all(type(v) is Fraction for v in stored)
+        assert stored == [0.5, 1, 1, 2, 1, 2]
 
     @pytest.mark.parametrize(
         "entries, kind",
@@ -446,6 +458,12 @@ class TestExactRationalMode:
         assert sol.status == "optimal"
         assert sol.values == optimal_plan(s).probabilities
         assert all(isinstance(v, Fraction) for v in sol.values)
+
+    def test_default_solve_of_an_exact_problem_is_exact(self):
+        s = self.exact_spectrum()
+        sol = simplex_solve(concentration_lp(s))
+        assert sol.values == optimal_plan(s).probabilities
+        assert all(type(v) is Fraction for v in sol.values)
 
     def test_exact_solution_verifies(self):
         s = self.exact_spectrum()
@@ -612,18 +630,18 @@ def test_huge_int_is_a_finite_entry_of_an_exact_problem():
 
 
 @pytest.mark.parametrize(
-    "field, prob",
+    "prob",
     [
-        ("objective", LpProblem((Fraction(10**400),), ((1,),), (1,))),
-        ("constraint_matrix", LpProblem((1,), ((Fraction(-(10**400)),),), (1,))),
-        ("bounds", LpProblem((1,), ((1,),), (Fraction(10**400, 3),))),
+        LpProblem((Fraction(10**400),), ((1,),), (1,)),
+        LpProblem((1,), ((Fraction(-(10**400)),),), (1,)),
+        LpProblem((1,), ((1,),), (Fraction(10**400, 3),)),
     ],
     ids=["objective", "constraint_matrix", "bounds"],
 )
-def test_float_solve_of_an_exact_problem_past_the_float_range(field, prob):
-    with pytest.raises(ValueError, match=f"LP {field} entries must be finite"):
-        simplex_solve(prob)
-    assert simplex_solve(prob, exact=True).status in ("optimal", "unbounded")
+def test_solve_of_an_exact_problem_past_the_float_range(prob):
+    sol = simplex_solve(prob)
+    assert sol.status in ("optimal", "unbounded")
+    assert sol == simplex_solve(prob, exact=True)
 
 
 # ------------------------------------------- sparse kernels vs references
@@ -677,8 +695,15 @@ def _solve_or_error(prob, exact, solve=simplex_solve):
 
 
 def _slack_start(prob, exact=False):
-    """Bland's rule from the slack basis alone, without the crash check."""
-    return lp._solve_from_slack_basis(lp._converted(prob, exact))
+    """Bland's rule from the slack basis alone, without the crash check.
+
+    ``exact`` lifts a float problem to ``Fraction``s, as ``simplex_solve``
+    does.
+    """
+    if exact:
+        objective = map(Fraction, prob.objective)
+        prob = LpProblem(objective, prob.constraint_matrix, prob.bounds)
+    return lp._solve_from_slack_basis(prob)
 
 
 class TestSparseKernelsMatchDenseReferences:
