@@ -9,6 +9,7 @@ check, 4 I/O or parse error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -282,7 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "build-povm",
-        help="construct the measurement realising a feasible target ensemble",
+        help=(
+            "construct the measurement that turns the ensemble's average "
+            "state into a feasible target ensemble"
+        ),
     )
     p.add_argument("--source", required=True, help="source state file")
     p.add_argument("--ensemble", required=True, help="target ensemble file")
@@ -341,7 +345,12 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    # Move every live object out of the collector's sight: the collections
+    # of interpreter teardown then have nothing to scan.  Flushes, file
+    # closes and atexit hooks still run.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

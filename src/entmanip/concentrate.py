@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from fractions import Fraction
 from itertools import repeat
 
 from .monotones import vidal_monotones
@@ -176,7 +175,10 @@ def concentration_lp(s: SchmidtSpectrum, weights=None) -> LpProblem:
         )
     # row l holds (j + 1 - l) / j from column j = l on, zeros before it;
     # an int true division is rounded once, as Fraction(k, j) is exact
-    divide = Fraction if holds_fraction(s.coeffs + weights) else operator.truediv
+    if holds_fraction(s.coeffs + weights):
+        from fractions import Fraction as divide
+    else:
+        divide = operator.truediv
     zero = divide(0, 1)
     matrix = tuple(
         (zero,) * (l - 1) + tuple(map(divide, range(1, n + 2 - l), range(l, n + 1)))

@@ -64,7 +64,7 @@ import operator
 from fractions import Fraction
 from itertools import chain, compress
 
-from .schmidt import Frozen, as_fraction, integer_ratios, ratio_dot
+from .schmidt import Frozen, integer_ratios, ratio_dot
 
 PIVOT_TOL = 1e-11
 VERIFY_TOL = 1e-9
@@ -167,9 +167,14 @@ class LpSolution(Frozen):
         )
 
 
+def _as_fraction(x) -> Fraction:
+    """``x`` as a ``Fraction``, converted exactly; a ``Fraction`` is kept."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def _in_arithmetic(values, exact) -> tuple:
     """``values`` as ``Fraction``s if ``exact``, else as floats."""
-    return tuple(map(as_fraction if exact else float, values))
+    return tuple(map(_as_fraction if exact else float, values))
 
 
 def _finite(name: str, rows, kinds, exact) -> tuple:

@@ -14,10 +14,15 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from itertools import accumulate, chain, repeat, starmap, zip_longest
 
-from .schmidt import Frozen, SchmidtSpectrum, over_common_denominator, padded_average
+from .schmidt import (
+    Frozen,
+    SchmidtSpectrum,
+    holds_fraction,
+    over_common_denominator,
+    padded_average,
+)
 
 FEASIBILITY_TOL = 1e-9
 
@@ -59,10 +64,13 @@ def vidal_monotones(s: SchmidtSpectrum) -> tuple:
     for an exact spectrum, and for a float one 1 up to the spectrum's
     normalization and the rounding of the sum.  Exact tails are summed as
     integer numerators over one common denominator, each made a
-    ``Fraction`` once.
+    ``Fraction`` once.  A spectrum is all ``Fraction`` or all float, so
+    its first coefficient decides.
     """
-    if type(s.coeffs[0]) is not Fraction:
+    if not holds_fraction(s.coeffs[:1]):
         return tuple(accumulate(reversed(s.coeffs)))[::-1]
+    from fractions import Fraction
+
     nums, den = over_common_denominator(s.coeffs)
     return tuple(map(Fraction, accumulate(reversed(nums)), repeat(den)))[::-1]
 

@@ -5,17 +5,23 @@ available in closed form, so a trial only needs to sample the outcome
 index: each trial draws one uniform variate from a counter-based generator
 (the trial index hashed together with the master seed, SplitMix64-style),
 and its outcome is the first whose CDF value exceeds that variate.  Only
-the counts are reported, so trials are tallied a chunk at a time: the
-chunk's variates are sorted and the number below each CDF threshold is
-read off by one binary search per threshold.  Because trial t's variate
-depends on nothing but (seed, t), the tally is bit-exactly reproducible no
-matter how trials are partitioned or scheduled.
+the counts are reported.  A run of at most ``_CHUNK_TRIALS`` (65536) trials
+is tallied in pure Python, one binary search of the CDF per trial; with the
+pure-Python SVD that ``schmidt_decompose`` gives a matrix whose smaller
+side is at most 8, this keeps numpy out of every small CLI call.  A longer
+run is tallied with numpy a chunk at a time: the chunk's variates are
+sorted and the number below each CDF threshold is read off by one binary
+search per threshold.  Because trial t's variate depends on nothing but
+(seed, t), the tally is bit-exactly reproducible no matter how trials are
+partitioned or scheduled, and both tallies give the same counts.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .schmidt import SchmidtSpectrum
 from .transform import DiagonalPovm, IncompletePovmError
@@ -77,11 +83,14 @@ class SimulationReport:
         )
 
 
+_MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 # Trials drawn and tallied per chunk, which bounds the simulator's memory
-# whatever the trial count; the tally does not depend on it.
+# whatever the trial count; the tally does not depend on it.  A run of one
+# chunk is tallied in pure Python instead: at most about 55 ms on a 2-vCPU
+# VM, where importing numpy takes about 100 ms.
 _CHUNK_TRIALS = 1 << 16
 
 
@@ -97,13 +106,48 @@ def counter_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     if count < 0 or start < 0:
         raise ValueError("start and count must be nonnegative")
     x = np.arange(start, start + count, dtype=np.uint64)
-    x = (x + 1) * _GAMMA + (seed & 0xFFFFFFFFFFFFFFFF)
+    x = (x + 1) * _GAMMA + (seed & _MASK)
     x ^= x >> 30
     x *= _MIX1
     x ^= x >> 27
     x *= _MIX2
     x ^= x >> 31
     return (x >> 11).astype(np.float64) * (2.0**-53)
+
+
+def _python_tally(cdf: list, seed: int, trials: int) -> list:
+    """Counts per outcome of trials 0..trials-1, without numpy.
+
+    Each variate is that of :func:`counter_uniforms`, computed on Python
+    ints masked to 64 bits; trial t lands on outcome ``bisect_right(cdf, u)``,
+    the first k with u < cdf_k.
+    """
+    counts = [0] * len(cdf)
+    offset = seed & _MASK
+    for t in range(1, trials + 1):  # trial index + 1, as counter_uniforms hashes
+        x = (t * _GAMMA + offset) & _MASK
+        x ^= x >> 30
+        x = (x * _MIX1) & _MASK
+        x ^= x >> 27
+        x = (x * _MIX2) & _MASK
+        x ^= x >> 31
+        counts[bisect_right(cdf, (x >> 11) * 2.0**-53)] += 1
+    return counts
+
+
+def _numpy_tally(cdf: list, seed: int, trials: int) -> list:
+    """Counts per outcome, one chunk of sorted variates at a time."""
+    import numpy as np
+
+    thresholds = np.array(cdf[:-1])
+    counts = np.zeros(len(cdf), dtype=np.int64)
+    for start in range(0, trials, _CHUNK_TRIALS):
+        size = min(_CHUNK_TRIALS, trials - start)
+        uniforms = counter_uniforms(seed, start, size)
+        uniforms.sort()
+        below = np.searchsorted(uniforms, thresholds, side="left")
+        counts += np.diff(below, prepend=0, append=size)
+    return counts.tolist()
 
 
 def simulate(
@@ -116,35 +160,26 @@ def simulate(
 
     Each trial draws one counter-based uniform variate u and lands on the
     first outcome k with u < cdf_k; post-measurement states are known
-    analytically so no state update is simulated.  Trials are drawn and
-    tallied in fixed-size chunks, so memory does not grow with ``trials``:
-    a chunk's variates are sorted in place, #{u < cdf_k} is found for each
-    inner threshold by binary search, and the counts are the differences
-    of those ranks (the last threshold is at least 1, above every u).  The
-    counts are those a search of the CDF per trial gives.  Raises
-    :class:`IncompletePovmError` when the state's rank exceeds the
-    measurement's support.
+    analytically so no state update is simulated.  The cdf is the running
+    sum of the outcome probabilities, its last value raised to at least 1,
+    above every u.  A run of at most ``_CHUNK_TRIALS`` trials searches the
+    cdf once per trial in pure Python.  A longer one is drawn and tallied
+    with numpy in chunks of that size, so memory does not grow with
+    ``trials``: a chunk's variates are sorted in place, #{u < cdf_k} is
+    found for each inner threshold by binary search, and the counts are
+    the differences of those ranks.  Both give the counts a search of the
+    cdf per trial gives.  Raises :class:`IncompletePovmError` when the
+    state's rank exceeds the measurement's support.
     """
-    import numpy as np
-
     expected = povm.outcome_probabilities(state)
     labels = [el.label for el in povm.elements]
-    cdf = np.cumsum(expected)
+    cdf = list(accumulate(expected))  # the sequential sums np.cumsum makes
     cdf[-1] = max(cdf[-1], 1.0)  # guard the top edge against rounding
-
-    counts = np.zeros(len(labels), dtype=np.int64)
-    for start in range(0, trials, _CHUNK_TRIALS):
-        size = min(_CHUNK_TRIALS, trials - start)
-        uniforms = counter_uniforms(seed, start, size)
-        uniforms.sort()
-        below = np.searchsorted(uniforms, cdf[:-1], side="left")
-        counts += np.diff(below, prepend=0, append=size)
-
+    tally = _python_tally if trials <= _CHUNK_TRIALS else _numpy_tally
     return SimulationReport(
         trials=trials,
         seed=seed,
         labels=tuple(labels),
-        counts=tuple(int(c) for c in counts),
+        counts=tuple(tally(cdf, seed, trials)),
         expected_probs=tuple(expected),
     )
-

@@ -1,7 +1,9 @@
 """Command-line interface: dispatch, exit codes, serialization."""
 
 import contextlib
+import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 import entmanip
 from entmanip import cli
 from entmanip.cli import run
+from entmanip.sim import _CHUNK_TRIALS, _python_tally
 from util import CYCLING_LP, highs_optimum
 
 
@@ -752,7 +755,11 @@ _LOADER_CALLS = [
 
 
 def _main_exit_code(argv):
-    """Exit code of ``cli.main`` on ``argv``, with its stdout and stderr."""
+    """Exit code of ``cli.main`` on ``argv``, with its stdout and stderr.
+
+    ``cli.main`` freezes the collector's view of every live object before
+    it exits; this process goes on, so the objects are handed back.
+    """
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(sys, "argv", ["entmanip", *argv]):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -760,7 +767,24 @@ def _main_exit_code(argv):
                 cli.main()
             except SystemExit as exc:
                 return exc.code, out.getvalue(), err.getvalue()
+            finally:
+                gc.unfreeze()
     raise AssertionError("cli.main returned without exiting")
+
+
+def test_main_freezes_the_collector_before_it_exits():
+    gc.unfreeze()
+    code, out, _ = _main_exit_code(["--version"])
+    assert code == 0 and out.startswith("entmanip ")
+    assert gc.get_freeze_count() == 0  # handed back
+    with mock.patch.object(sys, "argv", ["entmanip", "--version"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            with pytest.raises(SystemExit):
+                cli.main()
+    try:
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -791,13 +815,17 @@ class TestNumpyStaysUnimported:
 
     Each call runs ``cli.run`` in a fresh interpreter, which then reports
     whether ``numpy`` got imported and which ``entmanip`` submodules did.
-    Spectrum-only calls never import numpy; only the SVD and simulate do.
-    A numpy tableau in ``lp.py`` would put the import back on ``lp-solve``
-    and ``concentrate --weights``, and a module-level kernel import in
-    ``cli``, ``jsonio`` or the package would load modules a call never
-    runs.  The value types are plain classes, so only ``simulate``, whose
-    report is a dataclass, imports ``dataclasses``; without numpy nothing
-    imports ``inspect``, which ``dataclasses`` would bring in.
+    Small calls never import numpy: an amplitude matrix whose smaller side
+    is at most 8 is decomposed in pure Python, and a simulation of one
+    chunk is tallied in pure Python.  Only a larger SVD or simulation
+    imports it.  A numpy tableau in ``lp.py`` would put the import back on
+    ``lp-solve`` and ``concentrate --weights``, and a module-level kernel
+    import in ``cli``, ``jsonio`` or the package would load modules a call
+    never runs.  ``fractions`` is loaded by ``lp`` alone, so a float call
+    that needs no LP leaves it unloaded.  The value types are plain
+    classes, so only ``simulate``, whose report is a dataclass, imports
+    ``dataclasses``; otherwise only numpy may import ``inspect``, which
+    ``dataclasses`` brings in.
     """
 
     CHILD = (
@@ -805,7 +833,7 @@ class TestNumpyStaysUnimported:
         "from entmanip.cli import run\n"
         "code = run(json.loads(sys.argv[1]))\n"
         "modules = [m.split('.', 1)[1] for m in sys.modules if m.startswith('entmanip.')]\n"
-        "loaded = [m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')]\n"
+        "loaded = [m in sys.modules for m in ('numpy', 'dataclasses', 'inspect', 'fractions')]\n"
         "sys.stderr.write(json.dumps([code, loaded, modules]))\n"
     )
 
@@ -826,6 +854,8 @@ class TestNumpyStaysUnimported:
             "weights": [0.0, 1.0, 1.0],
             "lp": {"objective": [1.0], "matrix": [[1.0]], "bounds": [1.0]},
             "amplitudes": {"amplitudes": [[r, 0.0], [0.0, r]]},
+            "amplitudes8": {"amplitudes": _diagonal_amplitudes(8, 9)},
+            "amplitudes9": {"amplitudes": _diagonal_amplitudes(9, 9)},
             "povm": {"support_rank": 3, "elements": [{"label": 1, "diag": [1, 1, 1]}]},
         }
         return {k: write_json(tmp_path / f"{k}.json", v) for k, v in docs.items()}
@@ -838,9 +868,10 @@ class TestNumpyStaysUnimported:
             capture_output=True, text=True, env=env, timeout=60,
         )
         code, loaded, modules = json.loads(proc.stderr.splitlines()[-1])
-        numpy_imported, dataclasses_imported, inspect_imported = loaded
+        numpy_imported, dataclasses_imported, inspect_imported, fractions_imported = loaded
         assert dataclasses_imported == (argv[0] == "simulate")
-        assert numpy_imported or not inspect_imported
+        assert not inspect_imported or numpy_imported or dataclasses_imported
+        assert fractions_imported == ("lp" in modules)
         return code, numpy_imported, set(modules), proc.stdout
 
     @pytest.mark.parametrize(
@@ -887,25 +918,104 @@ class TestNumpyStaysUnimported:
         assert not numpy_imported
         assert modules == loaded
 
-    def test_amplitudes_and_simulate_still_work(self, files):
+    def test_small_amplitudes_and_simulate_need_no_numpy(self, files):
         code, numpy_imported, modules, out = self.child(
             ["decompose", "--state", files["amplitudes"]]
         )
-        assert code == 0 and numpy_imported
+        assert code == 0 and not numpy_imported
         assert modules == {"cli", "jsonio", "schmidt"}
         assert json.loads(out)["spectrum"] == pytest.approx([0.5, 0.5], abs=1e-12)
+        code, numpy_imported, _, out = self.child(
+            ["decompose", "--state", files["amplitudes8"]]
+        )
+        assert code == 0 and not numpy_imported
+        assert json.loads(out)["spectrum"] == pytest.approx([1 / 8] * 8, abs=1e-15)
         code, numpy_imported, modules, out = self.child(
-            ["simulate", "--state", files["state"], "--trials", "1000"]
+            ["simulate", "--state", files["state"], "--trials", str(_CHUNK_TRIALS)]
+        )
+        assert code == 0 and not numpy_imported
+        assert modules == {
+            "cli", "jsonio", "schmidt", "concentrate", "monotones", "transform", "sim"
+        }
+        assert sum(json.loads(out)["counts"]) == _CHUNK_TRIALS
+        code, numpy_imported, modules, out = self.child(
+            ["simulate", "--state", files["state"], "--protocol", files["povm"],
+             "--trials", "10"]
+        )
+        assert code == 0 and not numpy_imported
+        assert modules == {"cli", "jsonio", "schmidt", "transform", "sim"}
+        assert json.loads(out)["counts"] == [10]
+
+    def test_amplitudes_and_simulate_still_work(self, files):
+        # past the small sizes numpy does the work, and the output is the
+        # one the other path gives
+        code, numpy_imported, modules, out = self.child(
+            ["decompose", "--state", files["amplitudes9"]]
+        )
+        assert code == 0 and numpy_imported
+        assert modules == {"cli", "jsonio", "schmidt"}
+        assert json.loads(out)["spectrum"] == pytest.approx([1 / 9] * 9, abs=1e-15)
+        trials = _CHUNK_TRIALS + 1
+        code, numpy_imported, modules, out = self.child(
+            ["simulate", "--state", files["state"], "--trials", str(trials),
+             "--seed", "7"]
         )
         assert code == 0 and numpy_imported
         assert modules == {
             "cli", "jsonio", "schmidt", "concentrate", "monotones", "transform", "sim"
         }
-        assert sum(json.loads(out)["counts"]) == 1000
-        code, numpy_imported, modules, out = self.child(
-            ["simulate", "--state", files["state"], "--protocol", files["povm"],
-             "--trials", "10"]
-        )
-        assert code == 0 and numpy_imported
-        assert modules == {"cli", "jsonio", "schmidt", "transform", "sim"}
-        assert json.loads(out)["counts"] == [10]
+        doc = json.loads(out)
+        cdf = list(itertools.accumulate(doc["expected_probs"]))
+        cdf[-1] = max(cdf[-1], 1.0)
+        assert doc["counts"] == _python_tally(cdf, 7, trials)
+
+
+def _diagonal_amplitudes(rank, cols):
+    """A rank x cols maximally entangled amplitude matrix as JSON rows."""
+    r = 1 / math.sqrt(rank)
+    return [[r if i == j else 0.0 for j in range(cols)] for i in range(rank)]
+
+
+# each subcommand once; build-povm also writes its JSON to a file
+_PROCESS_CALLS = [
+    ["decompose", "--state", "{amplitudes}", "--units", "bits"],
+    ["check-feasible", "--source", "{state}", "--target", "{target}"],
+    ["build-povm", "--source", "{state}", "--ensemble", "{ensemble}", "--out", "{out}"],
+    ["concentrate", "--state", "{state}", "--weights", "log2", "--format", "csv"],
+    ["lp-solve", "{lp}"],
+    ["simulate", "--state", "{state}", "--trials", "1000", "--seed", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _PROCESS_CALLS, ids=lambda argv: argv[0])
+def test_module_entry_point_matches_run(tmp_path, capsys, argv):
+    # a process that exits through cli.main, frozen collector and all,
+    # prints and writes what run() does in this one
+    docs = {
+        "amplitudes": {"amplitudes": [[0.6, {"re": 0.0, "im": 0.48}], [0.0, 0.64]]},
+        "state": {"spectrum": [0.5, 0.3, 0.2]},
+        "target": {"spectrum": [0.8, 0.2]},
+        "ensemble": {
+            "ensemble": [
+                {"probability": 0.5, "spectrum": [1.0]},
+                {"probability": 0.5, "spectrum": [0.5, 0.5]},
+            ]
+        },
+        "lp": {"objective": [1.0, 1.0], "matrix": [[1.0, 2.0], [3.0, 1.0]], "bounds": [4.0, 6.0]},
+    }
+    files = {k: write_json(tmp_path / f"{k}.json", v) for k, v in docs.items()}
+    args = [a.format(**files, out=str(tmp_path / "run.json")) for a in argv]
+    code = run(args)
+    expected = capsys.readouterr()
+    package_root = os.path.dirname(os.path.dirname(entmanip.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "entmanip",
+         *[a.format(**files, out=str(tmp_path / "process.json")) for a in argv]],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=package_root),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected.out, expected.err)
+    assert code == 0 and expected.out
+    if "--out" in argv:
+        written = (tmp_path / "process.json").read_text(encoding="utf-8")
+        assert written == (tmp_path / "run.json").read_text(encoding="utf-8") == expected.out

@@ -7,10 +7,11 @@ from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import entmanip
@@ -29,7 +30,9 @@ from entmanip import (
     schmidt_decompose,
     uniform_spectrum,
 )
+from entmanip import schmidt
 from entmanip.schmidt import (
+    _SMALL_SIDE,
     ZERO_TOL,
     exact_sum,
     holds_fraction,
@@ -104,6 +107,133 @@ class TestSchmidtDecompose:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             schmidt_decompose(np.zeros((0, 0)))
+
+
+def _lapack_squares(m):
+    singular = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
+    return sorted((singular**2).tolist())
+
+
+def _padded(values, n):
+    return sorted([*values, *[0.0] * (n - len(values))])
+
+
+@st.composite
+def _small_matrices(draw, sides=st.integers(1, _SMALL_SIDE)):
+    """A normalized complex matrix, some columns zero, duplicated or tiny."""
+    rows, cols = draw(sides), draw(sides)
+    parts = st.floats(-1, 1, allow_subnormal=False)
+    pairs = st.lists(st.tuples(parts, parts), min_size=cols, max_size=cols)
+    m = np.array(draw(st.lists(pairs, min_size=rows, max_size=rows)), dtype=float)
+    m = m.view(complex)[..., 0]
+    for j in range(cols):
+        kind = draw(st.sampled_from(["plain", "plain", "zero", "duplicate", "tiny"]))
+        if kind == "zero":
+            m[:, j] = 0
+        elif kind == "duplicate":
+            m[:, j] = m[:, draw(st.integers(0, cols - 1))]
+        elif kind == "tiny":
+            m[:, j] *= draw(st.sampled_from([1e-9, 1e-100, 1e-160]))
+    norm = np.linalg.norm(m)
+    assume(norm > 1e-100)
+    return m / norm
+
+
+class TestSmallMatrixJacobi:
+    """Matrices whose smaller side is at most 8 are decomposed in pure Python."""
+
+    # Both methods are backward stable, each within about 1e-15 of the
+    # 40-digit squared singular values (LAPACK up to 8.9e-16 on such
+    # matrices, Jacobi 3.3e-16), so they can differ by a little more than
+    # either one's error.
+    TOL = 2e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(_small_matrices())
+    def test_matches_lapack(self, m):
+        squares = _lapack_squares(m)
+        jacobi = schmidt_decompose(m.tolist(), zero_tol=0.0).coeffs
+        assert np.allclose(
+            _padded(jacobi, len(squares)), squares, rtol=0, atol=self.TOL
+        )
+        # the rank that the default zero_tol keeps is LAPACK's too
+        kept = sum(v > ZERO_TOL for v in squares)
+        assert schmidt_decompose(m).rank == kept
+
+    @settings(max_examples=40, deadline=None)
+    @given(_small_matrices(st.integers(_SMALL_SIDE, _SMALL_SIDE + 1)))
+    def test_the_shape_picks_the_path(self, m):
+        small = min(m.shape) <= _SMALL_SIDE
+        wrapped = mock.patch.object(
+            schmidt, "_jacobi_squared_singular_values",
+            wraps=schmidt._jacobi_squared_singular_values,
+        )
+        with wrapped as jacobi:
+            from_array = schmidt_decompose(m)
+            from_lists = schmidt_decompose(m.tolist())
+            from_value = schmidt_decompose(AmplitudeMatrix(m))
+        assert jacobi.call_count == (3 if small else 0)
+        # the container does not matter, bit for bit
+        assert from_array.coeffs == from_lists.coeffs == from_value.coeffs
+        squares = _lapack_squares(m)
+        reference = make_spectrum(squares, zero_tol=0.0).coeffs
+        coeffs = schmidt_decompose(m, zero_tol=0.0).coeffs
+        if not small:  # numpy's SVD, as before
+            assert coeffs == reference
+        n = len(squares)
+        assert np.allclose(
+            _padded(coeffs, n), _padded(reference, n), rtol=0, atol=self.TOL
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        _small_matrices(st.integers(1, _SMALL_SIDE + 1)),
+        st.sampled_from(["nan", "inf", "huge", "scale", "row", "empty", "flat", "deep"]),
+        st.data(),
+    )
+    def test_both_paths_raise_the_same_message(self, m, defect, data):
+        if defect in ("nan", "inf", "huge"):
+            i = data.draw(st.integers(0, m.shape[0] - 1))
+            j = data.draw(st.integers(0, m.shape[1] - 1))
+            m[i, j] = {"nan": math.nan, "inf": complex(0, math.inf), "huge": 1e200}[defect]
+        elif defect == "scale":
+            m = m * data.draw(st.floats(0.5, 2).filter(lambda f: abs(f * f - 1) > 1e-6))
+        elif defect == "row":
+            m = m[0]
+        elif defect == "empty":
+            m = m[:0]
+        elif defect == "flat":
+            m = m.reshape(-1, 1, 1)
+        else:
+            m = m[np.newaxis]
+        messages = []
+        for entries in (m, m.tolist()):
+            for decompose in (schmidt_decompose, AmplitudeMatrix):
+                with pytest.raises(ValueError) as exc:
+                    decompose(entries)
+                messages.append(str(exc.value))
+        assert len(set(messages)) == 1, messages
+
+    def test_a_norm_past_the_float_range_is_inf(self):
+        # each square is finite, their sum is not
+        for m in ([[1.2e154, 1.2e154]], [[1e200, 0.0]]):
+            for decompose in (schmidt_decompose, AmplitudeMatrix):
+                with pytest.raises(ValueError, match=r"\|psi\|\^2 = inf"):
+                    decompose(m)
+
+    def test_ragged_rows_are_left_to_numpy(self):
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            schmidt_decompose([[1.0, 0.0], [0.0]])
+
+    def test_subnormal_overlap_keeps_the_norms(self):
+        # |u_p^H u_q| = 1e-310 is subnormal, and a rotation by g/|g| there
+        # would drift the norms; its tangent underflows and it is skipped
+        x = 1e-310
+        columns = [[1 + 0j, 0j], [complex(x), complex(0, x)]]
+        assert schmidt._jacobi_squared_singular_values(columns) == [1.0, 0.0]
+        assert columns == [[1 + 0j, 0j], [complex(x), complex(0, x)]]
+        m = [[1.0, x], [0.0, complex(0, x)]]
+        assert schmidt_decompose(m, zero_tol=0.0).coeffs == (1.0,)
 
 
 class TestMakeSpectrum:
@@ -305,6 +435,55 @@ class TestSpectrumValidation:
     def test_rejects_zero_entry(self):
         with pytest.raises(ValueError, match="positive"):
             SchmidtSpectrum((1.0, 0.0))
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.fractions(min_value=-1, max_value=2, max_denominator=10**6),
+                st.floats(-1, 2),
+                st.sampled_from([0, 1, Fraction(1, 2), 0.5, Fraction(1, 3)]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.fractions(min_value=0, max_value=1, max_denominator=100),
+        st.randoms(use_true_random=False),
+        st.booleans(),
+    )
+    def test_exact_checks_match_the_fraction_comparisons(self, raw, fraction, rng, fix):
+        # the order is checked on integer numerators over one denominator,
+        # with the messages of the entry-by-entry Fraction checks
+        raw.insert(rng.randint(0, len(raw)), fraction)  # one Fraction at least
+        if fix and all(v > 0 for v in raw):  # a valid spectrum, types mixed
+            total = sum(map(Fraction, raw))
+            raw = sorted((v / total for v in raw), reverse=True)
+        values = [Fraction(v) for v in raw]
+        if not all(v > 0 for v in values):
+            expected = "spectrum coefficients must be strictly positive"
+        elif not all(u >= v for u, v in zip(values, values[1:])):
+            expected = "spectrum coefficients must be nonincreasing"
+        elif abs(sum(values) - 1) > 1e-9:
+            expected = f"spectrum is not normalized: sum = {sum(values)!r}"
+        else:
+            assert SchmidtSpectrum(raw).coeffs == tuple(values)
+            return
+        with pytest.raises(ValueError) as exc:
+            SchmidtSpectrum(raw)
+        assert str(exc.value) == expected
+
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            ((math.nan, Fraction(1)), "strictly positive"),
+            ((Fraction(1), math.nan), "strictly positive"),
+            ((Fraction(1, 2), -math.inf), "strictly positive"),
+            ((Fraction(1, 2), math.inf), "nonincreasing"),
+            ((math.inf, Fraction(1, 2)), r"not normalized: sum = inf"),
+        ],
+    )
+    def test_non_finite_entry_beside_a_fraction(self, coeffs, message):
+        with pytest.raises(ValueError, match=message):
+            SchmidtSpectrum(coeffs)
 
 
 _PAIR = SchmidtSpectrum((0.5, 0.5))

@@ -1,7 +1,9 @@
 """Monte Carlo protocol simulation: reproducibility and statistics."""
 
+import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +25,8 @@ from entmanip import (
     single_shot_povm,
     uniform_spectrum,
 )
-from entmanip.sim import _CHUNK_TRIALS, counter_uniforms
+from entmanip import sim
+from entmanip.sim import _CHUNK_TRIALS, _numpy_tally, _python_tally, counter_uniforms
 from util import random_ensemble, random_spectrum, yield_statistics
 
 
@@ -222,7 +225,8 @@ class TestSimulate:
             st.integers(2 * _CHUNK_TRIALS - 1, 2 * _CHUNK_TRIALS + 1),
             st.integers(_CHUNK_TRIALS, 3 * _CHUNK_TRIALS),
         ),
-        seed=st.integers(0, 2**64 - 1),
+        # seeds past 64 bits and negative ones are taken mod 2**64
+        seed=st.integers(-(2**80), 2**80),
         short=st.booleans(),
     )
     def test_sorted_chunk_tally_matches_per_trial_search(self, raw, trials, seed, short):
@@ -247,6 +251,33 @@ class TestSimulate:
         report = simulate(povm, s, trials=trials, seed=seed)
         assert report.counts == tuple(int(c) for c in per_trial)
         assert all(c == 0 for c, p in zip(report.counts, expected) if p == 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        raw=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).filter(
+            lambda raw: sum(raw) > 0
+        ),
+        trials=st.one_of(st.integers(0, 2000), st.just(_CHUNK_TRIALS)),
+        seed=st.integers(-(2**80), 2**80),
+    )
+    def test_python_tally_matches_the_numpy_tally(self, raw, trials, seed):
+        # zero weights are zero-probability outcomes; the two tallies serve
+        # runs on either side of one chunk and must count alike
+        cdf = list(itertools.accumulate(w / sum(raw) for w in raw))
+        cdf[-1] = max(cdf[-1], 1.0)
+        counts = _python_tally(cdf, seed, trials)
+        assert counts == _numpy_tally(cdf, seed, trials)
+        assert sum(counts) == trials
+        assert all(c == 0 for c, w in zip(counts, raw) if w == 0)
+
+    def test_one_chunk_runs_need_no_numpy_array(self):
+        s = make_spectrum([0.5, 0.3, 0.2])
+        povm = single_shot_povm(s)
+        with mock.patch.object(sim, "counter_uniforms", side_effect=AssertionError):
+            small = simulate(povm, s, trials=_CHUNK_TRIALS, seed=9)
+        large = simulate(povm, s, trials=_CHUNK_TRIALS + 1, seed=9)
+        assert sum(small.counts) == _CHUNK_TRIALS
+        assert sum(large.counts) == _CHUNK_TRIALS + 1
 
     def test_incomplete_on_state_support(self):
         povm = single_shot_povm(make_spectrum([0.6, 0.4]))
