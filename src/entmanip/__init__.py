@@ -16,9 +16,9 @@ __version__ = "0.1.0"
 
 # Public name -> the submodule that defines it.
 _SUBMODULE_OF = {
-    "AmplitudeMatrix": "schmidt",
+    "AmplitudeMatrix": "amplitudes",
     "SchmidtSpectrum": "schmidt",
-    "schmidt_decompose": "schmidt",
+    "schmidt_decompose": "amplitudes",
     "make_spectrum": "schmidt",
     "uniform_spectrum": "schmidt",
     "entropy": "schmidt",
@@ -36,19 +36,19 @@ _SUBMODULE_OF = {
     "average_target": "transform",
     "merge_duplicates": "transform",
     "build_ensemble_povm": "transform",
+    "single_shot_povm": "transform",
     "ConcentrationPlan": "concentrate",
     "OptimalityCertificate": "concentrate",
     "optimal_plan": "concentrate",
     "standard_weights": "concentrate",
     "concentration_lp": "concentrate",
     "optimality_certificate": "concentrate",
-    "single_shot_povm": "concentrate",
     "asymptotic_yield_curve": "concentrate",
     "LpProblem": "lp",
     "LpSolution": "lp",
     "simplex_solve": "lp",
-    "verify_solution": "lp",
-    "constraint_residuals": "lp",
+    "verify_solution": "verify",
+    "constraint_residuals": "verify",
     "IncompletePovmError": "transform",
     "SimulationReport": "sim",
     "simulate": "sim",

@@ -227,7 +227,7 @@ def _cmd_simulate(args) -> int:
 
     state = load_state(args.state)
     if args.protocol == "optimal":
-        from .concentrate import single_shot_povm
+        from .transform import single_shot_povm
 
         povm = single_shot_povm(state)
     else:

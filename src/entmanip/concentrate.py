@@ -9,9 +9,9 @@ constraint, and its optimality is certified by the nonnegative reduced
 costs of the corresponding linear program.
 
 This module provides the closed form, the LP formulation for arbitrary
-level weights, the spectrum-independent optimality certificate, the
-single-measurement protocol achieving the optimum, and the per-copy
-yield curve over many identical copies.
+level weights, the spectrum-independent optimality certificate and the
+per-copy yield curve over many identical copies.  The single measurement
+that achieves the optimum is ``transform.single_shot_povm``.
 """
 
 from __future__ import annotations
@@ -22,16 +22,10 @@ from collections import Counter
 from itertools import repeat
 
 from .monotones import vidal_monotones
-from .schmidt import (
-    NORM_TOL,
-    Frozen,
-    SchmidtSpectrum,
-    exact_sum,
-    holds_fraction,
-)
+from .schmidt import NORM_TOL, Frozen, SchmidtSpectrum, holds_fraction
 
-# Annotations are not evaluated (PEP 563): the types they name from
-# ``lp`` and ``transform`` are imported only by the functions that build them.
+# Annotations are not evaluated (PEP 563): ``LpProblem`` is imported only
+# by the function that builds one.
 
 SIZE_CAP = 1 << 20
 CERT_TOL = 1e-12
@@ -45,7 +39,6 @@ __all__ = [
     "standard_weights",
     "concentration_lp",
     "optimality_certificate",
-    "single_shot_povm",
     "asymptotic_yield_curve",
 ]
 
@@ -67,8 +60,12 @@ class ConcentrationPlan(Frozen):
             raise ValueError("plan must cover at least one level")
         if not all(map(operator.ge, probabilities, repeat(0))):
             raise ValueError("plan probabilities must be nonnegative")
-        exact = holds_fraction(probabilities)
-        total = exact_sum(probabilities) if exact else math.fsum(probabilities)
+        if holds_fraction(probabilities):
+            from . import exact
+
+            total = exact.exact_sum(probabilities)
+        else:
+            total = math.fsum(probabilities)
         if not abs(total - 1) <= NORM_TOL:
             raise ValueError(f"plan probabilities sum to {total!r}, not 1")
         if not math.isfinite(expected_entanglement):
@@ -212,30 +209,6 @@ def optimality_certificate(n: int, weights=None) -> OptimalityCertificate:
     return OptimalityCertificate(
         f[k - 2] + f[k] - 2 * f[k - 1] for k in range(2, n + 2)
     )
-
-
-def single_shot_povm(s: SchmidtSpectrum) -> DiagonalPovm:
-    """Single measurement that concentrates a spectrum optimally.
-
-    Element j has diagonal sqrt((a_j - a_{j+1}) / a_i) on the first j
-    indices and zero beyond; its outcome probability is the closed-form
-    plan's p_j and the post-measurement state is the uniform j-level
-    spectrum.  Levels with tied coefficients give zero elements, retained
-    under their labels so outcome indexing stays stable.
-    """
-    from .transform import DiagonalPovm, PovmElement
-
-    coeffs = [float(a) for a in s.coeffs]
-    n = len(coeffs)
-    elements = []
-    for j in range(1, n + 1):
-        nxt = coeffs[j] if j < n else 0.0
-        gap = coeffs[j - 1] - nxt
-        diag = tuple(
-            math.sqrt(gap / coeffs[i]) if i < j else 0.0 for i in range(n)
-        )
-        elements.append(PovmElement(j, diag))
-    return DiagonalPovm(tuple(elements))
 
 
 def _one_more_copy(classes, n: int, mults):

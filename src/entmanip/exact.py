@@ -1,0 +1,254 @@
+"""Exact arithmetic on integer ratios: sums, spectra and LU substitutions.
+
+Only exact work loads this module, and with it ``fractions``: float calls
+never do.  An exact value is summed as an integer numerator over the
+running lcm of the denominators (:func:`ratio_dot`), made into one
+``Fraction`` at the end, which is the number term-by-term ``Fraction``
+addition gives without a gcd per term.
+
+The LU substitutions of an exact LP (:class:`ExactLu`) run the same way:
+the factorisation keeps U's pivots and entries as (numerator, denominator)
+pairs, each solved entry carries its own pair, and an entry's products are
+summed by :func:`ratio_dot` with the division by the pivot folded into
+that ratio.  So each solved entry becomes a ``Fraction`` once, the same
+number as term-by-term ``Fraction`` arithmetic gives (the fraction-free
+idea of E. H. Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968, applied
+where it changes no value).
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import repeat
+
+from .schmidt import _ALL_STRIPPED, SchmidtSpectrum, check_positive_nonincreasing
+
+
+def integer_ratios(values) -> list:
+    """Each value as ``(numerator, denominator)`` in lowest terms.
+
+    The pair is that of ``Fraction(v)``; a ``Fraction``, an int or a float
+    gives its own without a conversion.
+    """
+    own = (Fraction, int, float)
+    return [
+        v.as_integer_ratio() if type(v) in own else Fraction(v).as_integer_ratio()
+        for v in values
+    ]
+
+
+def ratio_dot(terms, num=0, den=1) -> tuple:
+    """``num / den`` plus the sum of ``(a / b) * (c / d)`` over ``(a, b, c, d)``.
+
+    The terms are ints with b, d > 0; a plain sum passes c = d = 1.  The
+    sum is an integer numerator over the running lcm of the product
+    denominators: a product whose denominator divides it costs one
+    multiplication and one addition, and no term takes the gcd of a
+    numerator.  Returns ``(num, den)``, not in lowest terms;
+    ``Fraction(num, den)`` is the number that adding the products as
+    ``Fraction``s gives.
+    """
+    gcd = math.gcd
+    for a, b, c, d in terms:
+        p = a * c
+        if p:
+            q = b * d
+            g = gcd(den, q)
+            if g == q:
+                num += p * (den // q)
+            else:
+                q //= g
+                num = num * q + p * (den // g)
+                den *= q
+    return num, den
+
+
+def over_common_denominator(values) -> tuple:
+    """Exact values as integer numerators over one denominator.
+
+    Returns ``(numerators, den)``, ``den`` the lcm of the values'
+    denominators, so that value i is ``numerators[i] / den`` exactly.
+    """
+    nums, dens = zip(*integer_ratios(values))
+    den = math.lcm(*dens)
+    return [n * (den // d) for n, d in zip(nums, dens)], den
+
+
+def exact_sum(values) -> Fraction:
+    """The exact sum of real numbers (``Fraction``s, ints, ...) as a ``Fraction``.
+
+    Always a ``Fraction``, ``Fraction(0)`` for no values.
+    """
+    ratios = integer_ratios(values)
+    return Fraction(*ratio_dot((a, b, 1, 1) for a, b in ratios))
+
+
+def as_fraction(x) -> Fraction:
+    """``x`` as a ``Fraction``, converted exactly; a ``Fraction`` is kept."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
+# ------------------------------------------------------------------ spectra
+
+
+def as_exact(coeffs: tuple) -> tuple:
+    """Spectrum coefficients, one of them a ``Fraction``, as ``Fraction``s,
+    with their exact sum.
+
+    They are checked positive and nonincreasing on their integer numerators
+    over one common denominator, which order as the values do without a
+    ``Fraction`` comparison per pair.  A NaN or an infinity has no
+    numerator: the values are then checked as they are, and come back
+    unconverted with an infinite sum.
+    """
+    try:
+        nums, den = over_common_denominator(coeffs)
+    except (ValueError, OverflowError):
+        check_positive_nonincreasing(coeffs, "spectrum coefficients")
+        return coeffs, math.inf
+    check_positive_nonincreasing(nums, "spectrum coefficients")
+    exact = tuple(map(as_fraction, coeffs))
+    return exact, Fraction(sum(nums), den)
+
+
+def exact_spectrum(values: list, zero_tol) -> SchmidtSpectrum:
+    """``make_spectrum`` of checked nonnegative values, one of them a ``Fraction``.
+
+    Each value is n_i / den over the lcm ``den`` of their denominators, and
+    n_i / den > zero_tol = t holds exactly when n_i > floor(t * den).
+    """
+    try:  # the values are not NaN, so only an infinite one has no ratio
+        scaled, den = over_common_denominator(values)
+    except OverflowError:
+        raise ValueError("coefficients must have a finite sum") from None
+    if math.isfinite(zero_tol):
+        ((t_num, t_den),) = integer_ratios([zero_tol])
+        floor = max(t_num * den // t_den, 0)
+    else:  # -inf strips only zeros; inf and NaN strip everything
+        floor = 0 if zero_tol < 0 else math.inf
+    kept = sorted((n for n in scaled if n > floor), reverse=True)
+    if not kept:
+        raise ValueError(_ALL_STRIPPED)
+    # positive, nonincreasing and summing to exactly 1, as the spectrum requires
+    return SchmidtSpectrum._of_exact(tuple(map(Fraction, kept, repeat(sum(kept)))))
+
+
+# ---------------------------------------------------------------- LP kernels
+
+
+def _ratios(values) -> tuple:
+    """The numerators and the denominators of exact ``values``, two tuples."""
+    return tuple(zip(*integer_ratios(values))) or ((), ())
+
+
+def dots(rows, vector) -> list:
+    """The dot product of each row with ``vector``, each a ``Fraction``.
+
+    The products are summed on integer ratios by :func:`ratio_dot`, with
+    the vector's ratios taken once for all rows.
+    """
+    v_nums, v_dens = _ratios(vector)
+    return [Fraction(*ratio_dot(zip(*_ratios(row), v_nums, v_dens))) for row in rows]
+
+
+def _exact_sub_dot(x_num, x_den, terms, pivot=(1, 1)) -> Fraction:
+    """``(x - the sum of the products of the terms) / pivot``, one ``Fraction``.
+
+    x is ``x_num / x_den``, ``terms`` are the ``(a, b, c, d)`` terms of
+    :func:`ratio_dot`, each the product of two ratios, and ``pivot`` is a
+    ``(numerator, denominator)`` pair.  The sum runs from -x, and the pivot
+    division is folded into its ratio.
+    """
+    num, den = ratio_dot(terms, -x_num, x_den)
+    p_num, p_den = pivot
+    return Fraction(-num * p_den, den * p_num)
+
+
+class ExactLu:
+    """An exact ``lp._factor`` on integer ratios, and the solves that read it.
+
+    Built from the factorisation's ``steps`` and ``u_ratios``, where
+    ``u_ratios[i]`` is row i of U from its pivot on.  A vector of ratios is
+    held as two tuples, numerators and denominators.  ``eliminations[col]``
+    is the pivot row, the eliminated rows and the ratios of their factors;
+    ``rows[col]`` is the pivot's ``(numerator, denominator)`` and the
+    ratios of U's row right of it, last column first (the order back
+    substitution solves them in); ``columns[col]`` the ratios of U's column
+    above it.  Rows and columns are dense: a zero entry is a term whose
+    product is skipped.
+    """
+
+    def __init__(self, steps, u_ratios):
+        self.rows = [
+            ((nums[0], dens[0]), (nums[:0:-1], dens[:0:-1])) for nums, dens in u_ratios
+        ]
+        # pad each row with zeros (0/1) left of its pivot, then read columns
+        u_nums = [(0,) * i + nums for i, (nums, _) in enumerate(u_ratios)]
+        u_dens = [(1,) * i + dens for i, (_, dens) in enumerate(u_ratios)]
+        self.columns = [
+            (nums[:col], dens[:col])
+            for col, (nums, dens) in enumerate(zip(zip(*u_nums), zip(*u_dens)))
+        ]
+        self.eliminations = [
+            (pivot_row, [r for r, _ in eliminated], _ratios(f for _, f in eliminated))
+            if eliminated else (pivot_row, (), ((), ()))
+            for pivot_row, eliminated in steps
+        ]
+
+    def solve(self, rhs) -> list:
+        """Solve B x = rhs; the values are ``Fraction``s.
+
+        The forward eliminations add into each entry's integer ratio, and an
+        entry is brought to lowest terms once, when it scales the rows below
+        it.  Back substitution makes each solved entry a ``Fraction`` once
+        and keeps its ratio, last entry first, for the rows above.
+        """
+        nums, dens = map(list, _ratios(rhs))
+        for col, (pivot_row, targets, (f_nums, f_dens)) in enumerate(self.eliminations):
+            for v in (nums, dens):
+                v[col], v[pivot_row] = v[pivot_row], v[col]
+            if targets and nums[col]:
+                g = math.gcd(nums[col], dens[col])
+                x_num = nums[col] = nums[col] // g
+                x_den = dens[col] = dens[col] // g
+                for r, f_num, f_den in zip(targets, f_nums, f_dens):
+                    term = (-f_num, f_den, x_num, x_den)
+                    nums[r], dens[r] = ratio_dot((term,), nums[r], dens[r])
+        x, solved_nums, solved_dens = [], [], []
+        for col in reversed(range(len(nums))):
+            pivot, (u_nums, u_dens) = self.rows[col]
+            terms = zip(u_nums, u_dens, solved_nums, solved_dens)
+            value = _exact_sub_dot(nums[col], dens[col], terms, pivot)
+            x.append(value)
+            num, den = value.as_integer_ratio()
+            solved_nums.append(num)
+            solved_dens.append(den)
+        x.reverse()
+        return x
+
+    def solve_transposed(self, rhs) -> list:
+        """Solve B^T y = rhs, as the float solve does.
+
+        Forward substitution down the columns of U, then the transposed
+        eliminations and the swaps in reverse order; each substitution makes
+        one ``Fraction`` and replaces the entry's ratio with its own.
+        """
+        nums, dens = map(list, _ratios(rhs))
+        w = [None] * len(nums)
+        for col, ((pivot, _), (c_nums, c_dens)) in enumerate(zip(self.rows, self.columns)):
+            # the column above the pivot meets the entries solved before it
+            terms = zip(c_nums, c_dens, nums, dens)
+            w[col] = _exact_sub_dot(nums[col], dens[col], terms, pivot)
+            nums[col], dens[col] = w[col].as_integer_ratio()
+        for col in reversed(range(len(w))):
+            pivot_row, targets, (f_nums, f_dens) = self.eliminations[col]
+            if targets:
+                eliminated = map(nums.__getitem__, targets), map(dens.__getitem__, targets)
+                terms = zip(f_nums, f_dens, *eliminated)
+                w[col] = _exact_sub_dot(nums[col], dens[col], terms)
+                nums[col], dens[col] = w[col].as_integer_ratio()
+            for v in (w, nums, dens):
+                v[col], v[pivot_row] = v[pivot_row], v[col]
+        return w

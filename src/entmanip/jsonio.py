@@ -13,10 +13,11 @@ import numbers
 import sys
 from contextlib import contextmanager
 
-from .schmidt import ZERO_TOL, SchmidtSpectrum, make_spectrum, schmidt_decompose
+from .schmidt import ZERO_TOL, SchmidtSpectrum, make_spectrum
 
 # Annotations are not evaluated (PEP 563): the types they name from
-# ``lp`` and ``transform`` are imported only by the loaders that build them.
+# ``lp`` and ``transform`` are imported only by the loaders that build them,
+# and ``amplitudes`` only for a state given as an amplitude matrix.
 
 __all__ = [
     "dumps",
@@ -115,6 +116,8 @@ def load_state(path: str, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
             raw = [_number(v, "spectrum entries") for v in doc["spectrum"]]
             return make_spectrum(raw, zero_tol=zero_tol)
         if "amplitudes" in doc:
+            from .amplitudes import schmidt_decompose
+
             rows = [[_complex_entry(e) for e in row] for row in doc["amplitudes"]]
             return schmidt_decompose(rows, zero_tol=zero_tol)
     raise ValueError("state file needs a 'spectrum' or 'amplitudes' key")

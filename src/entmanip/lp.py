@@ -11,11 +11,14 @@ without floating-point doubt.
 Each problem has one arithmetic, fixed when it is built: a problem that
 holds any ``Fraction`` is exact, and every entry is stored as a
 ``Fraction`` (floats and ints are converted exactly); any other problem
-stores floats.  Every kernel reads ``LpProblem.exact`` and computes in that
-arithmetic throughout, and a claimed solution is converted into it before
-it is checked.  The solver solves a problem in its own arithmetic, and
-lifts a float problem to ``Fraction``s only when asked to; it never lowers
-an exact problem to floats.
+stores floats.  Each public call looks the arithmetic up once and hands
+it to the kernels it runs: None for float, or the ``exact`` module, whose
+integer-ratio kernels serve exact sums and LU substitutions.  So a float
+call never loads ``exact`` or ``fractions``, and an exact one imports
+``exact`` once.  A claimed solution is converted into the problem's
+arithmetic before it is checked.  The solver solves a problem in its own
+arithmetic, and lifts a float problem to ``Fraction``s only when asked
+to; it never lowers an exact problem to floats.
 
 The tableau is stored densely but updated sparsely: a pivot visits only
 the nonzero columns of the pivot row and only the rows with a nonzero
@@ -24,17 +27,10 @@ results are the same number for number as a full sweep, at a fraction of
 the cost on the sparse tableaus the concentration LPs produce.  The one
 routine serves float and exact mode alike.  So does the LU factorisation
 below; the substitutions treat the modes apart.  A float entry subtracts
-its products one by one.  Exact substitutions run on integer ratios: the
-factorisation also keeps U's pivots and entries as (numerator,
-denominator) pairs, each solved entry carries its own pair, and an entry's
-products are summed by ``schmidt.ratio_dot``, an integer numerator over
-the running lcm of their denominators, with the division by the pivot
-folded into that ratio.  So each solved entry becomes a ``Fraction`` once,
-the same number as term-by-term ``Fraction`` arithmetic gives (the
-fraction-free idea of E. H. Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 22, 1968, applied
-where it changes no value).  Exact dot products, such as the objective
-and the residuals, are summed the same way.
+its products one by one; an exact one is summed on integer ratios
+(``exact.ExactLu``).  Exact dot products, such as the objective, are
+summed the same way.  An exact sign test reads the numerator, an int,
+instead of comparing ``Fraction``s.
 
 Square problems (as many constraints as variables) are first given a
 crash check of the all-structural basis (R. E. Bixby, "Implementing the
@@ -45,15 +41,15 @@ c_1 >= 0 and j c_j convex (ln, log2) are settled this way.  Otherwise the
 pivots start from the slack basis exactly as if no check had been made;
 the check never hands the pivots a starting basis of its own.
 
-:func:`verify_solution` recomputes feasibility and reduced costs of a
-claimed optimum from its stated basis.  It factors the basis matrix B once
-(LU with partial pivoting: the pivot is sought among the column's nonzero
-entries, only those rows are eliminated, over the pivot row's nonzeros,
-and the float singularity test reads a per-row magnitude bound instead of
-rescanning rows) and answers B x = q and B^T y = c_B from that one
-factorisation by sparse triangular substitution, B^T y = c_B one column
-of U at a time; on the triangular bases of the concentration LPs the
-factorisation does no elimination and compares no magnitudes at all.
+The LU factorisation (partial pivoting: the pivot is sought among the
+column's nonzero entries, only those rows are eliminated, over the pivot
+row's nonzeros, and the float singularity test reads a per-row magnitude
+bound instead of rescanning rows) is shared with ``entmanip.verify``,
+which checks a claimed optimum from its stated basis.  It answers B x = q
+and B^T y = c_B from one factorisation by sparse triangular substitution,
+B^T y = c_B one column of U at a time; on the triangular bases of the
+concentration LPs the factorisation does no elimination and compares no
+magnitudes at all.
 """
 
 from __future__ import annotations
@@ -61,23 +57,18 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from fractions import Fraction
 from itertools import chain, compress
 
-from .schmidt import Frozen, integer_ratios, ratio_dot
+from .schmidt import Frozen, fraction_among
 
 PIVOT_TOL = 1e-11
-VERIFY_TOL = 1e-9
 _MAX_PIVOTS_FACTOR = 64
 
 __all__ = [
     "PIVOT_TOL",
-    "VERIFY_TOL",
     "LpProblem",
     "LpSolution",
     "simplex_solve",
-    "verify_solution",
-    "constraint_residuals",
 ]
 
 
@@ -115,16 +106,20 @@ class LpProblem(Frozen):
         if not all(issubclass(kind, numbers.Real) for kind in every):
             raise ValueError("LP entries must be real numbers")
         # the rule of schmidt.holds_fraction, read off the same type scan
-        exact = any(issubclass(kind, Fraction) for kind in every)
-        (objective,) = _finite("objective", (objective,), kinds[:1], exact)
-        matrix = _finite("constraint_matrix", matrix, kinds[1:-1], exact)
-        (bounds,) = _finite("bounds", (bounds,), kinds[-1:], exact)
+        ex = _exact_module(fraction_among(every))
+        (objective,) = _finite("objective", (objective,), kinds[:1], ex)
+        matrix = _finite("constraint_matrix", matrix, kinds[1:-1], ex)
+        (bounds,) = _finite("bounds", (bounds,), kinds[-1:], ex)
         self._store(objective, matrix, bounds)
 
     @property
     def exact(self) -> bool:
-        """True when the entries are ``Fraction``s, False when floats."""
-        return isinstance(self.objective[0], Fraction)
+        """True when the entries are ``Fraction``s, False when floats.
+
+        Every entry is a float or every entry a ``Fraction``, so the first
+        one tells, without loading ``fractions``.
+        """
+        return type(self.objective[0]) is not float
 
     @property
     def num_variables(self) -> int:
@@ -167,30 +162,38 @@ class LpSolution(Frozen):
         )
 
 
-def _as_fraction(x) -> Fraction:
-    """``x`` as a ``Fraction``, converted exactly; a ``Fraction`` is kept."""
-    return x if type(x) is Fraction else Fraction(x)
+def _exact_module(exact: bool):
+    """The arithmetic of a call: the ``exact`` module if ``exact``, else None.
+
+    A public call looks it up once and hands it to the kernels, which
+    compute in floats when it is None.
+    """
+    if not exact:
+        return None
+    from . import exact as ex
+
+    return ex
 
 
-def _in_arithmetic(values, exact) -> tuple:
-    """``values`` as ``Fraction``s if ``exact``, else as floats."""
-    return tuple(map(_as_fraction if exact else float, values))
+def _in_arithmetic(values, ex) -> tuple:
+    """``values`` as ``Fraction``s if ``ex`` is the exact module, else as floats."""
+    return tuple(map(ex.as_fraction if ex else float, values))
 
 
-def _finite(name: str, rows, kinds, exact) -> tuple:
-    """``rows`` in the given arithmetic; ``ValueError`` unless all finite.
+def _finite(name: str, rows, kinds, ex) -> tuple:
+    """``rows`` in the arithmetic ``ex``; ``ValueError`` unless all finite.
 
     ``kinds[i]`` is the set of entry types of ``rows[i]``.  A row whose
     entries are all of that arithmetic's type is kept as it is; any other
     row is converted.
     """
-    own = {Fraction if exact else float}
+    own = {ex.Fraction if ex else float}
     try:  # NaN or inf to Fraction, or a huge int to float, raises
         rows = tuple(
-            row if k == own else _in_arithmetic(row, exact)
+            row if k == own else _in_arithmetic(row, ex)
             for row, k in zip(rows, kinds)
         )
-        finite = exact or all(map(math.isfinite, chain.from_iterable(rows)))
+        finite = ex is not None or all(map(math.isfinite, chain.from_iterable(rows)))
     except (ValueError, OverflowError):
         finite = False
     if not finite:
@@ -198,39 +201,32 @@ def _finite(name: str, rows, kinds, exact) -> tuple:
     return rows
 
 
-def _zero(prob: LpProblem):
-    return Fraction(0) if prob.exact else 0.0
+def _zero(ex):
+    return ex.Fraction(0) if ex else 0.0
 
 
-def _dots(rows, vector, exact) -> list:
+def _dots(rows, vector, ex) -> list:
     """The dot product of each row with ``vector``.
 
     Float: the ``math.fsum`` of the products.  Exact: a ``Fraction``, the
-    products summed on integer ratios by :func:`ratio_dot`, with the
-    vector's ratios taken once for all rows.
+    products summed on integer ratios (``exact.dots``).
     """
-    if not exact:
-        return [math.fsum(map(operator.mul, row, vector)) for row in rows]
-    v_nums, v_dens = _ratios(vector)
-    return [Fraction(*ratio_dot(zip(*_ratios(row), v_nums, v_dens))) for row in rows]
+    if ex:
+        return ex.dots(rows, vector)
+    return [math.fsum(map(operator.mul, row, vector)) for row in rows]
 
 
-def _ratios(values) -> tuple:
-    """The numerators and the denominators of exact ``values``, two tuples."""
-    return tuple(zip(*integer_ratios(values))) or ((), ())
+_NUMERATOR = operator.attrgetter("numerator")
 
 
-def constraint_residuals(prob: LpProblem, values) -> tuple:
-    """Componentwise B.x - q, in the problem's arithmetic.
+def _signs(values, ex):
+    """``values``, or for the exact arithmetic their numerators.
 
-    ``values`` are converted into that arithmetic first, so the residuals
-    of an exact problem are exact.
+    A numerator has the sign of its ``Fraction`` and compares with the
+    exact tolerance 0 as an int, several times faster than the
+    ``Fraction`` itself.
     """
-    values = _in_arithmetic(values, prob.exact)
-    if len(values) != prob.num_variables:
-        raise ValueError("value vector length must match variable count")
-    products = _dots(prob.constraint_matrix, values, prob.exact)
-    return tuple(map(operator.sub, products, prob.bounds))
+    return map(_NUMERATOR, values) if ex else values
 
 
 def _non_optimal(status: str) -> LpSolution:
@@ -275,11 +271,12 @@ def simplex_solve(prob: LpProblem, exact: bool = False) -> LpSolution:
     negative bounds are outside the supported form and raise
     ``ValueError``.
     """
-    if exact and not prob.exact:  # a Fraction objective makes it exact
-        objective = _in_arithmetic(prob.objective, True)
+    ex = _exact_module(exact or prob.exact)
+    if ex and not prob.exact:  # a Fraction objective makes it exact
+        objective = _in_arithmetic(prob.objective, ex)
         prob = LpProblem(objective, prob.constraint_matrix, prob.bounds)
-    tol = 0 if prob.exact else PIVOT_TOL
-    for row, q in zip(prob.constraint_matrix, prob.bounds):
+    tol = 0 if ex else PIVOT_TOL
+    for row, q in zip(prob.constraint_matrix, _signs(prob.bounds, ex)):
         if q < -tol:
             if all(x >= 0 for x in row):
                 return _non_optimal("infeasible")
@@ -288,13 +285,13 @@ def simplex_solve(prob: LpProblem, exact: bool = False) -> LpSolution:
                 "supported inequality form"
             )
     if prob.num_variables == prob.num_constraints:
-        crash = _structural_optimum(prob, tol)
+        crash = _structural_optimum(prob, ex)
         if crash is not None:
             return crash
-    return _solve_from_slack_basis(prob)
+    return _solve_from_slack_basis(prob, ex)
 
 
-def _structural_optimum(prob: LpProblem, tol):
+def _structural_optimum(prob: LpProblem, ex):
     """The all-structural basis of a square problem if it is optimal, else None.
 
     One LU of B answers both halves of the check: the duals y = B^-T c are
@@ -304,29 +301,30 @@ def _structural_optimum(prob: LpProblem, tol):
     so a check that fails there fails on y.
     """
     n = prob.num_variables
+    tol = 0 if ex else PIVOT_TOL
     try:
-        lu = _factor(prob.constraint_matrix, prob.exact)
+        lu = _factor(prob.constraint_matrix, ex)
     except ZeroDivisionError:
         return None
     y = _lu_solve_transposed(lu, prob.objective)
-    if any(v < -tol for v in y):
+    if any(v < -tol for v in _signs(y, ex)):
         return None
     x = _lu_solve(lu, prob.bounds)
-    if any(v < -tol for v in x):
+    if any(v < -tol for v in _signs(x, ex)):
         return None
-    return _optimum(prob, x, range(n), [_zero(prob)] * n + y, tol)
+    return _optimum(prob, x, range(n), [_zero(ex)] * n + y, ex)
 
 
-def _solve_from_slack_basis(prob: LpProblem):
+def _solve_from_slack_basis(prob: LpProblem, ex):
     """Bland's-rule pivots from the slack basis, then slack absorption.
 
-    Computes in the problem's arithmetic; bounds must be nonnegative up to
-    the tolerance, so that the slack basis is feasible.
+    Computes in the problem's arithmetic ``ex``; bounds must be nonnegative
+    up to the tolerance, so that the slack basis is feasible.
     """
     c, q = prob.objective, prob.bounds
     n, m = len(c), len(q)
-    tol = 0 if prob.exact else PIVOT_TOL
-    zero = _zero(prob)
+    tol = 0 if ex else PIVOT_TOL
+    zero = _zero(ex)
     one = zero + 1
     tableau = [[*row, *[zero] * m, b] for row, b in zip(prob.constraint_matrix, q)]
     for i, row in enumerate(tableau):
@@ -373,20 +371,21 @@ def _solve_from_slack_basis(prob: LpProblem):
     for i in range(m):
         extended[basis[i]] = tableau[i][-1]
     return _optimum(
-        prob, extended[:n], basis, zrow[:-1], tol, pivots, degenerate, absorbed
+        prob, extended[:n], basis, zrow[:-1], ex, pivots, degenerate, absorbed
     )
 
 
-def _optimum(prob: LpProblem, values, basis, reduced_costs, tol, *counters):
+def _optimum(prob: LpProblem, values, basis, reduced_costs, ex, *counters):
     """The optimal ``LpSolution`` of the structural ``values`` at a basis.
 
-    A value in [-tol, 0] reads as zero: drift on a degenerate row, or a
-    float -0.0.  The objective is summed from the values so read.
-    ``counters`` are the solver counters, in ``LpSolution``'s order.
+    A float value in [-PIVOT_TOL, 0] reads as zero: drift on a degenerate
+    row, or -0.0.  (An exact zero is ``Fraction(0)`` already.)  The
+    objective is summed from the values so read.  ``counters`` are the
+    solver counters, in ``LpSolution``'s order.
     """
-    zero = _zero(prob)
-    values = tuple(zero if v <= 0 and v >= -tol else v for v in values)
-    (objective,) = _dots((prob.objective,), values, prob.exact)
+    if not ex:
+        values = tuple(0.0 if v <= 0 and v >= -PIVOT_TOL else v for v in values)
+    (objective,) = _dots((prob.objective,), values, ex)
     return LpSolution(values, objective, basis, reduced_costs, "optimal", *counters)
 
 
@@ -452,15 +451,15 @@ def _pivot(tableau, zrow, leaving, entering, zero, one):
             row[entering] = zero
 
 
-def _factor(matrix, exact):
+def _factor(matrix, ex):
     """LU factorisation with partial pivoting; raises on singularity.
 
-    Works for float and ``Fraction`` entries alike; ``exact`` selects the
-    singularity test.  The pivot is the largest of the column's nonzero
-    entries on or below the diagonal (ties go to the first row, and a lone
-    candidate is taken without comparing magnitudes), and only the rows of
-    the other candidates are eliminated, over the pivot row's nonzero
-    columns.
+    Works for float and ``Fraction`` entries alike; the arithmetic ``ex``
+    (None, or the ``exact`` module) selects the singularity test.  The
+    pivot is the largest of the column's nonzero entries on or below the
+    diagonal (ties go to the first row, and a lone candidate is taken
+    without comparing magnitudes), and only the rows of the other
+    candidates are eliminated, over the pivot row's nonzero columns.
 
     Exact: a column without a candidate is singular.  Float: so is a pivot
     no larger than ``1e-13 * max(scale, 1)``, where ``scale`` is the largest
@@ -473,18 +472,18 @@ def _factor(matrix, exact):
     bound rescans the remaining rows (resetting their bounds to the
     magnitudes found), and that rescan decides.
 
-    Returns ``(steps, upper, columns, ratios)``.  ``steps[col]`` is the
+    Returns ``(steps, upper, columns, exact_lu)``.  ``steps[col]`` is the
     row swapped into position ``col`` and the ``(row, factor)`` pairs that
     eliminated the column below it; ``upper[col]`` is the pivot and the
     ``(k, u)`` pairs of the nonzero entries right of it.  Float:
     ``columns[col]`` is the column of U above the pivot, zeros included,
-    and ``ratios`` is None.  Exact: ``columns`` is None and ``ratios`` holds
-    the same factors on integer ratios (:func:`_exact_factors`), which is
+    and ``exact_lu`` is None.  Exact: ``columns`` is None and ``exact_lu``
+    holds the same factors on integer ratios (``exact.ExactLu``), which is
     what the exact solves read.
     """
     size = len(matrix)
     a = [list(row) for row in matrix]
-    bound = None if exact else [max(map(abs, row)) for row in a]
+    bound = None if ex else [max(map(abs, row)) for row in a]
     steps, upper, u_ratios = [], [], []
     for col in range(size):
         rows = [r for r in range(col, size) if a[r][col]]
@@ -494,7 +493,7 @@ def _factor(matrix, exact):
         if len(rows) > 1:
             pivot_row = max(rows, key=lambda r: abs(a[r][col]))
         pivot = a[pivot_row][col]
-        if not exact:
+        if not ex:
             if not abs(pivot) > 1e-13 * max(max(bound[col:]), 1.0):
                 bound[col:] = [max(map(abs, a[r])) for r in range(col, size)]
                 scale = max(bound[col:])
@@ -506,7 +505,7 @@ def _factor(matrix, exact):
         # the pivot's own column is eliminated too, so a row keeps the
         # rounding residue there and a rescan sees it
         tail = prow[col:]
-        if exact:  # row col of U as integer ratios, whose numerators tell zeros
+        if ex:  # row col of U as integer ratios, whose numerators tell zeros
             # (its entries are Fractions and ints, the ints of slack columns)
             ratios = tuple(zip(*[x.as_integer_ratio() for x in tail]))
             u_ratios.append(ratios)
@@ -525,74 +524,33 @@ def _factor(matrix, exact):
             eliminated.append((r, factor))
             # a factor that underflowed to zero changes no magnitude (and
             # would make 0 * inf a NaN once a bound has overflowed)
-            if not exact and factor:
+            if not ex and factor:
                 bound[r] += abs(factor) * bound[col]
         steps.append((pivot_row, eliminated))
         upper.append((pivot, nonzero[1:]))
-    if exact:
-        return steps, upper, None, _exact_factors(steps, u_ratios)
+    if ex:
+        return steps, upper, None, ex.ExactLu(steps, u_ratios)
     # from step col on, row col of a is row col of U
     columns = [column[:col] for col, column in enumerate(zip(*a))]
     return steps, upper, columns, None
-
-
-def _exact_factors(steps, u_ratios):
-    """The factors of an exact ``_factor`` on integer ratios.
-
-    ``u_ratios[i]`` is row i of U from its pivot on.  A vector of ratios is
-    held as two tuples, numerators and denominators.  Returns
-    ``(eliminations, rows, columns)``: ``eliminations[col]`` is the pivot
-    row, the eliminated rows and the ratios of their factors; ``rows[col]``
-    is the pivot's ``(numerator, denominator)`` and the ratios of U's row
-    right of it, last column first (the order back substitution solves
-    them in); ``columns[col]`` the ratios of U's column above it.  Rows and
-    columns are dense: a zero entry is a term whose product is skipped.
-    """
-    rows = [((nums[0], dens[0]), (nums[:0:-1], dens[:0:-1])) for nums, dens in u_ratios]
-    # pad each row with zeros (0/1) left of its pivot, then read columns
-    u_nums = [(0,) * i + nums for i, (nums, _) in enumerate(u_ratios)]
-    u_dens = [(1,) * i + dens for i, (_, dens) in enumerate(u_ratios)]
-    columns = [
-        (nums[:col], dens[:col])
-        for col, (nums, dens) in enumerate(zip(zip(*u_nums), zip(*u_dens)))
-    ]
-    eliminations = [
-        (pivot_row, [r for r, _ in eliminated], _ratios(f for _, f in eliminated))
-        if eliminated else (pivot_row, (), ((), ()))
-        for pivot_row, eliminated in steps
-    ]
-    return eliminations, rows, columns
 
 
 def _sub_dot(x, terms, vector):
     """``x`` minus the sum of ``u * vector[k]`` over the ``(k, u)`` terms.
 
     The float kernel: the terms are subtracted one by one in the given
-    order.
+    order (``exact._exact_sub_dot`` is the exact one).
     """
     for k, u in terms:
         x -= u * vector[k]
     return x
 
 
-def _exact_sub_dot(x_num, x_den, terms, pivot=(1, 1)) -> Fraction:
-    """``(x - the sum of the products of the terms) / pivot``, one ``Fraction``.
-
-    The exact kernel: x is ``x_num / x_den``, ``terms`` are the
-    ``(a, b, c, d)`` terms of :func:`ratio_dot`, each the product of two
-    ratios, and ``pivot`` is a ``(numerator, denominator)`` pair.  The sum
-    runs from -x, and the pivot division is folded into its ratio.
-    """
-    num, den = ratio_dot(terms, -x_num, x_den)
-    p_num, p_den = pivot
-    return Fraction(-num * p_den, den * p_num)
-
-
 def _lu_solve(lu, rhs):
     """Solve B x = rhs from ``_factor(B)``."""
-    steps, upper, _, ratios = lu
-    if ratios is not None:
-        return _exact_lu_solve(ratios, rhs)
+    steps, upper, _, exact_lu = lu
+    if exact_lu is not None:
+        return exact_lu.solve(rhs)
     b = list(rhs)
     for col, (pivot_row, eliminated) in enumerate(steps):
         b[col], b[pivot_row] = b[pivot_row], b[col]
@@ -606,39 +564,6 @@ def _lu_solve(lu, rhs):
     return b
 
 
-def _exact_lu_solve(factors, rhs):
-    """Solve B x = rhs from ``_exact_factors``; the values are ``Fraction``s.
-
-    The forward eliminations add into each entry's integer ratio, and an
-    entry is brought to lowest terms once, when it scales the rows below
-    it.  Back substitution makes each solved entry a ``Fraction`` once and
-    keeps its ratio, last entry first, for the rows above.
-    """
-    eliminations, rows, _ = factors
-    nums, dens = map(list, _ratios(rhs))
-    for col, (pivot_row, targets, (f_nums, f_dens)) in enumerate(eliminations):
-        for v in (nums, dens):
-            v[col], v[pivot_row] = v[pivot_row], v[col]
-        if targets and nums[col]:
-            g = math.gcd(nums[col], dens[col])
-            x_num = nums[col] = nums[col] // g
-            x_den = dens[col] = dens[col] // g
-            for r, f_num, f_den in zip(targets, f_nums, f_dens):
-                term = (-f_num, f_den, x_num, x_den)
-                nums[r], dens[r] = ratio_dot((term,), nums[r], dens[r])
-    x, solved_nums, solved_dens = [], [], []
-    for col in reversed(range(len(nums))):
-        pivot, (u_nums, u_dens) = rows[col]
-        terms = zip(u_nums, u_dens, solved_nums, solved_dens)
-        value = _exact_sub_dot(nums[col], dens[col], terms, pivot)
-        x.append(value)
-        num, den = value.as_integer_ratio()
-        solved_nums.append(num)
-        solved_dens.append(den)
-    x.reverse()
-    return x
-
-
 def _lu_solve_transposed(lu, rhs):
     """Solve B^T y = rhs from ``_factor(B)``.
 
@@ -646,9 +571,9 @@ def _lu_solve_transposed(lu, rhs):
     U^T w = rhs: forward substitution down the columns of U, then the
     transposed eliminations and the swaps in reverse order.
     """
-    steps, upper, columns, ratios = lu
-    if ratios is not None:
-        return _exact_lu_solve_transposed(ratios, rhs)
+    steps, upper, columns, exact_lu = lu
+    if exact_lu is not None:
+        return exact_lu.solve_transposed(rhs)
     w = list(rhs)
     for col, (pivot, _) in enumerate(upper):
         x, above = w[col], columns[col]
@@ -665,114 +590,3 @@ def _lu_solve_transposed(lu, rhs):
             w[col] = _sub_dot(w[col], eliminated, w)
         w[col], w[pivot_row] = w[pivot_row], w[col]
     return w
-
-
-def _exact_lu_solve_transposed(factors, rhs):
-    """Solve B^T y = rhs from ``_exact_factors``, as the float solve does.
-
-    Forward substitution down the columns of U, then the transposed
-    eliminations and the swaps in reverse order; each substitution makes
-    one ``Fraction`` and replaces the entry's ratio with its own.
-    """
-    eliminations, rows, columns = factors
-    nums, dens = map(list, _ratios(rhs))
-    w = [None] * len(nums)
-    for col, ((pivot, _), (c_nums, c_dens)) in enumerate(zip(rows, columns)):
-        # the column above the pivot meets the entries solved before it
-        terms = zip(c_nums, c_dens, nums, dens)
-        w[col] = _exact_sub_dot(nums[col], dens[col], terms, pivot)
-        nums[col], dens[col] = w[col].as_integer_ratio()
-    for col in reversed(range(len(w))):
-        pivot_row, targets, (f_nums, f_dens) = eliminations[col]
-        if targets:
-            eliminated = map(nums.__getitem__, targets), map(dens.__getitem__, targets)
-            terms = zip(f_nums, f_dens, *eliminated)
-            w[col] = _exact_sub_dot(nums[col], dens[col], terms)
-            nums[col], dens[col] = w[col].as_integer_ratio()
-        for v in (w, nums, dens):
-            v[col], v[pivot_row] = v[pivot_row], v[col]
-    return w
-
-
-def _factor_basis(prob: LpProblem, basis):
-    """``_factor`` of the basis matrix B; raises if it is singular.
-
-    B holds the basis columns of the extended matrix (a slack column is a
-    unit vector).  The factorisation is exact when the problem is.
-    """
-    n = prob.num_variables
-    matrix = [
-        [row[j] if j < n else int(j - n == i) for j in basis]
-        for i, row in enumerate(prob.constraint_matrix)
-    ]
-    return _factor(matrix, prob.exact)
-
-
-def _basic_costs(prob: LpProblem, basis) -> list:
-    n, zero = prob.num_variables, _zero(prob)
-    return [prob.objective[j] if j < n else zero for j in basis]
-
-
-def _basis_solution(prob: LpProblem, basis, lu):
-    """Basic solution (extended vector) for a basis and its factorisation."""
-    basic_values = _lu_solve(lu, prob.bounds)
-    extended = [_zero(prob)] * (prob.num_variables + prob.num_constraints)
-    for j, value in zip(basis, basic_values):
-        extended[j] = value
-    return extended
-
-
-def _basis_reduced_costs(prob: LpProblem, basis, lu):
-    """Reduced costs z_j - c_j for every extended column, from the basis.
-
-    y solves B^T y = c_B.  A structural column costs one dot product with
-    y; a slack column is a unit vector with cost 0, so its reduced cost is
-    y_i itself.
-    """
-    y = _lu_solve_transposed(lu, _basic_costs(prob, basis))
-    # with no constraints every column is empty
-    columns = list(zip(*prob.constraint_matrix)) or [()] * prob.num_variables
-    products = _dots(columns, y, prob.exact)
-    return list(map(operator.sub, products, prob.objective)) + y
-
-
-def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
-    """Independently check a claimed optimum against its stated basis.
-
-    Factors the basis matrix of ``sol.basis`` once (LU with partial
-    pivoting), solves it for the basic solution and its transpose for the
-    duals y, and takes the reduced costs from y.  Then verifies: claimed
-    values are feasible, they agree with the basis solution, the objective
-    matches, and every reduced cost satisfies the maximization sign
-    condition, each to within ``VERIFY_TOL``.  The claimed values are
-    converted into the problem's arithmetic first, so an exact problem is
-    checked exactly.  A singular basis matrix fails the verification rather
-    than raising.
-    """
-    if sol.status != "optimal":
-        return False
-    n, m = prob.num_variables, prob.num_constraints
-    if len(sol.basis) != m or len(sol.values) != n:
-        return False
-    values = _in_arithmetic(sol.values, prob.exact)
-    try:
-        lu = _factor_basis(prob, sol.basis)
-    except ZeroDivisionError:
-        return False
-    extended = _basis_solution(prob, sol.basis, lu)
-    reduced = _basis_reduced_costs(prob, sol.basis, lu)
-    tol = VERIFY_TOL
-    if any(x < -tol for x in extended):
-        return False
-    if any(abs(float(extended[j]) - float(values[j])) > tol for j in range(n)):
-        return False
-    residuals = constraint_residuals(prob, values)
-    if any(r > tol for r in residuals):
-        return False
-    if any(v < -tol for v in values):
-        return False
-    (objective,) = _dots((prob.objective,), values, prob.exact)
-    if abs(float(objective) - float(sol.objective_value)) > tol:
-        return False
-    return all(d >= -tol for d in reduced)
-

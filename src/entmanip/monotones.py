@@ -16,13 +16,7 @@ import math
 import operator
 from itertools import accumulate, chain, repeat, starmap, zip_longest
 
-from .schmidt import (
-    Frozen,
-    SchmidtSpectrum,
-    holds_fraction,
-    over_common_denominator,
-    padded_average,
-)
+from .schmidt import Frozen, SchmidtSpectrum, holds_fraction, padded_average
 
 FEASIBILITY_TOL = 1e-9
 
@@ -69,10 +63,10 @@ def vidal_monotones(s: SchmidtSpectrum) -> tuple:
     """
     if not holds_fraction(s.coeffs[:1]):
         return tuple(accumulate(reversed(s.coeffs)))[::-1]
-    from fractions import Fraction
+    from . import exact
 
-    nums, den = over_common_denominator(s.coeffs)
-    return tuple(map(Fraction, accumulate(reversed(nums)), repeat(den)))[::-1]
+    nums, den = exact.over_common_denominator(s.coeffs)
+    return tuple(map(exact.Fraction, accumulate(reversed(nums)), repeat(den)))[::-1]
 
 
 def _report(source_tails, target_tails, tol) -> FeasibilityReport:

@@ -10,7 +10,8 @@ source to the average is not emitted, nor decomposed into physical
 two-outcome measurements.  Its existence is certified through
 :func:`entmanip.monotones.nielsen_feasible`, and the protocol is modelled
 from the average state onward.  When the source is the average state, as in
-concentration, there is no step to take.
+concentration, there is no step to take.  The module also builds that
+concentration measurement, :func:`single_shot_povm`.
 
 Only Schmidt components are modelled.  Targets that share components but
 live in rotated local bases need a final local unitary correction once the
@@ -41,6 +42,7 @@ __all__ = [
     "average_target",
     "merge_duplicates",
     "build_ensemble_povm",
+    "single_shot_povm",
 ]
 
 
@@ -254,3 +256,24 @@ def build_ensemble_povm(e: TargetEnsemble) -> DiagonalPovm:
         elements.append(PovmElement(j, diag))
     return DiagonalPovm(tuple(elements))
 
+
+def single_shot_povm(s: SchmidtSpectrum) -> DiagonalPovm:
+    """Single measurement that concentrates a spectrum optimally.
+
+    Element j has diagonal sqrt((a_j - a_{j+1}) / a_i) on the first j
+    indices and zero beyond; its outcome probability is the closed-form
+    plan's p_j and the post-measurement state is the uniform j-level
+    spectrum.  Levels with tied coefficients give zero elements, retained
+    under their labels so outcome indexing stays stable.
+    """
+    coeffs = [float(a) for a in s.coeffs]
+    n = len(coeffs)
+    elements = []
+    for j in range(1, n + 1):
+        nxt = coeffs[j] if j < n else 0.0
+        gap = coeffs[j - 1] - nxt
+        diag = tuple(
+            math.sqrt(gap / coeffs[i]) if i < j else 0.0 for i in range(n)
+        )
+        elements.append(PovmElement(j, diag))
+    return DiagonalPovm(tuple(elements))

@@ -1,0 +1,131 @@
+"""Independent check of a claimed LP optimum.
+
+:func:`verify_solution` recomputes feasibility and reduced costs of a
+claimed optimum from its stated basis alone; it runs none of the solver's
+pivots, and the solver never calls it.  It factors the basis matrix B once
+with the LU of ``entmanip.lp`` and answers B x = q and B^T y = c_B from
+that one factorisation.  Like the solver, it computes in the problem's
+arithmetic, looked up once per call: floats, or ``Fraction``s summed on
+integer ratios by the ``exact`` module.
+"""
+
+from __future__ import annotations
+
+import operator
+
+from .lp import (
+    LpProblem,
+    LpSolution,
+    _dots,
+    _exact_module,
+    _factor,
+    _in_arithmetic,
+    _lu_solve,
+    _lu_solve_transposed,
+    _zero,
+)
+
+VERIFY_TOL = 1e-9
+
+__all__ = ["VERIFY_TOL", "verify_solution", "constraint_residuals"]
+
+
+def constraint_residuals(prob: LpProblem, values) -> tuple:
+    """Componentwise B.x - q, in the problem's arithmetic.
+
+    ``values`` are converted into that arithmetic first, so the residuals
+    of an exact problem are exact.
+    """
+    ex = _exact_module(prob.exact)
+    values = _in_arithmetic(values, ex)
+    if len(values) != prob.num_variables:
+        raise ValueError("value vector length must match variable count")
+    return _residuals(prob, values, ex)
+
+
+def _residuals(prob: LpProblem, values, ex) -> tuple:
+    products = _dots(prob.constraint_matrix, values, ex)
+    return tuple(map(operator.sub, products, prob.bounds))
+
+
+def _factor_basis(prob: LpProblem, basis, ex):
+    """``_factor`` of the basis matrix B; raises if it is singular.
+
+    B holds the basis columns of the extended matrix (a slack column is a
+    unit vector).  The factorisation is exact when the problem is.
+    """
+    n = prob.num_variables
+    matrix = [
+        [row[j] if j < n else int(j - n == i) for j in basis]
+        for i, row in enumerate(prob.constraint_matrix)
+    ]
+    return _factor(matrix, ex)
+
+
+def _basic_costs(prob: LpProblem, basis, ex) -> list:
+    n, zero = prob.num_variables, _zero(ex)
+    return [prob.objective[j] if j < n else zero for j in basis]
+
+
+def _basis_solution(prob: LpProblem, basis, lu, ex):
+    """Basic solution (extended vector) for a basis and its factorisation."""
+    basic_values = _lu_solve(lu, prob.bounds)
+    extended = [_zero(ex)] * (prob.num_variables + prob.num_constraints)
+    for j, value in zip(basis, basic_values):
+        extended[j] = value
+    return extended
+
+
+def _basis_reduced_costs(prob: LpProblem, basis, lu, ex):
+    """Reduced costs z_j - c_j for every extended column, from the basis.
+
+    y solves B^T y = c_B.  A structural column costs one dot product with
+    y; a slack column is a unit vector with cost 0, so its reduced cost is
+    y_i itself.
+    """
+    y = _lu_solve_transposed(lu, _basic_costs(prob, basis, ex))
+    # with no constraints every column is empty
+    columns = list(zip(*prob.constraint_matrix)) or [()] * prob.num_variables
+    products = _dots(columns, y, ex)
+    return list(map(operator.sub, products, prob.objective)) + y
+
+
+def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
+    """Independently check a claimed optimum against its stated basis.
+
+    Factors the basis matrix of ``sol.basis`` once (LU with partial
+    pivoting), solves it for the basic solution and its transpose for the
+    duals y, and takes the reduced costs from y.  Then verifies: claimed
+    values are feasible, they agree with the basis solution, the objective
+    matches, and every reduced cost satisfies the maximization sign
+    condition, each to within ``VERIFY_TOL``.  The claimed values are
+    converted into the problem's arithmetic first, so an exact problem is
+    checked exactly.  A singular basis matrix fails the verification rather
+    than raising.
+    """
+    if sol.status != "optimal":
+        return False
+    n, m = prob.num_variables, prob.num_constraints
+    if len(sol.basis) != m or len(sol.values) != n:
+        return False
+    ex = _exact_module(prob.exact)
+    values = _in_arithmetic(sol.values, ex)
+    try:
+        lu = _factor_basis(prob, sol.basis, ex)
+    except ZeroDivisionError:
+        return False
+    extended = _basis_solution(prob, sol.basis, lu, ex)
+    reduced = _basis_reduced_costs(prob, sol.basis, lu, ex)
+    tol = VERIFY_TOL
+    if any(x < -tol for x in extended):
+        return False
+    if any(abs(float(extended[j]) - float(values[j])) > tol for j in range(n)):
+        return False
+    if any(r > tol for r in _residuals(prob, values, ex)):
+        return False
+    if any(v < -tol for v in values):
+        return False
+    (objective,) = _dots((prob.objective,), values, ex)
+    if abs(float(objective) - float(sol.objective_value)) > tol:
+        return False
+    return all(d >= -tol for d in reduced)

@@ -821,9 +821,12 @@ class TestNumpyStaysUnimported:
     imports it.  A numpy tableau in ``lp.py`` would put the import back on
     ``lp-solve`` and ``concentrate --weights``, and a module-level kernel
     import in ``cli``, ``jsonio`` or the package would load modules a call
-    never runs.  ``fractions`` is loaded by ``lp`` alone, so a float call
-    that needs no LP leaves it unloaded.  The value types are plain
-    classes, so only ``simulate``, whose report is a dataclass, imports
+    never runs.  Every CLI call computes in floats, so none loads
+    ``fractions`` or ``exact``; none verifies an LP, so none loads
+    ``verify``.  Only a state given as amplitudes loads ``amplitudes``, and
+    ``simulate`` takes its measurement from ``transform``, without
+    ``concentrate`` or ``monotones``.  The value types are plain classes,
+    so only ``simulate``, whose report is a dataclass, imports
     ``dataclasses``; otherwise only numpy may import ``inspect``, which
     ``dataclasses`` brings in.
     """
@@ -871,7 +874,8 @@ class TestNumpyStaysUnimported:
         numpy_imported, dataclasses_imported, inspect_imported, fractions_imported = loaded
         assert dataclasses_imported == (argv[0] == "simulate")
         assert not inspect_imported or numpy_imported or dataclasses_imported
-        assert fractions_imported == ("lp" in modules)
+        assert not fractions_imported
+        assert not {"exact", "verify"} & set(modules)
         return code, numpy_imported, set(modules), proc.stdout
 
     @pytest.mark.parametrize(
@@ -923,20 +927,19 @@ class TestNumpyStaysUnimported:
             ["decompose", "--state", files["amplitudes"]]
         )
         assert code == 0 and not numpy_imported
-        assert modules == {"cli", "jsonio", "schmidt"}
+        assert modules == {"cli", "jsonio", "schmidt", "amplitudes"}
         assert json.loads(out)["spectrum"] == pytest.approx([0.5, 0.5], abs=1e-12)
-        code, numpy_imported, _, out = self.child(
+        code, numpy_imported, modules, out = self.child(
             ["decompose", "--state", files["amplitudes8"]]
         )
         assert code == 0 and not numpy_imported
+        assert modules == {"cli", "jsonio", "schmidt", "amplitudes"}
         assert json.loads(out)["spectrum"] == pytest.approx([1 / 8] * 8, abs=1e-15)
         code, numpy_imported, modules, out = self.child(
             ["simulate", "--state", files["state"], "--trials", str(_CHUNK_TRIALS)]
         )
         assert code == 0 and not numpy_imported
-        assert modules == {
-            "cli", "jsonio", "schmidt", "concentrate", "monotones", "transform", "sim"
-        }
+        assert modules == {"cli", "jsonio", "schmidt", "transform", "sim"}
         assert sum(json.loads(out)["counts"]) == _CHUNK_TRIALS
         code, numpy_imported, modules, out = self.child(
             ["simulate", "--state", files["state"], "--protocol", files["povm"],
@@ -953,7 +956,7 @@ class TestNumpyStaysUnimported:
             ["decompose", "--state", files["amplitudes9"]]
         )
         assert code == 0 and numpy_imported
-        assert modules == {"cli", "jsonio", "schmidt"}
+        assert modules == {"cli", "jsonio", "schmidt", "amplitudes"}
         assert json.loads(out)["spectrum"] == pytest.approx([1 / 9] * 9, abs=1e-15)
         trials = _CHUNK_TRIALS + 1
         code, numpy_imported, modules, out = self.child(
@@ -961,9 +964,7 @@ class TestNumpyStaysUnimported:
              "--seed", "7"]
         )
         assert code == 0 and numpy_imported
-        assert modules == {
-            "cli", "jsonio", "schmidt", "concentrate", "monotones", "transform", "sim"
-        }
+        assert modules == {"cli", "jsonio", "schmidt", "transform", "sim"}
         doc = json.loads(out)
         cdf = list(itertools.accumulate(doc["expected_probs"]))
         cdf[-1] = max(cdf[-1], 1.0)

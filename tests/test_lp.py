@@ -22,7 +22,8 @@ from entmanip import (
     standard_weights,
     verify_solution,
 )
-from entmanip import lp
+from entmanip import lp, verify
+from entmanip.exact import _exact_sub_dot, _ratios
 from entmanip.schmidt import holds_fraction
 from util import (
     CYCLING_LP,
@@ -276,7 +277,8 @@ def test_reduced_costs_of_a_mixed_problem():
     )
     prob = LpProblem((1e16, 1.0, -1e16, 0.0), matrix, (1.0, 1.0, 1.0))
     basis = (0, 1, 2)
-    costs = lp._basis_reduced_costs(prob, basis, lp._factor_basis(prob, basis))
+    ex = lp._exact_module(prob.exact)
+    costs = verify._basis_reduced_costs(prob, basis, verify._factor_basis(prob, basis, ex), ex)
     assert costs == [0, 0, 0, Fraction(1), Fraction(10**16), 1, -Fraction(10**16)]
     assert all(type(c) is Fraction for c in costs)
 
@@ -286,8 +288,9 @@ def test_exact_concentration_lp_is_exact_end_to_end():
     # default float ln weights
     prob = concentration_lp(make_spectrum([Fraction(k) for k in (7, 5, 3, 2, 1)]))
     sol = simplex_solve(prob, exact=True)
-    lu = lp._factor_basis(prob, sol.basis)
-    reduced = lp._basis_reduced_costs(prob, sol.basis, lu)
+    ex = lp._exact_module(prob.exact)
+    lu = verify._factor_basis(prob, sol.basis, ex)
+    reduced = verify._basis_reduced_costs(prob, sol.basis, lu, ex)
     residuals = constraint_residuals(prob, simplex_solve(prob).values)
     vertex = enumerate_vertices(prob)
     for values in (reduced, residuals, vertex.values, [vertex.objective_value]):
@@ -703,7 +706,7 @@ def _slack_start(prob, exact=False):
     if exact:
         objective = map(Fraction, prob.objective)
         prob = LpProblem(objective, prob.constraint_matrix, prob.bounds)
-    return lp._solve_from_slack_basis(prob)
+    return lp._solve_from_slack_basis(prob, lp._exact_module(prob.exact))
 
 
 class TestSparseKernelsMatchDenseReferences:
@@ -791,7 +794,7 @@ def assert_lu_matches_rescanning_kernels(matrix, rhs, exact):
     zero's sign and each value's type count too.
     """
     try:
-        lu = lp._factor(matrix, exact)
+        lu = lp._factor(matrix, lp._exact_module(exact))
     except ZeroDivisionError:
         lu = None
     try:
@@ -840,10 +843,10 @@ def test_sub_dot_is_the_term_by_term_difference(exact, data):
     if not exact:
         assert repr(lp._sub_dot(x, terms, vector)) == repr(expected)
         return
-    (x_num,), (x_den,) = lp._ratios([x])
-    u = lp._ratios(u for _, u in terms)
-    v = lp._ratios(vector[k] for k, _ in terms)
-    result = lp._exact_sub_dot(x_num, x_den, zip(*u, *v))
+    (x_num,), (x_den,) = _ratios([x])
+    u = _ratios(u for _, u in terms)
+    v = _ratios(vector[k] for k, _ in terms)
+    result = _exact_sub_dot(x_num, x_den, zip(*u, *v))
     assert type(result) is Fraction
     assert result == expected
 
@@ -895,6 +898,30 @@ def test_exact_substitutions_make_linearly_many_fractions():
     assert made <= 6 * n
 
 
+
+def test_exact_crash_solve_compares_no_fractions():
+    # the sign tests of an exact solve read numerators; on a concentration
+    # LP the crash basis settles it without a single Fraction comparison
+    s = make_spectrum([Fraction(k) for k in range(18, 0, -1)])
+    prob = concentration_lp(s)
+    compared = 0
+
+    def counting(name):
+        original = getattr(Fraction, name)
+
+        def compare(self, other):
+            nonlocal compared
+            compared += 1
+            return original(self, other)
+
+        return mock.patch.object(Fraction, name, compare)
+
+    with counting("__lt__"), counting("__le__"), counting("__gt__"), counting("__ge__"):
+        sol = simplex_solve(prob)
+    assert sol.pivots == 0 and compared == 0
+    assert sol.values == optimal_plan(s).probabilities
+    assert verify_solution(prob, sol)
+
 _SPARSE_EXACT = st.one_of(
     st.just(Fraction(0)),
     st.just(0),
@@ -935,7 +962,7 @@ def _swapping_systems(draw):
 def test_exact_solves_with_row_swaps_match_the_reference(system):
     """Exact LU solves of A and A^T equal dense Gauss-Jordan, as ``Fraction``s."""
     matrix, rhs = system
-    lu = lp._factor(matrix, True)
+    lu = lp._factor(matrix, lp._exact_module(True))
     assume(any(pivot_row != col for col, (pivot_row, _) in enumerate(lu[0])))
     transposed = [list(column) for column in zip(*matrix)]
     for x, a in (
@@ -968,7 +995,7 @@ def assert_lu_matches_reference(matrix, rhs, exact):
     """
     transposed = [list(column) for column in zip(*matrix)]
     try:
-        lu = lp._factor(matrix, exact)
+        lu = lp._factor(matrix, lp._exact_module(exact))
     except ZeroDivisionError:
         lu = None
     reference = _reference_or_singular(matrix, rhs)
