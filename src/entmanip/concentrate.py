@@ -159,8 +159,15 @@ def concentration_lp(s: SchmidtSpectrum, weights=None) -> LpProblem:
     the spectrum or in the weights makes the problem exact, with an exactly
     rational matrix; ``LpProblem`` converts float bounds and weights
     exactly.
+
+    The matrix depends only on the rank and the arithmetic, so it is built
+    once for each and held by ``lp._shared_matrix``: every problem of that
+    rank and arithmetic holds the same row tuples, and the solver and
+    ``verify_solution`` factor its all-structural basis once for all of
+    them.  The held matrices are bounded by ``lp._SHARED_ENTRIES`` entries,
+    about 8 MB of floats; the results are the same as from fresh rows.
     """
-    from .lp import LpProblem
+    from .lp import LpProblem, _shared_matrix
 
     n = s.rank
     if weights is None:
@@ -170,18 +177,26 @@ def concentration_lp(s: SchmidtSpectrum, weights=None) -> LpProblem:
         raise ValueError(
             f"expected {n} weights for a rank-{n} spectrum, got {len(weights)}"
         )
-    # row l holds (j + 1 - l) / j from column j = l on, zeros before it;
-    # an int true division is rounded once, as Fraction(k, j) is exact
-    if holds_fraction(s.coeffs + weights):
+    exact = holds_fraction(s.coeffs + weights)
+    matrix = _shared_matrix(n, exact, lambda: _tail_sum_rows(n, exact))
+    return LpProblem(weights, matrix, vidal_monotones(s))
+
+
+def _tail_sum_rows(n: int, exact: bool) -> tuple:
+    """The rows of the rank-n concentration matrix, as ``Fraction``s if ``exact``.
+
+    Row l holds (j + 1 - l) / j from column j = l on, zeros before it; an
+    int true division is rounded once, as ``Fraction(k, j)`` is exact.
+    """
+    if exact:
         from fractions import Fraction as divide
     else:
         divide = operator.truediv
     zero = divide(0, 1)
-    matrix = tuple(
+    return tuple(
         (zero,) * (l - 1) + tuple(map(divide, range(1, n + 2 - l), range(l, n + 1)))
         for l in range(1, n + 1)
     )
-    return LpProblem(weights, matrix, vidal_monotones(s))
 
 
 def optimality_certificate(n: int, weights=None) -> OptimalityCertificate:

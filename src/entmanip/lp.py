@@ -35,11 +35,23 @@ instead of comparing ``Fraction``s.
 Square problems (as many constraints as variables) are first given a
 crash check of the all-structural basis (R. E. Bixby, "Implementing the
 simplex method: the initial basis", ORSA J. Computing 4(3), 1992): B is
-factored once, and if B^-1 q and the duals B^-T c are nonnegative, that
-basis is returned without a pivot.  The concentration LPs of weights with
+factored, and if B^-1 q and the duals B^-T c are nonnegative, that basis
+is returned without a pivot.  The concentration LPs of weights with
 c_1 >= 0 and j c_j convex (ln, log2) are settled this way.  Otherwise the
 pivots start from the slack basis exactly as if no check had been made;
 the check never hands the pivots a starting basis of its own.
+
+B is factored once per shared matrix, not once per problem.  A shared
+matrix is one held by :func:`_shared_matrix`: ``concentration_lp`` keeps
+the matrix of each rank and arithmetic there, so every problem it builds
+at that rank holds the same row tuples.  The LU of such a matrix is kept
+with it, for the crash check of every later problem and for
+``verify.verify_solution`` of an all-structural basis.  The entries held
+are bounded by ``_SHARED_ENTRIES``; the least recently used matrix goes
+first.  Other matrices, user-built ones and the ``Fraction`` rows of an
+``exact=True`` lift included, are factored afresh each time and add
+nothing.  The LU is a function of the matrix alone, so every result is
+the same, float for float and ``Fraction`` for ``Fraction``.
 
 The LU factorisation (partial pivoting: the pivot is sought among the
 column's nonzero entries, only those rows are eliminated, over the pivot
@@ -63,6 +75,11 @@ from .schmidt import Frozen, fraction_among
 
 PIVOT_TOL = 1e-11
 _MAX_PIVOTS_FACTOR = 64
+# The bound on the entries (n^2 for an n x n matrix) of the shared
+# matrices held at once.  A float entry and its share of the LU take about
+# 60 B, an exact one up to about 140 B, so at most about 8 MB of float or
+# 18 MB of exact matrices are held.
+_SHARED_ENTRIES = 1 << 17
 
 __all__ = [
     "PIVOT_TOL",
@@ -303,7 +320,7 @@ def _structural_optimum(prob: LpProblem, ex):
     n = prob.num_variables
     tol = 0 if ex else PIVOT_TOL
     try:
-        lu = _factor(prob.constraint_matrix, ex)
+        lu = _structural_lu(prob.constraint_matrix, ex)
     except ZeroDivisionError:
         return None
     y = _lu_solve_transposed(lu, prob.objective)
@@ -336,25 +353,22 @@ def _solve_from_slack_basis(prob: LpProblem, ex):
     pivots = degenerate = 0
     for _ in range(max_pivots):
         entering = next(
-            (j for j in range(n + m) if zrow[j] < -tol), None
+            (j for j, z in zip(range(n + m), _signs(zrow, ex)) if z < -tol), None
         )
         if entering is None:
             break
+        column = [row[entering] for row in tableau]
+        rows = [i for i, coeff in enumerate(_signs(column, ex)) if coeff > tol]
+        ratios = [tableau[i][-1] / column[i] for i in rows]
         leaving = None
         best = None
-        for i in range(m):
-            row = tableau[i]
-            coeff = row[entering]
-            if coeff > tol:
-                # a step of at most tol ties at zero: ranking the +-1e-15
-                # drift of degenerate rows would let Bland's rule cycle
-                ratio = row[-1] / coeff
-                if ratio <= tol:
-                    ratio = zero
-                key = (ratio, basis[i])
-                if best is None or key < best:
-                    best = key
-                    leaving = i
+        for i, ratio, sign in zip(rows, ratios, _signs(ratios, ex)):
+            # a step of at most tol ties at zero: ranking the +-1e-15
+            # drift of degenerate rows would let Bland's rule cycle
+            key = (zero if sign <= tol else ratio, basis[i])
+            if best is None or key < best:
+                best = key
+                leaving = i
         if leaving is None:
             return _non_optimal("unbounded")
         _pivot(tableau, zrow, leaving, entering, zero, one)
@@ -365,7 +379,7 @@ def _solve_from_slack_basis(prob: LpProblem, ex):
     else:
         raise RuntimeError("simplex failed to terminate (pivot cap reached)")
 
-    absorbed = _absorb_slack(tableau, zrow, basis, n, m, tol, zero, one)
+    absorbed = _absorb_slack(tableau, zrow, basis, n, ex, zero, one)
 
     extended = [zero] * (n + m)
     for i in range(m):
@@ -389,7 +403,7 @@ def _optimum(prob: LpProblem, values, basis, reduced_costs, ex, *counters):
     return LpSolution(values, objective, basis, reduced_costs, "optimal", *counters)
 
 
-def _absorb_slack(tableau, zrow, basis, n, m, tol, zero, one):
+def _absorb_slack(tableau, zrow, basis, n, ex, zero, one):
     """Exchange basic slack for zero-reduced-cost structural columns.
 
     Runs at a primal/dual optimal tableau.  Every executed pivot enters a
@@ -399,20 +413,22 @@ def _absorb_slack(tableau, zrow, basis, n, m, tol, zero, one):
     degenerate objectives still return the constraint-saturating vertex.
     Returns the number of pivots taken.
     """
+    tol = 0 if ex else PIVOT_TOL
     in_basis = set(basis)
     pivots = 0
     changed = True
     while changed:
         changed = False
+        reduced = list(_signs(zrow[:n], ex))
         for j in range(n):
-            if j in in_basis or abs(zrow[j]) > tol:
+            if j in in_basis or abs(reduced[j]) > tol:
                 continue
+            column = [row[j] for row in tableau]
             best = None
             leaving = None
-            for i in range(m):
-                coeff = tableau[i][j]
+            for i, coeff in enumerate(_signs(column, ex)):
                 if coeff > tol:
-                    ratio = tableau[i][-1] / coeff
+                    ratio = tableau[i][-1] / column[i]
                     # prefer rows holding slack variables on ratio ties
                     key = (ratio, 0 if basis[i] >= n else 1, basis[i])
                     if best is None or key < best:
@@ -421,6 +437,8 @@ def _absorb_slack(tableau, zrow, basis, n, m, tol, zero, one):
             if leaving is None or basis[leaving] < n:
                 continue
             _pivot(tableau, zrow, leaving, j, zero, one)
+            # a float pivot by a reduced cost within tol moves the others
+            reduced = list(_signs(zrow[:n], ex))
             in_basis.discard(basis[leaving])
             in_basis.add(j)
             basis[leaving] = j
@@ -449,6 +467,49 @@ def _pivot(tableau, zrow, leaving, entering, zero, one):
             for k, x in nonzero:
                 row[k] -= factor * x
             row[entering] = zero
+
+
+# (size, exact) -> [rows, the LU of the rows or None], least recently used first
+_shared = {}
+
+
+def _shared_matrix(n: int, exact: bool, build) -> tuple:
+    """The rows of the shared n x n matrix in the arithmetic ``exact``.
+
+    ``build()`` makes the rows, a tuple of row tuples, when none are held
+    for ``(n, exact)``; once held, every call returns the same objects, and
+    :func:`_structural_lu` factors them once.  A matrix of more than
+    ``_SHARED_ENTRIES`` entries is built and not held.  Each step is one
+    dict operation and the entries held are recounted from a snapshot, so
+    threads may share the cache.
+    """
+    key = (n, exact)
+    entry = _shared.pop(key, None)
+    if entry is None:
+        entry = [build(), None]
+        if n * n > _SHARED_ENTRIES:
+            return entry[0]
+        while sum(size * size for size, _ in list(_shared)) + n * n > _SHARED_ENTRIES:
+            _shared.pop(next(iter(_shared), None), None)
+    _shared[key] = entry
+    return entry[0]
+
+
+def _structural_lu(matrix, ex):
+    """``_factor(matrix, ex)`` for a square matrix, factored once if shared.
+
+    When the rows of ``matrix`` are those of the shared matrix (the same
+    objects, so the same numbers in the same arithmetic), the LU held with
+    it is returned, and factored first if it is not held yet.  Any other
+    matrix is factored afresh and nothing is kept.  Raises
+    ``ZeroDivisionError`` as ``_factor`` does.
+    """
+    entry = _shared.get((len(matrix), ex is not None))
+    if entry is None or not all(map(operator.is_, entry[0], matrix)):
+        return _factor(matrix, ex)
+    if entry[1] is None:
+        entry[1] = _factor(matrix, ex)
+    return entry[1]
 
 
 def _factor(matrix, ex):

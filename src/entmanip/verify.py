@@ -4,9 +4,12 @@
 claimed optimum from its stated basis alone; it runs none of the solver's
 pivots, and the solver never calls it.  It factors the basis matrix B once
 with the LU of ``entmanip.lp`` and answers B x = q and B^T y = c_B from
-that one factorisation.  Like the solver, it computes in the problem's
-arithmetic, looked up once per call: floats, or ``Fraction``s summed on
-integer ratios by the ``exact`` module.
+that one factorisation.  An all-structural basis of a shared matrix (see
+``entmanip.lp``; every ``concentration_lp`` matrix is one) is not factored
+again: its LU is the one the solver's crash check made, a function of the
+matrix alone, so the verdict is the same.  Like the solver, it computes in
+the problem's arithmetic, looked up once per call: floats, or
+``Fraction``s summed on integer ratios by the ``exact`` module.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .lp import (
     _in_arithmetic,
     _lu_solve,
     _lu_solve_transposed,
+    _structural_lu,
     _zero,
 )
 
@@ -52,9 +56,13 @@ def _factor_basis(prob: LpProblem, basis, ex):
     """``_factor`` of the basis matrix B; raises if it is singular.
 
     B holds the basis columns of the extended matrix (a slack column is a
-    unit vector).  The factorisation is exact when the problem is.
+    unit vector).  The factorisation is exact when the problem is.  The
+    all-structural basis of a square problem is the constraint matrix
+    itself, factored by ``_structural_lu``.
     """
     n = prob.num_variables
+    if n == prob.num_constraints and tuple(basis) == tuple(range(n)):
+        return _structural_lu(prob.constraint_matrix, ex)
     matrix = [
         [row[j] if j < n else int(j - n == i) for j in basis]
         for i, row in enumerate(prob.constraint_matrix)
@@ -95,7 +103,10 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
 
     Factors the basis matrix of ``sol.basis`` once (LU with partial
     pivoting), solves it for the basic solution and its transpose for the
-    duals y, and takes the reduced costs from y.  Then verifies: claimed
+    duals y, and takes the reduced costs from y.  The all-structural basis
+    of a shared matrix, such as a ``concentration_lp`` solved in 0 pivots,
+    is not factored again: its LU is held with the matrix, and the verdict
+    is the one a fresh factorisation gives.  Then verifies: claimed
     values are feasible, they agree with the basis solution, the objective
     matches, and every reduced cost satisfies the maximization sign
     condition, each to within ``VERIFY_TOL``.  The claimed values are

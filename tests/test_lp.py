@@ -1,6 +1,8 @@
 """Simplex solver, vertex-enumeration oracle, and solution verification."""
 
 import math
+import operator
+import pickle
 from fractions import Fraction
 from itertools import chain
 from unittest import mock
@@ -493,8 +495,8 @@ class TestConcentrationBasisStructure:
 
 
 @st.composite
-def _concentration_lps(draw):
-    """A concentration LP with its mode and weights, n = 2-40.
+def _concentration_lps(draw, min_rank=2):
+    """A concentration LP with its mode and weights, n = ``min_rank``-40.
 
     Exact mode: a ``Fraction`` spectrum, and ``Fraction`` weights when they
     are random.  Float mode: floats throughout.  Random weights have
@@ -504,7 +506,7 @@ def _concentration_lps(draw):
     vertices) are common.
     """
     exact = draw(st.booleans())
-    n = draw(st.integers(2, 40))
+    n = draw(st.integers(min_rank, 40))
     raw = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
     s = make_spectrum([Fraction(x) if exact else float(x) for x in raw])
     kind = draw(st.sampled_from(["ln", "log2", "random", "indicator"]))
@@ -584,6 +586,141 @@ class TestCrashBasis:
         sol = simplex_solve(prob, exact=exact)
         assert sol == _slack_start(prob, exact)
         assert (sol.values, sol.basis, sol.pivots) == (values, basis, pivots)
+
+
+def _held_entries() -> int:
+    return sum(n * n for n, _ in lp._shared)
+
+
+def _with_fresh_rows(prob) -> LpProblem:
+    """``prob`` with new row tuples of the same entries, which share nothing."""
+    rows = [list(row) for row in prob.constraint_matrix]
+    return LpProblem(prob.objective, rows, prob.bounds)
+
+
+def _holds_rows_of(prob) -> bool:
+    entry = lp._shared.get((prob.num_variables, prob.exact))
+    return entry is not None and all(
+        map(operator.is_, entry[0], prob.constraint_matrix)
+    )
+
+
+class TestSharedMatrices:
+    """The concentration matrix of a rank, built and factored once."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_concentration_lps(min_rank=1))
+    def test_sharing_changes_no_result(self, case):
+        # fresh row tuples with the same entries bypass the shared matrix
+        prob, _, _ = case
+        assert _holds_rows_of(prob)
+        fresh = _with_fresh_rows(prob)
+        assert fresh == prob and not _holds_rows_of(fresh)
+        held = dict(lp._shared)
+        sol, again = simplex_solve(prob), simplex_solve(prob)
+        alone = simplex_solve(fresh)
+        # equal, and floats bit for bit: repr tells -0.0 from 0.0
+        assert sol == again == alone and repr(sol) == repr(alone)
+        verdict = verify_solution(prob, sol)
+        assert verdict == verify_solution(fresh, alone) == verify_solution(fresh, sol)
+        assert verdict
+        assert lp._shared.keys() == held.keys()
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_problems_of_a_rank_share_rows_and_one_factorisation(
+        self, exact, monkeypatch
+    ):
+        monkeypatch.setattr(lp, "_shared", {})
+        number, other_number = (Fraction, float) if exact else (float, Fraction)
+        first = make_spectrum([number(k) for k in (5, 4, 4, 2, 1)])
+        second = make_spectrum([number(k) for k in (9, 3, 2, 2, 1)])
+        probs = [
+            concentration_lp(first),
+            concentration_lp(second, standard_weights("log2", 5)),
+        ]
+        rows = probs[0].constraint_matrix
+        assert all(map(operator.is_, rows, probs[1].constraint_matrix))
+        other = concentration_lp(make_spectrum([other_number(1)] * 5))
+        assert not any(map(operator.is_, rows, other.constraint_matrix))
+        factor = lp._factor
+        factored = []
+
+        def counting(matrix, ex):
+            factored.append(matrix)
+            return factor(matrix, ex)
+
+        monkeypatch.setattr(lp, "_factor", counting)
+        for prob in probs:
+            sol = simplex_solve(prob)
+            assert sol.pivots == 0 and verify_solution(prob, sol)
+        assert len(factored) == 1
+
+    def test_held_entries_stay_within_the_bound(self, monkeypatch):
+        monkeypatch.setattr(lp, "_shared", {})
+        bound = lp._SHARED_ENTRIES
+        ranks = range(1, 81)
+        assert sum(n * n for n in ranks) > bound
+        for n in ranks:
+            s = make_spectrum([float(n + 1 - k) for k in range(n)])
+            concentration_lp(s)
+            assert _held_entries() <= bound
+        # the least recently used ranks went first, the last one is held
+        assert (1, False) not in lp._shared and (80, False) in lp._shared
+        oversized = math.isqrt(bound) + 1
+        prob = concentration_lp(make_spectrum([1.0] * oversized))
+        assert not _holds_rows_of(prob) and _held_entries() <= bound
+
+    def test_a_small_bound_is_kept_by_every_rank_and_arithmetic(self, monkeypatch):
+        monkeypatch.setattr(lp, "_shared", {})
+        monkeypatch.setattr(lp, "_SHARED_ENTRIES", 1000)
+        for n in range(1, 41):
+            for number in (float, Fraction):
+                s = make_spectrum([number(n + 1 - k) for k in range(n)])
+                prob = concentration_lp(s)
+                assert simplex_solve(prob).pivots == 0
+                assert _held_entries() <= 1000
+                assert _holds_rows_of(prob) == (n * n <= 1000)
+
+    def test_other_problems_leave_the_cache_as_it_is(self, monkeypatch):
+        monkeypatch.setattr(lp, "_shared", {})
+        s = make_spectrum([0.4, 0.3, 0.2, 0.1])
+        prob = concentration_lp(s, standard_weights("log2", 4))
+        verify_solution(prob, simplex_solve(prob))
+        held = {key: list(entry) for key, entry in lp._shared.items()}
+        reversed_rows = [row[::-1] for row in prob.constraint_matrix]
+        squares = [
+            _with_fresh_rows(prob),
+            # the held rank and arithmetic, other rows
+            LpProblem(prob.objective, reversed_rows, prob.bounds),
+            LpProblem((1.0, 2.0), ((1.0, 1.0), (1.0, -1.0)), (1.0, 0.5)),
+            LpProblem((Fraction(1), 2), ((1, 1), (2, 1)), (1, 1)),
+        ]
+
+        def solved_alone(square):
+            with mock.patch.object(lp, "_shared", {}):
+                sol = simplex_solve(square)
+                return sol, verify_solution(square, sol)
+
+        alone = [solved_alone(square) for square in squares]
+        for _ in range(3):
+            for square, (sol, verdict) in zip(squares, alone):
+                assert simplex_solve(square) == sol
+                assert verify_solution(square, sol) == verdict
+            # an exact=True lift converts the shared float rows afresh
+            lifted = simplex_solve(prob, exact=True)
+            assert lifted.pivots == 0 and verify_solution(prob, lifted)
+        assert lp._shared.keys() == held.keys()
+        for key, (rows, lu) in held.items():
+            assert lp._shared[key][0] is rows and lp._shared[key][1] is lu
+
+    def test_a_pickled_problem_carries_no_shared_state(self):
+        prob = concentration_lp(make_spectrum([0.5, 0.3, 0.2]))
+        clone = pickle.loads(pickle.dumps(prob))
+        assert clone == prob and hash(clone) == hash(prob)
+        assert repr(clone) == repr(prob)
+        assert vars(clone).keys() == {"objective", "constraint_matrix", "bounds"}
+        assert not _holds_rows_of(clone)
+        assert simplex_solve(clone) == simplex_solve(prob)
 
 
 def test_problem_validation():
