@@ -52,7 +52,8 @@ class AmplitudeMatrix(Frozen):
     def __init__(self, entries):
         import numpy as np
 
-        arr = np.array(entries, dtype=complex)
+        # C order, so that a transposed or strided array views as floats
+        arr = np.array(entries, dtype=complex, order="C")
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(_NOT_A_MATRIX)
         if not np.all(np.isfinite(arr.view(float))):

@@ -129,12 +129,15 @@ def _cmd_build_povm(args) -> int:
     return EXIT_OK
 
 
-def _resolve_weights(choice: str, n: int):
-    from .concentrate import standard_weights
+def _simplex_solve(problem):
+    """``lp.simplex_solve``; a solve that reaches its pivot cap exits 3."""
+    from .lp import PivotCapError, simplex_solve
 
-    if choice in ("ln", "log2", "indicator"):
-        return standard_weights(choice, n)
-    return load_weights(choice)
+    try:
+        return simplex_solve(problem)
+    except PivotCapError as exc:
+        print(f"entmanip: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_INFEASIBLE) from None
 
 
 def _lp_plan(state, weights):
@@ -148,10 +151,9 @@ def _lp_plan(state, weights):
     completed plan.
     """
     from .concentrate import concentration_lp
-    from .lp import simplex_solve
 
     shifted = [c - weights[0] for c in weights]
-    solution = simplex_solve(concentration_lp(state, shifted))
+    solution = _simplex_solve(concentration_lp(state, shifted))
     if solution.status != "optimal":
         raise ValueError(f"concentration LP came back {solution.status}")
     probs = [float(v) for v in solution.values]
@@ -161,15 +163,16 @@ def _lp_plan(state, weights):
 
 def _cmd_concentrate(args) -> int:
     from .concentrate import asymptotic_yield_curve, optimal_plan, optimality_certificate
+    from .concentrate import standard_weights
 
     state = load_state(args.state)
     n = state.rank
-    weights = _resolve_weights(args.weights, n)
+    named = args.weights in ("ln", "log2", "indicator")
+    weights = standard_weights(args.weights, n) if named else load_weights(args.weights)
     if args.weights == "ln":
         plan = optimal_plan(state)
         probs = [float(p) for p in plan.probabilities]
-        expected = plan.expected_entanglement
-        objective = expected
+        objective = expected = plan.expected_entanglement
     else:
         probs, objective = _lp_plan(state, weights)
         expected = math.fsum(
@@ -199,8 +202,7 @@ def _emit_concentrate_csv(probs, curve, units) -> None:
     lines = ["level,probability"]
     lines += [f"{j},{format(p, '.17g')}" for j, p in enumerate(probs, start=1)]
     if curve is not None:
-        lines.append("")
-        lines.append(f"n,per_copy_yield_{units}")
+        lines += ["", f"n,per_copy_yield_{units}"]
         lines += [
             f"{n},{format(_in_units(y, units), '.17g')}" for n, y in curve
         ]
@@ -208,10 +210,7 @@ def _emit_concentrate_csv(probs, curve, units) -> None:
 
 
 def _cmd_lp_solve(args) -> int:
-    from .lp import simplex_solve
-
-    problem = load_lp(args.problem)
-    solution = simplex_solve(problem)
+    solution = _simplex_solve(load_lp(args.problem))
     doc = {"status": solution.status}
     if solution.status == "optimal":
         doc["values"] = [float(v) for v in solution.values]
@@ -333,12 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     """Parse arguments, dispatch, and map failures to exit codes."""
     parser = build_parser()
-    try:
+    try:  # argparse and a failed solve exit by SystemExit
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"entmanip: {exc}", file=sys.stderr)
         return EXIT_IO

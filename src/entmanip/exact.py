@@ -15,11 +15,17 @@ number as term-by-term ``Fraction`` arithmetic gives (the fraction-free
 idea of E. H. Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22, 1968, applied
 where it changes no value).
+
+The module is also the exact arithmetic of ``entmanip.lp``: ``kind``,
+``zero``, ``tol``, ``convert``, ``dots``, ``signs`` and ``Lu`` are the
+names that ``lp._Float`` offers for floats, so the LP kernels read the
+arithmetic they are handed without asking which one it is.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import repeat
 
@@ -169,24 +175,32 @@ def _exact_sub_dot(x_num, x_den, terms, pivot=(1, 1)) -> Fraction:
 class ExactLu:
     """An exact ``lp._factor`` on integer ratios, and the solves that read it.
 
-    Built from the factorisation's ``steps`` and ``u_ratios``, where
-    ``u_ratios[i]`` is row i of U from its pivot on.  A vector of ratios is
-    held as two tuples, numerators and denominators.  ``eliminations[col]``
-    is the pivot row, the eliminated rows and the ratios of their factors;
-    ``rows[col]`` is the pivot's ``(numerator, denominator)`` and the
-    ratios of U's row right of it, last column first (the order back
-    substitution solves them in); ``columns[col]`` the ratios of U's column
-    above it.  Rows and columns are dense: a zero entry is a term whose
-    product is skipped.
+    Built from the factorisation's ``steps`` and ``u_rows``, the nonzero
+    ``(k, u)`` pairs of each row of U; only their ratios are kept.  A vector
+    of ratios is held as two sequences, numerators and denominators.
+    ``eliminations[col]`` is the pivot row, the eliminated rows and the
+    ratios of their factors; ``rows[col]`` is the pivot's ``(numerator,
+    denominator)`` and the ratios of U's row right of it, last column first
+    (the order back substitution solves them in); ``columns[col]`` the
+    ratios of U's column above it.  Rows and columns are dense: a zero
+    entry is a term whose product is skipped.
     """
 
-    def __init__(self, steps, u_ratios):
+    def __init__(self, steps, u_rows, _eliminated):
+        # U as dense integer ratios, a zero as 0/1; an entry is a Fraction
+        # or an int (the ints of slack columns)
+        size = len(u_rows)
+        u_nums, u_dens = [], []
+        for pairs in u_rows:
+            nums, dens = [0] * size, [1] * size
+            for k, u in pairs:
+                nums[k], dens[k] = u.as_integer_ratio()
+            u_nums.append(nums)
+            u_dens.append(dens)
         self.rows = [
-            ((nums[0], dens[0]), (nums[:0:-1], dens[:0:-1])) for nums, dens in u_ratios
+            ((nums[col], dens[col]), (nums[:col:-1], dens[:col:-1]))
+            for col, (nums, dens) in enumerate(zip(u_nums, u_dens))
         ]
-        # pad each row with zeros (0/1) left of its pivot, then read columns
-        u_nums = [(0,) * i + nums for i, (nums, _) in enumerate(u_ratios)]
-        u_dens = [(1,) * i + dens for i, (_, dens) in enumerate(u_ratios)]
         self.columns = [
             (nums[:col], dens[:col])
             for col, (nums, dens) in enumerate(zip(zip(*u_nums), zip(*u_dens)))
@@ -252,3 +266,23 @@ class ExactLu:
             for v in (w, nums, dens):
                 v[col], v[pivot_row] = v[pivot_row], v[col]
         return w
+
+
+# ------------------------------------------------------------ the arithmetic
+# The names ``lp`` reads of an arithmetic, as ``lp._Float`` offers them for
+# floats; ``dots`` is above.
+
+kind = Fraction
+zero = Fraction(0)
+tol = 0
+convert = as_fraction
+Lu = ExactLu
+
+
+def signs(values):
+    """The numerators of exact ``values``.
+
+    A numerator has the sign of its ``Fraction`` and compares with ``tol``
+    as an int, several times faster than the ``Fraction`` itself.
+    """
+    return map(operator.attrgetter("numerator"), values)

@@ -11,7 +11,7 @@ import json
 import math
 import numbers
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 from .schmidt import ZERO_TOL, SchmidtSpectrum, make_spectrum
 
@@ -62,11 +62,16 @@ def dumps(obj) -> str:
 
 
 def read_json(path: str):
-    """Parse a JSON document from a file path, or from stdin for ``-``."""
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """Parse a JSON document from a file path, or from stdin for ``-``.
+
+    A document nested deeper than the parser's recursion allows raises
+    ``ValueError``, as any other document that cannot be read does.
+    """
+    try:
+        with nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
 
 
 def _number(value, what: str) -> float:

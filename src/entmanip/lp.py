@@ -12,13 +12,19 @@ Each problem has one arithmetic, fixed when it is built: a problem that
 holds any ``Fraction`` is exact, and every entry is stored as a
 ``Fraction`` (floats and ints are converted exactly); any other problem
 stores floats.  Each public call looks the arithmetic up once and hands
-it to the kernels it runs: None for float, or the ``exact`` module, whose
-integer-ratio kernels serve exact sums and LU substitutions.  So a float
-call never loads ``exact`` or ``fractions``, and an exact one imports
-``exact`` once.  A claimed solution is converted into the problem's
-arithmetic before it is checked.  The solver solves a problem in its own
-arithmetic, and lifts a float problem to ``Fraction``s only when asked
-to; it never lowers an exact problem to floats.
+it to the kernels it runs as a namespace, ``_Float`` or the ``exact``
+module, and both offer the same names: ``kind`` (the entry type),
+``zero``, ``tol`` (``PIVOT_TOL``, or 0), ``convert`` (a real number into
+the arithmetic), ``dots`` (dot products: ``math.fsum``, or sums on
+integer ratios), ``signs`` (numbers with the values' signs: the floats
+themselves, or the numerators, ints that compare several times faster
+than ``Fraction``s) and ``Lu`` (the type of a factorisation:
+:class:`FloatLu` or ``exact.ExactLu``).  So a float call never loads
+``exact`` or ``fractions``, and an exact one imports ``exact`` once.  A
+claimed solution is converted into the problem's arithmetic before it is
+checked.  The solver solves a problem in its own arithmetic, and lifts a
+float problem to ``Fraction``s only when asked to; it never lowers an
+exact problem to floats.
 
 The tableau is stored densely but updated sparsely: a pivot visits only
 the nonzero columns of the pivot row and only the rows with a nonzero
@@ -26,11 +32,9 @@ factor.  Skipped entries would be updated by ``x - factor * 0``, so the
 results are the same number for number as a full sweep, at a fraction of
 the cost on the sparse tableaus the concentration LPs produce.  The one
 routine serves float and exact mode alike.  So does the LU factorisation
-below; the substitutions treat the modes apart.  A float entry subtracts
-its products one by one; an exact one is summed on integer ratios
-(``exact.ExactLu``).  Exact dot products, such as the objective, are
-summed the same way.  An exact sign test reads the numerator, an int,
-instead of comparing ``Fraction``s.
+below, which hands its factors to the arithmetic's ``Lu``; the
+substitutions are that type's.  A float entry subtracts its products one
+by one; an exact one is summed on integer ratios.
 
 Square problems (as many constraints as variables) are first given a
 crash check of the all-structural basis (R. E. Bixby, "Implementing the
@@ -123,7 +127,7 @@ class LpProblem(Frozen):
         if not all(issubclass(kind, numbers.Real) for kind in every):
             raise ValueError("LP entries must be real numbers")
         # the rule of schmidt.holds_fraction, read off the same type scan
-        ex = _exact_module(fraction_among(every))
+        ex = _arithmetic(fraction_among(every))
         (objective,) = _finite("objective", (objective,), kinds[:1], ex)
         matrix = _finite("constraint_matrix", matrix, kinds[1:-1], ex)
         (bounds,) = _finite("bounds", (bounds,), kinds[-1:], ex)
@@ -179,22 +183,16 @@ class LpSolution(Frozen):
         )
 
 
-def _exact_module(exact: bool):
-    """The arithmetic of a call: the ``exact`` module if ``exact``, else None.
+def _arithmetic(exact: bool):
+    """The arithmetic of a call: the ``exact`` module if ``exact``, else ``_Float``.
 
-    A public call looks it up once and hands it to the kernels, which
-    compute in floats when it is None.
+    A public call looks it up once and hands it to the kernels.
     """
     if not exact:
-        return None
+        return _Float
     from . import exact as ex
 
     return ex
-
-
-def _in_arithmetic(values, ex) -> tuple:
-    """``values`` as ``Fraction``s if ``ex`` is the exact module, else as floats."""
-    return tuple(map(ex.as_fraction if ex else float, values))
 
 
 def _finite(name: str, rows, kinds, ex) -> tuple:
@@ -204,13 +202,13 @@ def _finite(name: str, rows, kinds, ex) -> tuple:
     entries are all of that arithmetic's type is kept as it is; any other
     row is converted.
     """
-    own = {ex.Fraction if ex else float}
+    own = {ex.kind}
     try:  # NaN or inf to Fraction, or a huge int to float, raises
         rows = tuple(
-            row if k == own else _in_arithmetic(row, ex)
+            row if k == own else tuple(map(ex.convert, row))
             for row, k in zip(rows, kinds)
         )
-        finite = ex is not None or all(map(math.isfinite, chain.from_iterable(rows)))
+        finite = ex is not _Float or all(map(math.isfinite, chain.from_iterable(rows)))
     except (ValueError, OverflowError):
         finite = False
     if not finite:
@@ -218,32 +216,14 @@ def _finite(name: str, rows, kinds, ex) -> tuple:
     return rows
 
 
-def _zero(ex):
-    return ex.Fraction(0) if ex else 0.0
+class PivotCapError(RuntimeError):
+    """The simplex reached its pivot cap, ``_MAX_PIVOTS_FACTOR * (n + m + 4)``.
 
-
-def _dots(rows, vector, ex) -> list:
-    """The dot product of each row with ``vector``.
-
-    Float: the ``math.fsum`` of the products.  Exact: a ``Fraction``, the
-    products summed on integer ratios (``exact.dots``).
+    Bland's rule cannot cycle, but it can take exponentially many pivots
+    (V. Klee and G. J. Minty, "How good is the simplex algorithm?", 1972;
+    D. Avis and V. Chvatal, "Notes on Bland's pivoting rule", Math.
+    Programming Study 8, 1978), so a solve that reaches the cap gives up.
     """
-    if ex:
-        return ex.dots(rows, vector)
-    return [math.fsum(map(operator.mul, row, vector)) for row in rows]
-
-
-_NUMERATOR = operator.attrgetter("numerator")
-
-
-def _signs(values, ex):
-    """``values``, or for the exact arithmetic their numerators.
-
-    A numerator has the sign of its ``Fraction`` and compares with the
-    exact tolerance 0 as an int, several times faster than the
-    ``Fraction`` itself.
-    """
-    return map(_NUMERATOR, values) if ex else values
 
 
 def _non_optimal(status: str) -> LpSolution:
@@ -288,13 +268,12 @@ def simplex_solve(prob: LpProblem, exact: bool = False) -> LpSolution:
     negative bounds are outside the supported form and raise
     ``ValueError``.
     """
-    ex = _exact_module(exact or prob.exact)
-    if ex and not prob.exact:  # a Fraction objective makes it exact
-        objective = _in_arithmetic(prob.objective, ex)
+    ex = _arithmetic(exact or prob.exact)
+    if exact and not prob.exact:  # a Fraction objective makes it exact
+        objective = tuple(map(ex.convert, prob.objective))
         prob = LpProblem(objective, prob.constraint_matrix, prob.bounds)
-    tol = 0 if ex else PIVOT_TOL
-    for row, q in zip(prob.constraint_matrix, _signs(prob.bounds, ex)):
-        if q < -tol:
+    for row, q in zip(prob.constraint_matrix, ex.signs(prob.bounds)):
+        if q < -ex.tol:
             if all(x >= 0 for x in row):
                 return _non_optimal("infeasible")
             raise ValueError(
@@ -318,18 +297,17 @@ def _structural_optimum(prob: LpProblem, ex):
     so a check that fails there fails on y.
     """
     n = prob.num_variables
-    tol = 0 if ex else PIVOT_TOL
     try:
-        lu = _structural_lu(prob.constraint_matrix, ex)
+        lu = _structural_lu(prob, ex)
     except ZeroDivisionError:
         return None
-    y = _lu_solve_transposed(lu, prob.objective)
-    if any(v < -tol for v in _signs(y, ex)):
+    y = lu.solve_transposed(prob.objective)
+    if any(v < -ex.tol for v in ex.signs(y)):
         return None
-    x = _lu_solve(lu, prob.bounds)
-    if any(v < -tol for v in _signs(x, ex)):
+    x = lu.solve(prob.bounds)
+    if any(v < -ex.tol for v in ex.signs(x)):
         return None
-    return _optimum(prob, x, range(n), [_zero(ex)] * n + y, ex)
+    return _optimum(prob, x, range(n), [ex.zero] * n + y, ex)
 
 
 def _solve_from_slack_basis(prob: LpProblem, ex):
@@ -340,8 +318,7 @@ def _solve_from_slack_basis(prob: LpProblem, ex):
     """
     c, q = prob.objective, prob.bounds
     n, m = len(c), len(q)
-    tol = 0 if ex else PIVOT_TOL
-    zero = _zero(ex)
+    tol, zero = ex.tol, ex.zero
     one = zero + 1
     tableau = [[*row, *[zero] * m, b] for row, b in zip(prob.constraint_matrix, q)]
     for i, row in enumerate(tableau):
@@ -353,16 +330,16 @@ def _solve_from_slack_basis(prob: LpProblem, ex):
     pivots = degenerate = 0
     for _ in range(max_pivots):
         entering = next(
-            (j for j, z in zip(range(n + m), _signs(zrow, ex)) if z < -tol), None
+            (j for j, z in zip(range(n + m), ex.signs(zrow)) if z < -tol), None
         )
         if entering is None:
             break
         column = [row[entering] for row in tableau]
-        rows = [i for i, coeff in enumerate(_signs(column, ex)) if coeff > tol]
+        rows = [i for i, coeff in enumerate(ex.signs(column)) if coeff > tol]
         ratios = [tableau[i][-1] / column[i] for i in rows]
         leaving = None
         best = None
-        for i, ratio, sign in zip(rows, ratios, _signs(ratios, ex)):
+        for i, ratio, sign in zip(rows, ratios, ex.signs(ratios)):
             # a step of at most tol ties at zero: ranking the +-1e-15
             # drift of degenerate rows would let Bland's rule cycle
             key = (zero if sign <= tol else ratio, basis[i])
@@ -377,7 +354,7 @@ def _solve_from_slack_basis(prob: LpProblem, ex):
         if best[0] == 0:
             degenerate += 1
     else:
-        raise RuntimeError("simplex failed to terminate (pivot cap reached)")
+        raise PivotCapError(f"simplex failed to terminate (pivot cap of {max_pivots} reached)")
 
     absorbed = _absorb_slack(tableau, zrow, basis, n, ex, zero, one)
 
@@ -392,14 +369,15 @@ def _solve_from_slack_basis(prob: LpProblem, ex):
 def _optimum(prob: LpProblem, values, basis, reduced_costs, ex, *counters):
     """The optimal ``LpSolution`` of the structural ``values`` at a basis.
 
-    A float value in [-PIVOT_TOL, 0] reads as zero: drift on a degenerate
-    row, or -0.0.  (An exact zero is ``Fraction(0)`` already.)  The
+    A value in [-tol, 0] reads as ``ex.zero``: in floats, drift on a
+    degenerate row, or -0.0; an exact zero is ``Fraction(0)`` already.  The
     objective is summed from the values so read.  ``counters`` are the
     solver counters, in ``LpSolution``'s order.
     """
-    if not ex:
-        values = tuple(0.0 if v <= 0 and v >= -PIVOT_TOL else v for v in values)
-    (objective,) = _dots((prob.objective,), values, ex)
+    values = tuple(
+        ex.zero if -ex.tol <= s <= 0 else v for v, s in zip(values, ex.signs(values))
+    )
+    (objective,) = ex.dots((prob.objective,), values)
     return LpSolution(values, objective, basis, reduced_costs, "optimal", *counters)
 
 
@@ -413,20 +391,20 @@ def _absorb_slack(tableau, zrow, basis, n, ex, zero, one):
     degenerate objectives still return the constraint-saturating vertex.
     Returns the number of pivots taken.
     """
-    tol = 0 if ex else PIVOT_TOL
+    tol = ex.tol
     in_basis = set(basis)
     pivots = 0
     changed = True
     while changed:
         changed = False
-        reduced = list(_signs(zrow[:n], ex))
+        reduced = list(ex.signs(zrow[:n]))
         for j in range(n):
             if j in in_basis or abs(reduced[j]) > tol:
                 continue
             column = [row[j] for row in tableau]
             best = None
             leaving = None
-            for i, coeff in enumerate(_signs(column, ex)):
+            for i, coeff in enumerate(ex.signs(column)):
                 if coeff > tol:
                     ratio = tableau[i][-1] / column[i]
                     # prefer rows holding slack variables on ratio ties
@@ -438,7 +416,7 @@ def _absorb_slack(tableau, zrow, basis, n, ex, zero, one):
                 continue
             _pivot(tableau, zrow, leaving, j, zero, one)
             # a float pivot by a reduced cost within tol moves the others
-            reduced = list(_signs(zrow[:n], ex))
+            reduced = list(ex.signs(zrow[:n]))
             in_basis.discard(basis[leaving])
             in_basis.add(j)
             basis[leaving] = j
@@ -495,32 +473,33 @@ def _shared_matrix(n: int, exact: bool, build) -> tuple:
     return entry[0]
 
 
-def _structural_lu(matrix, ex):
-    """``_factor(matrix, ex)`` for a square matrix, factored once if shared.
+def _structural_lu(prob: LpProblem, ex):
+    """``_factor`` of a square problem's constraint matrix, once if shared.
 
-    When the rows of ``matrix`` are those of the shared matrix (the same
-    objects, so the same numbers in the same arithmetic), the LU held with
-    it is returned, and factored first if it is not held yet.  Any other
-    matrix is factored afresh and nothing is kept.  Raises
+    When the rows of the matrix are those of the shared matrix of the
+    problem's size and arithmetic (the same objects, so the same numbers),
+    the LU held with it is returned, and factored first if it is not held
+    yet.  Any other matrix is factored afresh and nothing is kept.  Raises
     ``ZeroDivisionError`` as ``_factor`` does.
     """
-    entry = _shared.get((len(matrix), ex is not None))
-    if entry is None or not all(map(operator.is_, entry[0], matrix)):
-        return _factor(matrix, ex)
+    entry = _shared.get((prob.num_constraints, prob.exact))
+    if entry is None or not all(map(operator.is_, entry[0], prob.constraint_matrix)):
+        return _factor(prob.constraint_matrix, ex)
     if entry[1] is None:
-        entry[1] = _factor(matrix, ex)
+        entry[1] = _factor(prob.constraint_matrix, ex)
     return entry[1]
 
 
 def _factor(matrix, ex):
     """LU factorisation with partial pivoting; raises on singularity.
 
-    Works for float and ``Fraction`` entries alike; the arithmetic ``ex``
-    (None, or the ``exact`` module) selects the singularity test.  The
-    pivot is the largest of the column's nonzero entries on or below the
-    diagonal (ties go to the first row, and a lone candidate is taken
-    without comparing magnitudes), and only the rows of the other
-    candidates are eliminated, over the pivot row's nonzero columns.
+    Works for float and ``Fraction`` entries alike, in the arithmetic
+    ``ex``, and returns its ``ex.Lu`` of the factors: a :class:`FloatLu`
+    or an ``exact.ExactLu``.  The pivot is the largest of the column's
+    nonzero entries on or below the diagonal (ties go to the first row, and
+    a lone candidate is taken without comparing magnitudes), and only the
+    rows of the other candidates are eliminated, over the pivot row's
+    nonzero columns.
 
     Exact: a column without a candidate is singular.  Float: so is a pivot
     no larger than ``1e-13 * max(scale, 1)``, where ``scale`` is the largest
@@ -533,19 +512,18 @@ def _factor(matrix, ex):
     bound rescans the remaining rows (resetting their bounds to the
     magnitudes found), and that rescan decides.
 
-    Returns ``(steps, upper, columns, exact_lu)``.  ``steps[col]`` is the
-    row swapped into position ``col`` and the ``(row, factor)`` pairs that
-    eliminated the column below it; ``upper[col]`` is the pivot and the
-    ``(k, u)`` pairs of the nonzero entries right of it.  Float:
-    ``columns[col]`` is the column of U above the pivot, zeros included,
-    and ``exact_lu`` is None.  Exact: ``columns`` is None and ``exact_lu``
-    holds the same factors on integer ratios (``exact.ExactLu``), which is
-    what the exact solves read.
+    ``ex.Lu`` is built from ``steps``, ``u_rows`` and the eliminated
+    matrix.  ``steps[col]`` is the row swapped into position ``col`` and the
+    ``(row, factor)`` pairs that eliminated the column below it;
+    ``u_rows[col]`` holds the ``(k, u)`` pairs of the nonzero entries of
+    row col of U, the pivot first, as the elimination reads them; row col
+    of the eliminated matrix is row col of U from its pivot on.
     """
     size = len(matrix)
     a = [list(row) for row in matrix]
-    bound = None if ex else [max(map(abs, row)) for row in a]
-    steps, upper, u_ratios = [], [], []
+    # the float singularity test's bounds on the rows' magnitudes
+    bound = [max(map(abs, row)) for row in a] if ex is _Float else None
+    steps, u_rows = [], []
     for col in range(size):
         rows = [r for r in range(col, size) if a[r][col]]
         if not rows:
@@ -554,7 +532,7 @@ def _factor(matrix, ex):
         if len(rows) > 1:
             pivot_row = max(rows, key=lambda r: abs(a[r][col]))
         pivot = a[pivot_row][col]
-        if not ex:
+        if bound is not None:
             if not abs(pivot) > 1e-13 * max(max(bound[col:]), 1.0):
                 bound[col:] = [max(map(abs, a[r])) for r in range(col, size)]
                 scale = max(bound[col:])
@@ -566,13 +544,7 @@ def _factor(matrix, ex):
         # the pivot's own column is eliminated too, so a row keeps the
         # rounding residue there and a rescan sees it
         tail = prow[col:]
-        if ex:  # row col of U as integer ratios, whose numerators tell zeros
-            # (its entries are Fractions and ints, the ints of slack columns)
-            ratios = tuple(zip(*[x.as_integer_ratio() for x in tail]))
-            u_ratios.append(ratios)
-            nonzero = list(compress(enumerate(tail, col), ratios[0]))
-        else:
-            nonzero = list(compress(enumerate(tail, col), tail))
+        nonzero = list(compress(enumerate(tail, col), tail))
         # the rows below the pivot with a nonzero entry: the old row col
         # moved to pivot_row if it was one of them
         below = rows[1:] if rows[0] == col else [r for r in rows if r != pivot_row]
@@ -585,15 +557,11 @@ def _factor(matrix, ex):
             eliminated.append((r, factor))
             # a factor that underflowed to zero changes no magnitude (and
             # would make 0 * inf a NaN once a bound has overflowed)
-            if not ex and factor:
+            if bound is not None and factor:
                 bound[r] += abs(factor) * bound[col]
         steps.append((pivot_row, eliminated))
-        upper.append((pivot, nonzero[1:]))
-    if ex:
-        return steps, upper, None, ex.ExactLu(steps, u_ratios)
-    # from step col on, row col of a is row col of U
-    columns = [column[:col] for col, column in enumerate(zip(*a))]
-    return steps, upper, columns, None
+        u_rows.append(nonzero)
+    return ex.Lu(steps, u_rows, a)
 
 
 def _sub_dot(x, terms, vector):
@@ -607,47 +575,79 @@ def _sub_dot(x, terms, vector):
     return x
 
 
-def _lu_solve(lu, rhs):
-    """Solve B x = rhs from ``_factor(B)``."""
-    steps, upper, _, exact_lu = lu
-    if exact_lu is not None:
-        return exact_lu.solve(rhs)
-    b = list(rhs)
-    for col, (pivot_row, eliminated) in enumerate(steps):
-        b[col], b[pivot_row] = b[pivot_row], b[col]
-        x = b[col]
-        if x:
-            for r, factor in eliminated:
-                b[r] -= factor * x
-    for col in reversed(range(len(b))):
-        pivot, right = upper[col]
-        b[col] = _sub_dot(b[col], right, b) / pivot
-    return b
+class FloatLu:
+    """A float ``_factor``, and the solves that read it.
 
-
-def _lu_solve_transposed(lu, rhs):
-    """Solve B^T y = rhs from ``_factor(B)``.
-
-    With M B = U, M the swaps and eliminations in order, y = M^T w for
-    U^T w = rhs: forward substitution down the columns of U, then the
-    transposed eliminations and the swaps in reverse order.
+    ``steps`` are the factorisation's swaps and eliminations.
+    ``upper[col]`` is the pivot and the ``(k, u)`` pairs of the nonzero
+    entries right of it; ``columns[col]`` is the column of U above the
+    pivot, zeros included.
     """
-    steps, upper, columns, exact_lu = lu
-    if exact_lu is not None:
-        return exact_lu.solve_transposed(rhs)
-    w = list(rhs)
-    for col, (pivot, _) in enumerate(upper):
-        x, above = w[col], columns[col]
-        terms = compress(enumerate(above), above)
-        if not x:
-            # the row sweep skipped zero entries of w; a term u * -0.0
-            # would turn a start of -0.0 into 0.0, while any other start
-            # absorbs such terms unchanged
-            terms = [(k, u) for k, u in terms if w[k]]
-        w[col] = _sub_dot(x, terms, w) / pivot
-    for col in reversed(range(len(w))):
-        pivot_row, eliminated = steps[col]
-        if eliminated:
-            w[col] = _sub_dot(w[col], eliminated, w)
-        w[col], w[pivot_row] = w[pivot_row], w[col]
-    return w
+
+    def __init__(self, steps, u_rows, eliminated):
+        self.steps = steps
+        self.upper = [(row[0][1], row[1:]) for row in u_rows]
+        self.columns = [column[:col] for col, column in enumerate(zip(*eliminated))]
+
+    def solve(self, rhs) -> list:
+        """Solve B x = rhs."""
+        b = list(rhs)
+        for col, (pivot_row, eliminated) in enumerate(self.steps):
+            b[col], b[pivot_row] = b[pivot_row], b[col]
+            x = b[col]
+            if x:
+                for r, factor in eliminated:
+                    b[r] -= factor * x
+        for col in reversed(range(len(b))):
+            pivot, right = self.upper[col]
+            b[col] = _sub_dot(b[col], right, b) / pivot
+        return b
+
+    def solve_transposed(self, rhs) -> list:
+        """Solve B^T y = rhs.
+
+        With M B = U, M the swaps and eliminations in order, y = M^T w for
+        U^T w = rhs: forward substitution down the columns of U, then the
+        transposed eliminations and the swaps in reverse order.
+        """
+        w = list(rhs)
+        for col, (pivot, _) in enumerate(self.upper):
+            x, above = w[col], self.columns[col]
+            terms = compress(enumerate(above), above)
+            if not x:
+                # the row sweep skipped zero entries of w; a term u * -0.0
+                # would turn a start of -0.0 into 0.0, while any other start
+                # absorbs such terms unchanged
+                terms = [(k, u) for k, u in terms if w[k]]
+            w[col] = _sub_dot(x, terms, w) / pivot
+        for col in reversed(range(len(w))):
+            pivot_row, eliminated = self.steps[col]
+            if eliminated:
+                w[col] = _sub_dot(w[col], eliminated, w)
+            w[col], w[pivot_row] = w[pivot_row], w[col]
+        return w
+
+
+class _Float:
+    """The float arithmetic; the ``exact`` module offers the same names.
+
+    Entries are floats (``kind``, and ``convert`` makes one), sign tests
+    allow ``PIVOT_TOL`` and read the values themselves (``signs``), dot
+    products are ``math.fsum``s of the products, and a factorisation is a
+    :class:`FloatLu`.
+    """
+
+    kind = convert = float
+    zero = 0.0
+    tol = PIVOT_TOL
+    Lu = FloatLu
+
+    @staticmethod
+    def dots(rows, vector) -> list:
+        """The dot product of each row with ``vector``."""
+        return [math.fsum(map(operator.mul, row, vector)) for row in rows]
+
+    @staticmethod
+    def signs(values):
+        """``values`` themselves: a float's sign test reads the float."""
+        return values

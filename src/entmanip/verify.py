@@ -8,26 +8,17 @@ that one factorisation.  An all-structural basis of a shared matrix (see
 ``entmanip.lp``; every ``concentration_lp`` matrix is one) is not factored
 again: its LU is the one the solver's crash check made, a function of the
 matrix alone, so the verdict is the same.  Like the solver, it computes in
-the problem's arithmetic, looked up once per call: floats, or
-``Fraction``s summed on integer ratios by the ``exact`` module.
+the problem's arithmetic, looked up once per call: ``lp._Float``, or the
+``exact`` module, which sums ``Fraction``s on integer ratios.  Both offer
+the same names, and the checks below read them without asking which
+arithmetic they run in.
 """
 
 from __future__ import annotations
 
 import operator
 
-from .lp import (
-    LpProblem,
-    LpSolution,
-    _dots,
-    _exact_module,
-    _factor,
-    _in_arithmetic,
-    _lu_solve,
-    _lu_solve_transposed,
-    _structural_lu,
-    _zero,
-)
+from .lp import LpProblem, LpSolution, _arithmetic, _factor, _structural_lu
 
 VERIFY_TOL = 1e-9
 
@@ -40,15 +31,15 @@ def constraint_residuals(prob: LpProblem, values) -> tuple:
     ``values`` are converted into that arithmetic first, so the residuals
     of an exact problem are exact.
     """
-    ex = _exact_module(prob.exact)
-    values = _in_arithmetic(values, ex)
+    ex = _arithmetic(prob.exact)
+    values = tuple(map(ex.convert, values))
     if len(values) != prob.num_variables:
         raise ValueError("value vector length must match variable count")
     return _residuals(prob, values, ex)
 
 
 def _residuals(prob: LpProblem, values, ex) -> tuple:
-    products = _dots(prob.constraint_matrix, values, ex)
+    products = ex.dots(prob.constraint_matrix, values)
     return tuple(map(operator.sub, products, prob.bounds))
 
 
@@ -62,7 +53,7 @@ def _factor_basis(prob: LpProblem, basis, ex):
     """
     n = prob.num_variables
     if n == prob.num_constraints and tuple(basis) == tuple(range(n)):
-        return _structural_lu(prob.constraint_matrix, ex)
+        return _structural_lu(prob, ex)
     matrix = [
         [row[j] if j < n else int(j - n == i) for j in basis]
         for i, row in enumerate(prob.constraint_matrix)
@@ -70,15 +61,10 @@ def _factor_basis(prob: LpProblem, basis, ex):
     return _factor(matrix, ex)
 
 
-def _basic_costs(prob: LpProblem, basis, ex) -> list:
-    n, zero = prob.num_variables, _zero(ex)
-    return [prob.objective[j] if j < n else zero for j in basis]
-
-
 def _basis_solution(prob: LpProblem, basis, lu, ex):
     """Basic solution (extended vector) for a basis and its factorisation."""
-    basic_values = _lu_solve(lu, prob.bounds)
-    extended = [_zero(ex)] * (prob.num_variables + prob.num_constraints)
+    basic_values = lu.solve(prob.bounds)
+    extended = [ex.zero] * (prob.num_variables + prob.num_constraints)
     for j, value in zip(basis, basic_values):
         extended[j] = value
     return extended
@@ -91,10 +77,11 @@ def _basis_reduced_costs(prob: LpProblem, basis, lu, ex):
     y; a slack column is a unit vector with cost 0, so its reduced cost is
     y_i itself.
     """
-    y = _lu_solve_transposed(lu, _basic_costs(prob, basis, ex))
+    n = prob.num_variables
+    y = lu.solve_transposed([prob.objective[j] if j < n else ex.zero for j in basis])
     # with no constraints every column is empty
-    columns = list(zip(*prob.constraint_matrix)) or [()] * prob.num_variables
-    products = _dots(columns, y, ex)
+    columns = list(zip(*prob.constraint_matrix)) or [()] * n
+    products = ex.dots(columns, y)
     return list(map(operator.sub, products, prob.objective)) + y
 
 
@@ -119,8 +106,8 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
     n, m = prob.num_variables, prob.num_constraints
     if len(sol.basis) != m or len(sol.values) != n:
         return False
-    ex = _exact_module(prob.exact)
-    values = _in_arithmetic(sol.values, ex)
+    ex = _arithmetic(prob.exact)
+    values = tuple(map(ex.convert, sol.values))
     try:
         lu = _factor_basis(prob, sol.basis, ex)
     except ZeroDivisionError:
@@ -136,7 +123,7 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
         return False
     if any(v < -tol for v in values):
         return False
-    (objective,) = _dots((prob.objective,), values, ex)
+    (objective,) = ex.dots((prob.objective,), values)
     if abs(float(objective) - float(sol.objective_value)) > tol:
         return False
     return all(d >= -tol for d in reduced)

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import entmanip
-from entmanip import cli
+from entmanip import cli, jsonio, lp
 from entmanip.cli import run
 from entmanip.sim import _CHUNK_TRIALS, _python_tally
 from util import CYCLING_LP, highs_optimum
@@ -802,6 +802,159 @@ def test_any_document_exits_with_a_mapped_code(doc):
             assert "Traceback" not in err
             if code == 4:
                 assert out == ""
+
+
+def _nested(depth):
+    """JSON texts nested ``depth`` deep: bare, as a loader's key, as objects."""
+    lists = "[" * depth + "]" * depth
+    return [
+        lists,
+        '{"spectrum": ' + lists + "}",
+        '{"ensemble": ' + lists + "}",
+        '{"support_rank": 1, "elements": ' + lists + "}",
+        '{"objective": ' + lists + ', "matrix": [], "bounds": []}',
+        '{"a": ' * depth + "1" + "}" * depth,
+    ]
+
+
+@pytest.mark.parametrize("limit", [None, 12000], ids=["default-limit", "raised-limit"])
+@pytest.mark.parametrize("depth", [1200, 5000])
+@pytest.mark.parametrize("argv", _LOADER_CALLS, ids=lambda argv: argv[0])
+def test_documents_nested_deep_exit_4(argv, depth, limit, tmp_path):
+    # Whether json parses such nesting depends on the interpreter: up to
+    # 3.11 it counts Python's recursion limit (so the raised limit lets it
+    # parse both depths), from 3.12 on a fixed C limit.  Either way every
+    # loader reports a document it cannot use.
+    files = {"spectrum": write_json(tmp_path / "s.json", {"spectrum": [0.5, 0.3, 0.2]})}
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit or old_limit)
+    try:
+        for text in _nested(depth):
+            (tmp_path / "doc.json").write_text(text)
+            files["doc"] = str(tmp_path / "doc.json")
+            code, out, err = _main_exit_code([a.format(**files) for a in argv])
+            assert (code, out) == (4, ""), (argv[0], err[:200])
+            assert "Traceback" not in err
+    finally:
+        sys.setrecursionlimit(old_limit)
+
+
+def test_json_too_deep_for_the_parser_names_the_nesting(tmp_path):
+    doc = write_json(tmp_path / "doc.json", {"spectrum": [1.0]})
+    with mock.patch.object(json, "load", side_effect=RecursionError):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            jsonio.read_json(doc)
+        code, out, err = _main_exit_code(["decompose", "--state", doc])
+    assert (code, out) == (4, "")
+    assert err == f"entmanip: {doc}: JSON nested too deeply to parse\n"
+
+
+def _klee_minty(n):
+    """The Klee-Minty cube, on which Bland's rule takes exponentially many pivots.
+
+    maximize sum_j 2^(n-j) x_j  s.t.  sum_{j<i} 2^(i-j+1) x_j + x_i <= 5^i.
+    """
+    return {
+        "objective": [2 ** (n - j) for j in range(1, n + 1)],
+        "matrix": [
+            [2 ** (i - j + 1) if j < i else int(j == i) for j in range(1, n + 1)]
+            for i in range(1, n + 1)
+        ],
+        "bounds": [5**i for i in range(1, n + 1)],
+    }
+
+
+def test_the_pivot_cap_exits_3(tmp_path):
+    doc = _klee_minty(18)
+    code, out, err = _main_exit_code(["lp-solve", write_json(tmp_path / "km.json", doc)])
+    assert (code, out) == (3, "")
+    assert "pivot cap of 2560" in err and "Traceback" not in err
+    # a library caller still gets the RuntimeError
+    prob = entmanip.LpProblem(doc["objective"], doc["matrix"], doc["bounds"])
+    with pytest.raises(RuntimeError, match="pivot cap"):
+        entmanip.simplex_solve(prob)
+    # a smaller cube solves: 25 pivots at n = 6
+    code, out, _ = _main_exit_code(["lp-solve", write_json(tmp_path / "km6.json", _klee_minty(6))])
+    assert code == 0 and json.loads(out)["objective"] == 5**6
+
+
+def test_the_pivot_cap_of_a_weighted_concentration_exits_3(tmp_path):
+    # weights whose LP the crash check does not settle, so the pivots run
+    state = write_json(tmp_path / "s.json", {"spectrum": [0.4, 0.3, 0.2, 0.1]})
+    weights = write_json(tmp_path / "w.json", [0.0, 5.0, 0.0, 1.0])
+    argv = ["concentrate", "--state", state, "--weights", weights]
+    assert _main_exit_code(argv)[0] == 0
+    with mock.patch.object(lp, "_MAX_PIVOTS_FACTOR", 0):
+        code, out, err = _main_exit_code(argv)
+    assert (code, out) == (3, "")
+    assert "pivot cap" in err and "Traceback" not in err
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_lp_solve_exits_with_a_mapped_code_at_a_low_pivot_cap(data):
+    n, m = data.draw(st.integers(1, 20)), data.draw(st.integers(0, 20))
+    entries = st.integers(-5, 5) | st.floats(-10, 10, allow_nan=False)
+    doc = {
+        "objective": data.draw(_lists(entries, n)),
+        "matrix": data.draw(st.lists(_lists(entries, n), min_size=m, max_size=m)),
+        "bounds": data.draw(st.lists(st.floats(-1, 10), min_size=m, max_size=m)),
+    }
+    factor = data.draw(st.integers(0, 2))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "lp.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with mock.patch.object(lp, "_MAX_PIVOTS_FACTOR", factor):
+            code, out, err = _main_exit_code(["lp-solve", path])
+    assert code in (0, 3, 4), err
+    assert "Traceback" not in err
+    if "pivot cap" in err or code == 4:
+        assert code != 0 and out == ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12),
+    data=st.data(),
+    k=st.integers(-50, 50),
+)
+def test_a_constant_added_to_the_weights_moves_only_the_objective(coeffs, data, k):
+    # _lp_plan solves on c_j - c_1, so integer weights c and c + k give the
+    # same LP, the same plan bit for bit, and an objective k higher
+    state = entmanip.make_spectrum(coeffs)
+    weights = [float(c) for c in data.draw(_lists(st.integers(-50, 50), state.rank))]
+    probs, objective = cli._lp_plan(state, weights)
+    shifted_probs, shifted_objective = cli._lp_plan(state, [c + k for c in weights])
+    assert repr(shifted_probs) == repr(probs)
+    scale = max(map(abs, weights)) + abs(k)
+    assert abs(shifted_objective - (objective + k)) <= 1e-12 * scale
+
+
+_SPECTRUM_CALLS = [
+    ["decompose", "--state", "{state}"],
+    ["concentrate", "--state", "{state}"],
+    ["concentrate", "--state", "{state}", "--weights", "log2", "--certify", "--asymptotic", "3"],
+]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    spectrum=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8),
+    zeros=st.lists(st.sampled_from([0, 0.0]), min_size=1, max_size=4),
+)
+def test_trailing_zeros_in_a_spectrum_change_no_output(spectrum, zeros):
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = []
+        for name, values in (("plain", spectrum), ("padded", spectrum + zeros)):
+            path = os.path.join(tmp, f"{name}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({"spectrum": values}, fh)
+            outputs.append(
+                [_main_exit_code([a.format(state=path) for a in argv]) for argv in _SPECTRUM_CALLS]
+            )
+    assert outputs[0] == outputs[1]
+    assert all(code == 0 for code, _, _ in outputs[0])
 
 
 def _call(argv, *modules):

@@ -1,8 +1,10 @@
 """Simplex solver, vertex-enumeration oracle, and solution verification."""
 
+import inspect
 import math
 import operator
 import pickle
+import re
 from fractions import Fraction
 from itertools import chain
 from unittest import mock
@@ -25,7 +27,8 @@ from entmanip import (
     verify_solution,
 )
 from entmanip import lp, verify
-from entmanip.exact import _exact_sub_dot, _ratios
+from entmanip import exact as exact_module
+from entmanip.exact import ExactLu, _exact_sub_dot, _ratios
 from entmanip.schmidt import holds_fraction
 from util import (
     CYCLING_LP,
@@ -279,7 +282,7 @@ def test_reduced_costs_of_a_mixed_problem():
     )
     prob = LpProblem((1e16, 1.0, -1e16, 0.0), matrix, (1.0, 1.0, 1.0))
     basis = (0, 1, 2)
-    ex = lp._exact_module(prob.exact)
+    ex = lp._arithmetic(prob.exact)
     costs = verify._basis_reduced_costs(prob, basis, verify._factor_basis(prob, basis, ex), ex)
     assert costs == [0, 0, 0, Fraction(1), Fraction(10**16), 1, -Fraction(10**16)]
     assert all(type(c) is Fraction for c in costs)
@@ -290,7 +293,7 @@ def test_exact_concentration_lp_is_exact_end_to_end():
     # default float ln weights
     prob = concentration_lp(make_spectrum([Fraction(k) for k in (7, 5, 3, 2, 1)]))
     sol = simplex_solve(prob, exact=True)
-    ex = lp._exact_module(prob.exact)
+    ex = lp._arithmetic(prob.exact)
     lu = verify._factor_basis(prob, sol.basis, ex)
     reduced = verify._basis_reduced_costs(prob, sol.basis, lu, ex)
     residuals = constraint_residuals(prob, simplex_solve(prob).values)
@@ -843,7 +846,7 @@ def _slack_start(prob, exact=False):
     if exact:
         objective = map(Fraction, prob.objective)
         prob = LpProblem(objective, prob.constraint_matrix, prob.bounds)
-    return lp._solve_from_slack_basis(prob, lp._exact_module(prob.exact))
+    return lp._solve_from_slack_basis(prob, lp._arithmetic(prob.exact))
 
 
 class TestSparseKernelsMatchDenseReferences:
@@ -928,10 +931,12 @@ def assert_lu_matches_rescanning_kernels(matrix, rhs, exact):
 
     The same singular decision; otherwise the same ``steps`` and ``upper``
     and the same solutions of A and A^T, compared by ``repr`` so that a
-    zero's sign and each value's type count too.
+    zero's sign and each value's type count too.  An ``ExactLu`` holds its
+    factors as integer ratios: read back as ``Fraction``s, they equal the
+    reference's.
     """
     try:
-        lu = lp._factor(matrix, lp._exact_module(exact))
+        lu = lp._factor(matrix, lp._arithmetic(exact))
     except ZeroDivisionError:
         lu = None
     try:
@@ -941,11 +946,33 @@ def assert_lu_matches_rescanning_kernels(matrix, rhs, exact):
     assert (lu is None) == (reference is None)
     if lu is None:
         return
-    assert repr(lu[:2]) == repr(reference)
-    assert repr(lp._lu_solve(lu, rhs)) == repr(reference_lu_solve(reference, rhs))
-    assert repr(lp._lu_solve_transposed(lu, rhs)) == repr(
+    if exact:
+        assert type(lu) is ExactLu
+        assert exact_factors(lu) == reference
+    else:
+        assert type(lu) is lp.FloatLu
+        assert repr((lu.steps, lu.upper)) == repr(reference)
+    assert repr(lu.solve(rhs)) == repr(reference_lu_solve(reference, rhs))
+    assert repr(lu.solve_transposed(rhs)) == repr(
         reference_lu_solve_transposed(reference, rhs)
     )
+
+
+def exact_factors(lu) -> tuple:
+    """``(steps, upper)`` of an ``ExactLu``, laid out as ``_factor``'s reference.
+
+    Each factor, pivot and entry of U is read back from its integer ratio
+    as a ``Fraction``; a row of U is held dense and last column first.
+    """
+    steps = [
+        (pivot_row, [(r, Fraction(a, b)) for r, a, b in zip(targets, *factors)])
+        for pivot_row, targets, factors in lu.eliminations
+    ]
+    upper = []
+    for col, (pivot, (nums, dens)) in enumerate(lu.rows):
+        right = zip(range(col + 1, len(lu.rows)), nums[::-1], dens[::-1])
+        upper.append((Fraction(*pivot), [(k, Fraction(a, b)) for k, a, b in right if a]))
+    return steps, upper
 
 
 _TERM_FLOATS = st.one_of(
@@ -1059,6 +1086,28 @@ def test_exact_crash_solve_compares_no_fractions():
     assert sol.values == optimal_plan(s).probabilities
     assert verify_solution(prob, sol)
 
+
+def test_both_arithmetics_offer_every_name_the_kernels_read():
+    # the kernels of lp and verify read the arithmetic they are handed as
+    # ex.<name>; each name must exist on both sides, so that no kernel can
+    # reach for one that only floats or only Fractions have
+    names = {"kind", "zero", "tol", "convert", "dots", "signs", "Lu"}
+    read = set()
+    for module in (lp, verify):
+        read |= set(re.findall(r"\bex\.(\w+)", inspect.getsource(module)))
+    assert read == names
+    assert lp._arithmetic(False) is lp._Float
+    assert lp._arithmetic(True) is exact_module
+    for ex, kind, lu in ((lp._Float, float, lp.FloatLu), (exact_module, Fraction, ExactLu)):
+        assert ex.kind is kind and ex.Lu is lu
+        assert type(ex.zero) is kind and ex.zero == 0
+        assert type(ex.convert(1)) is kind
+        assert ex.dots(((1, 2), (3, 4)), (ex.convert(5), ex.convert(6))) == [17, 39]
+        values = [ex.convert(-2), ex.zero, ex.convert(0.5)]
+        assert [(s > 0) - (s < 0) for s in ex.signs(values)] == [-1, 0, 1]
+    assert (lp._Float.tol, exact_module.tol) == (lp.PIVOT_TOL, 0)
+
+
 _SPARSE_EXACT = st.one_of(
     st.just(Fraction(0)),
     st.just(0),
@@ -1099,13 +1148,10 @@ def _swapping_systems(draw):
 def test_exact_solves_with_row_swaps_match_the_reference(system):
     """Exact LU solves of A and A^T equal dense Gauss-Jordan, as ``Fraction``s."""
     matrix, rhs = system
-    lu = lp._factor(matrix, lp._exact_module(True))
-    assume(any(pivot_row != col for col, (pivot_row, _) in enumerate(lu[0])))
+    lu = lp._factor(matrix, lp._arithmetic(True))
+    assume(any(pivot_row != col for col, (pivot_row, *_) in enumerate(lu.eliminations)))
     transposed = [list(column) for column in zip(*matrix)]
-    for x, a in (
-        (lp._lu_solve(lu, rhs), matrix),
-        (lp._lu_solve_transposed(lu, rhs), transposed),
-    ):
+    for x, a in ((lu.solve(rhs), matrix), (lu.solve_transposed(rhs), transposed)):
         assert x == reference_solve_square(a, rhs)
         assert all(type(v) is Fraction for v in x)
 
@@ -1132,7 +1178,7 @@ def assert_lu_matches_reference(matrix, rhs, exact):
     """
     transposed = [list(column) for column in zip(*matrix)]
     try:
-        lu = lp._factor(matrix, lp._exact_module(exact))
+        lu = lp._factor(matrix, lp._arithmetic(exact))
     except ZeroDivisionError:
         lu = None
     reference = _reference_or_singular(matrix, rhs)
@@ -1142,10 +1188,7 @@ def assert_lu_matches_reference(matrix, rhs, exact):
         assert (reference_t == "singular") == (reference == "singular")
     if lu is None:
         return
-    solves = [
-        (matrix, lp._lu_solve(lu, rhs)),
-        (transposed, lp._lu_solve_transposed(lu, rhs)),
-    ]
+    solves = [(matrix, lu.solve(rhs)), (transposed, lu.solve_transposed(rhs))]
     for a, x in solves:
         if exact:
             assert x == reference_solve_square(a, rhs)

@@ -134,6 +134,27 @@ def _small_matrices(draw, sides=st.integers(1, _SMALL_SIDE)):
     return m / norm
 
 
+@settings(max_examples=150, deadline=None)
+@given(_small_matrices(st.integers(1, 2 * _SMALL_SIDE)))
+def test_a_matrix_and_its_transpose_have_one_spectrum(m):
+    # which party's index runs along the rows changes no Schmidt
+    # coefficient, on either side of _SMALL_SIDE (Jacobi or LAPACK)
+    spectra = [schmidt_decompose(a, zero_tol=0.0).coeffs for a in (m, m.T)]
+    n = max(map(len, spectra))
+    assert np.allclose(*(_padded(s, n) for s in spectra), rtol=0, atol=2e-15)
+
+
+def test_a_transposed_array_is_decomposed_as_its_copy():
+    # m.T is a view in Fortran order, which cannot be viewed as floats
+    # along its last axis until AmplitudeMatrix copies it to C order
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(9, 12)) + 1j * rng.normal(size=(9, 12))
+    m /= np.linalg.norm(m)
+    assert not m.T.flags.c_contiguous
+    assert schmidt_decompose(m.T).coeffs == schmidt_decompose(m.T.copy()).coeffs
+    assert AmplitudeMatrix(m.T).entries.flags.c_contiguous
+
+
 class TestSmallMatrixJacobi:
     """Matrices whose smaller side is at most 8 are decomposed in pure Python."""
 
