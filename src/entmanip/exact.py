@@ -175,18 +175,20 @@ def _exact_sub_dot(x_num, x_den, terms, pivot=(1, 1)) -> Fraction:
 class ExactLu:
     """An exact ``lp._factor`` on integer ratios, and the solves that read it.
 
-    Built from the factorisation's ``steps`` and ``u_rows``, the nonzero
-    ``(k, u)`` pairs of each row of U; only their ratios are kept.  A vector
-    of ratios is held as two sequences, numerators and denominators.
-    ``eliminations[col]`` is the pivot row, the eliminated rows and the
-    ratios of their factors; ``rows[col]`` is the pivot's ``(numerator,
-    denominator)`` and the ratios of U's row right of it, last column first
-    (the order back substitution solves them in); ``columns[col]`` the
-    ratios of U's column above it.  Rows and columns are dense: a zero
-    entry is a term whose product is skipped.
+    ``ExactLu(steps, u_rows)`` is built from the factorisation's ``steps``
+    and ``u_rows``, the nonzero ``(k, u)`` pairs of each row of U; only
+    their ratios are kept.  A vector of ratios is held as two sequences,
+    numerators and denominators.  ``eliminations[col]`` is the pivot row,
+    the eliminated rows and the ratios of their factors; ``rows[col]`` is
+    the pivot's ``(numerator, denominator)`` and the ratios of U's row
+    right of it, last column first (the order back substitution solves them
+    in); ``columns[col]`` the ratios of U's column above it.  Rows and
+    columns are dense: a zero entry is a term whose product is skipped.
+    The transposed solve reads U by columns, not by rows as the float one
+    does: a row sweep would cost one ``ratio_dot`` call per product.
     """
 
-    def __init__(self, steps, u_rows, _eliminated):
+    def __init__(self, steps, u_rows):
         # U as dense integer ratios, a zero as 0/1; an entry is a Fraction
         # or an int (the ints of slack columns)
         size = len(u_rows)

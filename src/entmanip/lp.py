@@ -57,15 +57,18 @@ first.  Other matrices, user-built ones and the ``Fraction`` rows of an
 nothing.  The LU is a function of the matrix alone, so every result is
 the same, float for float and ``Fraction`` for ``Fraction``.
 
-The LU factorisation (partial pivoting: the pivot is sought among the
-column's nonzero entries, only those rows are eliminated, over the pivot
-row's nonzeros, and the float singularity test reads a per-row magnitude
-bound instead of rescanning rows) is shared with ``entmanip.verify``,
-which checks a claimed optimum from its stated basis.  It answers B x = q
-and B^T y = c_B from one factorisation by sparse triangular substitution,
-B^T y = c_B one column of U at a time; on the triangular bases of the
-concentration LPs the factorisation does no elimination and compares no
-magnitudes at all.
+A basis is evaluated in one place, :func:`_basis_point`, for the crash
+check and for ``entmanip.verify``, which checks a claimed optimum from its
+stated basis; it is the one reader of the LUs held with shared matrices.
+It factors B (partial pivoting: the pivot is sought among the column's
+nonzero entries, only those rows are eliminated, over the pivot row's
+nonzeros, and the float singularity test reads a per-row magnitude bound
+instead of rescanning rows), or reads the held LU, and answers B x = q and
+B^T y = c_B from that one factorisation by sparse triangular substitution.
+The float solves read U by its rows only: B^T y = c_B subtracts each
+solved entry, times its row of U, from the entries right of it.  On the
+triangular bases of the concentration LPs the factorisation does no
+elimination and compares no magnitudes at all.
 """
 
 from __future__ import annotations
@@ -290,24 +293,18 @@ def simplex_solve(prob: LpProblem, exact: bool = False) -> LpSolution:
 def _structural_optimum(prob: LpProblem, ex):
     """The all-structural basis of a square problem if it is optimal, else None.
 
-    One LU of B answers both halves of the check: the duals y = B^-T c are
-    the slack reduced costs (a structural column's is zero), and
-    x = B^-1 q are the basic values.  The duals go first: on a
-    concentration LP x is the closed-form plan, which is never negative,
-    so a check that fails there fails on y.
+    One evaluation of B by :func:`_basis_point` answers both halves of the
+    check: x = B^-1 q are the basic values, and the duals y = B^-T c are
+    the slack reduced costs (a structural column's is zero).
     """
     n = prob.num_variables
     try:
-        lu = _structural_lu(prob, ex)
+        x, y = _basis_point(prob, range(n), ex)
     except ZeroDivisionError:
         return None
-    y = lu.solve_transposed(prob.objective)
-    if any(v < -ex.tol for v in ex.signs(y)):
+    if any(v < -ex.tol for v in ex.signs(x + y)):
         return None
-    x = lu.solve(prob.bounds)
-    if any(v < -ex.tol for v in ex.signs(x)):
-        return None
-    return _optimum(prob, x, range(n), [ex.zero] * n + y, ex)
+    return _optimum(prob, x[:n], range(n), [ex.zero] * n + y, ex)
 
 
 def _solve_from_slack_basis(prob: LpProblem, ex):
@@ -456,7 +453,7 @@ def _shared_matrix(n: int, exact: bool, build) -> tuple:
 
     ``build()`` makes the rows, a tuple of row tuples, when none are held
     for ``(n, exact)``; once held, every call returns the same objects, and
-    :func:`_structural_lu` factors them once.  A matrix of more than
+    :func:`_basis_point` factors them once.  A matrix of more than
     ``_SHARED_ENTRIES`` entries is built and not held.  Each step is one
     dict operation and the entries held are recounted from a snapshot, so
     threads may share the cache.
@@ -473,21 +470,30 @@ def _shared_matrix(n: int, exact: bool, build) -> tuple:
     return entry[0]
 
 
-def _structural_lu(prob: LpProblem, ex):
-    """``_factor`` of a square problem's constraint matrix, once if shared.
+def _basis_point(prob: LpProblem, basis, ex) -> tuple:
+    """The basic solution of a basis and its duals, ``(x, y)``.
 
-    When the rows of the matrix are those of the shared matrix of the
-    problem's size and arithmetic (the same objects, so the same numbers),
-    the LU held with it is returned, and factored first if it is not held
-    yet.  Any other matrix is factored afresh and nothing is kept.  Raises
-    ``ZeroDivisionError`` as ``_factor`` does.
+    B holds the ``basis`` columns of the extended matrix (the structural
+    columns, then a unit vector per slack), in the arithmetic ``ex``.  x is
+    an extended vector: x_B = B^-1 q at the basis columns, zero elsewhere;
+    y = B^-T c_B.  When the basis is all-structural and the rows are those
+    of the shared matrix of the problem's size and arithmetic (the same
+    objects, so the same numbers), the LU held with them is read, and
+    factored first if it is not held yet.  Any other B is factored afresh
+    and nothing is kept.  Raises ``ZeroDivisionError`` as ``_factor`` does.
     """
-    entry = _shared.get((prob.num_constraints, prob.exact))
-    if entry is None or not all(map(operator.is_, entry[0], prob.constraint_matrix)):
-        return _factor(prob.constraint_matrix, ex)
-    if entry[1] is None:
-        entry[1] = _factor(prob.constraint_matrix, ex)
-    return entry[1]
+    c, rows = prob.objective, prob.constraint_matrix
+    n, m = len(c), len(rows)
+    held = _shared.get((m, prob.exact)) if tuple(basis) == tuple(range(n)) else None
+    if held and all(map(operator.is_, held[0], rows)):
+        lu = held[1] = held[1] or _factor(rows, ex)
+    else:
+        b = [[r[j] if j < n else int(j == n + i) for j in basis] for i, r in enumerate(rows)]
+        lu = _factor(b, ex)
+    x = [ex.zero] * (n + m)
+    for j, value in zip(basis, lu.solve(prob.bounds)):
+        x[j] = value
+    return x, lu.solve_transposed([c[j] if j < n else ex.zero for j in basis])
 
 
 def _factor(matrix, ex):
@@ -512,12 +518,11 @@ def _factor(matrix, ex):
     bound rescans the remaining rows (resetting their bounds to the
     magnitudes found), and that rescan decides.
 
-    ``ex.Lu`` is built from ``steps``, ``u_rows`` and the eliminated
-    matrix.  ``steps[col]`` is the row swapped into position ``col`` and the
-    ``(row, factor)`` pairs that eliminated the column below it;
-    ``u_rows[col]`` holds the ``(k, u)`` pairs of the nonzero entries of
-    row col of U, the pivot first, as the elimination reads them; row col
-    of the eliminated matrix is row col of U from its pivot on.
+    ``ex.Lu`` is built from ``steps`` and ``u_rows``.  ``steps[col]`` is
+    the row swapped into position ``col`` and the ``(row, factor)`` pairs
+    that eliminated the column below it; ``u_rows[col]`` holds the
+    ``(k, u)`` pairs of the nonzero entries of row col of U, the pivot
+    first, as the elimination reads them.
     """
     size = len(matrix)
     a = [list(row) for row in matrix]
@@ -561,7 +566,7 @@ def _factor(matrix, ex):
                 bound[r] += abs(factor) * bound[col]
         steps.append((pivot_row, eliminated))
         u_rows.append(nonzero)
-    return ex.Lu(steps, u_rows, a)
+    return ex.Lu(steps, u_rows)
 
 
 def _sub_dot(x, terms, vector):
@@ -580,14 +585,12 @@ class FloatLu:
 
     ``steps`` are the factorisation's swaps and eliminations.
     ``upper[col]`` is the pivot and the ``(k, u)`` pairs of the nonzero
-    entries right of it; ``columns[col]`` is the column of U above the
-    pivot, zeros included.
+    entries right of it, so both solves read U by its rows.
     """
 
-    def __init__(self, steps, u_rows, eliminated):
+    def __init__(self, steps, u_rows):
         self.steps = steps
         self.upper = [(row[0][1], row[1:]) for row in u_rows]
-        self.columns = [column[:col] for col, column in enumerate(zip(*eliminated))]
 
     def solve(self, rhs) -> list:
         """Solve B x = rhs."""
@@ -607,19 +610,16 @@ class FloatLu:
         """Solve B^T y = rhs.
 
         With M B = U, M the swaps and eliminations in order, y = M^T w for
-        U^T w = rhs: forward substitution down the columns of U, then the
-        transposed eliminations and the swaps in reverse order.
+        U^T w = rhs: forward substitution by the rows of U, each solved
+        nonzero w_k times row k subtracted from the entries right of it,
+        then the transposed eliminations and the swaps in reverse order.
         """
         w = list(rhs)
-        for col, (pivot, _) in enumerate(self.upper):
-            x, above = w[col], self.columns[col]
-            terms = compress(enumerate(above), above)
-            if not x:
-                # the row sweep skipped zero entries of w; a term u * -0.0
-                # would turn a start of -0.0 into 0.0, while any other start
-                # absorbs such terms unchanged
-                terms = [(k, u) for k, u in terms if w[k]]
-            w[col] = _sub_dot(x, terms, w) / pivot
+        for col, (pivot, right) in enumerate(self.upper):
+            x = w[col] = w[col] / pivot
+            if x:
+                for k, u in right:
+                    w[k] -= u * x
         for col in reversed(range(len(w))):
             pivot_row, eliminated = self.steps[col]
             if eliminated:

@@ -936,25 +936,43 @@ _SPECTRUM_CALLS = [
     ["concentrate", "--state", "{state}"],
     ["concentrate", "--state", "{state}", "--weights", "log2", "--certify", "--asymptotic", "3"],
 ]
+# calls that also read a target or an ensemble; their verdict may be either
+_TARGET_CALLS = [
+    ["check-feasible", "--source", "{state}", "--target", "{target}"],
+    ["check-feasible", "--source", "{state}", "--ensemble", "{ensemble}"],
+    ["build-povm", "--source", "{state}", "--ensemble", "{ensemble}"],
+]
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     spectrum=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8),
+    target=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8),
     zeros=st.lists(st.sampled_from([0, 0.0]), min_size=1, max_size=4),
 )
-def test_trailing_zeros_in_a_spectrum_change_no_output(spectrum, zeros):
+def test_trailing_zeros_in_a_spectrum_change_no_output(spectrum, target, zeros):
+    # the padded run pads the source, the target and one ensemble member
     with tempfile.TemporaryDirectory() as tmp:
         outputs = []
-        for name, values in (("plain", spectrum), ("padded", spectrum + zeros)):
-            path = os.path.join(tmp, f"{name}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump({"spectrum": values}, fh)
-            outputs.append(
-                [_main_exit_code([a.format(state=path) for a in argv]) for argv in _SPECTRUM_CALLS]
-            )
+        for name, pad in (("plain", []), ("padded", zeros)):
+            members = [(0.5, target + pad), (0.5, [1.0])]
+            docs = {
+                "state": {"spectrum": spectrum + pad},
+                "target": {"spectrum": target + pad},
+                "ensemble": {"ensemble": [{"probability": p, "spectrum": v} for p, v in members]},
+            }
+            files = {}
+            for key, doc in docs.items():
+                files[key] = os.path.join(tmp, f"{name}-{key}.json")
+                with open(files[key], "w", encoding="utf-8") as fh:
+                    json.dump(doc, fh)
+            outputs.append([
+                _main_exit_code([a.format(**files) for a in argv])
+                for argv in _SPECTRUM_CALLS + _TARGET_CALLS
+            ])
     assert outputs[0] == outputs[1]
-    assert all(code == 0 for code, _, _ in outputs[0])
+    assert all(code == 0 for code, _, _ in outputs[0][: len(_SPECTRUM_CALLS)])
+    assert all(code in (0, 3) for code, _, _ in outputs[0])
 
 
 def _call(argv, *modules):

@@ -283,7 +283,8 @@ def test_reduced_costs_of_a_mixed_problem():
     prob = LpProblem((1e16, 1.0, -1e16, 0.0), matrix, (1.0, 1.0, 1.0))
     basis = (0, 1, 2)
     ex = lp._arithmetic(prob.exact)
-    costs = verify._basis_reduced_costs(prob, basis, verify._factor_basis(prob, basis, ex), ex)
+    _, y = lp._basis_point(prob, basis, ex)
+    costs = verify._reduced_costs(prob, y, ex) + y
     assert costs == [0, 0, 0, Fraction(1), Fraction(10**16), 1, -Fraction(10**16)]
     assert all(type(c) is Fraction for c in costs)
 
@@ -294,14 +295,34 @@ def test_exact_concentration_lp_is_exact_end_to_end():
     prob = concentration_lp(make_spectrum([Fraction(k) for k in (7, 5, 3, 2, 1)]))
     sol = simplex_solve(prob, exact=True)
     ex = lp._arithmetic(prob.exact)
-    lu = verify._factor_basis(prob, sol.basis, ex)
-    reduced = verify._basis_reduced_costs(prob, sol.basis, lu, ex)
+    _, y = lp._basis_point(prob, sol.basis, ex)
+    reduced = verify._reduced_costs(prob, y, ex) + y
     residuals = constraint_residuals(prob, simplex_solve(prob).values)
     vertex = enumerate_vertices(prob)
     for values in (reduced, residuals, vertex.values, [vertex.objective_value]):
         assert all(type(v) is Fraction for v in values)
     assert vertex.objective_value == sol.objective_value
     assert verify_solution(prob, sol)
+
+
+def _moved(sol, k, shift):
+    """``sol`` with value k, or the objective when k is past the values, moved."""
+    values, objective = list(sol.values), sol.objective_value
+    if k < len(values):
+        values[k] += shift
+    else:
+        objective += shift
+    return LpSolution(values, objective, sol.basis, sol.reduced_costs, "optimal")
+
+
+@pytest.mark.parametrize("k, shift", [(0, Fraction(1, 10**12)), (3, Fraction(1, 10**10))])
+def test_exact_verification_rejects_a_claim_within_the_float_tolerance(k, shift):
+    # values[0] + 1e-12 breaks row 1 (the sum of p exceeds 1); the
+    # objective + 1e-10 breaks the objective's equality
+    prob = concentration_lp(make_spectrum([Fraction(5), Fraction(3), Fraction(2)]))
+    sol = simplex_solve(prob)
+    assert verify_solution(prob, sol)
+    assert not verify_solution(prob, _moved(sol, k, shift))
 
 
 _MIXED_ENTRIES = st.one_of(
@@ -1257,3 +1278,52 @@ def test_verify_matches_dense_reference(exact, data):
     else:
         assert reference_verify(prob, sol, slack=-1e-12) <= verdict
         assert verdict <= reference_verify(prob, sol, slack=1e-12)
+
+
+@st.composite
+def _bases(draw):
+    """An exact problem and a basis of m distinct extended columns, slacks included."""
+    prob = draw(_problems(exact=True))
+    columns = range(prob.num_variables + prob.num_constraints)
+    return prob, draw(st.permutations(columns))[: prob.num_constraints]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_bases())
+def test_basis_point_solves_the_basis_exactly(case):
+    """``_basis_point`` gives B x_B = q and B^T y = c_B exactly, or raises
+    ``ZeroDivisionError`` exactly when B is singular; every value is a
+    ``Fraction``, so no int entry of a slack column leaks a float."""
+    prob, basis = case
+    n, m = prob.num_variables, prob.num_constraints
+    b = [
+        [row[j] if j < n else Fraction(int(j == n + i)) for j in basis]
+        for i, row in enumerate(prob.constraint_matrix)
+    ]
+    costs = [prob.objective[j] if j < n else 0 for j in basis]
+    try:
+        reference_solve_square(b, list(prob.bounds))
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            lp._basis_point(prob, basis, lp._arithmetic(True))
+        return
+    x, y = lp._basis_point(prob, basis, lp._arithmetic(True))
+    assert all(type(v) is Fraction for v in chain(x, y))
+    assert len(x) == n + m and len(y) == m
+    assert all(x[j] == 0 for j in set(range(n + m)) - set(basis))
+    x_b = [x[j] for j in basis]
+    assert [sum(map(operator.mul, row, x_b)) for row in b] == list(prob.bounds)
+    assert [sum(map(operator.mul, col, y)) for col in zip(*b)] == costs
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_concentration_lps(min_rank=1).filter(lambda case: case[1]), data=st.data())
+def test_exact_verification_is_exact(case, data):
+    """An exact optimum verifies; moving one value or the objective by any
+    nonzero ``Fraction``, however small, fails."""
+    prob, _, _ = case
+    sol = simplex_solve(prob)
+    assert prob.exact and verify_solution(prob, sol)
+    k = data.draw(st.integers(0, prob.num_variables), label="moved")
+    shift = data.draw(st.fractions().filter(bool), label="shift")
+    assert not verify_solution(prob, _moved(sol, k, shift))

@@ -186,3 +186,19 @@ def test_value_type_contract(cls, args, defaults, other, golden):
     clones = pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)
     for clone in clones:
         assert type(clone) is cls and clone == value and repr(clone) == golden
+
+
+def test_code_lines_tool_stops_quietly_when_its_reader_closes_the_pipe():
+    # unbuffered, each print is written at once, so the write after the
+    # close meets a closed pipe, as it does on a terminal or under | head
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    tool = os.path.join(repo, "tools", "code_lines.py")
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen(
+        [sys.executable, tool], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert proc.stdout.readline().endswith(b"__init__.py\n")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert b"BrokenPipeError" not in err and b"Traceback" not in err

@@ -235,6 +235,25 @@ def test_povm_reproduces_any_feasible_ensemble(case):
             assert abs(outcome[group.representative - 1] * r - ensemble.entries[j - 1][0]) <= 1e-9
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=_feasible_cases(), other=_SPECTRA, data=st.data())
+def test_permuting_an_ensemble_changes_no_verdict_and_relabels_the_povm(case, other, data):
+    """The verdict from any source is the same for every order of the
+    entries, the ensemble's own average (the tightest feasible source)
+    included, and element k of the measurement moves with entry k.  The
+    average is summed in entry order, so the diagonals agree to within
+    1e-15, not bit for bit."""
+    source, ensemble = case
+    order = data.draw(st.permutations(range(len(ensemble.entries))), label="order")
+    permuted = make_ensemble([ensemble.entries[k] for k in order])
+    for s in (source, average_target(ensemble), other):
+        assert ensemble_feasible(s, permuted).feasible == ensemble_feasible(s, ensemble).feasible
+    elements = build_ensemble_povm(ensemble).elements
+    for element, k in zip(build_ensemble_povm(permuted).elements, order):
+        assert len(element.diag) == len(elements[k].diag)
+        assert max(map(abs, np.subtract(element.diag, elements[k].diag))) <= 1e-15
+
+
 class TestApplyPovmElement:
     def test_identity_element(self):
         s = make_spectrum([0.7, 0.3])

@@ -13,7 +13,9 @@ runs, is counted for every call.  A module-level import that loads code a
 call never runs shows there.
 
 Usage: python tools/code_lines.py [package directory]
-(the default is src/entmanip, relative to the repository root)
+(the default is src/entmanip, relative to the repository root).  A reader
+that closes the pipe early, as ``| head`` does, ends the tool quietly with
+exit status 0.
 """
 
 import ast
@@ -126,4 +128,10 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    try:
+        sys.exit(main(sys.argv))
+    except BrokenPipeError:
+        # the reader stopped reading (``| head``): stop quietly, with stdout
+        # on devnull so that the flush at exit cannot raise the error again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(0)
