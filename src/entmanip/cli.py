@@ -2,21 +2,21 @@
 
 Subcommands: decompose, check-feasible, build-povm, concentrate, lp-solve,
 simulate.  Machine-readable JSON goes to stdout, human-readable errors to
-stderr.  Exit codes: 0 success, 2 usage error, 3 infeasible or failed
-check, 4 I/O or parse error.
+stderr.  Exit codes: 0 success, 2 usage error, 3 infeasible, or a
+``FailedCheck`` (the library could not certify an answer), 4 I/O or parse
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import sys
 
 from . import __version__
 from .jsonio import dumps, load_ensemble, load_lp, load_povm, load_state, load_weights
-from .schmidt import ZERO_TOL, entropy
+from .schmidt import ZERO_TOL, FailedCheck, entropy
 
 # Each _cmd_* imports the kernel modules it calls, so a call loads only
 # what its subcommand uses.  load_state and dumps are looked up in this
@@ -68,7 +68,7 @@ def _report_dict(report) -> dict:
     return {
         "feasible": report.feasible,
         "violated_indices": list(report.violated_indices),
-        "slack": [float(s) for s in report.slack],
+        "slack": list(report.slack),
     }
 
 
@@ -122,22 +122,11 @@ def _cmd_build_povm(args) -> int:
         return EXIT_INFEASIBLE
     merged, die = merge_duplicates(ensemble)
     text = dumps(_povm_dict(build_ensemble_povm(merged), die)) + "\n"
-    sys.stdout.write(text)
-    if args.out:
+    if args.out:  # first, so that a file that cannot be written leaves stdout empty
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    sys.stdout.write(text)
     return EXIT_OK
-
-
-def _simplex_solve(problem):
-    """``lp.simplex_solve``; a solve that reaches its pivot cap exits 3."""
-    from .lp import PivotCapError, simplex_solve
-
-    try:
-        return simplex_solve(problem)
-    except PivotCapError as exc:
-        print(f"entmanip: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INFEASIBLE) from None
 
 
 def _lp_plan(state, weights):
@@ -148,15 +137,17 @@ def _lp_plan(state, weights):
     by the same c_1.  The solver may then leave probability unassigned; the
     remainder goes to level 1, which is always feasible and does not change
     the shifted objective.  The objective returned is sum_j c_j p_j of the
-    completed plan.
+    completed plan.  The LP is feasible and bounded for any weights, so a
+    solve that is not optimal is a numerical failure: ``FailedCheck``.
     """
     from .concentrate import concentration_lp
+    from .lp import simplex_solve
 
     shifted = [c - weights[0] for c in weights]
-    solution = _simplex_solve(concentration_lp(state, shifted))
+    solution = simplex_solve(concentration_lp(state, shifted))
     if solution.status != "optimal":
-        raise ValueError(f"concentration LP came back {solution.status}")
-    probs = [float(v) for v in solution.values]
+        raise FailedCheck(f"concentration LP came back {solution.status}")
+    probs = list(solution.values)
     probs[0] += max(0.0, 1.0 - math.fsum(probs))
     return probs, math.fsum(c * p for c, p in zip(weights, probs))
 
@@ -171,7 +162,7 @@ def _cmd_concentrate(args) -> int:
     weights = standard_weights(args.weights, n) if named else load_weights(args.weights)
     if args.weights == "ln":
         plan = optimal_plan(state)
-        probs = [float(p) for p in plan.probabilities]
+        probs = list(plan.probabilities)
         objective = expected = plan.expected_entanglement
     else:
         probs, objective = _lp_plan(state, weights)
@@ -210,19 +201,21 @@ def _emit_concentrate_csv(probs, curve, units) -> None:
 
 
 def _cmd_lp_solve(args) -> int:
-    solution = _simplex_solve(load_lp(args.problem))
+    from .lp import simplex_solve
+
+    solution = simplex_solve(load_lp(args.problem))
     doc = {"status": solution.status}
     if solution.status == "optimal":
-        doc["values"] = [float(v) for v in solution.values]
-        doc["objective"] = float(solution.objective_value)
+        doc["values"] = list(solution.values)
+        doc["objective"] = solution.objective_value
         doc["basis"] = list(solution.basis)
-        doc["reduced_costs"] = [float(r) for r in solution.reduced_costs]
+        doc["reduced_costs"] = list(solution.reduced_costs)
     _emit(doc)
     return EXIT_OK if solution.status == "optimal" else EXIT_INFEASIBLE
 
 
 def _cmd_simulate(args) -> int:
-    from .sim import IncompletePovmError, simulate
+    from .sim import simulate
 
     state = load_state(args.state)
     if args.protocol == "optimal":
@@ -231,11 +224,7 @@ def _cmd_simulate(args) -> int:
         povm = single_shot_povm(state)
     else:
         povm = load_povm(args.protocol)
-    try:
-        report = simulate(povm, state, trials=args.trials, seed=args.seed)
-    except IncompletePovmError as exc:
-        print(f"entmanip: failed check: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    report = simulate(povm, state, trials=args.trials, seed=args.seed)
     _emit(
         {
             "trials": report.trials,
@@ -332,12 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     """Parse arguments, dispatch, and map failures to exit codes."""
     parser = build_parser()
-    try:  # argparse and a failed solve exit by SystemExit
+    try:  # argparse exits by SystemExit
         args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except FailedCheck as exc:  # before ValueError, which some subclasses also are
+        print(f"entmanip: failed check: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except (OSError, ValueError) as exc:
         print(f"entmanip: {exc}", file=sys.stderr)
         return EXIT_IO
 

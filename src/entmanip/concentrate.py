@@ -74,18 +74,6 @@ class ConcentrationPlan(Frozen):
             )
         self._store(probabilities, expected_entanglement)
 
-    @classmethod
-    def _of_spectrum(cls, probabilities: tuple, expected_entanglement: float):
-        """The plan of a checked spectrum, built without checking it again.
-
-        Its probabilities are nonnegative and telescope to the coefficient
-        sum, which the spectrum already holds to ``NORM_TOL``; summing them
-        again can round a valid spectrum's plan just past that bound.
-        """
-        plan = object.__new__(cls)
-        plan._store(probabilities, expected_entanglement)
-        return plan
-
 
 class OptimalityCertificate(Frozen):
     """Reduced costs of the concentration LP at the closed-form vertex.
@@ -126,7 +114,11 @@ def optimal_plan(s: SchmidtSpectrum) -> ConcentrationPlan:
     expected = math.fsum(
         map(operator.mul, map(float, probs[1:]), map(math.log, range(2, n + 1)))
     )
-    return ConcentrationPlan._of_spectrum(probs, expected)
+    # Built without the plan's checks: the probabilities are nonnegative and
+    # telescope to the coefficient sum, which the spectrum already holds to
+    # NORM_TOL; summing them again can round a valid spectrum's plan just
+    # past that bound.
+    return ConcentrationPlan._of(probs, expected)
 
 
 def standard_weights(kind: str, n: int) -> tuple:

@@ -137,8 +137,9 @@ def exact_spectrum(values: list, zero_tol) -> SchmidtSpectrum:
     kept = sorted((n for n in scaled if n > floor), reverse=True)
     if not kept:
         raise ValueError(_ALL_STRIPPED)
-    # positive, nonincreasing and summing to exactly 1, as the spectrum requires
-    return SchmidtSpectrum._of_exact(tuple(map(Fraction, kept, repeat(sum(kept)))))
+    # positive, nonincreasing and summing to exactly 1 by construction, as
+    # the spectrum requires, so it is stored without checking it again
+    return SchmidtSpectrum._of(tuple(map(Fraction, kept, repeat(sum(kept)))))
 
 
 # ---------------------------------------------------------------- LP kernels

@@ -78,7 +78,7 @@ import numbers
 import operator
 from itertools import chain, compress
 
-from .schmidt import Frozen, fraction_among
+from .schmidt import FailedCheck, Frozen, fraction_among
 
 PIVOT_TOL = 1e-11
 _MAX_PIVOTS_FACTOR = 64
@@ -219,7 +219,7 @@ def _finite(name: str, rows, kinds, ex) -> tuple:
     return rows
 
 
-class PivotCapError(RuntimeError):
+class PivotCapError(FailedCheck, RuntimeError):
     """The simplex reached its pivot cap, ``_MAX_PIVOTS_FACTOR * (n + m + 4)``.
 
     Bland's rule cannot cycle, but it can take exponentially many pivots

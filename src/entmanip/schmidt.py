@@ -76,6 +76,15 @@ def check_positive_nonincreasing(values: tuple, what: str) -> None:
     raise ValueError(f"{what} must be nonincreasing")
 
 
+class FailedCheck(Exception):
+    """The library could not certify an answer.
+
+    A solve that gives up, or a measurement that does not resolve the
+    state, raises a subclass that also derives from the built-in exception
+    its callers catch.  The CLI maps every one to exit 3.
+    """
+
+
 class Frozen:
     """Base of the immutable value types.
 
@@ -91,6 +100,13 @@ class Frozen:
 
     def _store(self, *values):
         self.__dict__.update(zip(self._fields, values))
+
+    @classmethod
+    def _of(cls, *values):
+        """An instance holding ``values``, stored without ``__init__``'s checks."""
+        obj = object.__new__(cls)
+        obj._store(*values)
+        return obj
 
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
@@ -140,15 +156,6 @@ class SchmidtSpectrum(Frozen):
         if not abs(total - 1) <= NORM_TOL:
             raise ValueError(f"spectrum is not normalized: sum = {total!r}")
         self._store(coeffs)
-
-    @classmethod
-    def _of_exact(cls, coeffs: tuple):
-        """The spectrum of ``Fraction``s that are positive, nonincreasing
-        and sum to exactly 1 by construction, stored without checking them
-        again."""
-        spectrum = object.__new__(cls)
-        spectrum._store(coeffs)
-        return spectrum
 
     @property
     def rank(self) -> int:

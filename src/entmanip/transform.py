@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from itertools import zip_longest
 
-from .schmidt import NORM_TOL, Frozen, SchmidtSpectrum, make_spectrum, padded_average
+from .schmidt import NORM_TOL, FailedCheck, Frozen, SchmidtSpectrum, make_spectrum, padded_average
 
 MERGE_TOL = 1e-9
 POVM_TOL = 1e-10
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 
-class IncompletePovmError(ValueError):
+class IncompletePovmError(FailedCheck, ValueError):
     """The measurement does not resolve to 1 on the state's support."""
 
 

@@ -70,8 +70,10 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
     maximization sign condition.  The claimed values and objective are
     converted into the problem's arithmetic first.  A float problem is
     checked to within ``VERIFY_TOL``; an exact one exactly, with the exact
-    arithmetic's tolerance 0.  A singular basis matrix fails the
-    verification rather than raising.
+    arithmetic's tolerance 0.  Each test is written in positive form, so
+    that a NaN fails it.  A singular basis matrix, or a claim that the
+    arithmetic cannot take (NaN or an infinity in an exact problem), fails
+    the verification rather than raising.
     """
     if sol.status != "optimal":
         return False
@@ -79,21 +81,21 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
     if len(sol.basis) != m or len(sol.values) != n:
         return False
     ex = _arithmetic(prob.exact)
-    values = tuple(map(ex.convert, sol.values))
-    try:
+    try:  # NaN or an infinity to Fraction raises, as inf - inf in fsum does
+        values = tuple(map(ex.convert, sol.values))
+        claimed = ex.convert(sol.objective_value)
         extended, y = _basis_point(prob, sol.basis, ex)
-    except ZeroDivisionError:
+        residuals = _residuals(prob, values, ex)
+        (objective,) = ex.dots((prob.objective,), values)
+        duals = chain(_reduced_costs(prob, y, ex), y)
+    except (ValueError, OverflowError, ZeroDivisionError):
         return False
     tol = ex.tol and VERIFY_TOL  # an arithmetic without tolerance checks exactly
-    if any(x < -tol for x in extended):
-        return False
-    if any(abs(extended[j] - values[j]) > tol for j in range(n)):
-        return False
-    if any(r > tol for r in _residuals(prob, values, ex)):
-        return False
-    if any(v < -tol for v in values):
-        return False
-    (objective,) = ex.dots((prob.objective,), values)
-    if abs(objective - ex.convert(sol.objective_value)) > tol:
-        return False
-    return all(d >= -tol for d in chain(_reduced_costs(prob, y, ex), y))
+    return (
+        all(x >= -tol for x in extended)
+        and all(abs(e - v) <= tol for e, v in zip(extended, values))
+        and all(r <= tol for r in residuals)
+        and all(v >= -tol for v in values)
+        and abs(objective - claimed) <= tol
+        and all(d >= -tol for d in duals)
+    )

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 import entmanip
 from entmanip import cli, jsonio, lp
 from entmanip.cli import run
+from entmanip.schmidt import FailedCheck
 from entmanip.sim import _CHUNK_TRIALS, _python_tally
+from entmanip.transform import IncompletePovmError
 from util import CYCLING_LP, highs_optimum
 
 
@@ -37,6 +39,15 @@ def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def failed_check_message(err):
+    """The message of the one stderr line a failed check prints."""
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    prefix = "entmanip: failed check: "
+    assert line.startswith(prefix), line
+    return line[len(prefix):]
 
 
 class TestDecompose:
@@ -212,6 +223,20 @@ class TestBuildPovm:
         assert doc["support_rank"] == 2
         assert [el["label"] for el in doc["elements"]] == [1, 2]
         assert json.loads(out.read_text()) == doc
+
+    def test_unwritable_out_exits_4_with_empty_stdout(self, capsys, tmp_path):
+        src = write_json(tmp_path / "src.json", {"spectrum": [0.6, 0.4]})
+        ens = write_json(
+            tmp_path / "e.json",
+            {"ensemble": [{"probability": 1.0, "spectrum": [0.6, 0.4]}]},
+        )
+        out = tmp_path / "missing" / "povm.json"
+        argv = ["build-povm", "--source", src, "--ensemble", ens, "--out", str(out)]
+        assert run(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("entmanip: ")
+        assert "Traceback" not in captured.err
 
     def test_infeasible_exits_3(self, capsys, tmp_path):
         src = write_json(tmp_path / "src.json", {"spectrum": [0.9, 0.1]})
@@ -522,7 +547,14 @@ class TestSimulate:
             ["simulate", "--state", worked_state, "--protocol", str(path),
              "--trials", "10", "--seed", "1"]
         )
+        # IncompletePovmError is a ValueError too, which alone would exit 4
+        assert issubclass(IncompletePovmError, ValueError)
         assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert failed_check_message(captured.err) == (
+            "state rank exceeds the measurement support"
+        )
 
     def test_support_rank_must_match_the_diagonals(
         self, capsys, tmp_path, worked_state
@@ -868,11 +900,12 @@ def test_the_pivot_cap_exits_3(tmp_path):
     doc = _klee_minty(18)
     code, out, err = _main_exit_code(["lp-solve", write_json(tmp_path / "km.json", doc)])
     assert (code, out) == (3, "")
-    assert "pivot cap of 2560" in err and "Traceback" not in err
+    assert "pivot cap of 2560" in failed_check_message(err)
     # a library caller still gets the RuntimeError
     prob = entmanip.LpProblem(doc["objective"], doc["matrix"], doc["bounds"])
-    with pytest.raises(RuntimeError, match="pivot cap"):
+    with pytest.raises(RuntimeError, match="pivot cap") as info:
         entmanip.simplex_solve(prob)
+    assert isinstance(info.value, FailedCheck)
     # a smaller cube solves: 25 pivots at n = 6
     code, out, _ = _main_exit_code(["lp-solve", write_json(tmp_path / "km6.json", _klee_minty(6))])
     assert code == 0 and json.loads(out)["objective"] == 5**6
@@ -887,7 +920,19 @@ def test_the_pivot_cap_of_a_weighted_concentration_exits_3(tmp_path):
     with mock.patch.object(lp, "_MAX_PIVOTS_FACTOR", 0):
         code, out, err = _main_exit_code(argv)
     assert (code, out) == (3, "")
-    assert "pivot cap" in err and "Traceback" not in err
+    assert "pivot cap" in failed_check_message(err)
+
+
+def test_a_non_optimal_concentration_lp_exits_3(tmp_path):
+    # the LP is feasible and bounded for any weights, so only a numerical
+    # failure can make it come back otherwise
+    state = write_json(tmp_path / "s.json", {"spectrum": [0.5, 0.3, 0.2]})
+    argv = ["concentrate", "--state", state, "--weights", "log2"]
+    unbounded = lp.LpSolution((), None, (), (), "unbounded")
+    with mock.patch.object(lp, "simplex_solve", return_value=unbounded):
+        code, out, err = _main_exit_code(argv)
+    assert (code, out) == (3, "")
+    assert failed_check_message(err) == "concentration LP came back unbounded"
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

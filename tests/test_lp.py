@@ -264,6 +264,19 @@ class TestVerifySolution:
         assert not verify_solution(prob, claim)
 
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_rejects_a_nan_claim_at_the_optimal_basis(self, exact):
+        # NaN fails every comparison, so only a check in positive form
+        # rejects it; Fraction(nan) raises, which is a rejection too
+        spectrum = [Fraction(k, 10) for k in (5, 3, 2)] if exact else [0.5, 0.3, 0.2]
+        prob = concentration_lp(make_spectrum(spectrum))
+        sol = simplex_solve(prob)
+        assert verify_solution(prob, sol)
+        nan = math.nan
+        for values, objective in (((nan,) * 3, nan), (sol.values, nan)):
+            claim = LpSolution(values, objective, sol.basis, (), "optimal")
+            assert verify_solution(prob, claim) is False
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
     @pytest.mark.parametrize("n", [2, 64])
     def test_singular_basis_fails_without_raising(self, n, exact):
         twin, claim = _twin_problem(n, exact)
@@ -1327,3 +1340,21 @@ def test_exact_verification_is_exact(case, data):
     k = data.draw(st.integers(0, prob.num_variables), label="moved")
     shift = data.draw(st.fractions().filter(bool), label="shift")
     assert not verify_solution(prob, _moved(sol, k, shift))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_concentration_lps(min_rank=1), data=st.data())
+def test_verification_rejects_a_claim_that_is_not_finite(case, data):
+    """Replacing one claimed value, or the objective, by NaN or an infinity
+    fails the check in both arithmetics, and raises nothing."""
+    prob, _, _ = case
+    sol = simplex_solve(prob)
+    k = data.draw(st.integers(0, prob.num_variables), label="replaced")
+    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="by")
+    values, objective = list(sol.values), sol.objective_value
+    if k < len(values):
+        values[k] = bad
+    else:
+        objective = bad
+    claim = LpSolution(values, objective, sol.basis, sol.reduced_costs, "optimal")
+    assert verify_solution(prob, claim) is False

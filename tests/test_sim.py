@@ -283,6 +283,9 @@ class TestSimulate:
         povm = single_shot_povm(make_spectrum([0.6, 0.4]))
         with pytest.raises(IncompletePovmError):
             simulate(povm, make_spectrum([0.5, 0.3, 0.2]), trials=10, seed=0)
+        # a library caller that catches ValueError still catches it
+        with pytest.raises(ValueError):
+            simulate(povm, make_spectrum([0.5, 0.3, 0.2]), trials=10, seed=0)
 
     def test_rejects_nonpositive_trials(self):
         s = make_spectrum([1.0])
