@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from .monotones import vidal_monotones
 from .schmidt import NORM_TOL, Frozen, SchmidtSpectrum, holds_fraction
@@ -79,9 +79,12 @@ class OptimalityCertificate(Frozen):
     """Reduced costs of the concentration LP at the closed-form vertex.
 
     The certificate depends only on the level weights, not on the
-    spectrum; it passes when every value is nonnegative, up to
-    ``CERT_TOL`` for float values and exactly for ``Fraction`` values,
-    which are kept as they are.
+    spectrum; it passes when every value is nonnegative: exactly for
+    ``Fraction`` values, which are kept as they are, and for float values
+    up to ``CERT_TOL`` times the scale of f(j) = j c_j, max_j |f(j)|, whose
+    rounding z inherits.  z is the second difference of f, so f is z's
+    double running sum and is not stored beside it.  Weights scaled by 2^k
+    give z scaled by 2^k and the same verdict.
     """
 
     _fields = ("z_values",)
@@ -94,8 +97,13 @@ class OptimalityCertificate(Frozen):
 
     @property
     def passed(self) -> bool:
-        tol = 0 if holds_fraction(self.z_values) else CERT_TOL
-        return all(z >= -tol for z in self.z_values)
+        z = self.z_values
+        if holds_fraction(z):
+            tol = 0
+        else:
+            tol = CERT_TOL * max(map(abs, accumulate(accumulate(z))), default=0.0)
+        # not v >= -tol: an overflowed f makes tol inf, and -inf + inf is NaN
+        return all(v + tol >= 0 for v in z)
 
 
 def optimal_plan(s: SchmidtSpectrum) -> ConcentrationPlan:
@@ -149,15 +157,18 @@ def concentration_lp(s: SchmidtSpectrum, weights=None) -> LpProblem:
     The constraint matrix is upper triangular; the bounds are the
     spectrum's tail sums.  ``weights`` defaults to ln j.  A ``Fraction`` in
     the spectrum or in the weights makes the problem exact, with an exactly
-    rational matrix; ``LpProblem`` converts float bounds and weights
-    exactly.
+    rational matrix; float bounds and weights are then converted exactly.
+    The weights are checked as ``LpProblem`` checks an objective, with the
+    same messages: real numbers only, and finite.
 
     The matrix depends only on the rank and the arithmetic, so it is built
-    once for each and held by ``lp._shared_matrix``: every problem of that
-    rank and arithmetic holds the same row tuples, and the solver and
-    ``verify_solution`` factor its all-structural basis once for all of
-    them.  The held matrices are bounded by ``lp._SHARED_ENTRIES`` entries,
-    about 8 MB of floats; the results are the same as from fresh rows.
+    and checked once for each and held by ``lp._shared_matrix``: every
+    problem of that rank and arithmetic holds that one tuple as its
+    ``constraint_matrix``, stored by ``LpProblem._of_matrix`` without a
+    second look at its entries, and the solver and ``verify_solution``
+    factor its all-structural basis once for all of them.  The held
+    matrices are bounded by ``lp._SHARED_ENTRIES`` entries, about 8 MB of
+    floats; the results are the same as from fresh rows.
     """
     from .lp import LpProblem, _shared_matrix
 
@@ -169,9 +180,12 @@ def concentration_lp(s: SchmidtSpectrum, weights=None) -> LpProblem:
         raise ValueError(
             f"expected {n} weights for a rank-{n} spectrum, got {len(weights)}"
         )
-    exact = holds_fraction(s.coeffs + weights)
+    bounds = vidal_monotones(s)
+    # the rule LpProblem applies to the weights and bounds, so the matrix is
+    # of the arithmetic they decide
+    exact = holds_fraction(bounds + weights)
     matrix = _shared_matrix(n, exact, lambda: _tail_sum_rows(n, exact))
-    return LpProblem(weights, matrix, vidal_monotones(s))
+    return LpProblem._of_matrix(weights, matrix, bounds)
 
 
 def _tail_sum_rows(n: int, exact: bool) -> tuple:

@@ -16,10 +16,10 @@ idea of E. H. Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22, 1968, applied
 where it changes no value).
 
-The module is also the exact arithmetic of ``entmanip.lp``: ``kind``,
-``zero``, ``tol``, ``convert``, ``dots``, ``signs`` and ``Lu`` are the
-names that ``lp._Float`` offers for floats, so the LP kernels read the
-arithmetic they are handed without asking which one it is.
+The module is also the exact arithmetic of ``entmanip.lp``: ``zero``,
+``tol``, ``convert``, ``dots``, ``signs`` and ``Lu`` are the names that
+``lp._Float`` offers for floats, so the LP kernels read the arithmetic
+they are handed without asking which one it is.
 """
 
 from __future__ import annotations
@@ -275,7 +275,6 @@ class ExactLu:
 # The names ``lp`` reads of an arithmetic, as ``lp._Float`` offers them for
 # floats; ``dots`` is above.
 
-kind = Fraction
 zero = Fraction(0)
 tol = 0
 convert = as_fraction

@@ -13,18 +13,18 @@ holds any ``Fraction`` is exact, and every entry is stored as a
 ``Fraction`` (floats and ints are converted exactly); any other problem
 stores floats.  Each public call looks the arithmetic up once and hands
 it to the kernels it runs as a namespace, ``_Float`` or the ``exact``
-module, and both offer the same names: ``kind`` (the entry type),
-``zero``, ``tol`` (``PIVOT_TOL``, or 0), ``convert`` (a real number into
-the arithmetic), ``dots`` (dot products: ``math.fsum``, or sums on
-integer ratios), ``signs`` (numbers with the values' signs: the floats
-themselves, or the numerators, ints that compare several times faster
-than ``Fraction``s) and ``Lu`` (the type of a factorisation:
-:class:`FloatLu` or ``exact.ExactLu``).  So a float call never loads
-``exact`` or ``fractions``, and an exact one imports ``exact`` once.  A
-claimed solution is converted into the problem's arithmetic before it is
-checked.  The solver solves a problem in its own arithmetic, and lifts a
-float problem to ``Fraction``s only when asked to; it never lowers an
-exact problem to floats.
+module, and both offer the same names: ``zero``, ``tol`` (``PIVOT_TOL``,
+or 0), ``convert`` (a real number into the arithmetic, which returns a
+float or a ``Fraction`` of its own arithmetic as it is), ``dots`` (dot
+products: ``math.fsum``, or sums on integer ratios), ``signs`` (numbers
+with the values' signs: the floats themselves, or the numerators, ints
+that compare several times faster than ``Fraction``s) and ``Lu`` (the
+type of a factorisation: :class:`FloatLu` or ``exact.ExactLu``).  So a
+float call never loads ``exact`` or ``fractions``, and an exact one
+imports ``exact`` once.  A claimed solution is converted into the
+problem's arithmetic before it is checked.  The solver solves a problem
+in its own arithmetic, and lifts a float problem to ``Fraction``s only
+when asked to; it never lowers an exact problem to floats.
 
 The tableau is stored densely but updated sparsely: a pivot visits only
 the nonzero columns of the pivot row and only the rows with a nonzero
@@ -47,13 +47,16 @@ the check never hands the pivots a starting basis of its own.
 
 B is factored once per shared matrix, not once per problem.  A shared
 matrix is one held by :func:`_shared_matrix`: ``concentration_lp`` keeps
-the matrix of each rank and arithmetic there, so every problem it builds
-at that rank holds the same row tuples.  The LU of such a matrix is kept
+the matrix of each rank and arithmetic there, and every problem it builds
+at that rank holds that very tuple as its ``constraint_matrix``, stored
+by ``LpProblem._of_matrix`` without a second check of its entries, which
+were checked when they were built.  The LU of such a matrix is kept
 with it, for the crash check of every later problem and for
 ``verify.verify_solution`` of an all-structural basis.  The entries held
 are bounded by ``_SHARED_ENTRIES``; the least recently used matrix goes
 first.  Other matrices, user-built ones and the ``Fraction`` rows of an
-``exact=True`` lift included, are factored afresh each time and add
+``exact=True`` lift included, are new tuples (``LpProblem`` converts
+every vector it is given), so they are factored afresh each time and add
 nothing.  The LU is a function of the matrix alone, so every result is
 the same, float for float and ``Fraction`` for ``Fraction``.
 
@@ -104,8 +107,9 @@ class LpProblem(Frozen):
     ``ValueError``.  If any entry is a ``Fraction`` the problem is exact
     and stores every entry as a ``Fraction``; otherwise it stores floats.
     ``exact`` tells which, so every kernel computes in one arithmetic.
-    A vector (the objective, a row, the bounds) whose entries are all of
-    the problem's type is stored as given; any other is converted.
+    One scan of the entry types decides it, and every vector (the
+    objective, each row, the bounds) is converted into that arithmetic: a
+    float or a ``Fraction`` converts to itself, so no value changes.
     Dimensions and the finiteness of every entry are validated, the sign
     of the bounds is not (concentration instances always have nonnegative
     bounds, and the solver guards the rest).
@@ -124,17 +128,23 @@ class LpProblem(Frozen):
         for row in matrix:
             if len(row) != len(objective):
                 raise ValueError("constraint row length must match variable count")
-        # the entry types of each vector: the objective, each row, the bounds
-        kinds = [set(map(type, v)) for v in (objective, *matrix, bounds)]
-        every = set().union(*kinds)
-        if not all(issubclass(kind, numbers.Real) for kind in every):
-            raise ValueError("LP entries must be real numbers")
-        # the rule of schmidt.holds_fraction, read off the same type scan
-        ex = _arithmetic(fraction_among(every))
-        (objective,) = _finite("objective", (objective,), kinds[:1], ex)
-        matrix = _finite("constraint_matrix", matrix, kinds[1:-1], ex)
-        (bounds,) = _finite("bounds", (bounds,), kinds[-1:], ex)
+        (objective,), matrix, (bounds,) = _checked(
+            objective=(objective,), constraint_matrix=matrix, bounds=(bounds,)
+        )
         self._store(objective, matrix, bounds)
+
+    @classmethod
+    def _of_matrix(cls, objective, matrix, bounds):
+        """A problem that holds ``matrix`` itself, without checking it.
+
+        ``matrix`` is a tuple of row tuples, one per bound and each as long
+        as the objective, whose entries are finite numbers of the arithmetic
+        that the objective and the bounds decide, such as the rows
+        ``_shared_matrix`` holds.  The objective and the bounds are checked
+        and converted by the rules of ``__init__``.
+        """
+        (objective,), (bounds,) = _checked(objective=(objective,), bounds=(bounds,))
+        return cls._of(objective, matrix, bounds)
 
     @property
     def exact(self) -> bool:
@@ -198,25 +208,32 @@ def _arithmetic(exact: bool):
     return ex
 
 
-def _finite(name: str, rows, kinds, ex) -> tuple:
-    """``rows`` in the arithmetic ``ex``; ``ValueError`` unless all finite.
+def _checked(**vectors):
+    """The named sequences of vectors, checked and converted into one arithmetic.
 
-    ``kinds[i]`` is the set of entry types of ``rows[i]``.  A row whose
-    entries are all of that arithmetic's type is kept as it is; any other
-    row is converted.
+    Every entry must be a real number (``numbers.Real``), or ``ValueError``
+    is raised.  One scan of all the entry types decides the arithmetic, by
+    the rule of ``schmidt.holds_fraction``.  Every vector is then converted
+    into it (a float or a ``Fraction`` of that arithmetic converts to
+    itself) and must be finite, or ``ValueError`` names the first sequence
+    that is not: NaN or inf to ``Fraction``, or a huge int to float,
+    raises.  Returns the converted sequences, each a tuple of tuples, in
+    the order given.
     """
-    own = {ex.kind}
-    try:  # NaN or inf to Fraction, or a huge int to float, raises
-        rows = tuple(
-            row if k == own else tuple(map(ex.convert, row))
-            for row, k in zip(rows, kinds)
-        )
-        finite = ex is not _Float or all(map(math.isfinite, chain.from_iterable(rows)))
-    except (ValueError, OverflowError):
-        finite = False
-    if not finite:
-        raise ValueError(f"LP {name} entries must be finite")
-    return rows
+    every = set(map(type, chain.from_iterable(chain.from_iterable(vectors.values()))))
+    if not all(issubclass(kind, numbers.Real) for kind in every):
+        raise ValueError("LP entries must be real numbers")
+    ex = _arithmetic(fraction_among(every))
+    for name, rows in vectors.items():
+        try:
+            rows = tuple(tuple(map(ex.convert, row)) for row in rows)
+            finite = ex is not _Float or all(map(math.isfinite, chain.from_iterable(rows)))
+        except (ValueError, OverflowError):
+            finite = False
+        if not finite:
+            raise ValueError(f"LP {name} entries must be finite")
+        vectors[name] = rows
+    return vectors.values()
 
 
 class PivotCapError(FailedCheck, RuntimeError):
@@ -476,16 +493,16 @@ def _basis_point(prob: LpProblem, basis, ex) -> tuple:
     B holds the ``basis`` columns of the extended matrix (the structural
     columns, then a unit vector per slack), in the arithmetic ``ex``.  x is
     an extended vector: x_B = B^-1 q at the basis columns, zero elsewhere;
-    y = B^-T c_B.  When the basis is all-structural and the rows are those
-    of the shared matrix of the problem's size and arithmetic (the same
-    objects, so the same numbers), the LU held with them is read, and
-    factored first if it is not held yet.  Any other B is factored afresh
-    and nothing is kept.  Raises ``ZeroDivisionError`` as ``_factor`` does.
+    y = B^-T c_B.  When the basis is all-structural and the problem's
+    matrix is the shared matrix of its size and arithmetic (the same tuple,
+    so the same numbers), the LU held with it is read, and factored first
+    if it is not held yet.  Any other B is factored afresh and nothing is
+    kept.  Raises ``ZeroDivisionError`` as ``_factor`` does.
     """
     c, rows = prob.objective, prob.constraint_matrix
     n, m = len(c), len(rows)
     held = _shared.get((m, prob.exact)) if tuple(basis) == tuple(range(n)) else None
-    if held and all(map(operator.is_, held[0], rows)):
+    if held and held[0] is rows:
         lu = held[1] = held[1] or _factor(rows, ex)
     else:
         b = [[r[j] if j < n else int(j == n + i) for j in basis] for i, r in enumerate(rows)]
@@ -631,13 +648,13 @@ class FloatLu:
 class _Float:
     """The float arithmetic; the ``exact`` module offers the same names.
 
-    Entries are floats (``kind``, and ``convert`` makes one), sign tests
-    allow ``PIVOT_TOL`` and read the values themselves (``signs``), dot
-    products are ``math.fsum``s of the products, and a factorisation is a
+    Entries are floats (``convert`` makes one), sign tests allow
+    ``PIVOT_TOL`` and read the values themselves (``signs``), dot products
+    are ``math.fsum``s of the products, and a factorisation is a
     :class:`FloatLu`.
     """
 
-    kind = convert = float
+    convert = float
     zero = 0.0
     tol = PIVOT_TOL
     Lu = FloatLu

@@ -67,7 +67,8 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
     matrix, and the verdict is the one a fresh factorisation gives.  Then
     verifies: claimed values are feasible, they agree with the basis
     solution, the objective matches, and every reduced cost satisfies the
-    maximization sign condition.  The claimed values and objective are
+    maximization sign condition.  A basis that is not m distinct column
+    indices in ``range(n + m)`` fails.  The claimed values and objective are
     converted into the problem's arithmetic first.  A float problem is
     checked to within ``VERIFY_TOL``; an exact one exactly, with the exact
     arithmetic's tolerance 0.  Each test is written in positive form, so
@@ -78,7 +79,10 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
     if sol.status != "optimal":
         return False
     n, m = prob.num_variables, prob.num_constraints
-    if len(sol.basis) != m or len(sol.values) != n:
+    # m distinct columns of the extended matrix: a negative index would
+    # read a column from the end
+    columns = {j for j in sol.basis if 0 <= j < n + m}
+    if not len(sol.basis) == len(columns) == m or len(sol.values) != n:
         return False
     ex = _arithmetic(prob.exact)
     try:  # NaN or an infinity to Fraction raises, as inf - inf in fsum does

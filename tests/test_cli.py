@@ -328,6 +328,24 @@ class TestConcentrate:
         assert doc["plan"]["p"] == [0, 1, 0]
         assert doc["certificate"] == {"z": [0, 2, -1], "passed": False}
 
+    @pytest.mark.parametrize(
+        "weights, z",
+        [
+            ([0, 1e-14, 1e-14], [0, 2e-14, -1.0000000000000002e-14]),
+            ([0, 1e-320, 1e-320], [0, 1.999977734365366e-320, -9.9998886718268301e-321]),
+        ],
+        ids=["1e-14", "1e-320"],
+    )
+    def test_tiny_weights_fail_the_certificate(
+        self, capsys, worked_state, tmp_path, weights, z
+    ):
+        # z_3 < 0 as for [0, 1, 1]: the tolerance follows the scale of j c_j
+        path = write_json(tmp_path / "w.json", weights)
+        argv = ["concentrate", "--state", worked_state, "--weights", path, "--certify"]
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        assert doc["certificate"] == {"z": z, "passed": False}
+
     def test_weight_file(self, capsys, worked_state, tmp_path):
         weights = write_json(tmp_path / "w.json", [0.0, 1.0, 1.0])
         code, doc = run_json(

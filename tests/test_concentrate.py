@@ -344,6 +344,21 @@ class TestCertificateForAnyWeights:
         with pytest.raises(ValueError, match="expected 3 weights"):
             optimality_certificate(3, (0.0, 1.0))
 
+    @pytest.mark.parametrize("weights", [(0, 1e-14, 1e-14), (0, 1e-320, 1e-320)])
+    def test_tiny_weights_fail_as_their_scaled_copies_do(self, weights):
+        # z = (0, 2c, -c) is negative at level 3 at any scale; an absolute
+        # tolerance passed it for tiny c
+        cert = optimality_certificate(3, weights)
+        assert cert.z_values[2] < 0 and not cert.passed
+        assert not optimality_certificate(3, (0, 1, 1)).passed
+
+    def test_an_overflowed_value_fails(self):
+        # f(2) = 1.6e308 and z_3 = f(3) - 2 f(2) overflows to -inf, so the
+        # scale of f is infinite too
+        cert = optimality_certificate(3, (0, 8e307, 0))
+        assert cert.z_values == (0, 1.6e308, -math.inf)
+        assert not cert.passed
+
 
 def _convex_weights(steps):
     """Weights c_j = f(j) / j, f(0) = 0, f(j) - f(j-1) = sum(steps[:j]).
@@ -358,6 +373,37 @@ def _convex_weights(steps):
         f += increment
         weights.append(f / j)
     return weights
+
+
+def _weights_near_the_boundary():
+    """Float weights whose certificate values sit at any distance from 0.
+
+    Convex weights have z equal to their steps, up to rounding; a step of
+    0 or one of -1e-13 puts a value within the rounding of f or just past
+    it.  No weight is subnormal, or within 2^40 of it, so that scaling by
+    2^k for |k| <= 40 is exact.
+    """
+    step = st.one_of(
+        st.just(0.0), st.just(-1e-13), st.floats(-1.0, -1e-6), st.floats(1e-6, 1e3)
+    )
+    convex = st.lists(step, min_size=1, max_size=30).map(_convex_weights)
+    plain = st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6)),
+        min_size=1,
+        max_size=30,
+    )
+    return st.one_of(convex, plain)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=_weights_near_the_boundary(), k=st.integers(-40, 40))
+@example(weights=[0.0, 1e-14, 1e-14], k=40)
+def test_scaled_weights_scale_z_exactly_and_keep_the_verdict(weights, k):
+    n = len(weights)
+    cert = optimality_certificate(n, weights)
+    scaled = optimality_certificate(n, [math.ldexp(c, k) for c in weights])
+    assert scaled.z_values == tuple(math.ldexp(z, k) for z in cert.z_values)
+    assert scaled.passed == cert.passed
 
 
 @st.composite

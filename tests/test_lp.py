@@ -25,6 +25,7 @@ from entmanip import (
     simplex_solve,
     standard_weights,
     verify_solution,
+    vidal_monotones,
 )
 from entmanip import lp, verify
 from entmanip import exact as exact_module
@@ -283,6 +284,19 @@ class TestVerifySolution:
         assert len(claim.basis) == twin.num_constraints
         assert not verify_solution(twin, claim)
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_rejects_a_basis_that_names_a_negative_column(self, exact):
+        # r[-2] is column 0 by Python indexing, so the basis (-2, 1) would
+        # evaluate as (0, 1); the claim (0, 1.2) is not the optimum 2.8
+        number = Fraction if exact else float
+        prob = LpProblem((number(1), 1.0), ((1.0, 2.0), (3.0, 1.0)), (4.0, 6.0))
+        six_fifths = number(6) / 5
+        claim = LpSolution((0, six_fifths), six_fifths, (-2, 1), (), "optimal")
+        assert verify_solution(prob, claim) is False
+        sol = simplex_solve(prob)
+        assert sol.basis == (0, 1) and verify_solution(prob, sol)
+        assert sol.objective_value == (Fraction(14, 5) if exact else 2.8)
+
 
 def test_reduced_costs_of_a_mixed_problem():
     # one Fraction makes the whole problem exact, so y and every reduced
@@ -401,15 +415,18 @@ class TestOneArithmetic:
         stored = [*prob.objective, *chain(*prob.constraint_matrix), *prob.bounds]
         assert all(a is b for a, b in zip(stored, given_entries))
 
-    def test_only_vectors_of_another_type_are_converted(self):
-        # an exact problem: its Fraction row is kept, the other vectors
-        # are converted, each as a whole
-        row = (Fraction(1, 2), Fraction(1, 3))
-        prob = LpProblem((0.5, 1), (row, (1, 2.0)), (Fraction(1), 2.0))
-        assert prob.constraint_matrix[0] is row
-        stored = [*prob.objective, *prob.constraint_matrix[1], *prob.bounds]
-        assert all(type(v) is Fraction for v in stored)
-        assert stored == [0.5, 1, 1, 2, 1, 2]
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_every_vector_is_converted_into_the_arithmetic(self, exact):
+        # a vector already of the problem's type goes through the same
+        # conversion as the others, and keeps its values
+        number = Fraction if exact else float
+        row = (number(1) / 2, number(1) / 3)
+        objective, matrix, bounds = (0.5, 1), (row, (1, 2.0)), (number(1), 2.0)
+        prob = LpProblem(objective, matrix, bounds)
+        stored = [*prob.objective, *chain(*prob.constraint_matrix), *prob.bounds]
+        assert prob.exact == exact
+        assert all(type(v) is number for v in stored)
+        assert stored == [*objective, *chain(*matrix), *bounds]
 
     @pytest.mark.parametrize(
         "entries, kind",
@@ -637,9 +654,7 @@ def _with_fresh_rows(prob) -> LpProblem:
 
 def _holds_rows_of(prob) -> bool:
     entry = lp._shared.get((prob.num_variables, prob.exact))
-    return entry is not None and all(
-        map(operator.is_, entry[0], prob.constraint_matrix)
-    )
+    return entry is not None and entry[0] is prob.constraint_matrix
 
 
 class TestSharedMatrices:
@@ -758,6 +773,57 @@ class TestSharedMatrices:
         assert vars(clone).keys() == {"objective", "constraint_matrix", "bounds"}
         assert not _holds_rows_of(clone)
         assert simplex_solve(clone) == simplex_solve(prob)
+
+
+class TestProblemsAroundTheHeldMatrix:
+    """``concentration_lp`` stores the held matrix itself and checks only
+    the weights and the bounds, by ``LpProblem``'s rules."""
+
+    @pytest.mark.parametrize(
+        "spectrum_number, weight_number",
+        [(float, float), (Fraction, float), (float, Fraction), (Fraction, Fraction)],
+    )
+    def test_the_problem_holds_the_held_tuple(
+        self, spectrum_number, weight_number, monkeypatch
+    ):
+        monkeypatch.setattr(lp, "_shared", {})
+        s = make_spectrum([spectrum_number(k) for k in (5, 3, 2)])
+        weights = [weight_number(k) for k in (0, 1, 3)]
+        exact = Fraction in (spectrum_number, weight_number)
+        with mock.patch.object(
+            LpProblem, "__init__", side_effect=AssertionError("__init__ called")
+        ) as init:
+            prob = concentration_lp(s, weights)
+        init.assert_not_called()
+        assert prob.constraint_matrix is lp._shared[3, exact][0]
+        assert _holds_rows_of(prob) and prob.exact == exact
+        kind = Fraction if exact else float
+        stored = [*prob.objective, *chain(*prob.constraint_matrix), *prob.bounds]
+        assert all(type(v) is kind for v in stored)
+        # the values __init__ stores for the same vectors
+        assert prob == LpProblem(weights, prob.constraint_matrix, vidal_monotones(s))
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ((0.0, math.nan, 1.0), "LP objective entries must be finite"),
+            ((0.0, math.inf, 1.0), "LP objective entries must be finite"),
+            ((0.0, -math.inf, 1.0), "LP objective entries must be finite"),
+            ((0.0, "1.5", 1.0), "LP entries must be real numbers"),
+            ((0.0, None, 1.0), "LP entries must be real numbers"),
+            ((0.0, 10**400, 1.0), "LP objective entries must be finite"),
+            ((Fraction(0), math.inf, 1), "LP objective entries must be finite"),
+        ],
+        ids=["nan", "inf", "-inf", "string", "none", "huge-int", "exact-inf"],
+    )
+    def test_weights_are_checked_as_lp_problem_checks_them(self, weights, message):
+        s = make_spectrum([0.5, 0.3, 0.2])
+        held = concentration_lp(s)
+        with pytest.raises(ValueError) as built:
+            LpProblem(weights, held.constraint_matrix, held.bounds)
+        with pytest.raises(ValueError) as concentrated:
+            concentration_lp(s, weights)
+        assert str(concentrated.value) == str(built.value) == message
 
 
 def test_problem_validation():
@@ -1125,7 +1191,7 @@ def test_both_arithmetics_offer_every_name_the_kernels_read():
     # the kernels of lp and verify read the arithmetic they are handed as
     # ex.<name>; each name must exist on both sides, so that no kernel can
     # reach for one that only floats or only Fractions have
-    names = {"kind", "zero", "tol", "convert", "dots", "signs", "Lu"}
+    names = {"zero", "tol", "convert", "dots", "signs", "Lu"}
     read = set()
     for module in (lp, verify):
         read |= set(re.findall(r"\bex\.(\w+)", inspect.getsource(module)))
@@ -1133,9 +1199,13 @@ def test_both_arithmetics_offer_every_name_the_kernels_read():
     assert lp._arithmetic(False) is lp._Float
     assert lp._arithmetic(True) is exact_module
     for ex, kind, lu in ((lp._Float, float, lp.FloatLu), (exact_module, Fraction, ExactLu)):
-        assert ex.kind is kind and ex.Lu is lu
+        assert all(hasattr(ex, name) for name in names)
+        assert ex.Lu is lu
         assert type(ex.zero) is kind and ex.zero == 0
         assert type(ex.convert(1)) is kind
+        # a number of the arithmetic converts to itself, so no value moves
+        third = kind(1) / 3
+        assert ex.convert(third) is third
         assert ex.dots(((1, 2), (3, 4)), (ex.convert(5), ex.convert(6))) == [17, 39]
         values = [ex.convert(-2), ex.zero, ex.convert(0.5)]
         assert [(s > 0) - (s < 0) for s in ex.signs(values)] == [-1, 0, 1]
@@ -1357,4 +1427,28 @@ def test_verification_rejects_a_claim_that_is_not_finite(case, data):
     else:
         objective = bad
     claim = LpSolution(values, objective, sol.basis, sol.reduced_costs, "optimal")
+    assert verify_solution(prob, claim) is False
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_verification_rejects_a_basis_that_is_not_m_distinct_columns(exact, data):
+    """A solver basis with one index replaced by a negative one, by one past
+    the last extended column, or by another index of the basis fails."""
+    prob = data.draw(_problems(exact), label="problem")
+    sol = _solve_or_error(prob, exact)
+    assume(not isinstance(sol, str) and sol.status == "optimal")
+    n, m = prob.num_variables, prob.num_constraints
+    basis = list(sol.basis)
+    k = data.draw(st.integers(0, m - 1), label="replaced")
+    ways = ["negative", "past the end", "repeat"][: 3 if m > 1 else 2]
+    way = data.draw(st.sampled_from(ways), label="by")
+    if way == "negative":
+        basis[k] = data.draw(st.integers(-(n + m), -1))
+    elif way == "past the end":
+        basis[k] = data.draw(st.integers(n + m, 2 * (n + m)))
+    else:
+        basis[k] = data.draw(st.sampled_from(basis[:k] + basis[k + 1 :]))
+    claim = LpSolution(sol.values, sol.objective_value, basis, sol.reduced_costs, "optimal")
     assert verify_solution(prob, claim) is False
