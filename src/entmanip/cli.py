@@ -160,23 +160,29 @@ def _cmd_concentrate(args) -> int:
     n = state.rank
     named = args.weights in ("ln", "log2", "indicator")
     weights = standard_weights(args.weights, n) if named else load_weights(args.weights)
+    cert = optimality_certificate(n, weights) if args.certify else None
+    z = [] if cert is None else list(cert.z_values)
+    # finite weights can still overflow what is derived from them: the LP's
+    # objective c_j - c_1 and the certificate's second differences of j c_j
+    if not all(map(math.isfinite, [c - weights[0] for c in weights] + z)):
+        raise ValueError(
+            "weight file entries out of range: c_j - c_1 and, with --certify, "
+            f"the certificate's z must stay below {sys.float_info.max:.4g} in magnitude"
+        )
     if args.weights == "ln":
-        plan = optimal_plan(state)
-        probs = list(plan.probabilities)
-        objective = expected = plan.expected_entanglement
+        probs = list(optimal_plan(state).probabilities)
     else:
         probs, objective = _lp_plan(state, weights)
-        expected = math.fsum(
-            p * math.log(j) for j, p in enumerate(probs, start=1)
-        )
+    # the plan's own ln j average: the j = 1 term adds 0.0, so on the ln
+    # branch this is optimal_plan's expected_entanglement bit for bit
+    expected = math.fsum(p * math.log(j) for j, p in enumerate(probs, start=1))
 
     yield_key = "expected_bits" if args.units == "bits" else "expected_nats"
     doc = {"plan": {"p": probs, yield_key: _in_units(expected, args.units)}}
     if args.weights != "ln":
         doc["plan"]["objective"] = objective
-    if args.certify:
-        cert = optimality_certificate(n, weights)
-        doc["certificate"] = {"z": list(cert.z_values), "passed": cert.passed}
+    if cert is not None:
+        doc["certificate"] = {"z": z, "passed": cert.passed}
     curve = None
     if args.asymptotic is not None:
         curve = asymptotic_yield_curve(state, args.asymptotic)

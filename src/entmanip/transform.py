@@ -4,10 +4,14 @@ Given a feasible target ensemble, the transformation splits into a
 deterministic majorization step onto the ensemble's average state followed
 by a single generalized measurement, diagonal in the Schmidt basis, whose
 outcome j leaves the parties holding target j with its assigned probability.
-This module builds that average state and measurement.  The measurement acts
-on the average state, not on the source: the deterministic step from the
-source to the average is not emitted, nor decomposed into physical
-two-outcome measurements.  Its existence is certified through
+This module builds that average state and measurement.  The measurement
+divides by the average as summed, sum_j p_j t_j, whose entries are the sums
+of its numerators, so it is complete for every ensemble that
+:class:`TargetEnsemble` accepts; the average state it acts on is that sum
+renormalised (:func:`average_target`).  The measurement acts on the average
+state, not on the source: the deterministic step from the source to the
+average is not emitted, nor decomposed into physical two-outcome
+measurements.  Its existence is certified through
 :func:`entmanip.monotones.nielsen_feasible`, and the protocol is modelled
 from the average state onward.  When the source is the average state, as in
 concentration, there is no step to take.  The module also builds that
@@ -187,14 +191,13 @@ def average_target(e: TargetEnsemble) -> SchmidtSpectrum:
     """Probability-weighted average of the ensemble's target spectra.
 
     The averages are taken componentwise in the common (zero-padded) Schmidt
-    basis; the result is automatically ordered and normalized, and its tail
-    sums equal the averaged tail sums of the individual targets.
+    basis and renormalised; their tail sums are the averaged tail sums of
+    the individual targets.  The sum is already nonincreasing: rounding is
+    monotone, so p * t of a nonincreasing t is nonincreasing, and so is the
+    rounded sum of two nonincreasing sequences.  A component lost to
+    underflow is therefore a trailing zero, which is dropped.
     """
     avg = padded_average((p, t.coeffs) for p, t in e.entries)
-    for i in range(len(avg) - 1):
-        # ordered targets average to an ordered spectrum; anything else is
-        # an internal error, not bad input
-        assert avg[i] >= avg[i + 1] - 1e-12, "average spectrum out of order"
     return make_spectrum(avg, zero_tol=0.0)
 
 
@@ -206,54 +209,55 @@ def merge_duplicates(e: TargetEnsemble) -> tuple[TargetEnsemble, DieTable]:
     """Merge ensemble entries whose spectra agree componentwise.
 
     Targets equal within ``MERGE_TOL`` (after zero padding) collapse into a
-    single entry with the summed probability; the returned die table records
-    how to redistribute each merged outcome over the original indices by a
-    classical coin toss.  Ensembles with all-distinct targets come back
-    unchanged, with a trivial die.
+    single entry with the summed probability, whose target is the first of
+    them, kept as found; the returned die table records how to redistribute
+    each merged outcome over the original indices by a classical coin toss.
+    Ensembles with all-distinct targets come back unchanged, with a trivial
+    die.
     """
-    reps: list[list] = []  # [coeffs, summed prob, [(orig idx, p)]]
+    reps: list[list] = []  # [representative target, summed prob, [(orig idx, p)]]
     for j, (p, target) in enumerate(e.entries, start=1):
         for group in reps:
-            if _same_spectrum(group[0], target.coeffs):
+            if _same_spectrum(group[0].coeffs, target.coeffs):
                 group[1] += p
                 group[2].append((j, p))
                 break
         else:
-            reps.append([target.coeffs, p, [(j, p)]])
+            reps.append([target, p, [(j, p)]])
 
     merged_entries = []
     groups = []
-    for g, (_, total, members) in enumerate(reps, start=1):
-        first_idx = members[0][0]
-        merged_entries.append((total, e.entries[first_idx - 1][1]))
-        groups.append(
-            DieGroup(g, tuple((j, p / total) for j, p in members))
-        )
+    for g, (target, total, members) in enumerate(reps, start=1):
+        merged_entries.append((total, target))
+        groups.append(DieGroup(g, tuple((j, p / total) for j, p in members)))
     return TargetEnsemble(tuple(merged_entries)), DieTable(tuple(groups))
 
 
 def build_ensemble_povm(e: TargetEnsemble) -> DiagonalPovm:
     """Measurement on the ensemble's average state that yields its targets.
 
-    Element j has diagonal entries sqrt(p_j * target_ji / average_i) over
-    the support of the average state.  Applying element j to the average
-    spectrum yields target j with probability p_j, and the squared
-    diagonals sum to one at every supported index.  The measurement acts on
-    the average state: from a source other than that average, the
-    deterministic majorization step to it comes first, and it is not part
-    of the result.  A target component that the average loses because
-    p_j * target_ji underflows raises ``ValueError``.
+    Element j has diagonal entries sqrt(p_j * target_ji / avg_i) over the
+    support of the average, where avg_i = sum_j p_j * target_ji is the
+    zero-padded sum itself, not renormalised: its entries are the very sums
+    of the numerators, so each ratio is at most 1 and the squared diagonals
+    sum to one at every index within rounding, even where the probabilities
+    sum to 1 only within ``NORM_TOL``.  Applying element j to the average
+    spectrum (:func:`average_target`) yields target j with probability
+    p_j / sum_j p_j.  The measurement acts on the average state:
+    from a source other than that average, the deterministic majorization
+    step to it comes first, and it is not part of the result.  A target
+    component that the average loses because p_j * target_ji underflows
+    raises ``ValueError``.
     """
-    avg = average_target(e)
+    avg = padded_average((p, t.coeffs) for p, t in e.entries)
+    if not avg[-1] > 0:
+        # the sum is nonincreasing (see average_target), so a component
+        # lost to underflow leaves a trailing zero
+        raise ValueError("a target has support the average lost to underflow")
     elements = []
     for j, (p, target) in enumerate(e.entries, start=1):
-        if target.rank > avg.rank:
-            # the average dominates every target componentwise, unless a
-            # product p * t underflows and the average loses that component
-            raise ValueError(f"target {j} has support the average lost to underflow")
-        pairs = zip_longest(target.coeffs, avg.coeffs, fillvalue=0)
-        diag = tuple(math.sqrt(p * t / a) for t, a in pairs)
-        elements.append(PovmElement(j, diag))
+        pairs = zip_longest(target.coeffs, avg, fillvalue=0)
+        elements.append(PovmElement(j, tuple(math.sqrt(p * t / a) for t, a in pairs)))
     return DiagonalPovm(tuple(elements))
 
 

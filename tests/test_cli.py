@@ -266,6 +266,38 @@ class TestBuildPovm:
         assert captured.out == ""
         assert "underflow" in captured.err
 
+    @pytest.mark.parametrize("p", [0.5000000005, 0.4999999995])
+    def test_probabilities_off_one_within_tolerance_give_a_complete_povm(
+        self, capsys, worked_state, tmp_path, p
+    ):
+        # the probabilities sum to 1 + (p - 0.5), inside NORM_TOL but outside
+        # POVM_TOL: the measurement divides by the sum of its numerators
+        ens = write_json(
+            tmp_path / "e.json",
+            {
+                "ensemble": [
+                    {"probability": 0.5, "spectrum": [1.0]},
+                    {"probability": p, "spectrum": [0.5, 0.5]},
+                ]
+            },
+        )
+        out = tmp_path / "povm.json"
+        argv = ["build-povm", "--source", worked_state, "--ensemble", ens, "--out", str(out)]
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        for i in range(doc["support_rank"]):
+            total = math.fsum(el["diag"][i] ** 2 for el in doc["elements"])
+            assert abs(total - 1.0) <= 1e-15
+        # simulated on the normalised average, target j comes out with p_j / sum p
+        total = 0.5 + p
+        avg = write_json(
+            tmp_path / "avg.json", {"spectrum": [(0.5 + p / 2) / total, p / 2 / total]}
+        )
+        argv = ["simulate", "--state", avg, "--protocol", str(out), "--trials", "100"]
+        code, sim = run_json(capsys, argv)
+        assert code == 0
+        assert sim["expected_probs"] == pytest.approx([0.5 / total, p / total], abs=1e-15)
+
     def test_merged_duplicates_die(self, capsys, tmp_path):
         src = write_json(tmp_path / "src.json", {"spectrum": [0.5, 0.5]})
         ens = write_json(
@@ -345,6 +377,37 @@ class TestConcentrate:
         code, doc = run_json(capsys, argv)
         assert code == 0
         assert doc["certificate"] == {"z": z, "passed": False}
+
+    @pytest.mark.parametrize(
+        "weights, certify",
+        [([0, 8e307, 0], True), ([1e308, -1e308, 1e308], False)],
+        ids=["certificate-z", "lp-shift"],
+    )
+    def test_weights_whose_derived_values_overflow_exit_4(
+        self, capsys, worked_state, tmp_path, weights, certify
+    ):
+        # finite entries, but 2 * (2 * 8e307) and 1e308 - (-1e308) overflow:
+        # the message names the range limit of the weights, not the LP or
+        # the serializer
+        path = write_json(tmp_path / "w.json", weights)
+        argv = ["concentrate", "--state", worked_state, "--weights", path]
+        assert run(argv + ["--certify"] * certify) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("entmanip: weight file entries out of range")
+        assert "1.798e+308" in line
+
+    def test_large_weights_whose_shift_stays_finite_solve(
+        self, capsys, worked_state, tmp_path
+    ):
+        # only the certificate of [0, 8e307, 0] overflows
+        path = write_json(tmp_path / "w.json", [0, 8e307, 0])
+        code, doc = run_json(
+            capsys, ["concentrate", "--state", worked_state, "--weights", path]
+        )
+        assert code == 0
+        assert doc["plan"]["p"] == [0, 1, 0]
 
     def test_weight_file(self, capsys, worked_state, tmp_path):
         weights = write_json(tmp_path / "w.json", [0.0, 1.0, 1.0])

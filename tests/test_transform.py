@@ -254,6 +254,39 @@ def test_permuting_an_ensemble_changes_no_verdict_and_relabels_the_povm(case, ot
         assert max(map(abs, np.subtract(element.diag, elements[k].diag))) <= 1e-15
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    targets=st.lists(_SPECTRA, min_size=1, max_size=5),
+    data=st.data(),
+    delta=st.floats(-9e-10, 9e-10),
+    exact=st.booleans(),
+)
+def test_probabilities_off_one_within_tolerance_give_a_complete_povm(
+    targets, data, delta, exact
+):
+    """``TargetEnsemble`` accepts probabilities that sum to 1 within
+    ``NORM_TOL``; the measurement divides by the sum of its numerators, so
+    it is complete to rounding and yields target j with p_j / sum p from the
+    normalised average, in float and in exact arithmetic."""
+    weights = data.draw(
+        st.lists(st.floats(0.05, 1.0), min_size=len(targets), max_size=len(targets))
+    )
+    if exact:
+        targets = [make_spectrum([Fraction(a) for a in t.coeffs]) for t in targets]
+        weights = [Fraction(w) for w in weights]
+        delta = Fraction(delta)
+    total = sum(weights)
+    probs = [w / total * (1 + delta) for w in weights]
+    e = make_ensemble(zip(probs, targets))
+    povm = build_ensemble_povm(e)
+    for i in range(povm.support_rank):
+        assert abs(math.fsum(el.diag[i] ** 2 for el in povm.elements) - 1.0) <= 1e-15
+    outcome = povm.outcome_probabilities(average_target(e))
+    mass = math.fsum(map(float, probs))
+    for w, p in zip(outcome, probs):
+        assert abs(w - float(p) / mass) <= 1e-15
+
+
 class TestApplyPovmElement:
     def test_identity_element(self):
         s = make_spectrum([0.7, 0.3])
