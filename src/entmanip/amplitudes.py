@@ -1,10 +1,16 @@
 """Schmidt spectra of amplitude matrices.
 
 A bipartite pure state given by its complex amplitudes in a product basis
-has the squared singular values of that matrix as its Schmidt spectrum.
-This module validates amplitude matrices and decomposes them: a small
-matrix in pure Python by one-sided Jacobi, a larger one by numpy's SVD.
-The CLI loads it only for a state file that holds amplitudes.
+has the squared singular values of that matrix as its Schmidt spectrum,
+which are the eigenvalues of its reduced density matrix A A^H.  This module
+validates amplitude matrices and decomposes them: a small matrix in pure
+Python by one-sided Jacobi, a larger one with numpy, as the eigenvalues of
+the reduced density matrix on its smaller side.  Each squared coefficient
+found that way carries an absolute error of about n eps (n the smaller
+side), so one below about 1e-12 has fewer correct digits than an SVD would
+give it.  That is harmless: ``ZERO_TOL``, ``NORM_TOL`` and
+``FEASIBILITY_TOL`` are all absolute.  The CLI loads this module only for a
+state file that holds amplitudes.
 """
 
 from __future__ import annotations
@@ -52,35 +58,67 @@ class AmplitudeMatrix(Frozen):
     def __init__(self, entries):
         import numpy as np
 
-        # C order, so that a transposed or strided array views as floats
-        arr = np.array(entries, dtype=complex, order="C")
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(_NOT_A_MATRIX)
-        if not np.all(np.isfinite(arr.view(float))):
-            raise ValueError(_NOT_FINITE)
-        with np.errstate(over="ignore"):  # an entry past ~1e154 squares to inf
-            total = float(np.sum(np.abs(arr) ** 2))
-            # that sum is within ~1e-15 of the fsum, far inside NORM_TOL, so
-            # only a matrix near or past the bound needs the fsum
-            if not abs(total - 1.0) <= NORM_TOL / 2:
-                squares = arr.real * arr.real + arr.imag * arr.imag
-                _check_normalized(squares.ravel().tolist())
+        # a copy of its own, in C order, that nothing else can write
+        arr = _amplitude_array(np.array(entries, dtype=complex, order="C"))
         arr.setflags(write=False)
         self._store(arr)
 
 
-# Matrices whose smaller side is at most this are decomposed without numpy.
+def _amplitude_array(entries):
+    """``entries`` as a complex ``numpy.ndarray``, checked as an amplitude matrix.
+
+    A complex array is checked as it is, without a copy.  Raises
+    ``ValueError`` for a shape that is empty or not 2-D, for non-finite
+    entries and for |psi|^2 outside ``NORM_TOL``.
+    """
+    import numpy as np
+
+    arr = np.asarray(entries, dtype=complex)
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise ValueError(_NOT_A_MATRIX)
+    flat = arr.ravel(order="K")  # a view of any contiguous array
+    with np.errstate(over="ignore"):  # an entry past ~1e154 squares to inf
+        # the sum of the squared parts, by two dot products that allocate
+        # nothing; a NaN or infinite entry makes it NaN or inf, so a finite
+        # sum has finite entries, and an infinite one of finite entries
+        # overflowed
+        total = float(flat.real @ flat.real + flat.imag @ flat.imag)
+        if not math.isfinite(total) and not np.isfinite(arr).all():
+            raise ValueError(_NOT_FINITE)
+        # that sum is within a few eps times the entry count of the fsum,
+        # far inside NORM_TOL, so only a matrix near or past the bound needs
+        # the fsum
+        if not abs(total - 1.0) <= NORM_TOL / 2:
+            squares = arr.real * arr.real + arr.imag * arr.imag
+            _check_normalized(squares.ravel().tolist())
+    return arr
+
+
+# A matrix is decomposed without numpy when its smaller side n is at most
+# _SMALL_SIDE and n * rows * cols, which Jacobi's work grows with, is at
+# most _SMALL_WORK.  Up to 2^16 Jacobi took at most 55 ms in process for
+# every n from 1 to 8 (one core of a 2-vCPU VM, Gaussian entries), less
+# than the 75 ms that a cold numpy import adds to a CLI call; at 10^5 it
+# took up to 84 ms (n = 7 and 8).  The squarest shapes cross over between
+# the two, thinner ones later.
 _SMALL_SIDE = 8
+_SMALL_WORK = 1 << 16
 
 
 def schmidt_decompose(m, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
     """Schmidt spectrum of a normalized amplitude matrix.
 
-    A matrix whose smaller side is at most ``_SMALL_SIDE`` is decomposed in
-    pure Python by one-sided Jacobi (:func:`_jacobi_squared_singular_values`);
-    a larger one goes through :class:`AmplitudeMatrix` and LAPACK's SVD.
-    With ``simulate``'s pure-Python tally of runs of at most 65536 trials,
-    this keeps numpy out of every small CLI call.  The path goes by the shape
+    A matrix whose smaller side n is at most ``_SMALL_SIDE``, and whose
+    n * rows * cols is at most ``_SMALL_WORK``, is decomposed in pure Python
+    by one-sided Jacobi (:func:`_jacobi_squared_singular_values`).  Any other
+    is checked as it is, with no copy, by the check that
+    :class:`AmplitudeMatrix` makes, and its squared singular values are
+    found as the eigenvalues of its reduced density matrix
+    (:func:`_reduced_density_eigenvalues`).  They were within 9e-16 of
+    LAPACK's SVD on every matrix tested, but small ones are less accurate
+    relative to their size (see the module docstring).  With ``simulate``'s
+    pure-Python tally of runs of at most 65536 trials, this keeps numpy out
+    of every small CLI call.  The path goes by the shape
     (``.shape``, or the lengths of a nested sequence), never by the
     container, so an array and the same entries in nested lists give the
     same spectrum bit for bit.  Both paths raise the same ``ValueError``
@@ -110,21 +148,18 @@ def schmidt_decompose(m, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
         vectors = rows if len(rows) <= len(rows[0]) else [list(c) for c in zip(*rows)]
         squares = _jacobi_squared_singular_values(vectors)
     else:
-        import numpy as np
-
-        if not isinstance(m, AmplitudeMatrix):
-            m = AmplitudeMatrix(m)
-        squares = (np.linalg.svd(m.entries, compute_uv=False) ** 2).tolist()
+        entries = m.entries if isinstance(m, AmplitudeMatrix) else _amplitude_array(m)
+        squares = _reduced_density_eigenvalues(entries)
     return make_spectrum(squares, zero_tol=zero_tol)
 
 
 def _small_rows(m):
     """The entries of ``m`` as lists of ``complex`` rows, or None.
 
-    None when the smaller side of ``m`` exceeds ``_SMALL_SIDE``, and when
-    ``m`` is a nested sequence that numpy would not read as a matrix of
-    numbers (ragged, or nested deeper), so that numpy reports it.  A shape
-    that is empty or not 2-D raises ``ValueError``.
+    None when the shape of ``m`` passes ``_SMALL_SIDE`` or ``_SMALL_WORK``,
+    and when ``m`` is a nested sequence that numpy would not read as a
+    matrix of numbers (ragged, or nested deeper), so that numpy reports it.
+    A shape that is empty or not 2-D raises ``ValueError``.
     """
     if isinstance(m, AmplitudeMatrix):
         m = m.entries
@@ -138,12 +173,47 @@ def _small_rows(m):
             return None
     if len(shape) != 2 or 0 in shape:
         raise ValueError(_NOT_A_MATRIX)
-    if min(shape) > _SMALL_SIDE:
+    side = min(shape)
+    if side > _SMALL_SIDE or side * shape[0] * shape[1] > _SMALL_WORK:
         return None
     try:
         return [[complex(v) for v in row] for row in m]
     except TypeError:  # an entry that is not a number
         return None
+
+
+# Rows of the reduced density matrix per matrix product.  A block's
+# conjugated rows are the only copy made of a complex caller's entries.
+_BLOCK_ROWS = 64
+
+
+def _reduced_density_eigenvalues(a) -> list:
+    """Squared singular values of the complex array ``a``, clamped at 0.
+
+    They are the eigenvalues of the reduced density matrix A A^H on the
+    smaller side, with A a transposed view of ``a`` when that has more rows
+    than columns.  A buffer is filled, one block of ``_BLOCK_ROWS`` rows at a
+    time, with conj(A A^H), which has the same eigenvalues; only its lower
+    triangle is filled, the one ``eigvalsh`` reads.  Rounding leaves
+    eigenvalues of about -1e-17 where A is rank-deficient, and
+    ``make_spectrum`` rejects negative entries, so they are clamped.
+    """
+    import numpy as np
+
+    if a.shape[0] > a.shape[1]:
+        a = a.T
+    n = a.shape[0]
+    rho = np.zeros((n, n), dtype=complex)
+    i = 0
+    while i < n:
+        # no block of one row: numpy multiplies that one by gemv, whose
+        # rounding depends on the memory layout, and then an array and its
+        # transposed copy would not give one spectrum bit for bit
+        j = i + _BLOCK_ROWS if n - i > _BLOCK_ROWS + 1 else n
+        np.matmul(np.conjugate(a[i:j]), a[:j].T, out=rho[i:j, :j])
+        i = j
+    w = np.linalg.eigvalsh(rho)
+    return np.maximum(w, 0.0, out=w).tolist()
 
 
 # Jacobi sweeps at most, as in LAPACK's zgesvj; every input converges in
@@ -192,9 +262,13 @@ def _sweep(vectors: list, norms: list, negligible: float) -> bool:
     w = g/|g| enters only through the sine, so an inexact phase (a
     subnormal |g|) cannot change the column norms, and a rotation whose
     tangent underflows to 0 is skipped.  So is a pair with a squared norm
-    below ``negligible``.
+    below ``negligible``, and a pair with |g| at most sqrt(m) eps |u_p| |u_q|
+    for columns of length m, LAPACK's zgesvj threshold (Z. Drmac and K.
+    Veselic, SIAM J. Matrix Anal. Appl. 29, 2008): the rounding of an inner
+    product of m terms is about that large, so a smaller |g| is noise, and
+    rotations by noise can go on sweep after sweep.
     """
-    eps = sys.float_info.epsilon
+    tol = sys.float_info.epsilon * math.sqrt(len(vectors[0]))
     n = len(vectors)
     rotated = False
     for p in range(n - 1):
@@ -205,7 +279,7 @@ def _sweep(vectors: list, norms: list, negligible: float) -> bool:
             up, uq = vectors[p], vectors[q]
             g = sum(map(operator.mul, map(complex.conjugate, up), uq))
             size = abs(g)
-            if not size > eps * math.sqrt(a) * math.sqrt(b):
+            if not size > tol * math.sqrt(a) * math.sqrt(b):
                 continue
             zeta = (b - a) / (2.0 * size)
             t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))

@@ -8,12 +8,13 @@ and its outcome is the first whose CDF value exceeds that variate.  Only
 the counts are reported.  A run of at most ``_CHUNK_TRIALS`` (65536) trials
 is tallied in pure Python, one binary search of the CDF per trial; with the
 pure-Python SVD that ``schmidt_decompose`` gives a matrix whose smaller
-side is at most 8, this keeps numpy out of every small CLI call.  A longer
-run is tallied with numpy a chunk at a time: the chunk's variates are
-sorted and the number below each CDF threshold is read off by one binary
-search per threshold.  Because trial t's variate depends on nothing but
-(seed, t), the tally is bit-exactly reproducible no matter how trials are
-partitioned or scheduled, and both tallies give the same counts.
+side is at most 8 (and that is not long), this keeps numpy out of every
+small CLI call.  A longer run is tallied with numpy a chunk at a time: the
+chunk's variates are sorted and the number below each CDF threshold is
+read off by one binary search per threshold.  Because trial t's variate
+depends on nothing but (seed, t), the tally is bit-exactly reproducible no
+matter how trials are partitioned or scheduled, and both tallies give the
+same counts.
 """
 
 from __future__ import annotations
@@ -105,14 +106,21 @@ def counter_uniforms(seed: int, start: int, count: int) -> np.ndarray:
 
     if count < 0 or start < 0:
         raise ValueError("start and count must be nonnegative")
+    # in place, on one array and one buffer for the shifted copies
     x = np.arange(start, start + count, dtype=np.uint64)
-    x = (x + 1) * _GAMMA + (seed & _MASK)
-    x ^= x >> 30
+    x += 1
+    x *= _GAMMA
+    x += seed & _MASK
+    t = np.empty_like(x)
+    x ^= np.right_shift(x, 30, out=t)
     x *= _MIX1
-    x ^= x >> 27
+    x ^= np.right_shift(x, 27, out=t)
     x *= _MIX2
-    x ^= x >> 31
-    return (x >> 11).astype(np.float64) * (2.0**-53)
+    x ^= np.right_shift(x, 31, out=t)
+    x >>= 11
+    u = x.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 def _python_tally(cdf: list, seed: int, trials: int) -> list:

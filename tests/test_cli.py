@@ -1113,16 +1113,16 @@ class TestNumpyStaysUnimported:
     Each call runs ``cli.run`` in a fresh interpreter, which then reports
     whether ``numpy`` got imported and which ``entmanip`` submodules did.
     Small calls never import numpy: an amplitude matrix whose smaller side
-    is at most 8 is decomposed in pure Python, and a simulation of one
-    chunk is tallied in pure Python.  Only a larger SVD or simulation
-    imports it.  A numpy tableau in ``lp.py`` would put the import back on
-    ``lp-solve`` and ``concentrate --weights``, and a module-level kernel
-    import in ``cli``, ``jsonio`` or the package would load modules a call
-    never runs.  Every CLI call computes in floats, so none loads
-    ``fractions`` or ``exact``; none verifies an LP, so none loads
-    ``verify``.  Only a state given as amplitudes loads ``amplitudes``, and
-    ``simulate`` takes its measurement from ``transform``, without
-    ``concentrate`` or ``monotones``.  The value types are plain classes,
+    is at most 8, and that is not long, is decomposed in pure Python, and a
+    simulation of one chunk is tallied in pure Python.  Only a larger
+    decomposition or simulation imports it.  A numpy tableau in ``lp.py``
+    would put the import back on ``lp-solve`` and ``concentrate
+    --weights``, and a module-level kernel import in ``cli``, ``jsonio`` or
+    the package would load modules a call never runs.  Every CLI call
+    computes in floats, so none loads ``fractions`` or ``exact``; none
+    verifies an LP, so none loads ``verify``.  Only a state given as
+    amplitudes loads ``amplitudes``, and ``simulate`` takes its measurement
+    from ``transform``, without ``concentrate`` or ``monotones``.  The value types are plain classes,
     so only ``simulate``, whose report is a dataclass, imports
     ``dataclasses``; otherwise only numpy may import ``inspect``, which
     ``dataclasses`` brings in.

@@ -31,7 +31,7 @@ from entmanip import (
     uniform_spectrum,
 )
 from entmanip import amplitudes
-from entmanip.amplitudes import _SMALL_SIDE
+from entmanip.amplitudes import _SMALL_SIDE, _SMALL_WORK
 from entmanip.exact import exact_sum, integer_ratios, ratio_dot
 from entmanip.schmidt import ZERO_TOL, holds_fraction
 from util import reference_exact_spectrum, reference_fraction_sum, random_unitary
@@ -134,6 +134,18 @@ def _small_matrices(draw, sides=st.integers(1, _SMALL_SIDE)):
     return m / norm
 
 
+@st.composite
+def _long_matrices(draw):
+    """A normalized Gaussian matrix whose smaller side is at most
+    ``_SMALL_SIDE`` and whose work is at ``_SMALL_WORK`` or just past it."""
+    side = draw(st.integers(1, _SMALL_SIDE))
+    long_side = _SMALL_WORK // (side * side) + draw(st.integers(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.standard_normal((side, long_side)) + 1j * rng.standard_normal((side, long_side))
+    m /= np.linalg.norm(m)
+    return m.T.copy() if draw(st.booleans()) else m
+
+
 @settings(max_examples=150, deadline=None)
 @given(_small_matrices(st.integers(1, 2 * _SMALL_SIDE)))
 def test_a_matrix_and_its_transpose_have_one_spectrum(m):
@@ -155,8 +167,21 @@ def test_a_transposed_array_is_decomposed_as_its_copy():
     assert AmplitudeMatrix(m.T).entries.flags.c_contiguous
 
 
+def test_a_single_row_block_does_not_depend_on_the_layout():
+    # a smaller side of 65 would leave a last block of one row, which numpy
+    # multiplies by gemv and rounds differently in C and Fortran order
+    rng = np.random.default_rng(11)
+    m = rng.normal(size=(65, 70)) + 1j * rng.normal(size=(65, 70))
+    m /= np.linalg.norm(m)
+    spectra = {
+        schmidt_decompose(a).coeffs
+        for a in (m, np.asfortranarray(m), m.T, m.T.copy())
+    }
+    assert len(spectra) == 1
+
+
 class TestSmallMatrixJacobi:
-    """Matrices whose smaller side is at most 8 are decomposed in pure Python."""
+    """Small matrices are decomposed in pure Python."""
 
     # Both methods are backward stable, each within about 1e-15 of the
     # 40-digit squared singular values (LAPACK up to 8.9e-16 on such
@@ -177,9 +202,15 @@ class TestSmallMatrixJacobi:
         assert schmidt_decompose(m).rank == kept
 
     @settings(max_examples=40, deadline=None)
-    @given(_small_matrices(st.integers(_SMALL_SIDE, _SMALL_SIDE + 1)))
+    @given(
+        st.one_of(
+            _small_matrices(st.integers(_SMALL_SIDE, _SMALL_SIDE + 1)),
+            _long_matrices(),
+        )
+    )
     def test_the_shape_picks_the_path(self, m):
-        small = min(m.shape) <= _SMALL_SIDE
+        side = min(m.shape)
+        small = side <= _SMALL_SIDE and side * m.size <= _SMALL_WORK
         wrapped = mock.patch.object(
             amplitudes, "_jacobi_squared_singular_values",
             wraps=amplitudes._jacobi_squared_singular_values,
@@ -194,8 +225,6 @@ class TestSmallMatrixJacobi:
         squares = _lapack_squares(m)
         reference = make_spectrum(squares, zero_tol=0.0).coeffs
         coeffs = schmidt_decompose(m, zero_tol=0.0).coeffs
-        if not small:  # numpy's SVD, as before
-            assert coeffs == reference
         n = len(squares)
         assert np.allclose(
             _padded(coeffs, n), _padded(reference, n), rtol=0, atol=self.TOL
@@ -282,6 +311,33 @@ class TestSmallMatrixJacobi:
         )
         assert schmidt_decompose(m).rank == 5
 
+    def test_an_overlap_at_rounding_level_is_not_rotated(self):
+        # rows 3 and 4 are equal, and so are columns 2 and 4; rows 0 and 2
+        # end with |g| at 1 to 1.4 eps |u_0| |u_2|, rounding noise for rows of
+        # 7 entries, and rotating them by it went on for all 30 sweeps
+        rows = [
+            [(-0.1049174552789923+0.3964547139630145j), 0j, 0.07574684947414384j,
+             (-0.26172442584826155+0j), 0.07574684947414384j, 0j,
+             (0.32568421082893056+0j)],
+            [0j, 0j, (0.3184611408613622+3.964547139630145e-11j),
+             (0.3801255925266064+0.024322558118437143j),
+             (0.3184611408613622+3.964547139630145e-11j), 0j, 0.23987453888844798j],
+            [0.0009813590774734858j, 0j, (0.060349264009967145-0.0052517308873178915j),
+             (0.11279572572976898+0j), (0.060349264009967145-0.0052517308873178915j),
+             0j, 0j],
+            *[[(-0.10687086932741402+0j), 0j,
+               (-0.050772304673584505-0.12969523477582234j),
+               (-0.19822735698150726+0.14184379565572122j),
+               (-0.050772304673584505-0.12969523477582234j), 0j,
+               (-0.022147705525069433+0j)]] * 2,
+        ]
+        spectrum, sweeps = self._sweeps(rows)
+        assert sweeps <= self.FULL_RANK_SWEEPS
+        squares = _lapack_squares(rows)
+        assert np.allclose(
+            _padded(spectrum.coeffs, len(squares)), squares, rtol=0, atol=self.TOL
+        )
+
     @settings(max_examples=100, deadline=None)
     @given(st.data(), st.integers(1, _SMALL_SIDE), st.integers(0, 2**32 - 1))
     def test_full_rank_rotates_every_pair_as_before(self, data, rows, seed):
@@ -299,6 +355,53 @@ class TestSmallMatrixJacobi:
                 break
         assert amplitudes._jacobi_squared_singular_values(columns) == norms
         assert columns == plain
+
+
+class TestReducedDensityMatrix:
+    """Larger matrices: eigenvalues of the reduced density matrix."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_small_matrices(st.integers(_SMALL_SIDE + 1, 3 * _SMALL_SIDE)))
+    def test_matches_lapack(self, m):
+        before = m.copy()
+        squares = _lapack_squares(m)
+        coeffs = schmidt_decompose(m, zero_tol=0.0).coeffs
+        assert np.array_equal(m, before)  # the caller's array is left as it was
+        # rounding below zero is clamped, so every coefficient kept is positive
+        assert all(c > 0 for c in coeffs)
+        assert np.allclose(
+            _padded(coeffs, len(squares)), squares, rtol=0,
+            atol=TestSmallMatrixJacobi.TOL,
+        )
+        kept = sum(v > ZERO_TOL for v in squares)
+        assert schmidt_decompose(m).rank == kept
+
+    def test_negative_eigenvalues_of_a_rank_deficient_matrix(self):
+        rng = np.random.default_rng(0)
+        left = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+        right = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
+        m = left @ right
+        m /= np.linalg.norm(m)
+        smallest = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            w = eigvalsh(a)
+            smallest.append(w.min())
+            return w
+
+        with mock.patch.object(np.linalg, "eigvalsh", recording):
+            assert schmidt_decompose(m).rank == 3
+            assert all(c > 0 for c in schmidt_decompose(m, zero_tol=0.0).coeffs)
+        assert smallest and max(smallest) < 0
+
+    def test_a_complex_array_is_checked_without_a_copy(self):
+        rng = np.random.default_rng(2)
+        m = rng.normal(size=(9, 10)) + 1j * rng.normal(size=(9, 10))
+        m /= np.linalg.norm(m)
+        assert amplitudes._amplitude_array(m) is m
+        held = AmplitudeMatrix(m).entries
+        assert not np.shares_memory(held, m) and not held.flags.writeable
 
 
 class TestMakeSpectrum:
