@@ -119,9 +119,7 @@ def optimal_plan(s: SchmidtSpectrum) -> ConcentrationPlan:
     n = len(coeffs)
     gaps = map(operator.sub, coeffs, coeffs[1:] + (0,))
     probs = tuple(map(operator.mul, range(1, n + 1), gaps))
-    expected = math.fsum(
-        map(operator.mul, map(float, probs[1:]), map(math.log, range(2, n + 1)))
-    )
+    expected = math.fsum(map(operator.mul, probs[1:], map(math.log, range(2, n + 1))))
     # Built without the plan's checks: the probabilities are nonnegative and
     # telescope to the coefficient sum, which the spectrum already holds to
     # NORM_TOL; summing them again can round a valid spectrum's plan just
@@ -182,8 +180,9 @@ def concentration_lp(s: SchmidtSpectrum, weights=None) -> LpProblem:
         )
     bounds = vidal_monotones(s)
     # the rule LpProblem applies to the weights and bounds, so the matrix is
-    # of the arithmetic they decide
-    exact = holds_fraction(bounds + weights)
+    # of the arithmetic they decide; the tails are all of the spectrum's
+    # kind, so the first one speaks for them
+    exact = holds_fraction(bounds[:1] + weights)
     matrix = _shared_matrix(n, exact, lambda: _tail_sum_rows(n, exact))
     return LpProblem._of_matrix(weights, matrix, bounds)
 

@@ -1,7 +1,9 @@
 """Exact arithmetic on integer ratios: sums, spectra and LU substitutions.
 
 Only exact work loads this module, and with it ``fractions``: float calls
-never do.  An exact value is summed as an integer numerator over the
+never do.  It sums an exact spectrum's coefficients and builds the spectrum
+of exact ``make_spectrum`` input; the spectrum's sign and order checks are
+``SchmidtSpectrum``'s own, one test for both arithmetics.  An exact value is summed as an integer numerator over the
 running lcm of the denominators (:func:`ratio_dot`), made into one
 ``Fraction`` at the end, which is the number term-by-term ``Fraction``
 addition gives without a gcd per term.
@@ -29,7 +31,7 @@ import operator
 from fractions import Fraction
 from itertools import repeat
 
-from .schmidt import _ALL_STRIPPED, SchmidtSpectrum, check_positive_nonincreasing
+from .schmidt import _ALL_STRIPPED, SchmidtSpectrum
 
 
 def integer_ratios(values) -> list:
@@ -97,26 +99,6 @@ def as_fraction(x) -> Fraction:
 
 
 # ------------------------------------------------------------------ spectra
-
-
-def as_exact(coeffs: tuple) -> tuple:
-    """Spectrum coefficients, one of them a ``Fraction``, as ``Fraction``s,
-    with their exact sum.
-
-    They are checked positive and nonincreasing on their integer numerators
-    over one common denominator, which order as the values do without a
-    ``Fraction`` comparison per pair.  A NaN or an infinity has no
-    numerator: the values are then checked as they are, and come back
-    unconverted with an infinite sum.
-    """
-    try:
-        nums, den = over_common_denominator(coeffs)
-    except (ValueError, OverflowError):
-        check_positive_nonincreasing(coeffs, "spectrum coefficients")
-        return coeffs, math.inf
-    check_positive_nonincreasing(nums, "spectrum coefficients")
-    exact = tuple(map(as_fraction, coeffs))
-    return exact, Fraction(sum(nums), den)
 
 
 def exact_spectrum(values: list, zero_tol) -> SchmidtSpectrum:

@@ -16,7 +16,7 @@ import math
 import operator
 from itertools import accumulate, chain, repeat, starmap, zip_longest
 
-from .schmidt import Frozen, SchmidtSpectrum, holds_fraction, padded_average
+from .schmidt import Frozen, SchmidtSpectrum, padded_average
 
 FEASIBILITY_TOL = 1e-9
 
@@ -56,17 +56,11 @@ def vidal_monotones(s: SchmidtSpectrum) -> tuple:
     positive and nonincreasing, and consecutive differences are the
     coefficients.  E_1 is the running sum of all coefficients: exactly 1
     for an exact spectrum, and for a float one 1 up to the spectrum's
-    normalization and the rounding of the sum.  Exact tails are summed as
-    integer numerators over one common denominator, each made a
-    ``Fraction`` once.  A spectrum is all ``Fraction`` or all float, so
-    its first coefficient decides.
+    normalization and the rounding of the sum.  One running sum serves both
+    arithmetics: a spectrum is all ``Fraction`` or all float, and its tails
+    are of its kind.
     """
-    if not holds_fraction(s.coeffs[:1]):
-        return tuple(accumulate(reversed(s.coeffs)))[::-1]
-    from . import exact
-
-    nums, den = exact.over_common_denominator(s.coeffs)
-    return tuple(map(exact.Fraction, accumulate(reversed(nums)), repeat(den)))[::-1]
+    return tuple(accumulate(reversed(s.coeffs)))[::-1]
 
 
 def _report(source_tails, target_tails, tol) -> FeasibilityReport:
@@ -115,20 +109,19 @@ def ensemble_feasible(
     return _report(vidal_monotones(source), avg, tol)
 
 
-def max_conversion_probability(
-    source: SchmidtSpectrum, target: SchmidtSpectrum
-) -> float:
+def max_conversion_probability(source: SchmidtSpectrum, target: SchmidtSpectrum):
     """Largest probability of converting ``source`` into ``target`` by LQCC.
 
     Equals the smallest ratio of source to target tail sums over the
     indices where the target monotone is nonzero (the first
-    ``target.rank``), clamped to [0, 1].  A target rank exceeding the
-    source rank forces 0.  Each ratio divides the tails as floats, exact
-    spectra included.
+    ``target.rank``), clamped to at most 1; no ratio is negative.  A target
+    rank exceeding the source rank forces 0.  The tails are divided in the
+    spectra's own arithmetic: two exact spectra give an exact ``Fraction``,
+    and a float spectrum on either side gives a float, the ratio of the
+    tails as floats.
     """
-    ratios = map(
-        operator.truediv,
-        map(float, chain(vidal_monotones(source), repeat(0))),
-        map(float, vidal_monotones(target)),
-    )
-    return max(0.0, min(1.0, min(ratios, default=1.0)))
+    tails = vidal_monotones(source)
+    # zeros past the source rank, of the source's kind: 0.0 or Fraction(0)
+    zeros = repeat(0 * tails[0])
+    p = min(map(operator.truediv, chain(tails, zeros), vidal_monotones(target)))
+    return p if p <= 1 else type(p)(1)

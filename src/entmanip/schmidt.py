@@ -10,9 +10,15 @@ construction and validation.  Spectra of amplitude matrices are taken in
 Spectra normally hold floats.  A spectrum given any ``fractions.Fraction``
 entry is exact: every entry is then stored as a ``Fraction`` and
 normalisation is exact; the LP layer uses this for certifying saturation
-identities without floating-point doubt.  Exact values are summed on
-integer ratios by the kernels of ``entmanip.exact``, which only the exact
-branches load, so float work never loads ``fractions``.
+identities without floating-point doubt.  Both arithmetics take one path
+wherever the number type does not change the result: the constructor
+tests sign and order once, on the values as given (a ``Fraction``
+compares with a float exactly), and only the sum differs.  Exact values
+are summed on integer ratios by the kernels of ``entmanip.exact``, which
+only exact values load, so float work never loads ``fractions``.
+:func:`make_spectrum` stores what it builds without the constructor's
+checks, since it builds only valid spectra; a float coefficient that its
+normalisation underflows to 0 is dropped.
 """
 
 from __future__ import annotations
@@ -58,22 +64,6 @@ def fraction_among(kinds) -> bool:
     if fractions is None:
         return False
     return any(issubclass(kind, fractions.Fraction) for kind in kinds)
-
-
-def check_positive_nonincreasing(values: tuple, what: str) -> None:
-    """Raise ``ValueError`` unless ``values`` are > 0 and nonincreasing.
-
-    Each test is a single pass in positive form, so that a NaN anywhere
-    fails it.  A nonincreasing run whose last entry is positive is
-    positive throughout, so the per-entry sign test runs only on failure,
-    to pick the message.
-    """
-    ordered = all(map(operator.ge, values, values[1:]))
-    if ordered and values[-1] > 0:
-        return
-    if not all(map(operator.gt, values, repeat(0))):
-        raise ValueError(f"{what} must be strictly positive")
-    raise ValueError(f"{what} must be nonincreasing")
 
 
 class FailedCheck(Exception):
@@ -135,9 +125,12 @@ class SchmidtSpectrum(Frozen):
 
     Invariants: nonincreasing, strictly positive entries summing to 1 within
     ``NORM_TOL``.  Trailing zeros are never stored; the rank equals the
-    number of entries.  Coefficients that hold a ``Fraction`` are stored as
-    ``Fraction``s and summed exactly.  Use :func:`make_spectrum` or
-    ``amplitudes.schmidt_decompose`` to build instances.
+    number of entries.  The constructor checks sign and order by one test
+    on the values as given, for float and exact values alike; then
+    coefficients that hold a ``Fraction`` are stored as ``Fraction``s and
+    summed exactly, and float ones are summed by ``math.fsum``.  Use
+    :func:`make_spectrum` or ``amplitudes.schmidt_decompose`` to build
+    instances.
     """
 
     _fields = ("coeffs",)
@@ -146,12 +139,22 @@ class SchmidtSpectrum(Frozen):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("spectrum must have at least one coefficient")
-        if holds_fraction(coeffs):
+        # One pass each, in positive form so that a NaN anywhere fails it,
+        # and a Fraction compares with a float exactly.  A nonincreasing run
+        # whose last entry is positive is positive throughout, so the sign
+        # test runs only on failure, to pick the message.
+        if not (all(map(operator.ge, coeffs, coeffs[1:])) and coeffs[-1] > 0):
+            if not all(map(operator.gt, coeffs, repeat(0))):
+                raise ValueError("spectrum coefficients must be strictly positive")
+            raise ValueError("spectrum coefficients must be nonincreasing")
+        # ordered, so only the first entry can be infinite; a Fraction beside
+        # it then sums as a float, to inf
+        if holds_fraction(coeffs) and coeffs[0] < math.inf:
             from . import exact
 
-            coeffs, total = exact.as_exact(coeffs)
+            coeffs = tuple(map(exact.as_fraction, coeffs))
+            total = exact.exact_sum(coeffs)
         else:
-            check_positive_nonincreasing(coeffs, "spectrum coefficients")
             total = math.fsum(coeffs)
         if not abs(total - 1) <= NORM_TOL:
             raise ValueError(f"spectrum is not normalized: sum = {total!r}")
@@ -177,7 +180,11 @@ def make_spectrum(raw, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
     totalled, and entry i of the result is ``Fraction(n_i, total)``.  For
     float input the normalization is corrected to make ``math.fsum`` of the
     result exactly 1.0, which makes the function idempotent on
-    already-valid spectra.
+    already-valid spectra.  A float coefficient that the division by the sum
+    underflows to 0 (1e-300 beside 1e300) is dropped, whatever ``zero_tol``
+    is, as a spectrum holds no zero.  Either result is positive,
+    nonincreasing and normalised by construction, and is stored without
+    the constructor's checks.
 
     Raises ``ValueError`` on negative or NaN entries, on a sum that is not
     finite, or when nothing survives the zero stripping.
@@ -203,6 +210,8 @@ def make_spectrum(raw, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
         raise ValueError(_ALL_STRIPPED)
     total = math.fsum(values)
     values = [v / total for v in values]
+    while not values[-1]:  # underflowed in the division; values[0] >= 1/len
+        values.pop()
     # Fold the rounding residual into the largest coefficient so that
     # fsum(values) == 1.0 exactly; the correction is O(eps) and the
     # largest entry is at least 1/len(values), so it stays positive.
@@ -212,7 +221,9 @@ def make_spectrum(raw, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
             break
         values[0] -= residual
     values.sort(reverse=True)  # an eps correction may reorder ties
-    return SchmidtSpectrum(tuple(values))
+    # positive, nonincreasing and summing to 1 by construction, as the
+    # spectrum requires, so it is stored without checking it again
+    return SchmidtSpectrum._of(tuple(values))
 
 
 def padded_average(pairs) -> list:
@@ -238,4 +249,4 @@ def uniform_spectrum(levels: int) -> SchmidtSpectrum:
 
 def entropy(s: SchmidtSpectrum) -> float:
     """Entanglement entropy of a spectrum in nats (0*ln 0 := 0)."""
-    return -math.fsum(float(a) * math.log(float(a)) for a in s.coeffs)
+    return -math.fsum(a * math.log(a) for a in s.coeffs)

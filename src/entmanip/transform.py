@@ -72,7 +72,7 @@ class TargetEnsemble(Frozen):
                 raise ValueError(f"ensemble probabilities must be positive, got {p!r}")
             if not isinstance(target, SchmidtSpectrum):
                 raise ValueError("ensemble targets must be SchmidtSpectrum values")
-        total = math.fsum(float(p) for p, _ in entries)
+        total = math.fsum(p for p, _ in entries)
         if not abs(total - 1.0) <= NORM_TOL:
             raise ValueError(f"ensemble probabilities sum to {total!r}, not 1")
         self._store(entries)
@@ -152,9 +152,8 @@ class DiagonalPovm(Frozen):
         """
         if state.rank > self.support_rank:
             raise IncompletePovmError("state rank exceeds the measurement support")
-        coeffs = [float(a) for a in state.coeffs]
         return tuple(
-            math.fsum(el.diag[i] ** 2 * a for i, a in enumerate(coeffs))
+            math.fsum(el.diag[i] ** 2 * a for i, a in enumerate(state.coeffs))
             for el in self.elements
         )
 

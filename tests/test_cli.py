@@ -120,6 +120,15 @@ class TestDecompose:
         assert code == 0
         assert len(doc["spectrum"]) == 2
 
+    def test_a_coefficient_lost_to_underflow_is_dropped(self, tmp_path, capsys):
+        # normalised, 1e-300 / 1e300 underflows to 0, which is not blamed on
+        # the input: the state is a product state
+        path = write_json(tmp_path / "wide.json", {"spectrum": [1e300, 1e-300]})
+        argv = ["decompose", "--state", path, "--zero-tol", "0"]
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        assert doc["spectrum"] == [1] and doc["entropy"] == 0
+
 
 class TestCheckFeasible:
     def test_feasible_pair(self, capsys, tmp_path):

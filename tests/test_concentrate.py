@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from entmanip import (
     verify_solution,
     vidal_monotones,
 )
+from entmanip import concentrate
+from entmanip.schmidt import NORM_TOL
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from util import (
@@ -125,6 +128,12 @@ class TestOptimalPlan:
         ConcentrationPlan((0.5 + 5e-10, 0.5), 0.0)
         with pytest.raises(ValueError, match="sum"):
             ConcentrationPlan((0.5 + 2e-9, 0.5), 0.0)
+        # an exact sum compares with the float bound exactly: a sum off 1 by
+        # NORM_TOL itself passes, and one a hair past it does not
+        at_bound = Fraction(1) + Fraction(NORM_TOL)
+        ConcentrationPlan((at_bound,), 0.0)
+        with pytest.raises(ValueError, match="sum"):
+            ConcentrationPlan((at_bound + Fraction(1, 10**30),), 0.0)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -549,6 +558,17 @@ class TestAsymptoticYieldCurve:
         assert limit - curve[100] < limit - curve[16]
 
     def test_type_class_cap(self):
+        assert concentrate.SIZE_CAP == 1 << 20
         s = make_spectrum([1.0 + i / 64 for i in range(64)])
         with pytest.raises(ValueError, match="cap"):
             asymptotic_yield_curve(s, 5)
+
+    def test_a_curve_of_exactly_the_cap_is_computed(self):
+        # rank 2 up to n = 6 copies has comb(2 + 6, 6) - 1 = 27 type classes
+        s = make_spectrum([0.7, 0.3])
+        classes = math.comb(2 + 6, 6) - 1
+        with mock.patch.object(concentrate, "SIZE_CAP", classes):
+            assert len(asymptotic_yield_curve(s, 6)) == 6
+        with mock.patch.object(concentrate, "SIZE_CAP", classes - 1):
+            with pytest.raises(ValueError, match=f"curve needs {classes} type classes"):
+                asymptotic_yield_curve(s, 6)

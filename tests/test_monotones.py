@@ -284,10 +284,30 @@ class TestMaxConversionProbability:
         st.one_of(float_spectra, exact_spectra),
     )
     def test_bit_for_bit_equal_to_loop_oracle(self, a, b):
+        # a float spectrum on either side gives the float ratio, bit for bit;
+        # two exact spectra give the exact one
+        exact = type(a.coeffs[0]) is type(b.coeffs[0]) is Fraction
         for source, target in ((a, b), (b, a)):
             p = max_conversion_probability(source, target)
-            assert type(p) is float
-            assert p.hex() == reference_max_conversion_probability(source, target).hex()
+            if exact:
+                assert type(p) is Fraction
+                assert p == reference_max_conversion_probability(source, target, Fraction)
+            else:
+                assert type(p) is float
+                assert p.hex() == reference_max_conversion_probability(source, target).hex()
+
+    def test_exact_pairs_give_exact_probabilities(self):
+        half, nudge = Fraction(1, 2), Fraction(1, 10**10)  # nudge < NORM_TOL
+        pair = make_spectrum([Fraction(1), Fraction(1)])
+        cases = [
+            (make_spectrum([Fraction(3), Fraction(1)]), Fraction(1, 2)),
+            # every tail above the target's: clamped to 1
+            (SchmidtSpectrum((half + nudge, half + nudge)), Fraction(1)),
+            (make_spectrum([Fraction(1)]), Fraction(0)),  # rank obstruction
+        ]
+        for source, expected in cases:
+            p = max_conversion_probability(source, pair)
+            assert type(p) is Fraction and p == expected
 
     def test_matches_lp_optimum(self):
         # one-variable LP: maximize p with p * E_l(target) <= E_l(source)

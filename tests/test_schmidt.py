@@ -421,6 +421,24 @@ class TestMakeSpectrum:
             again = make_spectrum(s.coeffs)
             assert again.coeffs == s.coeffs
 
+    def test_a_coefficient_lost_to_underflow_is_dropped(self):
+        # 1e-300 / 1e300 underflows to 0, which a spectrum cannot hold
+        s = make_spectrum([1e300, 1e-300], zero_tol=0.0)
+        assert s.coeffs == (1.0,)
+        assert entropy(s) == 0.0
+
+    @given(
+        st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=8),
+        st.sampled_from([0.0, ZERO_TOL]),
+    )
+    def test_the_stored_result_is_a_valid_spectrum(self, raw, zero_tol):
+        # the result is stored without the constructor's checks, and it
+        # passes them; built again from its own coefficients it is unchanged
+        assume(max(raw) > zero_tol)  # else nothing survives the stripping
+        s = make_spectrum(raw, zero_tol=zero_tol)
+        assert SchmidtSpectrum(s.coeffs) == s
+        assert make_spectrum(s.coeffs, zero_tol=0.0) == s
+
     def test_stable_sort_keeps_tied_order(self):
         # ties must not be reshuffled between runs
         a = make_spectrum([0.25, 0.25, 0.5])
@@ -619,8 +637,9 @@ class TestSpectrumValidation:
         st.booleans(),
     )
     def test_exact_checks_match_the_fraction_comparisons(self, raw, fraction, rng, fix):
-        # the order is checked on integer numerators over one denominator,
-        # with the messages of the entry-by-entry Fraction checks
+        # the values are ordered as given, a Fraction beside a float
+        # compared exactly, with the messages of the entry-by-entry
+        # Fraction checks
         raw.insert(rng.randint(0, len(raw)), fraction)  # one Fraction at least
         if fix and all(v > 0 for v in raw):  # a valid spectrum, types mixed
             total = sum(map(Fraction, raw))

@@ -127,22 +127,24 @@ def yield_statistics(report) -> tuple[float, float]:
 
 
 def reference_max_conversion_probability(
-    source: SchmidtSpectrum, target: SchmidtSpectrum
-) -> float:
+    source: SchmidtSpectrum, target: SchmidtSpectrum, number=float
+):
     """Per-entry loop over both zero-padded tail vectors.
 
-    The reference that ``max_conversion_probability`` must match bit for
-    bit: the smallest float ratio of source to target tail sums where the
-    target's is nonzero, starting from 1.0 and clamped to [0, 1].
+    The reference that ``max_conversion_probability`` must match: the
+    smallest ratio of source to target tail sums where the target's is
+    nonzero, starting from 1 and clamped to [0, 1], each tail taken as
+    ``number`` first.  ``float`` gives the float answer bit for bit, and
+    ``Fraction`` the exact one.
     """
     n = max(source.rank, target.rank)
-    source_tails = list(vidal_monotones(source)) + [0.0] * (n - source.rank)
-    target_tails = list(vidal_monotones(target)) + [0.0] * (n - target.rank)
-    best = 1.0
+    source_tails = list(vidal_monotones(source)) + [0] * (n - source.rank)
+    target_tails = list(vidal_monotones(target)) + [0] * (n - target.rank)
+    best = number(1)
     for es, et in zip(source_tails, target_tails):
         if et > 0:
-            best = min(best, float(es) / float(et))
-    return max(0.0, min(1.0, best))
+            best = min(best, number(es) / number(et))
+    return max(number(0), min(number(1), best))
 
 
 def reference_fraction_sum(values) -> Fraction:
