@@ -22,7 +22,7 @@ from collections import Counter
 from itertools import accumulate, repeat
 
 from .monotones import vidal_monotones
-from .schmidt import NORM_TOL, Frozen, SchmidtSpectrum, holds_fraction
+from .schmidt import NORM_TOL, Frozen, SchmidtSpectrum, holds_fraction, numpy_passes
 
 # Annotations are not evaluated (PEP 563): ``LpProblem`` is imported only
 # by the function that builds one.
@@ -113,13 +113,22 @@ def optimal_plan(s: SchmidtSpectrum) -> ConcentrationPlan:
     probabilities telescope back to the coefficient sum, so the plan is
     normalised because the spectrum is, and its sum is not checked again.
     The expected entanglement is the ln j average in nats.  Both are
-    C-level passes, one for float and exact spectra alike.
+    C-level passes, one for float and exact spectra alike; the
+    probabilities of a float spectrum of ``VECTOR_RANK`` or more levels are
+    one numpy pass once numpy is loaded, with the same bits.  An exact
+    plan's probabilities are converted to floats once for the average, as
+    a ``Fraction`` times a float is ``float(p)`` times it.
     """
     coeffs = s.coeffs
     n = len(coeffs)
-    gaps = map(operator.sub, coeffs, coeffs[1:] + (0,))
-    probs = tuple(map(operator.mul, range(1, n + 1), gaps))
-    expected = math.fsum(map(operator.mul, probs[1:], map(math.log, range(2, n + 1))))
+    vector = numpy_passes((s,))
+    if vector:
+        probs = vector.plan_probabilities(coeffs)
+    else:
+        gaps = map(operator.sub, coeffs, coeffs[1:] + (0,))
+        probs = tuple(map(operator.mul, range(1, n + 1), gaps))
+    floats = map(float, probs[1:]) if holds_fraction(probs[:1]) else probs[1:]
+    expected = math.fsum(map(operator.mul, floats, map(math.log, range(2, n + 1))))
     # Built without the plan's checks: the probabilities are nonnegative and
     # telescope to the coefficient sum, which the spectrum already holds to
     # NORM_TOL; summing them again can round a valid spectrum's plan just

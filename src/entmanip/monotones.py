@@ -7,7 +7,17 @@ communication exactly when none of these monotones increases on average.
 This module computes the monotones, as a plain tuple of tail sums, and
 applies that criterion, both for a single target (Nielsen's majorization
 test) and for a target ensemble.  Tail vectors of different rank are
-compared with zeros filled in past the shorter one.
+compared with zeros filled in past the shorter one.  A report carries its
+slack at every index, and its ``margin``, the smallest slack, says how far
+the verdict stood from flipping.
+
+When every spectrum is float, the tolerance a float, the largest rank at
+least ``schmidt.VECTOR_RANK`` and numpy loaded, the feasibility tests and
+:func:`max_conversion_probability` take their tail sums, slacks, violated
+indices and ratios as numpy passes (``entmanip.vector``), with the same
+bits; the tails stay numpy arrays between the passes.
+:func:`vidal_monotones` keeps its running sum: converting numpy's tails
+back to a tuple costs more than the sum.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ import math
 import operator
 from itertools import accumulate, chain, repeat, starmap, zip_longest
 
-from .schmidt import Frozen, SchmidtSpectrum, padded_average
+from .schmidt import Frozen, SchmidtSpectrum, numpy_passes, padded_average
 
 FEASIBILITY_TOL = 1e-9
 
@@ -47,6 +57,17 @@ class FeasibilityReport(Frozen):
     def feasible(self) -> bool:
         return not self.violated_indices
 
+    @property
+    def margin(self) -> tuple:
+        """``(l, slack[l-1])`` at the smallest slack, the first l on a tie.
+
+        The check was feasible exactly when this slack is at least
+        ``-tol``: it is how far the closest index stands from flipping the
+        verdict.  Derived from ``slack`` when asked, not stored.
+        """
+        low = min(self.slack)
+        return self.slack.index(low) + 1, low
+
 
 def vidal_monotones(s: SchmidtSpectrum) -> tuple:
     """All tail-sum monotones of a spectrum, by backward accumulation.
@@ -63,10 +84,17 @@ def vidal_monotones(s: SchmidtSpectrum) -> tuple:
     return tuple(accumulate(reversed(s.coeffs)))[::-1]
 
 
-def _report(source_tails, target_tails, tol) -> FeasibilityReport:
+def _tails(s: SchmidtSpectrum, vector):
+    """``vidal_monotones(s)``, as a numpy array on the vector path."""
+    return vector.tails(s.coeffs) if vector else vidal_monotones(s)
+
+
+def _report(source_tails, target_tails, tol, vector) -> FeasibilityReport:
     # a NaN tolerance would pass every index, a negative one fail ties
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+    if vector:
+        return FeasibilityReport(*vector.slack(source_tails, target_tails, tol))
     # int 0 past the shorter vector keeps floats float and Fractions exact
     slack = tuple(
         starmap(operator.sub, zip_longest(source_tails, target_tails, fillvalue=0))
@@ -89,7 +117,8 @@ def nielsen_feasible(
     index, not an error.  ``tol`` must be finite and >= 0, or
     ``ValueError`` is raised.
     """
-    return _report(vidal_monotones(source), vidal_monotones(target), tol)
+    vector = numpy_passes((source, target), tol)
+    return _report(_tails(source, vector), _tails(target, vector), tol, vector)
 
 
 def ensemble_feasible(
@@ -105,8 +134,10 @@ def ensemble_feasible(
     comparison is reported like any other index.  ``tol`` must be finite
     and >= 0, as for :func:`nielsen_feasible`.
     """
+    # float targets give a float average, whatever number type p is
+    vector = numpy_passes((source, *(t for _, t in ensemble.entries)), tol)
     avg = padded_average((p, vidal_monotones(t)) for p, t in ensemble.entries)
-    return _report(vidal_monotones(source), avg, tol)
+    return _report(_tails(source, vector), avg, tol, vector)
 
 
 def max_conversion_probability(source: SchmidtSpectrum, target: SchmidtSpectrum):
@@ -120,8 +151,12 @@ def max_conversion_probability(source: SchmidtSpectrum, target: SchmidtSpectrum)
     and a float spectrum on either side gives a float, the ratio of the
     tails as floats.
     """
-    tails = vidal_monotones(source)
-    # zeros past the source rank, of the source's kind: 0.0 or Fraction(0)
-    zeros = repeat(0 * tails[0])
-    p = min(map(operator.truediv, chain(tails, zeros), vidal_monotones(target)))
+    vector = numpy_passes((source, target))
+    if vector:
+        p = vector.min_ratio(vector.tails(source.coeffs), vector.tails(target.coeffs))
+    else:
+        tails = vidal_monotones(source)
+        # zeros past the source rank, of the source's kind: 0.0 or Fraction(0)
+        zeros = repeat(0 * tails[0])
+        p = min(map(operator.truediv, chain(tails, zeros), vidal_monotones(target)))
     return p if p <= 1 else type(p)(1)

@@ -19,6 +19,15 @@ only exact values load, so float work never loads ``fractions``.
 :func:`make_spectrum` stores what it builds without the constructor's
 checks, since it builds only valid spectra; a float coefficient that its
 normalisation underflows to 0 is dropped.
+
+Large float spectra take numpy passes, in ``entmanip.vector``, as exact
+ones take integer-ratio kernels: :func:`vector_sized` sends a float kernel
+over ``VECTOR_RANK`` or more values there once numpy is loaded, reading
+``sys.modules`` as :func:`fraction_among` does, so no call imports numpy
+for a spectrum.  The passes give the scalar results bit for bit.  Here
+:func:`make_spectrum` takes them when every entry is a plain ``float``;
+both paths share the residual fold that makes the result sum to exactly
+1.0.
 """
 
 from __future__ import annotations
@@ -30,6 +39,9 @@ from itertools import repeat, zip_longest
 
 NORM_TOL = 1e-9
 ZERO_TOL = 1e-12
+# The rank from which float kernels take numpy passes, once numpy is loaded;
+# below it the scalar code costs as much.
+VECTOR_RANK = 256
 
 __all__ = [
     "NORM_TOL",
@@ -64,6 +76,33 @@ def fraction_among(kinds) -> bool:
     if fractions is None:
         return False
     return any(issubclass(kind, fractions.Fraction) for kind in kinds)
+
+
+def vector_sized(n: int) -> bool:
+    """Whether a float kernel over ``n`` values takes numpy passes.
+
+    It does from ``VECTOR_RANK`` values on, and only when numpy is loaded
+    already: like :func:`fraction_among` for ``fractions``, this reads
+    ``sys.modules``, so no call imports numpy for a spectrum.  Each kernel
+    adds its own test that its values are floats; the passes are in
+    ``entmanip.vector``.
+    """
+    return n >= VECTOR_RANK and sys.modules.get("numpy") is not None
+
+
+def numpy_passes(spectra, tol: float = 0.0):
+    """The ``vector`` module if kernels over ``spectra`` take numpy, else None.
+
+    They do when every spectrum is float (its first coefficient a plain
+    float, which an exact spectrum's never is), the tolerance is a float
+    and the largest rank is :func:`vector_sized`.
+    """
+    floats = type(tol) is float and all(type(s.coeffs[0]) is float for s in spectra)
+    if floats and vector_sized(max(s.rank for s in spectra)):
+        from . import vector
+
+        return vector
+    return None
 
 
 class FailedCheck(Exception):
@@ -155,7 +194,10 @@ class SchmidtSpectrum(Frozen):
             coeffs = tuple(map(exact.as_fraction, coeffs))
             total = exact.exact_sum(coeffs)
         else:
-            total = math.fsum(coeffs)
+            try:
+                total = math.fsum(coeffs)
+            except OverflowError:  # an int or Fraction past the float range
+                total = math.inf
         if not abs(total - 1) <= NORM_TOL:
             raise ValueError(f"spectrum is not normalized: sum = {total!r}")
         self._store(coeffs)
@@ -167,6 +209,8 @@ class SchmidtSpectrum(Frozen):
 
 
 _ALL_STRIPPED = "all coefficients are zero (or below zero_tol)"
+_NEGATIVE = "coefficients must be nonnegative numbers"
+_NOT_FINITE = "coefficients must have a finite sum"
 
 
 def make_spectrum(raw, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
@@ -184,7 +228,9 @@ def make_spectrum(raw, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
     underflows to 0 (1e-300 beside 1e300) is dropped, whatever ``zero_tol``
     is, as a spectrum holds no zero.  Either result is positive,
     nonincreasing and normalised by construction, and is stored without
-    the constructor's checks.
+    the constructor's checks.  Input of ``VECTOR_RANK`` or more plain
+    floats is sorted, stripped and divided by numpy passes once numpy is
+    loaded, to the same bits.
 
     Raises ``ValueError`` on negative or NaN entries, on a sum that is not
     finite, or when nothing survives the zero stripping.
@@ -192,16 +238,24 @@ def make_spectrum(raw, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
     values = list(raw)
     if not values:
         raise ValueError("empty coefficient list")
-    if not all(map(operator.ge, values, repeat(0))):  # NaN fails it too
-        raise ValueError("coefficients must be nonnegative numbers")
+    kinds = set(map(type, values))
+    if kinds == {float} and vector_sized(len(values)):
+        from . import vector
 
-    if holds_fraction(values):
+        return _folded(vector.normalised(values, zero_tol))
+    if not all(map(operator.ge, values, repeat(0))):  # NaN fails it too
+        raise ValueError(_NEGATIVE)
+
+    if fraction_among(kinds):
         from . import exact
 
         return exact.exact_spectrum(values, zero_tol)
-    values = list(map(float, values))
+    try:
+        values = list(map(float, values))
+    except OverflowError:  # an int past the float range
+        raise ValueError(_NOT_FINITE) from None
     if not math.isfinite(sum(values)):
-        raise ValueError("coefficients must have a finite sum")
+        raise ValueError(_NOT_FINITE)
     values.sort(reverse=True)
     # the test is monotone in v, so the entries that fail it are a suffix
     while values and not (values[-1] > zero_tol and values[-1] > 0):
@@ -212,6 +266,11 @@ def make_spectrum(raw, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
     values = [v / total for v in values]
     while not values[-1]:  # underflowed in the division; values[0] >= 1/len
         values.pop()
+    return _folded(values)
+
+
+def _folded(values: list) -> SchmidtSpectrum:
+    """The spectrum of nonincreasing positive ``values`` summing to 1 within eps."""
     # Fold the rounding residual into the largest coefficient so that
     # fsum(values) == 1.0 exactly; the correction is O(eps) and the
     # largest entry is at least 1/len(values), so it stays positive.
@@ -248,5 +307,12 @@ def uniform_spectrum(levels: int) -> SchmidtSpectrum:
 
 
 def entropy(s: SchmidtSpectrum) -> float:
-    """Entanglement entropy of a spectrum in nats (0*ln 0 := 0)."""
-    return -math.fsum(a * math.log(a) for a in s.coeffs)
+    """Entanglement entropy of a spectrum in nats (0*ln 0 := 0).
+
+    An exact spectrum is converted to floats once: a ``Fraction`` times a
+    float is ``float(a)`` times it, so the bits are the same.
+    """
+    coeffs = s.coeffs
+    if holds_fraction(coeffs[:1]):
+        coeffs = map(float, coeffs)
+    return -math.fsum(a * math.log(a) for a in coeffs)

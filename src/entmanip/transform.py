@@ -29,6 +29,7 @@ import math
 from itertools import zip_longest
 
 from .schmidt import NORM_TOL, FailedCheck, Frozen, SchmidtSpectrum, make_spectrum, padded_average
+from .schmidt import holds_fraction
 
 MERGE_TOL = 1e-9
 POVM_TOL = 1e-10
@@ -148,12 +149,17 @@ class DiagonalPovm(Frozen):
         """Probability sum_i d_i^2 a_i of each outcome when measuring ``state``.
 
         Raises :class:`IncompletePovmError` when the state's rank exceeds the
-        support, where the measurement does not resolve to 1.
+        support, where the measurement does not resolve to 1.  An exact
+        state is converted to floats once, for the same bits: a float times
+        a ``Fraction`` is that float times ``float(a)``.
         """
         if state.rank > self.support_rank:
             raise IncompletePovmError("state rank exceeds the measurement support")
+        coeffs = state.coeffs
+        if holds_fraction(coeffs[:1]):
+            coeffs = tuple(map(float, coeffs))
         return tuple(
-            math.fsum(el.diag[i] ** 2 * a for i, a in enumerate(state.coeffs))
+            math.fsum(el.diag[i] ** 2 * a for i, a in enumerate(coeffs))
             for el in self.elements
         )
 
