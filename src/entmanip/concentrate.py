@@ -23,6 +23,7 @@ from itertools import accumulate, repeat
 
 from .monotones import vidal_monotones
 from .schmidt import NORM_TOL, Frozen, SchmidtSpectrum, holds_fraction, numpy_passes
+from .schmidt import fsum_or_inf
 
 # Annotations are not evaluated (PEP 563): ``LpProblem`` is imported only
 # by the function that builds one.
@@ -65,7 +66,7 @@ class ConcentrationPlan(Frozen):
 
             total = exact.exact_sum(probabilities)
         else:
-            total = math.fsum(probabilities)
+            total = fsum_or_inf(probabilities)
         if not abs(total - 1) <= NORM_TOL:
             raise ValueError(f"plan probabilities sum to {total!r}, not 1")
         if not math.isfinite(expected_entanglement):
@@ -115,20 +116,22 @@ def optimal_plan(s: SchmidtSpectrum) -> ConcentrationPlan:
     The expected entanglement is the ln j average in nats.  Both are
     C-level passes, one for float and exact spectra alike; the
     probabilities of a float spectrum of ``VECTOR_RANK`` or more levels are
-    one numpy pass once numpy is loaded, with the same bits.  An exact
-    plan's probabilities are converted to floats once for the average, as
-    a ``Fraction`` times a float is ``float(p)`` times it.
+    one numpy pass once numpy is loaded, on the array the spectrum holds,
+    and the average multiplies them by a held table of ln j, with the same
+    bits.  An exact plan's probabilities are converted to floats once for
+    the average, as a ``Fraction`` times a float is ``float(p)`` times it.
     """
-    coeffs = s.coeffs
-    n = len(coeffs)
     vector = numpy_passes((s,))
     if vector:
-        probs = vector.plan_probabilities(coeffs)
+        p = vector.plan_probabilities(s)
+        probs, expected = tuple(memoryview(p)), vector.mean_log_level(p)
     else:
+        coeffs = s.coeffs
+        n = len(coeffs)
         gaps = map(operator.sub, coeffs, coeffs[1:] + (0,))
         probs = tuple(map(operator.mul, range(1, n + 1), gaps))
-    floats = map(float, probs[1:]) if holds_fraction(probs[:1]) else probs[1:]
-    expected = math.fsum(map(operator.mul, floats, map(math.log, range(2, n + 1))))
+        floats = map(float, probs[1:]) if holds_fraction(probs[:1]) else probs[1:]
+        expected = math.fsum(map(operator.mul, floats, map(math.log, range(2, n + 1))))
     # Built without the plan's checks: the probabilities are nonnegative and
     # telescope to the coefficient sum, which the spectrum already holds to
     # NORM_TOL; summing them again can round a valid spectrum's plan just

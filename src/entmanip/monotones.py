@@ -13,9 +13,10 @@ the verdict stood from flipping.
 
 When every spectrum is float, the tolerance a float, the largest rank at
 least ``schmidt.VECTOR_RANK`` and numpy loaded, the feasibility tests and
-:func:`max_conversion_probability` take their tail sums, slacks, violated
-indices and ratios as numpy passes (``entmanip.vector``), with the same
-bits; the tails stay numpy arrays between the passes.
+:func:`max_conversion_probability` take their tail sums, the ensemble's
+average tails, slacks, violated indices and ratios as numpy passes
+(``entmanip.vector``), with the same bits; they read the array a large
+spectrum holds, and the tails stay numpy arrays between the passes.
 :func:`vidal_monotones` keeps its running sum: converting numpy's tails
 back to a tuple costs more than the sum.
 """
@@ -86,7 +87,7 @@ def vidal_monotones(s: SchmidtSpectrum) -> tuple:
 
 def _tails(s: SchmidtSpectrum, vector):
     """``vidal_monotones(s)``, as a numpy array on the vector path."""
-    return vector.tails(s.coeffs) if vector else vidal_monotones(s)
+    return vector.tails(s) if vector else vidal_monotones(s)
 
 
 def _report(source_tails, target_tails, tol, vector) -> FeasibilityReport:
@@ -135,8 +136,12 @@ def ensemble_feasible(
     and >= 0, as for :func:`nielsen_feasible`.
     """
     # float targets give a float average, whatever number type p is
-    vector = numpy_passes((source, *(t for _, t in ensemble.entries)), tol)
-    avg = padded_average((p, vidal_monotones(t)) for p, t in ensemble.entries)
+    entries = ensemble.entries
+    vector = numpy_passes((source, *(t for _, t in entries)), tol)
+    if vector:
+        avg = vector.average_tails(entries)
+    else:
+        avg = padded_average((p, vidal_monotones(t)) for p, t in entries)
     return _report(_tails(source, vector), avg, tol, vector)
 
 
@@ -153,7 +158,7 @@ def max_conversion_probability(source: SchmidtSpectrum, target: SchmidtSpectrum)
     """
     vector = numpy_passes((source, target))
     if vector:
-        p = vector.min_ratio(vector.tails(source.coeffs), vector.tails(target.coeffs))
+        p = vector.min_ratio(vector.tails(source), vector.tails(target))
     else:
         tails = vidal_monotones(source)
         # zeros past the source rank, of the source's kind: 0.0 or Fraction(0)

@@ -27,7 +27,10 @@ over ``VECTOR_RANK`` or more values there once numpy is loaded, reading
 for a spectrum.  The passes give the scalar results bit for bit.  Here
 :func:`make_spectrum` takes them when every entry is a plain ``float``;
 both paths share the residual fold that makes the result sum to exactly
-1.0.
+1.0.  A spectrum built by the passes keeps their float64 array as its
+storage, 8 bytes a coefficient where a tuple of floats takes about 32,
+and the kernels read that array, so it is converted once, when it is
+built; its ``coeffs`` tuple is made only when code reads it.
 """
 
 from __future__ import annotations
@@ -93,11 +96,13 @@ def vector_sized(n: int) -> bool:
 def numpy_passes(spectra, tol: float = 0.0):
     """The ``vector`` module if kernels over ``spectra`` take numpy, else None.
 
-    They do when every spectrum is float (its first coefficient a plain
-    float, which an exact spectrum's never is), the tolerance is a float
-    and the largest rank is :func:`vector_sized`.
+    They do when every spectrum is float (held as an array, or its first
+    coefficient a plain float, which an exact spectrum's never is), the
+    tolerance is a float and the largest rank is :func:`vector_sized`.
     """
-    floats = type(tol) is float and all(type(s.coeffs[0]) is float for s in spectra)
+    floats = type(tol) is float and all(
+        "_array" in s.__dict__ or type(s.coeffs[0]) is float for s in spectra
+    )
     if floats and vector_sized(max(s.rank for s in spectra)):
         from . import vector
 
@@ -138,7 +143,7 @@ class Frozen:
         return obj
 
     def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -170,9 +175,37 @@ class SchmidtSpectrum(Frozen):
     summed exactly, and float ones are summed by ``math.fsum``.  Use
     :func:`make_spectrum` or ``amplitudes.schmidt_decompose`` to build
     instances.
+
+    A float spectrum that :func:`make_spectrum` builds by numpy passes is
+    held as one read-only float64 array, ``_array`` in the instance dict,
+    at 8 bytes a coefficient, where a tuple of floats takes about 32.  The
+    numpy kernels read that array.  ``coeffs`` is built from it, as a
+    tuple of plain floats, when code first reads it, and is then kept.
+    Such a spectrum is equal to, hashes and prints as, and pickles and
+    copies as the tuple-held spectrum of the same values.
     """
 
     _fields = ("coeffs",)
+
+    @classmethod
+    def _of_array(cls, array):
+        """A spectrum held as ``array``, a read-only float64 array of valid values."""
+        obj = object.__new__(cls)
+        obj.__dict__["_array"] = array
+        return obj
+
+    def __getattr__(self, name):
+        # reached only for a name that is not in the instance dict: the
+        # coeffs of an array-held spectrum, on their first read
+        array = self.__dict__.get("_array")
+        if name != "coeffs" or array is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        coeffs = self.__dict__["coeffs"] = tuple(memoryview(array))
+        return coeffs
+
+    def __getstate__(self):
+        # pickled and copied as the tuple-held spectrum, without numpy
+        return {"coeffs": self.coeffs}
 
     def __init__(self, coeffs):
         coeffs = tuple(coeffs)
@@ -194,10 +227,7 @@ class SchmidtSpectrum(Frozen):
             coeffs = tuple(map(exact.as_fraction, coeffs))
             total = exact.exact_sum(coeffs)
         else:
-            try:
-                total = math.fsum(coeffs)
-            except OverflowError:  # an int or Fraction past the float range
-                total = math.inf
+            total = fsum_or_inf(coeffs)
         if not abs(total - 1) <= NORM_TOL:
             raise ValueError(f"spectrum is not normalized: sum = {total!r}")
         self._store(coeffs)
@@ -205,7 +235,21 @@ class SchmidtSpectrum(Frozen):
     @property
     def rank(self) -> int:
         """Number of nonzero Schmidt coefficients."""
-        return len(self.coeffs)
+        array = self.__dict__.get("_array")
+        return len(self.coeffs if array is None else array)
+
+
+def fsum_or_inf(values) -> float:
+    """``math.fsum(values)``, or inf where it raises ``OverflowError``.
+
+    fsum raises it on an int or ``Fraction`` past the float range and on
+    partial sums that overflow; a caller that then tests the total against
+    1 raises its own ``ValueError``.
+    """
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 _ALL_STRIPPED = "all coefficients are zero (or below zero_tol)"
@@ -230,7 +274,8 @@ def make_spectrum(raw, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
     nonincreasing and normalised by construction, and is stored without
     the constructor's checks.  Input of ``VECTOR_RANK`` or more plain
     floats is sorted, stripped and divided by numpy passes once numpy is
-    loaded, to the same bits.
+    loaded, to the same bits, and the spectrum holds their read-only
+    float64 array (see :class:`SchmidtSpectrum`).
 
     Raises ``ValueError`` on negative or NaN entries, on a sum that is not
     finite, or when nothing survives the zero stripping.
@@ -242,7 +287,7 @@ def make_spectrum(raw, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
     if kinds == {float} and vector_sized(len(values)):
         from . import vector
 
-        return _folded(vector.normalised(values, zero_tol))
+        return SchmidtSpectrum._of_array(vector.normalised(values, zero_tol))
     if not all(map(operator.ge, values, repeat(0))):  # NaN fails it too
         raise ValueError(_NEGATIVE)
 
@@ -266,23 +311,27 @@ def make_spectrum(raw, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
     values = [v / total for v in values]
     while not values[-1]:  # underflowed in the division; values[0] >= 1/len
         values.pop()
-    return _folded(values)
-
-
-def _folded(values: list) -> SchmidtSpectrum:
-    """The spectrum of nonincreasing positive ``values`` summing to 1 within eps."""
-    # Fold the rounding residual into the largest coefficient so that
-    # fsum(values) == 1.0 exactly; the correction is O(eps) and the
-    # largest entry is at least 1/len(values), so it stays positive.
-    for _ in range(4):
-        residual = math.fsum(values) - 1.0
-        if residual == 0.0:
-            break
-        values[0] -= residual
+    _fold(values, values)
     values.sort(reverse=True)  # an eps correction may reorder ties
     # positive, nonincreasing and summing to 1 by construction, as the
     # spectrum requires, so it is stored without checking it again
     return SchmidtSpectrum._of(tuple(values))
+
+
+def _fold(values, entries) -> None:
+    """Fold the rounding residual into ``values[0]``: ``math.fsum(entries)`` is 1.0.
+
+    ``values`` are nonincreasing, positive and sum to 1 within eps;
+    ``entries`` iterates over them, the list itself or a memoryview of an
+    array.  The correction is O(eps) and the largest entry is at least
+    1/len(values), so it stays positive; lowering it can put it below
+    ``values[1]``, and nothing else moves.
+    """
+    for _ in range(4):
+        residual = math.fsum(entries) - 1.0
+        if residual == 0.0:
+            break
+        values[0] -= residual
 
 
 def padded_average(pairs) -> list:

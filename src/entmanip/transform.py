@@ -29,7 +29,7 @@ import math
 from itertools import zip_longest
 
 from .schmidt import NORM_TOL, FailedCheck, Frozen, SchmidtSpectrum, make_spectrum, padded_average
-from .schmidt import holds_fraction
+from .schmidt import fsum_or_inf, holds_fraction
 
 MERGE_TOL = 1e-9
 POVM_TOL = 1e-10
@@ -73,7 +73,7 @@ class TargetEnsemble(Frozen):
                 raise ValueError(f"ensemble probabilities must be positive, got {p!r}")
             if not isinstance(target, SchmidtSpectrum):
                 raise ValueError("ensemble targets must be SchmidtSpectrum values")
-        total = math.fsum(p for p, _ in entries)
+        total = fsum_or_inf(p for p, _ in entries)
         if not abs(total - 1.0) <= NORM_TOL:
             raise ValueError(f"ensemble probabilities sum to {total!r}, not 1")
         self._store(entries)

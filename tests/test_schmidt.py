@@ -706,6 +706,23 @@ def test_nan_entry_is_rejected(kind, position):
         build((math.nan,))
 
 
+@pytest.mark.parametrize(
+    "kind, values",
+    [
+        ("ConcentrationPlan", (10**400,)),
+        ("ConcentrationPlan", (1e308, 1e308)),
+        ("TargetEnsemble", (10**400,)),
+        ("TargetEnsemble", (1e308, 1e308)),
+    ],
+)
+def test_a_sum_past_the_float_range_is_a_value_error(kind, values):
+    # math.fsum raises OverflowError on an int past the float range and on
+    # partial sums that overflow
+    build, _ = _VALID_VECTORS[kind]
+    with pytest.raises(ValueError, match=r"probabilities sum to inf, not 1"):
+        build(values)
+
+
 @pytest.mark.parametrize("expected", [math.nan, math.inf, -math.inf])
 def test_plan_needs_a_finite_expected_entanglement(expected):
     with pytest.raises(ValueError, match="finite"):

@@ -5,10 +5,15 @@ twice on the same input: once with ``VECTOR_RANK`` out of reach, which
 keeps the scalar code, and once with it at 1, which sends every rank to
 the numpy passes.  The results must be equal and have the same ``repr``,
 so every float is the same bit for bit; an input that raises must raise
-the same ``ValueError`` on both paths.
+the same ``ValueError`` on both paths.  The spectra drawn are held as
+tuples, which the passes convert, or as the arrays that ``make_spectrum``
+builds by the passes.
 """
 
+import copy
 import math
+import pickle
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -79,7 +84,16 @@ def _spectrum(raw):
             return make_spectrum([1.0])
 
 
-_SPECTRA = _ENTRIES.map(_spectrum)
+def _held_by_array(raw):
+    with _rank_from(1):
+        try:
+            return make_spectrum(raw)
+        except ValueError:
+            return make_spectrum([1.0] * 3)
+
+
+# tuple-held spectra, which each pass converts, and array-held ones
+_SPECTRA = st.one_of(_ENTRIES.map(_spectrum), _ENTRIES.map(_held_by_array))
 
 
 def test_the_threshold_is_a_constant_rank():
@@ -146,6 +160,81 @@ def test_max_conversion_probability(source, target):
     for a, b in ((source, target), (target, source)):
         scalar, vectored = _both_paths("min_ratio", max_conversion_probability, a, b)
         assert scalar == vectored
+
+
+class TestArrayHeldSpectra:
+    """A spectrum that ``make_spectrum`` builds by numpy passes holds an array.
+
+    It acts as the tuple-held spectrum of the same values, and the numpy
+    kernels read its array: its ``coeffs`` tuple is built only when code
+    reads it.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ENTRIES, _ZERO_TOL)
+    @example([0.7] * 7, ZERO_TOL)  # the residual fold puts a tie out of order
+    @example([1e300, 1e-300, 1e-300], 0.0)  # the division underflows
+    def test_acts_as_the_tuple_held_spectrum(self, raw, zero_tol):
+        with _rank_from(math.inf):
+            try:
+                scalar = make_spectrum(raw, zero_tol)
+            except ValueError:
+                return  # both paths raise the same error: test_make_spectrum
+        with _rank_from(1):
+            held = make_spectrum(raw, zero_tol)
+        assert "_array" not in scalar.__dict__
+        assert held.rank == scalar.rank
+        assert "coeffs" not in held.__dict__
+        assert [a.hex() for a in held.coeffs] == [a.hex() for a in scalar.coeffs]
+        assert all(type(a) is float for a in held.coeffs)
+        assert held == scalar and scalar == held
+        assert hash(held) == hash(scalar)
+        assert repr(held) == repr(scalar)
+        assert pickle.dumps(held) == pickle.dumps(scalar)
+        for twin in (pickle.loads(pickle.dumps(held)), copy.copy(held), copy.deepcopy(held)):
+            assert twin == held and repr(twin) == repr(held)
+
+    def test_the_array_is_read_only(self):
+        with _rank_from(1):
+            s = make_spectrum([0.5, 0.3, 0.2])
+        with pytest.raises(ValueError):
+            s._array[0] = 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(_ENTRIES, _ENTRIES, st.floats(0.01, 0.99))
+    def test_the_kernels_leave_coeffs_unbuilt(self, source_raw, target_raw, p):
+        source, target = _held_by_array(source_raw), _held_by_array(target_raw)
+        with _rank_from(1):
+            optimal_plan(source)
+            for a, b in ((source, target), (target, source)):
+                nielsen_feasible(a, b)
+                max_conversion_probability(a, b)
+            ensemble_feasible(source, make_ensemble([(p, source), (1 - p, target)]))
+        assert "coeffs" not in source.__dict__
+        assert "coeffs" not in target.__dict__
+
+    def test_a_tuple_held_spectrum_is_given_no_array(self):
+        s = SchmidtSpectrum((0.5, 0.3, 0.2))
+        with _rank_from(1):
+            optimal_plan(s)
+            nielsen_feasible(s, s)
+            max_conversion_probability(s, s)
+            ensemble_feasible(s, make_ensemble([(1.0, s)]))
+        assert "_array" not in s.__dict__
+
+    def test_a_rank_1e5_spectrum_holds_8_bytes_a_coefficient(self):
+        raw = [1.0 / k for k in range(1, 10**5 + 1)]
+        make_spectrum(raw[:VECTOR_RANK])  # the first call loads the module
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            s = make_spectrum(raw)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert "_array" in s.__dict__ and s.rank == 10**5
+        # 800 kB of float64 values, against 3.2 MB as a tuple of floats
+        assert held <= 10**6
 
 
 class TestScalarFallback:
