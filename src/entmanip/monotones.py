@@ -16,7 +16,8 @@ least ``schmidt.VECTOR_RANK`` and numpy loaded, the feasibility tests and
 :func:`max_conversion_probability` take their tail sums, the ensemble's
 average tails, slacks, violated indices and ratios as numpy passes
 (``entmanip.vector``), with the same bits; they read the array a large
-spectrum holds, and the tails stay numpy arrays between the passes.
+spectrum holds, the tails stay numpy arrays between the passes, and the
+report holds its slack as the array the last pass made.
 :func:`vidal_monotones` keeps its running sum: converting numpy's tails
 back to a tuple costs more than the sum.
 """
@@ -46,10 +47,14 @@ class FeasibilityReport(Frozen):
 
     ``slack[l-1]`` is the source monotone minus the (averaged) target
     monotone at index l; the check fails exactly at the indices where the
-    slack drops below ``-tol``, and is feasible when there are none.
+    slack drops below ``-tol``, and is feasible when there are none.  A
+    report made by the numpy passes holds its slack as a read-only float64
+    array and builds the tuple when code reads it (see
+    :class:`~entmanip.schmidt.Frozen`).
     """
 
     _fields = ("violated_indices", "slack")
+    _array_field = "slack"
 
     def __init__(self, violated_indices, slack):
         self._store(tuple(violated_indices), tuple(slack))
@@ -95,7 +100,8 @@ def _report(source_tails, target_tails, tol, vector) -> FeasibilityReport:
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     if vector:
-        return FeasibilityReport(*vector.slack(source_tails, target_tails, tol))
+        violated, slack = vector.slack(source_tails, target_tails, tol)
+        return FeasibilityReport._of_array(slack, violated)
     # int 0 past the shorter vector keeps floats float and Fractions exact
     slack = tuple(
         starmap(operator.sub, zip_longest(source_tails, target_tails, fillvalue=0))

@@ -128,9 +128,18 @@ class Frozen:
     fields; assigning or deleting any attribute raises ``AttributeError``.
     Values live in the instance ``__dict__``, so ``pickle`` and ``copy``
     work as for any plain object.
+
+    A subclass may name in ``_array_field`` one field of floats that an
+    instance can hold as one read-only float64 array, ``_array`` in the
+    instance dict, at 8 bytes a value where a tuple of floats takes about
+    32 (see :meth:`_of_array`).  The field is built from the array, as a
+    tuple of plain floats, when code first reads it, and is then kept.
+    Such an instance is equal to, hashes and prints as, and pickles and
+    copies as the one that holds the tuple.
     """
 
     _fields = ()
+    _array_field = None
 
     def _store(self, *values):
         self.__dict__.update(zip(self._fields, values))
@@ -141,6 +150,32 @@ class Frozen:
         obj = object.__new__(cls)
         obj._store(*values)
         return obj
+
+    @classmethod
+    def _of_array(cls, array, *values):
+        """An instance holding ``_array_field`` as ``array``, unchecked.
+
+        ``values`` are the other fields, in order; ``array`` is a read-only
+        float64 array.
+        """
+        obj = object.__new__(cls)
+        others = (name for name in cls._fields if name != cls._array_field)
+        obj.__dict__.update(zip(others, values), _array=array)
+        return obj
+
+    def __getattr__(self, name):
+        # reached only for a name that is not in the instance dict: the
+        # array-held field, on its first read
+        array = self.__dict__.get("_array")
+        if name != self._array_field or array is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = self.__dict__[name] = tuple(memoryview(array))
+        return value
+
+    def __getstate__(self):
+        # pickled and copied by its fields, an array-held one as its tuple,
+        # without numpy
+        return dict(zip(self._fields, self._values()))
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -176,36 +211,13 @@ class SchmidtSpectrum(Frozen):
     :func:`make_spectrum` or ``amplitudes.schmidt_decompose`` to build
     instances.
 
-    A float spectrum that :func:`make_spectrum` builds by numpy passes is
-    held as one read-only float64 array, ``_array`` in the instance dict,
-    at 8 bytes a coefficient, where a tuple of floats takes about 32.  The
-    numpy kernels read that array.  ``coeffs`` is built from it, as a
-    tuple of plain floats, when code first reads it, and is then kept.
-    Such a spectrum is equal to, hashes and prints as, and pickles and
-    copies as the tuple-held spectrum of the same values.
+    A float spectrum that :func:`make_spectrum` builds by numpy passes
+    holds ``coeffs`` as a read-only float64 array (see :class:`Frozen`),
+    which the numpy kernels read; ``coeffs`` is built when code reads it.
     """
 
     _fields = ("coeffs",)
-
-    @classmethod
-    def _of_array(cls, array):
-        """A spectrum held as ``array``, a read-only float64 array of valid values."""
-        obj = object.__new__(cls)
-        obj.__dict__["_array"] = array
-        return obj
-
-    def __getattr__(self, name):
-        # reached only for a name that is not in the instance dict: the
-        # coeffs of an array-held spectrum, on their first read
-        array = self.__dict__.get("_array")
-        if name != "coeffs" or array is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        coeffs = self.__dict__["coeffs"] = tuple(memoryview(array))
-        return coeffs
-
-    def __getstate__(self):
-        # pickled and copied as the tuple-held spectrum, without numpy
-        return {"coeffs": self.coeffs}
+    _array_field = "coeffs"
 
     def __init__(self, coeffs):
         coeffs = tuple(coeffs)

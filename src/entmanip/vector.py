@@ -13,7 +13,8 @@ The spectrum :func:`normalised` builds keeps its array as its storage,
 and every pass reads a spectrum through :func:`coefficients`: the held
 array as it is, or a tuple-held spectrum's ``coeffs`` converted for that
 call.  No pass reads the ``coeffs`` of an array-held spectrum, so its
-tuple is never made for them.
+tuple is never made for them.  The feasibility report that :func:`slack`
+serves holds its slack array the same way.
 
 Each pass gives the scalar code's result bit for bit: a sort cannot tell
 equal floats apart, ``np.cumsum`` adds in the order ``accumulate`` does,
@@ -24,8 +25,8 @@ the same values, read through a ``memoryview`` of the array.  ln j stays
 ``np.log`` differs from it in the last bit for some j.  Floating-point
 warnings are silenced, as Python float arithmetic raises none where numpy
 would warn (an overflowed ratio, an underflowed quotient).  The kernels
-turn the passes' arrays into the plain Python floats, ints and tuples the
-scalar code returns.
+turn the passes' other arrays into the plain Python floats, ints and
+tuples the scalar code returns.
 """
 
 from __future__ import annotations
@@ -132,7 +133,8 @@ def slack(source_tails, target_tails, tol: float) -> tuple:
     """Violated indices and slack of ``monotones._report``, zero-filled.
 
     Past the shorter vector the slack is the source tail, or 0.0 minus the
-    target tail, as the scalar code's int 0 fill gives.
+    target tail, as the scalar code's int 0 fill gives.  The indices come
+    as a tuple, the slack as a read-only float64 array.
     """
     with np.errstate(all="ignore"):
         s = np.asarray(source_tails, dtype=float)
@@ -141,7 +143,8 @@ def slack(source_tails, target_tails, tol: float) -> tuple:
         gaps[: len(s)] = s
         gaps[: len(t)] -= t
         violated = np.flatnonzero(gaps < -tol) + 1
-        return tuple(violated.tolist()), tuple(gaps.tolist())
+    gaps.flags.writeable = False
+    return tuple(violated.tolist()), gaps
 
 
 def min_ratio(source_tails, target_tails) -> float:

@@ -1,5 +1,6 @@
 """Monte Carlo protocol simulation: reproducibility and statistics."""
 
+import bisect
 import itertools
 import math
 import tracemalloc
@@ -26,7 +27,15 @@ from entmanip import (
     uniform_spectrum,
 )
 from entmanip import sim
-from entmanip.sim import _CHUNK_TRIALS, _numpy_tally, _python_tally, counter_uniforms
+from entmanip.sim import (
+    _BIN_SHIFT,
+    _CHUNK_TRIALS,
+    _limits,
+    _numpy_tally,
+    _python_tally,
+    _tally_hashes,
+    counter_uniforms,
+)
 from util import random_ensemble, random_spectrum, yield_statistics
 
 
@@ -80,6 +89,100 @@ class TestCounterUniforms:
         # for bit, which recorded simulation counts depend on
         u = counter_uniforms(seed, start, len(multiples))
         assert u.tolist() == [k * 2.0**-53 for k in multiples]
+
+
+def _variate_below(x: int, c) -> bool:
+    return (x >> 11) * 2.0**-53 < c
+
+
+class TestIntegerLimits:
+    """Both tallies compare raw 64-bit hashes with integer limits.
+
+    Hash x lands below cdf value c exactly when its variate ``(x >> 11) *
+    2**-53`` does, that is when ``x < _limits([c])[0]``.
+    """
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        c=st.one_of(
+            st.floats(0.0, 2.0),
+            st.floats(0.0, 2.0**-12),
+            st.integers(0, 2 * 4096).map(lambda k: k / 4096),
+            st.integers(0, 2**54).map(lambda k: k * 2.0**-53),
+            st.sampled_from([0.0, 5e-324, 2.0**-53, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 2.0]),
+        ),
+        offset=st.one_of(
+            st.sampled_from([-2049, -2048, -2047, -1, 0, 1, 2047, 2048]),
+            st.integers(-(2**12), 2**12),
+            st.integers(-(2**64), 2**64),
+        ),
+    )
+    def test_a_hash_is_below_its_limit_iff_its_variate_is(self, c, offset):
+        (limit,) = _limits([c])
+        assert 0 <= limit <= 2**64 and limit % 2**11 == 0
+        x = min(max(limit + offset, 0), 2**64 - 1)
+        assert _variate_below(x, c) == (x < limit)
+
+    def test_a_cdf_that_reaches_1_holds_every_hash(self):
+        assert _limits([1.0, 1.0 + 2.0**-52, 2.0]) == [2**64] * 3
+        assert _limits([0.0, 2.0**-53, 0.5]) == [0, 2**11, 2**63]
+
+    # A cdf value k * 2**-53 puts its limit on the hash k << 11; a bin edge
+    # b << 52 starts the numpy tally's bin b.
+    _EDGES = [2**52, 2**53, 5 * 2**52, 4095 * 2**52]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cuts=st.lists(
+            st.one_of(
+                st.sampled_from(_EDGES),
+                st.integers(0, 2**64 - 1),
+                st.integers(0, 2**11 - 1).map(lambda k: 5 * 2**52 + k * 2**11),
+            ),
+            max_size=8,
+        ),
+        tail=st.sampled_from([[], [2**64], [2**64, 2**64]]),
+        extra=st.lists(st.integers(0, 2**64 - 1), max_size=50),
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+    )
+    def test_binned_counts_match_a_search_per_hash(self, cuts, tail, extra, sizes):
+        # hashes at, just below and just above each limit and each bin edge,
+        # 0 and 2**64 - 1, in chunks of several sizes
+        limits = sorted(c & ~(2**11 - 1) for c in cuts) + tail + [2**64]
+        near = {0, 2**64 - 1, *extra}
+        for c in [*limits, *self._EDGES, *((c >> _BIN_SHIFT) << _BIN_SHIFT for c in limits)]:
+            near.update(v for v in (c - 1, c, c + 1) if 0 <= v < 2**64)
+        hashes = sorted(near)
+        chunks, start = [], 0
+        while start < len(hashes):
+            size = sizes[len(chunks) % len(sizes)]
+            part = np.array(hashes[start : start + size], dtype=np.uint64)
+            chunks.append((part, np.empty_like(part)))
+            start += size
+        expected = [0] * len(limits)
+        for x in hashes:
+            expected[bisect.bisect_right(limits, x)] += 1
+        assert _tally_hashes(limits, chunks) == expected
+
+    def test_limits_on_hashes_of_the_run(self):
+        # cdf values on the variates of trials whose hashes end in 11 zero
+        # bits put limits on those very hashes, in both tallies
+        seed, trials = 23, 2 * _CHUNK_TRIALS + 5
+        u = counter_uniforms(seed, 0, trials)
+        x = np.arange(1, trials + 1, dtype=np.uint64) * np.uint64(sim._GAMMA)
+        x += np.uint64(seed)
+        sim._finalise(x, np.empty_like(x))
+        assert np.array_equal((x >> 11).astype(np.float64) * 2.0**-53, u)
+        on_limit = np.flatnonzero(x % 2**11 == 0)
+        assert len(on_limit) >= 20
+        cdf = sorted({float(u[i]) for i in on_limit[::3]}) + [1.0]
+        assert set(_limits(cdf[:-1])) <= set(x.tolist())
+        outcomes = np.searchsorted(cdf, u, side="right")
+        expected = np.bincount(outcomes, minlength=len(cdf)).tolist()
+        assert _numpy_tally(cdf, seed, trials) == expected
+        assert _python_tally(cdf, seed, _CHUNK_TRIALS) == np.bincount(
+            outcomes[:_CHUNK_TRIALS], minlength=len(cdf)
+        ).tolist()
 
 
 _REPORT_VALUES = (
@@ -216,8 +319,17 @@ class TestSimulate:
 
     @settings(max_examples=60, deadline=None)
     @given(
+        # near-ties and tiny weights give outcome probabilities below 2**-12,
+        # several thresholds in one bin of the numpy tally
         raw=st.lists(
-            st.one_of(st.integers(1, 4), st.floats(0.01, 1.0)), min_size=1, max_size=64
+            st.one_of(
+                st.integers(1, 4),
+                st.floats(0.01, 1.0),
+                st.integers(1, 8).map(lambda k: 0.5 + k * 2e-5),
+                st.floats(1e-9, 2e-4),
+            ),
+            min_size=1,
+            max_size=64,
         ),
         trials=st.one_of(
             st.integers(1, 50),
@@ -235,11 +347,14 @@ class TestSimulate:
         s = make_spectrum(raw)
         povm = single_shot_povm(s)
         if short:
-            # shrink the last element within POVM_TOL, so that the outcome
-            # cdf ends below 1 before the top-edge guard
-            *first, last = povm.elements
-            diag = tuple(d * math.sqrt(1 - 4e-11) for d in last.diag)
-            povm = DiagonalPovm((*first, PovmElement(last.label, diag)))
+            # shrink the likeliest element within POVM_TOL, so that the
+            # outcome cdf ends below 1 before the top-edge guard
+            elements = list(povm.elements)
+            probs = povm.outcome_probabilities(s)
+            k = probs.index(max(probs))
+            diag = tuple(d * math.sqrt(1 - 4e-11) for d in elements[k].diag)
+            elements[k] = PovmElement(elements[k].label, diag)
+            povm = DiagonalPovm(tuple(elements))
         expected = povm.outcome_probabilities(s)
         cdf = np.cumsum(expected)
         if short:
@@ -252,28 +367,47 @@ class TestSimulate:
         assert report.counts == tuple(int(c) for c in per_trial)
         assert all(c == 0 for c, p in zip(report.counts, expected) if p == 0)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
-        raw=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).filter(
-            lambda raw: sum(raw) > 0
-        ),
+        raw=st.lists(
+            st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 2.0**-12), st.just(0.0)),
+            min_size=1,
+            max_size=12,
+        ).filter(lambda raw: sum(raw) > 0),
+        # cdf entries moved onto the numpy tally's bin edges, k / 4096
+        edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 4096)), max_size=4),
+        short=st.booleans(),
         trials=st.one_of(st.integers(0, 2000), st.just(_CHUNK_TRIALS)),
         seed=st.integers(-(2**80), 2**80),
     )
-    def test_python_tally_matches_the_numpy_tally(self, raw, trials, seed):
+    def test_python_tally_matches_the_numpy_tally(self, raw, edges, short, trials, seed):
         # zero weights are zero-probability outcomes; the two tallies serve
-        # runs on either side of one chunk and must count alike
+        # runs on either side of one chunk and must count alike, and as a
+        # search of the cdf per float variate
         cdf = list(itertools.accumulate(w / sum(raw) for w in raw))
+        for k, edge in edges:
+            if k < len(cdf) - 1:
+                cdf[k] = edge / 4096
+        cdf = list(itertools.accumulate(cdf, max))  # nondecreasing again
+        if short:
+            cdf[-1] = min(cdf[-1], 1 - 2**-40)  # ends below 1 before the guard
         cdf[-1] = max(cdf[-1], 1.0)
         counts = _python_tally(cdf, seed, trials)
         assert counts == _numpy_tally(cdf, seed, trials)
+        outcomes = np.searchsorted(cdf, counter_uniforms(seed, 0, trials), side="right")
+        assert counts == np.bincount(outcomes, minlength=len(cdf)).tolist()
         assert sum(counts) == trials
-        assert all(c == 0 for c, w in zip(counts, raw) if w == 0)
+        zero = [c == p for c, p in zip(cdf, [0.0, *cdf])]
+        assert all(c == 0 for c, z in zip(counts, zero) if z)
 
     def test_one_chunk_runs_need_no_numpy_array(self):
         s = make_spectrum([0.5, 0.3, 0.2])
         povm = single_shot_povm(s)
-        with mock.patch.object(sim, "counter_uniforms", side_effect=AssertionError):
+        with mock.patch.multiple(
+            sim, counter_uniforms=mock.DEFAULT, _hash_chunks=mock.DEFAULT
+        ) as hashers:
+            for hasher in hashers.values():
+                hasher.side_effect = AssertionError
             small = simulate(povm, s, trials=_CHUNK_TRIALS, seed=9)
         large = simulate(povm, s, trials=_CHUNK_TRIALS + 1, seed=9)
         assert sum(small.counts) == _CHUNK_TRIALS

@@ -237,6 +237,73 @@ class TestArrayHeldSpectra:
         assert held <= 10**6
 
 
+class TestArrayHeldSlack:
+    """A report that the numpy passes make holds its slack as an array.
+
+    It acts as the scalar path's report of the same spectra: its ``slack``
+    tuple is built only when code reads it.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(_SPECTRA, _SPECTRA, _TOL)
+    def test_acts_as_the_tuple_held_report(self, source, target, tol):
+        with _rank_from(math.inf):
+            scalar = nielsen_feasible(source, target, tol)
+        with _rank_from(1):
+            held = nielsen_feasible(source, target, tol)
+        assert "_array" not in scalar.__dict__
+        assert "slack" not in held.__dict__
+        assert held.violated_indices == scalar.violated_indices
+        assert held.feasible == scalar.feasible
+        assert [a.hex() for a in held.slack] == [a.hex() for a in scalar.slack]
+        assert all(type(a) is float for a in held.slack)
+        assert held.margin == scalar.margin
+        assert held == scalar and scalar == held
+        assert hash(held) == hash(scalar)
+        assert repr(held) == repr(scalar)
+        assert pickle.dumps(held) == pickle.dumps(scalar)
+        for twin in (pickle.loads(pickle.dumps(held)), copy.copy(held), copy.deepcopy(held)):
+            assert twin == held and repr(twin) == repr(held)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SPECTRA, _SPECTRA, st.floats(0.01, 0.99))
+    def test_the_kernels_leave_slack_unbuilt(self, source, target, p):
+        with _rank_from(1):
+            reports = [
+                nielsen_feasible(source, target),
+                nielsen_feasible(target, source),
+                ensemble_feasible(source, make_ensemble([(p, source), (1 - p, target)])),
+            ]
+        for report in reports:
+            assert "_array" in report.__dict__
+            assert "slack" not in report.__dict__
+            assert isinstance(report.feasible, bool)
+            assert "slack" not in report.__dict__
+
+    def test_the_array_is_read_only(self):
+        s = SchmidtSpectrum((0.5, 0.3, 0.2))
+        with _rank_from(1):
+            report = nielsen_feasible(s, s)
+        with pytest.raises(ValueError):
+            report._array[0] = 1.0
+
+    def test_a_rank_1e5_report_holds_8_bytes_an_index(self):
+        raw = [1.0 / k for k in range(1, 10**5 + 1)]
+        source = make_spectrum(raw)
+        target = make_spectrum([v * v for v in raw])
+        nielsen_feasible(source, source)  # the first call loads the module
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = nielsen_feasible(source, target)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert report.feasible and len(report.slack) == 10**5
+        # 800 kB of float64 values, against 3.2 MB as a tuple of floats
+        assert held <= 10**6
+
+
 class TestScalarFallback:
     """Values that are not plain floats never reach the numpy passes."""
 
