@@ -85,26 +85,44 @@ class OptimalityCertificate(Frozen):
     up to ``CERT_TOL`` times the scale of f(j) = j c_j, max_j |f(j)|, whose
     rounding z inherits.  z is the second difference of f, so f is z's
     double running sum and is not stored beside it.  Weights scaled by 2^k
-    give z scaled by 2^k and the same verdict.
+    give z scaled by 2^k and the same verdict.  A certificate holds at
+    least one value.
     """
 
     _fields = ("z_values",)
 
     def __init__(self, z_values):
         z_values = tuple(z_values)
+        if not z_values:
+            raise ValueError("certificate must hold at least one value")
         if not holds_fraction(z_values):
             z_values = tuple(float(z) for z in z_values)
         self._store(z_values)
 
     @property
-    def passed(self) -> bool:
+    def margin(self) -> tuple:
+        """``(k, z_k + tol)`` at the smallest z_k, the first k on a tie.
+
+        ``tol`` is 0 for exact values and ``CERT_TOL`` times the scale of f
+        for floats, so the certificate passes exactly when this value is at
+        least 0: it is how far the closest level stands from flipping the
+        verdict, in the units of z.  A NaN counts as the smallest value.
+        Derived from ``z_values`` when asked, not stored.
+        """
         z = self.z_values
         if holds_fraction(z):
             tol = 0
         else:
             tol = CERT_TOL * max(map(abs, accumulate(accumulate(z))), default=0.0)
-        # not v >= -tol: an overflowed f makes tol inf, and -inf + inf is NaN
-        return all(v + tol >= 0 for v in z)
+        # v + tol rounds monotonically in v, so the smallest z gives the
+        # smallest sum; an overflowed f makes tol inf, and -inf + inf is NaN
+        low = min(z, key=lambda v: v if v == v else -math.inf)
+        return z.index(low) + 1, low + tol
+
+    @property
+    def passed(self) -> bool:
+        """Whether every value is nonnegative, to within the tolerance."""
+        return self.margin[1] >= 0
 
 
 def optimal_plan(s: SchmidtSpectrum) -> ConcentrationPlan:
@@ -175,10 +193,13 @@ def concentration_lp(s: SchmidtSpectrum, weights=None) -> LpProblem:
     and checked once for each and held by ``lp._shared_matrix``: every
     problem of that rank and arithmetic holds that one tuple as its
     ``constraint_matrix``, stored by ``LpProblem._of_matrix`` without a
-    second look at its entries, and the solver and ``verify_solution``
-    factor its all-structural basis once for all of them.  The held
-    matrices are bounded by ``lp._SHARED_ENTRIES`` entries, about 8 MB of
-    floats; the results are the same as from fresh rows.
+    second look at its entries.  An exact matrix is held with its
+    closed-form inverse (``exact.TailSumInverse``), made when the matrix is
+    built, so the solver and ``verify_solution`` solve its all-structural
+    basis by second differences and never factor it; a float matrix is
+    factored once for all its problems.  The held matrices are bounded by
+    ``lp._SHARED_ENTRIES`` entries, about 8 MB of floats; the results are
+    the same as from fresh rows.
     """
     from .lp import LpProblem, _shared_matrix
 
@@ -195,25 +216,32 @@ def concentration_lp(s: SchmidtSpectrum, weights=None) -> LpProblem:
     # of the arithmetic they decide; the tails are all of the spectrum's
     # kind, so the first one speaks for them
     exact = holds_fraction(bounds[:1] + weights)
-    matrix = _shared_matrix(n, exact, lambda: _tail_sum_rows(n, exact))
+    matrix = _shared_matrix(n, exact, lambda: _tail_sum_matrix(n, exact))
     return LpProblem._of_matrix(weights, matrix, bounds)
 
 
-def _tail_sum_rows(n: int, exact: bool) -> tuple:
-    """The rows of the rank-n concentration matrix, as ``Fraction``s if ``exact``.
+def _tail_sum_matrix(n: int, exact: bool) -> tuple:
+    """The rows of the rank-n concentration matrix, and solves to hold with them.
 
     Row l holds (j + 1 - l) / j from column j = l on, zeros before it; an
     int true division is rounded once, as ``Fraction(k, j)`` is exact.
+    Exact rows come with their closed-form inverse, float rows with None
+    (their LU is factored when first needed).
     """
     if exact:
         from fractions import Fraction as divide
+
+        from .exact import TailSumInverse
+
+        solves = TailSumInverse()
     else:
-        divide = operator.truediv
+        divide, solves = operator.truediv, None
     zero = divide(0, 1)
-    return tuple(
+    rows = tuple(
         (zero,) * (l - 1) + tuple(map(divide, range(1, n + 2 - l), range(l, n + 1)))
         for l in range(1, n + 1)
     )
+    return rows, solves
 
 
 def optimality_certificate(n: int, weights=None) -> OptimalityCertificate:

@@ -16,7 +16,10 @@ that ratio.  So each solved entry becomes a ``Fraction`` once, the same
 number as term-by-term ``Fraction`` arithmetic gives (the fraction-free
 idea of E. H. Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22, 1968, applied
-where it changes no value).
+where it changes no value).  The concentration matrix needs no
+factorisation at all: its inverse is a second difference
+(:class:`TailSumInverse`), solved on integer numerators over one common
+denominator.
 
 The module is also the exact arithmetic of ``entmanip.lp``: ``zero``,
 ``tol``, ``convert``, ``dots``, ``signs`` and ``Lu`` are the names that
@@ -251,6 +254,37 @@ class ExactLu:
             for v in (w, nums, dens):
                 v[col], v[pivot_row] = v[pivot_row], v[col]
         return w
+
+
+class TailSumInverse:
+    """The solves of the exact concentration matrix B, by its inverse.
+
+    Row l of the rank-n matrix holds (j + 1 - l) / j for j >= l, so
+    B = S^2 D^-1, with S the upper triangular matrix of ones and
+    D = diag(1..n), and B^-1 = D S^-2 has the second difference 1, -2, 1
+    on three diagonals.  Each solve puts its right-hand side over one
+    common denominator (:func:`over_common_denominator`), takes the second
+    differences of the integer numerators, and makes each solved entry one
+    ``Fraction``: the values an ``ExactLu`` of B gives, for any rank, with
+    nothing held but the object itself.
+    """
+
+    @staticmethod
+    def solve(rhs) -> list:
+        """B x = q: x_j = j (q_j - 2 q_{j+1} + q_{j+2}), q zero past row n."""
+        q, den = over_common_denominator(rhs)
+        q += (0, 0)
+        return [
+            Fraction(j * (a - 2 * b + c), den)
+            for j, a, b, c in zip(range(1, len(q) - 1), q, q[1:], q[2:])
+        ]
+
+    @staticmethod
+    def solve_transposed(rhs) -> list:
+        """B^T y = c: y_l = f(l) - 2 f(l-1) + f(l-2), f(j) = j c_j, f(<1) = 0."""
+        c, den = over_common_denominator(rhs)
+        f = [0, 0, *map(operator.mul, range(1, len(c) + 1), c)]
+        return [Fraction(a - 2 * b + d, den) for a, b, d in zip(f[2:], f[1:], f)]
 
 
 # ------------------------------------------------------------ the arithmetic

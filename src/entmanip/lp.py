@@ -45,29 +45,34 @@ c_1 >= 0 and j c_j convex (ln, log2) are settled this way.  Otherwise the
 pivots start from the slack basis exactly as if no check had been made;
 the check never hands the pivots a starting basis of its own.
 
-B is factored once per shared matrix, not once per problem.  A shared
+B is not factored per problem when its matrix is shared.  A shared
 matrix is one held by :func:`_shared_matrix`: ``concentration_lp`` keeps
 the matrix of each rank and arithmetic there, and every problem it builds
 at that rank holds that very tuple as its ``constraint_matrix``, stored
 by ``LpProblem._of_matrix`` without a second check of its entries, which
-were checked when they were built.  The LU of such a matrix is kept
-with it, for the crash check of every later problem and for
-``verify.verify_solution`` of an all-structural basis.  The entries held
-are bounded by ``_SHARED_ENTRIES``; the least recently used matrix goes
-first.  Other matrices, user-built ones and the ``Fraction`` rows of an
-``exact=True`` lift included, are new tuples (``LpProblem`` converts
-every vector it is given), so they are factored afresh each time and add
-nothing.  The LU is a function of the matrix alone, so every result is
-the same, float for float and ``Fraction`` for ``Fraction``.
+were checked when they were built.  Its solves are kept with it, for the
+crash check of every later problem and for ``verify.verify_solution`` of
+an all-structural basis.  An exact concentration matrix is held with its
+closed-form inverse (``exact.TailSumInverse``, second differences on
+integer numerators), made when the matrix is built, so no exact LU is
+ever made for it; a float one with its LU, factored once when first
+needed.  The entries held are bounded by ``_SHARED_ENTRIES``; the least
+recently used matrix goes first.  Other matrices, user-built ones and
+the ``Fraction`` rows of an ``exact=True`` lift included, are new tuples
+(``LpProblem`` converts every vector it is given), so they are factored
+afresh each time and add nothing.  The held solves are functions of the
+matrix alone, and an exact solution is unique, so every result is the
+same, float for float and ``Fraction`` for ``Fraction``.
 
 A basis is evaluated in one place, :func:`_basis_point`, for the crash
 check and for ``entmanip.verify``, which checks a claimed optimum from its
-stated basis; it is the one reader of the LUs held with shared matrices.
-It factors B (partial pivoting: the pivot is sought among the column's
-nonzero entries, only those rows are eliminated, over the pivot row's
-nonzeros, and the float singularity test reads a per-row magnitude bound
-instead of rescanning rows), or reads the held LU, and answers B x = q and
-B^T y = c_B from that one factorisation by sparse triangular substitution.
+stated basis; it is the one reader of the solves held with shared
+matrices.  It factors B (partial pivoting: the pivot is sought among the
+column's nonzero entries, only those rows are eliminated, over the pivot
+row's nonzeros, and the float singularity test reads a per-row magnitude
+bound instead of rescanning rows), or reads the held solves, and answers
+B x = q and B^T y = c_B from that one factorisation or inverse, by sparse
+triangular substitution or by second differences.
 The float solves read U by its rows only: B^T y = c_B subtracts each
 solved entry, times its row of U, from the entries right of it.  On the
 triangular bases of the concentration LPs the factorisation does no
@@ -87,8 +92,9 @@ PIVOT_TOL = 1e-11
 _MAX_PIVOTS_FACTOR = 64
 # The bound on the entries (n^2 for an n x n matrix) of the shared
 # matrices held at once.  A float entry and its share of the LU take about
-# 60 B, an exact one up to about 140 B, so at most about 8 MB of float or
-# 18 MB of exact matrices are held.
+# 60 B, so at most about 8 MB of float matrices are held.  An exact matrix
+# holds its rows (about 35 B an entry, its zeros one shared object) and a
+# closed-form inverse of O(1) size, no LU: at most about 5 MB.
 _SHARED_ENTRIES = 1 << 17
 
 __all__ = [
@@ -461,24 +467,26 @@ def _pivot(tableau, zrow, leaving, entering, zero, one):
             row[entering] = zero
 
 
-# (size, exact) -> [rows, the LU of the rows or None], least recently used first
+# (size, exact) -> [rows, their solves or None], least recently used first
 _shared = {}
 
 
 def _shared_matrix(n: int, exact: bool, build) -> tuple:
     """The rows of the shared n x n matrix in the arithmetic ``exact``.
 
-    ``build()`` makes the rows, a tuple of row tuples, when none are held
-    for ``(n, exact)``; once held, every call returns the same objects, and
-    :func:`_basis_point` factors them once.  A matrix of more than
-    ``_SHARED_ENTRIES`` entries is built and not held.  Each step is one
-    dict operation and the entries held are recounted from a snapshot, so
-    threads may share the cache.
+    ``build()`` makes the rows, a tuple of row tuples, and the solves held
+    with them (an object with ``solve`` and ``solve_transposed``, such as
+    a closed-form inverse, or None) when none are held for ``(n, exact)``;
+    once held, every call returns the same objects, and
+    :func:`_basis_point` factors rows held without solves once.  A matrix
+    of more than ``_SHARED_ENTRIES`` entries is built and not held.  Each
+    step is one dict operation and the entries held are recounted from a
+    snapshot, so threads may share the cache.
     """
     key = (n, exact)
     entry = _shared.pop(key, None)
     if entry is None:
-        entry = [build(), None]
+        entry = list(build())
         if n * n > _SHARED_ENTRIES:
             return entry[0]
         while sum(size * size for size, _ in list(_shared)) + n * n > _SHARED_ENTRIES:
@@ -495,8 +503,9 @@ def _basis_point(prob: LpProblem, basis, ex) -> tuple:
     an extended vector: x_B = B^-1 q at the basis columns, zero elsewhere;
     y = B^-T c_B.  When the basis is all-structural and the problem's
     matrix is the shared matrix of its size and arithmetic (the same tuple,
-    so the same numbers), the LU held with it is read, and factored first
-    if it is not held yet.  Any other B is factored afresh and nothing is
+    so the same numbers), the solves held with it are read: an exact
+    matrix's closed-form inverse, or a float matrix's LU, factored first if
+    it is not held yet.  Any other B is factored afresh and nothing is
     kept.  Raises ``ZeroDivisionError`` as ``_factor`` does.
     """
     c, rows = prob.objective, prob.constraint_matrix

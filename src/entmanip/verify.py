@@ -6,13 +6,14 @@ pivots, and the solver never calls it.  The basis is evaluated by
 ``lp._basis_point``, as the solver's crash check evaluates its own: one
 factorisation of the basis matrix B answers B x = q and B^T y = c_B.  An
 all-structural basis of a shared matrix (see ``entmanip.lp``; every
-``concentration_lp`` matrix is one) is not factored again: its LU is the
-one the crash check made, a function of the matrix alone, so the verdict
-is the same.  Like the solver, it computes in the problem's arithmetic,
-looked up once per call: ``lp._Float``, or the ``exact`` module, which
-sums ``Fraction``s on integer ratios.  The tolerance is the arithmetic's
-too: a float problem is checked to within ``VERIFY_TOL``, and an exact one
-exactly, with tolerance 0.
+``concentration_lp`` matrix is one) is not factored again: it is solved
+by the solves held with the matrix, an exact matrix's closed-form inverse
+or the float LU the crash check made, functions of the matrix alone, so
+the verdict is the same.  Like the solver, it computes in the problem's
+arithmetic, looked up once per call: ``lp._Float``, or the ``exact``
+module, which sums ``Fraction``s on integer ratios.  The tolerance is the
+arithmetic's too: a float problem is checked to within ``VERIFY_TOL``,
+and an exact one exactly, with tolerance 0.
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ def verify_solution(prob: LpProblem, sol: LpSolution) -> bool:
     with partial pivoting, solved for the basic solution and, transposed,
     for the duals y), and takes the reduced costs from y.  The
     all-structural basis of a shared matrix, such as a ``concentration_lp``
-    solved in 0 pivots, is not factored again: its LU is held with the
-    matrix, and the verdict is the one a fresh factorisation gives.  Then
+    solved in 0 pivots, is not factored again: it is solved by the
+    closed-form inverse (exact) or the LU (float) held with the matrix, and
+    the verdict is the one a fresh factorisation gives.  Then
     verifies: claimed values are feasible, they agree with the basis
     solution, the objective matches, and every reduced cost satisfies the
     maximization sign condition.  A basis that is not m distinct column

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from entmanip import (
     vidal_monotones,
 )
 from entmanip import concentrate
+from entmanip.concentrate import CERT_TOL, OptimalityCertificate
 from entmanip.schmidt import NORM_TOL
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,7 @@ from util import (
     max_entangled_monotone,
     random_spectrum,
     reference_optimal_plan,
+    type_class_yield_bound,
 )
 
 WORKED_SPECTRUM = [0.5, 0.3, 0.2]
@@ -415,6 +418,71 @@ def test_scaled_weights_scale_z_exactly_and_keep_the_verdict(weights, k):
     assert scaled.passed == cert.passed
 
 
+class TestCertificateMargin:
+    """``OptimalityCertificate.margin`` crosses 0 where ``passed`` flips."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        z=st.lists(
+            st.fractions(min_value=1, max_value=20, max_denominator=60),
+            min_size=2,
+            max_size=40,
+        ),
+        data=st.data(),
+        step=st.integers(-3, 3),
+    )
+    def test_moving_one_weight_across_the_boundary(self, z, data, step):
+        # Weights whose z is drawn: f = j c_j is z's double running sum.
+        # Then z_{j+1} = 2 j d, and raising c_j by x raises f(j) by j x:
+        # z_{j+1} falls by 2 j x, z_j and z_{j+2} rise by j x and stay
+        # above 1/2, so only z_{j+1} can cross 0, at x = d.
+        n = len(z)
+        j = data.draw(st.integers(1, n - 1), label="j")
+        d = data.draw(
+            st.fractions(0, Fraction(1, 2 * n), max_denominator=10**6), label="d"
+        )
+        z[j] = 2 * j * d
+        weights = [f / k for k, f in enumerate(accumulate(accumulate(z)), start=1)]
+        assert optimality_certificate(n, weights).z_values == tuple(z)
+        x = d + Fraction(step, 1000 * n)
+        weights[j - 1] += x
+        cert = optimality_certificate(n, weights)
+        k, value = cert.margin
+        assert cert.passed == (value >= 0) == (x <= d)
+        assert value == min(cert.z_values) == cert.z_values[k - 1]
+        assert all(v > value for v in cert.z_values[: k - 1])
+        if x > d:
+            assert (k, value) == (j + 1, -2 * j * (x - d))
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=_weights_near_the_boundary())
+    def test_float_certificates(self, weights):
+        cert = optimality_certificate(len(weights), weights)
+        k, value = cert.margin
+        z = cert.z_values
+        low = min(z)
+        assert cert.passed == (value >= 0)
+        assert z[k - 1] == low and all(v > low for v in z[: k - 1])
+        tol = CERT_TOL * max(map(abs, accumulate(accumulate(z))))
+        assert value == low + tol
+
+    def test_an_overflow_sits_at_the_margin(self):
+        # z_3 = f(1) + f(3) - 2 f(2) is inf - inf
+        cert = optimality_certificate(3, (0, 8e307, 8e307))
+        assert math.isnan(cert.z_values[2])
+        k, value = cert.margin
+        assert k == 3 and math.isnan(value) and not cert.passed
+
+    def test_is_derived_not_stored(self):
+        cert = optimality_certificate(3, (Fraction(0), 1, 1))
+        assert cert.margin == (3, -1)
+        assert "margin" not in cert.__dict__
+
+    def test_holds_at_least_one_value(self):
+        with pytest.raises(ValueError, match="at least one value"):
+            OptimalityCertificate(())
+
+
 @st.composite
 def _certified_cases(draw):
     """A rank 2-40 spectrum and weights meant to pass the certificate:
@@ -549,6 +617,22 @@ class TestAsymptoticYieldCurve:
         for (_, y), (_, ref) in zip(curve, oracle):
             assert abs(y - ref) <= 1e-12
             assert y <= entropy(s) + 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        distinct=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3, unique=True),
+        ties=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+        data=st.data(),
+    )
+    def test_between_the_type_class_bound_and_the_entropy(self, distinct, ties, data):
+        # each distinct value held 1-3 times; two of them up to a few
+        # hundred copies, three up to a few dozen
+        s = make_spectrum([a for a, m in zip(distinct, ties) for _ in range(m)])
+        levels = len(set(s.coeffs))
+        max_n = data.draw(st.integers(1, 300 if levels <= 2 else 40), label="max_n")
+        limit = entropy(s)
+        for n, y in asymptotic_yield_curve(s, max_n):
+            assert type_class_yield_bound(s, n) - 1e-12 <= y <= limit + 1e-12
 
     def test_rank_three_runs_to_a_hundred_copies(self):
         s = make_spectrum([0.5, 0.3, 0.2])

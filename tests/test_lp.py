@@ -657,8 +657,61 @@ def _holds_rows_of(prob) -> bool:
     return entry is not None and entry[0] is prob.constraint_matrix
 
 
+@st.composite
+def _exact_weights(draw, n):
+    """``Fraction`` weights for rank n: convex (the crash basis is optimal),
+    indicator-like, random, or convex with a negative c_1."""
+    kind = draw(st.sampled_from(["convex", "indicator", "random", "negative c_1"]))
+    fraction = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
+    if kind == "random":
+        return draw(st.lists(fraction, min_size=n, max_size=n))
+    if kind == "indicator":
+        low, high = draw(fraction), draw(fraction.filter(bool))
+        return [low] + [high] * (n - 1)
+    steps = st.fractions(min_value=0, max_value=20, max_denominator=60)
+    f = increment = 0
+    weights = []
+    for j, step in enumerate(draw(st.lists(steps, min_size=n, max_size=n)), start=1):
+        increment += step
+        f += increment
+        weights.append(f / j)
+    if kind == "negative c_1":
+        weights[0] = -abs(draw(fraction.filter(bool)))
+    return weights
+
+
 class TestSharedMatrices:
-    """The concentration matrix of a rank, built and factored once."""
+    """The concentration matrix of a rank, built once, and factored once
+    (float) or held with its closed-form inverse (exact)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_the_held_inverse_solves_as_a_fresh_factorisation(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        raw = data.draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n))
+        weights = data.draw(_exact_weights(n), label="weights")
+        other = data.draw(
+            st.lists(st.fractions(max_denominator=10**9), min_size=n, max_size=n)
+        )
+        with mock.patch.object(lp, "_shared", {}):
+            prob = concentration_lp(make_spectrum([Fraction(x) for x in raw]), weights)
+            rows, inverse = lp._shared[n, True]
+            assert rows is prob.constraint_matrix
+            assert type(inverse) is exact_module.TailSumInverse
+            lu = lp._factor([list(row) for row in rows], exact_module)
+            for rhs in (prob.bounds, prob.objective, other):
+                for held, fresh in (
+                    (inverse.solve(rhs), lu.solve(rhs)),
+                    (inverse.solve_transposed(rhs), lu.solve_transposed(rhs)),
+                ):
+                    assert held == fresh
+                    assert all(type(v) is Fraction for v in held)
+            sol = simplex_solve(prob)
+        cert = optimality_certificate(n, weights)
+        crashed = sol.pivots == sol.absorb_pivots == 0 and sol.basis == tuple(range(n))
+        assert crashed == cert.passed
+        if crashed:
+            assert sol.reduced_costs[n:] == cert.z_values
 
     @settings(max_examples=100, deadline=None)
     @given(case=_concentration_lps(min_rank=1))
@@ -705,7 +758,9 @@ class TestSharedMatrices:
         for prob in probs:
             sol = simplex_solve(prob)
             assert sol.pivots == 0 and verify_solution(prob, sol)
-        assert len(factored) == 1
+        # an exact matrix is held with its closed-form inverse, and a float
+        # one is factored once for both problems
+        assert len(factored) == (0 if exact else 1)
 
     def test_held_entries_stay_within_the_bound(self, monkeypatch):
         monkeypatch.setattr(lp, "_shared", {})

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -215,6 +216,36 @@ def expanded_yield_curve(s: SchmidtSpectrum, max_n: int) -> tuple:
     return tuple(curve)
 
 
+def type_class_yield_bound(s: SchmidtSpectrum, n: int) -> float:
+    """Per-copy yield of projecting n copies onto their type classes.
+
+    A class gives e_i copies of the i-th distinct coefficient a_i (held
+    m_i times) for each composition e of n: a maximally entangled state
+    of dimension count(e) = multinomial(n; e) * prod m_i^e_i with
+    probability count(e) * prod a_i^e_i (C. H. Bennett, H. J. Bernstein,
+    S. Popescu and B. Schumacher, "Concentrating partial entanglement by
+    local operations", PRA 53, 2046 (1996)).  That protocol is LQCC, so
+    sum_e P(e) ln count(e) / n bounds the optimal per-copy yield from
+    below.  Shares nothing with ``asymptotic_yield_curve`` but the
+    coefficients: counts come from ``math.lgamma``, classes from
+    stars and bars.
+    """
+    multiplicity = Counter(s.coeffs)
+    log_a = [math.log(a) for a in multiplicity]
+    log_m = [math.log(m) for m in multiplicity.values()]
+    k = len(log_a)
+    terms = []
+    for bars in itertools.combinations(range(n + k - 1), k - 1):
+        edges = (-1, *bars, n + k - 1)
+        e = [high - low - 1 for low, high in zip(edges, edges[1:])]
+        ln_count = math.lgamma(n + 1) + math.fsum(
+            e_i * lm - math.lgamma(e_i + 1) for e_i, lm in zip(e, log_m)
+        )
+        ln_p = ln_count + math.fsum(e_i * la for e_i, la in zip(e, log_a))
+        terms.append(math.exp(ln_p) * ln_count)
+    return math.fsum(terms) / n
+
+
 def reference_pivot(tableau, zrow, leaving, entering, zero, one):
     """Dense pivot: every row with a nonzero factor, across the full width.
 
@@ -415,7 +446,7 @@ def enumerate_vertices(prob) -> LpSolution:
     return LpSolution(values, objective, basis, reduced, "optimal")
 
 
-def reference_verify(prob, sol, tol: float = 1e-9, slack: float = 0.0) -> bool:
+def reference_verify(prob, sol, tol=None, slack: float = 0.0) -> bool:
     """Dense check of a claimed optimum: the reference for ``verify_solution``.
 
     The singular decision is ``reference_solve_square``'s on the basis
@@ -429,8 +460,12 @@ def reference_verify(prob, sol, tol: float = 1e-9, slack: float = 0.0) -> bool:
     threshold moved by ``slack`` times 1 + M^2, M the largest of 1 and the
     magnitudes of x, y, the claimed values and the entries of the problem
     (so M^2 bounds every product the conditions sum): a negative slack
-    tightens them and a positive one loosens them.
+    tightens them and a positive one loosens them.  ``tol`` defaults to
+    ``verify_solution``'s: 1e-9 for a float problem and 0 for an exact one,
+    whose values must then be nonnegative exactly too.
     """
+    if tol is None:
+        tol = 0 if prob.exact else 1e-9
     if sol.status != "optimal":
         return False
     n, m = prob.num_variables, prob.num_constraints
@@ -480,7 +515,8 @@ def reference_verify(prob, sol, tol: float = 1e-9, slack: float = 0.0) -> bool:
             sum(Fraction(a) * v for a, v in zip(row, values)) - Fraction(q) <= tol
             for row, q in zip(prob.constraint_matrix, prob.bounds)
         )
-        and all(v >= -max(tol, Fraction(1e-12) + loose) for v in values)
+        and all(v >= -(tol if prob.exact else max(tol, Fraction(1e-12) + loose))
+                for v in values)
         and abs(sum(Fraction(c) * v for c, v in zip(prob.objective, values))
                 - Fraction(sol.objective_value)) <= tol
         and all(d >= -tol for d in reduced)

@@ -1,17 +1,18 @@
 """Print one digest line per benchmark op, to compare two versions of entmanip.
 
-For one seed, the inputs of both benchmark workloads are generated by
+For each seed given, the inputs of both benchmark workloads are generated by
 ``perfbench/inputs.py`` into a temporary directory, as a benchmark run
 generates them.  Each ``library`` op then runs once, in this process,
 through ``perfbench/library_ops.py``; its line digests the ``repr`` of the
 op's result.  Each ``cli_small`` op runs once as ``python -m entmanip``;
 its line digests stdout and gives the exit code.  Every line also gives
-the verdict of the op's benchmark check.  Nothing is timed, and nothing
-under ``perfbench/`` is written.  As in the benchmark, BLAS runs on one
-thread, so that the numpy results do not depend on the machine's cores.
-The exit status is 1 when some op fails its check, and 0 otherwise.
+the verdict of the op's benchmark check, and starts with the seed.
+Nothing is timed, and nothing under ``perfbench/`` is written.  As in the
+benchmark, BLAS runs on one thread, so that the numpy results do not
+depend on the machine's cores.  The exit status is 1 when some op fails
+its check, and 0 otherwise.
 
-Usage: PYTHONPATH=src python tools/op_digests.py SEED
+Usage: PYTHONPATH=src python tools/op_digests.py SEED [SEED ...]
 
 The program is imported from ``PYTHONPATH``, by this process and by the CLI
 children.  Run the tool under the ``src`` of two checkouts and ``diff`` its
@@ -79,19 +80,19 @@ def cli_lines(doc):
 
 
 def main(argv) -> int:
-    if len(argv) != 2 or not argv[1].lstrip("-").isdigit():
-        print("usage: python tools/op_digests.py SEED", file=sys.stderr)
+    if len(argv) < 2 or not all(arg.lstrip("-").isdigit() for arg in argv[1:]):
+        print("usage: python tools/op_digests.py SEED [SEED ...]", file=sys.stderr)
         return 2
-    seed = int(argv[1])
     failed = 0
-    for workload, lines in (("library", library_lines), ("cli_small", cli_lines)):
-        with tempfile.TemporaryDirectory(prefix="op-digests-") as tmp:
-            inputs.generate(workload, seed, tmp)
-            with open(os.path.join(tmp, "inputs.pkl"), "rb") as fh:
-                doc = pickle.load(fh)
-            for line in lines(doc):
-                print(line, flush=True)
-                failed += " FAILED " in line
+    for seed in map(int, argv[1:]):
+        for workload, lines in (("library", library_lines), ("cli_small", cli_lines)):
+            with tempfile.TemporaryDirectory(prefix="op-digests-") as tmp:
+                inputs.generate(workload, seed, tmp)
+                with open(os.path.join(tmp, "inputs.pkl"), "rb") as fh:
+                    doc = pickle.load(fh)
+                for line in lines(doc):
+                    print(f"seed {seed} {line}", flush=True)
+                    failed += " FAILED " in line
     return 1 if failed else 0
 
 
