@@ -22,8 +22,8 @@ from collections import Counter
 from itertools import accumulate, repeat
 
 from .monotones import vidal_monotones
-from .schmidt import NORM_TOL, Frozen, SchmidtSpectrum, holds_fraction, numpy_passes
-from .schmidt import fsum_or_inf
+from .schmidt import NORM_TOL, Frozen, SchmidtSpectrum, exact_passes, holds_fraction
+from .schmidt import fsum_or_inf, numpy_passes
 
 # Annotations are not evaluated (PEP 563): ``LpProblem`` is imported only
 # by the function that builds one.
@@ -132,24 +132,23 @@ def optimal_plan(s: SchmidtSpectrum) -> ConcentrationPlan:
     probabilities telescope back to the coefficient sum, so the plan is
     normalised because the spectrum is, and its sum is not checked again.
     The expected entanglement is the ln j average in nats.  Both are
-    C-level passes, one for float and exact spectra alike; the
-    probabilities of a float spectrum of ``VECTOR_RANK`` or more levels are
-    one numpy pass once numpy is loaded, on the array the spectrum holds,
-    and the average multiplies them by a held table of ln j, with the same
-    bits.  An exact plan's probabilities are converted to floats once for
-    the average, as a ``Fraction`` times a float is ``float(p)`` times it.
+    C-level passes.  An exact spectrum's plan is taken on its integer
+    numerators (``exact.plan_probabilities``), and the probabilities of a
+    float spectrum of ``VECTOR_RANK`` or more levels are one numpy pass
+    once numpy is loaded, on the array the spectrum holds, whose average
+    multiplies them by a held table of ln j; each gives the bits of the
+    per-level loop, in which an exact probability is ``float(p)`` in the
+    average, as a ``Fraction`` times a float is ``float(p)`` times it.
     """
-    vector = numpy_passes((s,))
-    if vector:
-        p = vector.plan_probabilities(s)
-        probs, expected = tuple(memoryview(p)), vector.mean_log_level(p)
+    passes = exact_passes(s) or numpy_passes((s,))
+    if passes:
+        probs, expected = passes.plan_probabilities(s)
     else:
         coeffs = s.coeffs
         n = len(coeffs)
         gaps = map(operator.sub, coeffs, coeffs[1:] + (0,))
         probs = tuple(map(operator.mul, range(1, n + 1), gaps))
-        floats = map(float, probs[1:]) if holds_fraction(probs[:1]) else probs[1:]
-        expected = math.fsum(map(operator.mul, floats, map(math.log, range(2, n + 1))))
+        expected = math.fsum(map(operator.mul, probs[1:], map(math.log, range(2, n + 1))))
     # Built without the plan's checks: the probabilities are nonnegative and
     # telescope to the coefficient sum, which the spectrum already holds to
     # NORM_TOL; summing them again can round a valid spectrum's plan just
@@ -200,10 +199,23 @@ def concentration_lp(s: SchmidtSpectrum, weights=None) -> LpProblem:
     factored once for all its problems.  The held matrices are bounded by
     ``lp._SHARED_ENTRIES`` entries, about 8 MB of floats; the results are
     the same as from fresh rows.
+
+    The inverse of an exact matrix also holds the rank's ln weights as
+    ``Fraction``s and their duals.  An exact spectrum with default weights
+    gives a problem whose objective is that held tuple, stored without
+    converting it again, beside the spectrum's tails, ``Fraction``s
+    already; the crash check then finds the duals by identity.  Explicit
+    weights, ln ones included, are converted and solved as any others.
     """
     from .lp import LpProblem, _shared_matrix
 
     n = s.rank
+    bounds = vidal_monotones(s)
+    # the tails are all of the spectrum's kind, so the first one speaks for
+    # them: exact tails are Fractions, as the rank's held ln weights are
+    if weights is None and holds_fraction(bounds[:1]):
+        rows, inverse = _shared_matrix(n, True, lambda: _tail_sum_matrix(n, True))
+        return LpProblem._of(inverse.ln_weights, rows, bounds)
     if weights is None:
         weights = standard_weights("ln", n)
     weights = tuple(weights)
@@ -211,13 +223,11 @@ def concentration_lp(s: SchmidtSpectrum, weights=None) -> LpProblem:
         raise ValueError(
             f"expected {n} weights for a rank-{n} spectrum, got {len(weights)}"
         )
-    bounds = vidal_monotones(s)
     # the rule LpProblem applies to the weights and bounds, so the matrix is
-    # of the arithmetic they decide; the tails are all of the spectrum's
-    # kind, so the first one speaks for them
+    # of the arithmetic they decide
     exact = holds_fraction(bounds[:1] + weights)
-    matrix = _shared_matrix(n, exact, lambda: _tail_sum_matrix(n, exact))
-    return LpProblem._of_matrix(weights, matrix, bounds)
+    rows, _ = _shared_matrix(n, exact, lambda: _tail_sum_matrix(n, exact))
+    return LpProblem._of_matrix(weights, rows, bounds)
 
 
 def _tail_sum_matrix(n: int, exact: bool) -> tuple:
@@ -225,7 +235,8 @@ def _tail_sum_matrix(n: int, exact: bool) -> tuple:
 
     Row l holds (j + 1 - l) / j from column j = l on, zeros before it; an
     int true division is rounded once, as ``Fraction(k, j)`` is exact.
-    Exact rows come with their closed-form inverse, float rows with None
+    Exact rows come with their closed-form inverse, which holds the rank's
+    ln weights as ``Fraction``s and their duals, float rows with None
     (their LU is factored when first needed).
     """
     if exact:
@@ -233,7 +244,7 @@ def _tail_sum_matrix(n: int, exact: bool) -> tuple:
 
         from .exact import TailSumInverse
 
-        solves = TailSumInverse()
+        solves = TailSumInverse(tuple(map(divide, standard_weights("ln", n))))
     else:
         divide, solves = operator.truediv, None
     zero = divide(0, 1)

@@ -55,9 +55,13 @@ crash check of every later problem and for ``verify.verify_solution`` of
 an all-structural basis.  An exact concentration matrix is held with its
 closed-form inverse (``exact.TailSumInverse``, second differences on
 integer numerators), made when the matrix is built, so no exact LU is
-ever made for it; a float one with its LU, factored once when first
-needed.  The entries held are bounded by ``_SHARED_ENTRIES``; the least
-recently used matrix goes first.  Other matrices, user-built ones and
+ever made for it; the inverse holds the rank's ln weights as
+``Fraction``s, the objective of every default-weight exact
+``concentration_lp`` of that rank, and their duals, which the crash check
+finds by identity.  A float matrix is held with its LU, factored once
+when first needed.  The entries held are bounded by
+``_SHARED_ENTRIES``; the least recently used matrix goes first, with
+what is held beside it.  Other matrices, user-built ones and
 the ``Fraction`` rows of an ``exact=True`` lift included, are new tuples
 (``LpProblem`` converts every vector it is given), so they are factored
 afresh each time and add nothing.  The held solves are functions of the
@@ -94,7 +98,8 @@ _MAX_PIVOTS_FACTOR = 64
 # matrices held at once.  A float entry and its share of the LU take about
 # 60 B, so at most about 8 MB of float matrices are held.  An exact matrix
 # holds its rows (about 35 B an entry, its zeros one shared object) and a
-# closed-form inverse of O(1) size, no LU: at most about 5 MB.
+# closed-form inverse, no LU, which holds the rank's ln weights and their
+# duals, O(n) Fractions: at most about 5 MB.
 _SHARED_ENTRIES = 1 << 17
 
 __all__ = [
@@ -471,16 +476,19 @@ def _pivot(tableau, zrow, leaving, entering, zero, one):
 _shared = {}
 
 
-def _shared_matrix(n: int, exact: bool, build) -> tuple:
-    """The rows of the shared n x n matrix in the arithmetic ``exact``.
+def _shared_matrix(n: int, exact: bool, build) -> list:
+    """The shared n x n matrix in the arithmetic ``exact``: ``[rows, solves]``.
 
     ``build()`` makes the rows, a tuple of row tuples, and the solves held
     with them (an object with ``solve`` and ``solve_transposed``, such as
     a closed-form inverse, or None) when none are held for ``(n, exact)``;
     once held, every call returns the same objects, and
-    :func:`_basis_point` factors rows held without solves once.  A matrix
-    of more than ``_SHARED_ENTRIES`` entries is built and not held.  Each
-    step is one dict operation and the entries held are recounted from a
+    :func:`_basis_point` factors rows held without solves once.  An exact
+    concentration matrix's inverse also holds the rank's ln weights as
+    ``Fraction``s and their duals (``exact.TailSumInverse``), so they are
+    made once per rank and go when the matrix is evicted.  A matrix of
+    more than ``_SHARED_ENTRIES`` entries is built and not held.  Each step
+    is one dict operation and the entries held are recounted from a
     snapshot, so threads may share the cache.
     """
     key = (n, exact)
@@ -488,11 +496,11 @@ def _shared_matrix(n: int, exact: bool, build) -> tuple:
     if entry is None:
         entry = list(build())
         if n * n > _SHARED_ENTRIES:
-            return entry[0]
+            return entry
         while sum(size * size for size, _ in list(_shared)) + n * n > _SHARED_ENTRIES:
             _shared.pop(next(iter(_shared), None), None)
     _shared[key] = entry
-    return entry[0]
+    return entry
 
 
 def _basis_point(prob: LpProblem, basis, ex) -> tuple:
@@ -506,11 +514,15 @@ def _basis_point(prob: LpProblem, basis, ex) -> tuple:
     so the same numbers), the solves held with it are read: an exact
     matrix's closed-form inverse, or a float matrix's LU, factored first if
     it is not held yet.  Any other B is factored afresh and nothing is
-    kept.  Raises ``ZeroDivisionError`` as ``_factor`` does.
+    kept.  An all-structural basis hands the objective itself to the
+    transposed solve, so an inverse that holds the duals of that very
+    tuple finds them by identity.  Raises ``ZeroDivisionError`` as
+    ``_factor`` does.
     """
     c, rows = prob.objective, prob.constraint_matrix
     n, m = len(c), len(rows)
-    held = _shared.get((m, prob.exact)) if tuple(basis) == tuple(range(n)) else None
+    structural = tuple(basis) == tuple(range(n))
+    held = _shared.get((m, prob.exact)) if structural else None
     if held and held[0] is rows:
         lu = held[1] = held[1] or _factor(rows, ex)
     else:
@@ -519,7 +531,8 @@ def _basis_point(prob: LpProblem, basis, ex) -> tuple:
     x = [ex.zero] * (n + m)
     for j, value in zip(basis, lu.solve(prob.bounds)):
         x[j] = value
-    return x, lu.solve_transposed([c[j] if j < n else ex.zero for j in basis])
+    c_basis = c if structural else [c[j] if j < n else ex.zero for j in basis]
+    return x, lu.solve_transposed(c_basis)
 
 
 def _factor(matrix, ex):

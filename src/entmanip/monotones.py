@@ -28,7 +28,7 @@ import math
 import operator
 from itertools import accumulate, chain, repeat, starmap, zip_longest
 
-from .schmidt import Frozen, SchmidtSpectrum, numpy_passes, padded_average
+from .schmidt import Frozen, SchmidtSpectrum, exact_passes, numpy_passes, padded_average
 
 FEASIBILITY_TOL = 1e-9
 
@@ -54,7 +54,7 @@ class FeasibilityReport(Frozen):
     """
 
     _fields = ("violated_indices", "slack")
-    _array_field = "slack"
+    _held_field = "slack"
 
     def __init__(self, violated_indices, slack):
         self._store(tuple(violated_indices), tuple(slack))
@@ -83,11 +83,13 @@ def vidal_monotones(s: SchmidtSpectrum) -> tuple:
     positive and nonincreasing, and consecutive differences are the
     coefficients.  E_1 is the running sum of all coefficients: exactly 1
     for an exact spectrum, and for a float one 1 up to the spectrum's
-    normalization and the rounding of the sum.  One running sum serves both
-    arithmetics: a spectrum is all ``Fraction`` or all float, and its tails
-    are of its kind.
+    normalization and the rounding of the sum.  A spectrum is all
+    ``Fraction`` or all float, and its tails are of its kind: an exact
+    spectrum's are int running sums of its numerators, each made one
+    ``Fraction`` (``exact.tails``).
     """
-    return tuple(accumulate(reversed(s.coeffs)))[::-1]
+    ex = exact_passes(s)
+    return ex.tails(s) if ex else tuple(accumulate(reversed(s.coeffs)))[::-1]
 
 
 def _tails(s: SchmidtSpectrum, vector):
@@ -101,7 +103,7 @@ def _report(source_tails, target_tails, tol, vector) -> FeasibilityReport:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     if vector:
         violated, slack = vector.slack(source_tails, target_tails, tol)
-        return FeasibilityReport._of_array(slack, violated)
+        return FeasibilityReport._of_held("_array", slack, violated)
     # int 0 past the shorter vector keeps floats float and Fractions exact
     slack = tuple(
         starmap(operator.sub, zip_longest(source_tails, target_tails, fillvalue=0))
@@ -160,14 +162,19 @@ def max_conversion_probability(source: SchmidtSpectrum, target: SchmidtSpectrum)
     rank exceeding the source rank forces 0.  The tails are divided in the
     spectra's own arithmetic: two exact spectra give an exact ``Fraction``,
     and a float spectrum on either side gives a float, the ratio of the
-    tails as floats.
+    tails as floats; an exact spectrum's float tails are its int tail sums
+    divided by its denominator.
     """
     vector = numpy_passes((source, target))
     if vector:
         p = vector.min_ratio(vector.tails(source), vector.tails(target))
     else:
-        tails = vidal_monotones(source)
+        exact = [exact_passes(s) for s in (source, target)]
+        tails, target_tails = (
+            ex.tails(s, as_floats=not all(exact)) if ex else vidal_monotones(s)
+            for ex, s in zip(exact, (source, target))
+        )
         # zeros past the source rank, of the source's kind: 0.0 or Fraction(0)
         zeros = repeat(0 * tails[0])
-        p = min(map(operator.truediv, chain(tails, zeros), vidal_monotones(target)))
+        p = min(map(operator.truediv, chain(tails, zeros), target_tails))
     return p if p <= 1 else type(p)(1)

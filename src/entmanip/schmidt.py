@@ -18,7 +18,12 @@ are summed on integer ratios by the kernels of ``entmanip.exact``, which
 only exact values load, so float work never loads ``fractions``.
 :func:`make_spectrum` stores what it builds without the constructor's
 checks, since it builds only valid spectra; a float coefficient that its
-normalisation underflows to 0 is dropped.
+normalisation underflows to 0 is dropped.  An exact spectrum that it
+builds is held as its integer numerators over one denominator, their sum,
+from which every exact kernel works (:func:`exact_passes`) with int sums
+and differences, one ``Fraction`` per result entry; its ``coeffs`` tuple
+is made only when code reads it, and the readers that want floats divide
+the numerators (:func:`float_coefficients`).
 
 Large float spectra take numpy passes, in ``entmanip.vector``, as exact
 ones take integer-ratio kernels: :func:`vector_sized` sends a float kernel
@@ -101,13 +106,46 @@ def numpy_passes(spectra, tol: float = 0.0):
     tolerance is a float and the largest rank is :func:`vector_sized`.
     """
     floats = type(tol) is float and all(
-        "_array" in s.__dict__ or type(s.coeffs[0]) is float for s in spectra
+        "_array" in s.__dict__
+        or ("_ratios" not in s.__dict__ and type(s.coeffs[0]) is float)
+        for s in spectra
     )
     if floats and vector_sized(max(s.rank for s in spectra)):
         from . import vector
 
         return vector
     return None
+
+
+def exact_passes(s):
+    """The ``exact`` module if spectrum ``s`` is exact, else None.
+
+    A kernel over one spectrum hands an exact one to the passes of
+    ``entmanip.exact``, which read its integer numerators, and a float one
+    to :func:`numpy_passes`.  A spectrum that holds its numerators is exact
+    without a look at its ``coeffs``; another is exact when its first
+    coefficient is a ``Fraction``.
+    """
+    held = s.__dict__
+    if "_ratios" in held or ("_array" not in held and holds_fraction(s.coeffs[:1])):
+        from . import exact
+
+        return exact
+    return None
+
+
+def float_coefficients(s):
+    """The coefficients of spectrum ``s`` as floats, a sequence.
+
+    An exact spectrum's are its integer numerators divided by their
+    denominator, the bits ``float(a)`` gives, as int true division rounds
+    correctly; ``coeffs`` is not built for them.
+    """
+    ex = exact_passes(s)
+    if ex is None:
+        return s.coeffs
+    numerators, den = ex.numerators(s)
+    return [n / den for n in numerators]
 
 
 class FailedCheck(Exception):
@@ -129,17 +167,18 @@ class Frozen:
     Values live in the instance ``__dict__``, so ``pickle`` and ``copy``
     work as for any plain object.
 
-    A subclass may name in ``_array_field`` one field of floats that an
-    instance can hold as one read-only float64 array, ``_array`` in the
-    instance dict, at 8 bytes a value where a tuple of floats takes about
-    32 (see :meth:`_of_array`).  The field is built from the array, as a
-    tuple of plain floats, when code first reads it, and is then kept.
-    Such an instance is equal to, hashes and prints as, and pickles and
-    copies as the one that holds the tuple.
+    A subclass may name in ``_held_field`` one field that an instance can
+    hold in a compact form, stored under its own key in the instance dict
+    (see :meth:`_of_held`): a field of floats as one read-only float64
+    array, ``_array``, at 8 bytes a value where a tuple of floats takes
+    about 32, or another form that the subclass's :meth:`_unpacked` reads.
+    The field is built from that form when code first reads it, and is
+    then kept.  Such an instance is equal to, hashes and prints as, and
+    pickles and copies as the one that holds the tuple.
     """
 
     _fields = ()
-    _array_field = None
+    _held_field = None
 
     def _store(self, *values):
         self.__dict__.update(zip(self._fields, values))
@@ -152,25 +191,30 @@ class Frozen:
         return obj
 
     @classmethod
-    def _of_array(cls, array, *values):
-        """An instance holding ``_array_field`` as ``array``, unchecked.
+    def _of_held(cls, key, held, *values):
+        """An instance holding ``_held_field`` as ``held`` under ``key``, unchecked.
 
-        ``values`` are the other fields, in order; ``array`` is a read-only
-        float64 array.
+        ``values`` are the other fields, in order; ``held`` is the field's
+        compact form, such as a read-only float64 array under ``_array``.
         """
         obj = object.__new__(cls)
-        others = (name for name in cls._fields if name != cls._array_field)
-        obj.__dict__.update(zip(others, values), _array=array)
+        others = (name for name in cls._fields if name != cls._held_field)
+        obj.__dict__.update(zip(others, values), **{key: held})
         return obj
 
     def __getattr__(self, name):
         # reached only for a name that is not in the instance dict: the
-        # array-held field, on its first read
-        array = self.__dict__.get("_array")
-        if name != self._array_field or array is None:
+        # held field, on its first read
+        value = self._unpacked() if name == self._held_field else None
+        if value is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = self.__dict__[name] = tuple(memoryview(array))
+        self.__dict__[name] = value
         return value
+
+    def _unpacked(self):
+        """The held field as a tuple, built from its compact form; None if none is held."""
+        array = self.__dict__.get("_array")
+        return None if array is None else tuple(memoryview(array))
 
     def __getstate__(self):
         # pickled and copied by its fields, an array-held one as its tuple,
@@ -213,11 +257,15 @@ class SchmidtSpectrum(Frozen):
 
     A float spectrum that :func:`make_spectrum` builds by numpy passes
     holds ``coeffs`` as a read-only float64 array (see :class:`Frozen`),
-    which the numpy kernels read; ``coeffs`` is built when code reads it.
+    which the numpy kernels read; an exact one that it builds holds them as
+    ``_ratios``, the pair ``(numerators, den)`` of its kept integer
+    numerators, nonincreasing, and their sum, which the exact kernels read.
+    Either way ``coeffs`` is built when code reads it, coefficient i as
+    ``Fraction(numerators[i], den)`` from the pair.
     """
 
     _fields = ("coeffs",)
-    _array_field = "coeffs"
+    _held_field = "coeffs"
 
     def __init__(self, coeffs):
         coeffs = tuple(coeffs)
@@ -244,11 +292,40 @@ class SchmidtSpectrum(Frozen):
             raise ValueError(f"spectrum is not normalized: sum = {total!r}")
         self._store(coeffs)
 
+    def _unpacked(self):
+        ratios = self.__dict__.get("_ratios")
+        if ratios is None:
+            return super()._unpacked()
+        from fractions import Fraction
+
+        numerators, den = ratios
+        return tuple(map(Fraction, numerators, repeat(den)))
+
     @property
     def rank(self) -> int:
         """Number of nonzero Schmidt coefficients."""
+        held = self.__dict__
+        if "_ratios" in held:
+            return len(held["_ratios"][0])
+        return len(held["_array"] if "_array" in held else self.coeffs)
+
+    @property
+    def norm_residual(self):
+        """|sum of the coefficients - 1|, derived when read, not stored.
+
+        An exact spectrum's is exact, its integer numerators' sum minus
+        their denominator, over that denominator: 0 for every spectrum
+        that :func:`make_spectrum` builds.  A float spectrum's is
+        ``abs(math.fsum(coeffs) - 1.0)``, summed through a ``memoryview``
+        of an array-held one.  The constructor accepts a spectrum whose
+        residual is at most ``NORM_TOL``.
+        """
+        ex = exact_passes(self)
+        if ex:
+            numerators, den = ex.numerators(self)
+            return ex.Fraction(abs(sum(numerators) - den), den)
         array = self.__dict__.get("_array")
-        return len(self.coeffs if array is None else array)
+        return abs(math.fsum(self.coeffs if array is None else memoryview(array)) - 1.0)
 
 
 def fsum_or_inf(values) -> float:
@@ -299,14 +376,13 @@ def make_spectrum(raw, zero_tol: float = ZERO_TOL) -> SchmidtSpectrum:
     if kinds == {float} and vector_sized(len(values)):
         from . import vector
 
-        return SchmidtSpectrum._of_array(vector.normalised(values, zero_tol))
-    if not all(map(operator.ge, values, repeat(0))):  # NaN fails it too
-        raise ValueError(_NEGATIVE)
-
+        return SchmidtSpectrum._of_held("_array", vector.normalised(values, zero_tol))
     if fraction_among(kinds):
         from . import exact
 
         return exact.exact_spectrum(values, zero_tol)
+    if not all(map(operator.ge, values, repeat(0))):  # NaN fails it too
+        raise ValueError(_NEGATIVE)
     try:
         values = list(map(float, values))
     except OverflowError:  # an int past the float range
@@ -370,10 +446,8 @@ def uniform_spectrum(levels: int) -> SchmidtSpectrum:
 def entropy(s: SchmidtSpectrum) -> float:
     """Entanglement entropy of a spectrum in nats (0*ln 0 := 0).
 
-    An exact spectrum is converted to floats once: a ``Fraction`` times a
-    float is ``float(a)`` times it, so the bits are the same.
+    An exact spectrum is converted to floats once, from its numerators
+    (:func:`float_coefficients`): a ``Fraction`` times a float is
+    ``float(a)`` times it, so the bits are the same.
     """
-    coeffs = s.coeffs
-    if holds_fraction(coeffs[:1]):
-        coeffs = map(float, coeffs)
-    return -math.fsum(a * math.log(a) for a in coeffs)
+    return -math.fsum(a * math.log(a) for a in float_coefficients(s))

@@ -29,7 +29,7 @@ import math
 from itertools import zip_longest
 
 from .schmidt import NORM_TOL, FailedCheck, Frozen, SchmidtSpectrum, make_spectrum, padded_average
-from .schmidt import fsum_or_inf, holds_fraction
+from .schmidt import float_coefficients, fsum_or_inf
 
 MERGE_TOL = 1e-9
 POVM_TOL = 1e-10
@@ -150,14 +150,13 @@ class DiagonalPovm(Frozen):
 
         Raises :class:`IncompletePovmError` when the state's rank exceeds the
         support, where the measurement does not resolve to 1.  An exact
-        state is converted to floats once, for the same bits: a float times
+        state is converted to floats once, from its numerators
+        (``schmidt.float_coefficients``), for the same bits: a float times
         a ``Fraction`` is that float times ``float(a)``.
         """
         if state.rank > self.support_rank:
             raise IncompletePovmError("state rank exceeds the measurement support")
-        coeffs = state.coeffs
-        if holds_fraction(coeffs[:1]):
-            coeffs = tuple(map(float, coeffs))
+        coeffs = float_coefficients(state)
         return tuple(
             math.fsum(el.diag[i] ** 2 * a for i, a in enumerate(coeffs))
             for el in self.elements

@@ -91,11 +91,16 @@ def normalised(values: list, zero_tol) -> np.ndarray:
     return a
 
 
-def plan_probabilities(s) -> np.ndarray:
-    """``optimal_plan``'s probabilities j (a_j - a_{j+1}), with a_{n+1} = 0."""
+def plan_probabilities(s) -> tuple:
+    """``optimal_plan`` of ``s``: its probabilities and their ln j average.
+
+    The probabilities j (a_j - a_{j+1}), with a_{n+1} = 0, are one pass,
+    returned as a tuple of floats; the average is :func:`mean_log_level`.
+    """
     a = coefficients(s)
     gaps = a - np.append(a[1:], 0.0)
-    return np.arange(1, len(a) + 1, dtype=float) * gaps
+    p = np.arange(1, len(a) + 1, dtype=float) * gaps
+    return tuple(memoryview(p)), mean_log_level(p)
 
 
 def mean_log_level(p: np.ndarray) -> float:

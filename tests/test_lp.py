@@ -1,10 +1,12 @@
 """Simplex solver, vertex-enumeration oracle, and solution verification."""
 
+import gc
 import inspect
 import math
 import operator
 import pickle
 import re
+import weakref
 from fractions import Fraction
 from itertools import chain
 from unittest import mock
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from entmanip import (
     LpProblem,
     LpSolution,
+    SchmidtSpectrum,
     concentration_lp,
     constraint_residuals,
     make_spectrum,
@@ -34,13 +37,18 @@ from entmanip.schmidt import holds_fraction
 from util import (
     CYCLING_LP,
     enumerate_vertices,
+    exact_spectrum_inputs,
     highs_optimum,
     random_spectrum,
+    reference_exact_spectrum,
     reference_factor,
+    reference_fraction_sum,
     reference_lu_solve,
     reference_lu_solve_transposed,
+    reference_optimal_plan,
     reference_pivot,
     reference_solve_square,
+    reference_tails,
     reference_verify,
 )
 
@@ -879,6 +887,104 @@ class TestProblemsAroundTheHeldMatrix:
         with pytest.raises(ValueError) as concentrated:
             concentration_lp(s, weights)
         assert str(concentrated.value) == str(built.value) == message
+
+
+def _fresh_problem(weights, raw, zero_tol) -> LpProblem:
+    """The concentration LP of exact input by the loops, checked by ``__init__``.
+
+    New rows of ``Fraction(j + 1 - l, j)``, the tails of the reference
+    spectrum summed term by term, and ``weights``.
+    """
+    tails = reference_tails(reference_exact_spectrum(raw, zero_tol))
+    n = len(tails)
+    rows = [
+        [Fraction(j + 1 - l, j) if j >= l else 0 for j in range(1, n + 1)]
+        for l in range(1, n + 1)
+    ]
+    return LpProblem(weights, rows, tails)
+
+
+class TestHeldLnWeights:
+    """An exact matrix is held with its rank's ln weights and their duals.
+
+    ``concentration_lp`` of an exact spectrum with default weights stores
+    the held weights tuple as its objective, and the crash check finds its
+    duals by identity; explicit weights are converted and solved as before.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(exact_spectrum_inputs())
+    def test_the_default_lp_and_its_solution_equal_the_fraction_loops(self, case):
+        raw, zero_tol = case
+        with mock.patch.object(lp, "_shared", {}):
+            s = make_spectrum(raw, zero_tol)
+            n = s.rank
+            prob = concentration_lp(s)
+            rows, inverse = lp._shared[n, True]
+            weights = tuple(map(Fraction, standard_weights("ln", n)))
+            assert prob.objective is inverse.ln_weights and inverse.ln_weights == weights
+            assert all(type(c) is Fraction for c in inverse.ln_weights)
+            fresh = _fresh_problem(weights, raw, zero_tol)
+            assert prob == fresh and repr(prob) == repr(fresh)
+            lu = lp._factor(fresh.constraint_matrix, exact_module)
+            duals = lu.solve_transposed(list(weights))
+            assert list(inverse.ln_duals) == duals
+            assert exact_module.TailSumInverse(weights).solve_transposed(list(weights)) == duals
+            sol = simplex_solve(prob)
+            assert "coeffs" not in s.__dict__
+        probs, _ = reference_optimal_plan(SchmidtSpectrum(s.coeffs))
+        z = optimality_certificate(n, weights).z_values
+        objective = reference_fraction_sum(c * p for c, p in zip(weights, probs))
+        expected = LpSolution(probs, objective, range(n), (0,) * n + z, "optimal")
+        assert sol == expected == simplex_solve(fresh)
+        assert repr(sol) == repr(simplex_solve(fresh))
+        assert verify_solution(prob, sol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        exact_spectrum_inputs(max_rank=24),
+        st.sampled_from(["ln", "log2", "fractions"]),
+        st.data(),
+    )
+    def test_explicit_weights_never_touch_the_held_pieces(self, case, kind, data):
+        raw, zero_tol = case
+        s = make_spectrum(raw, zero_tol)
+        n = s.rank
+        if kind == "fractions":
+            weights = data.draw(_exact_weights(n), label="weights")
+        else:
+            weights = standard_weights(kind, n)
+        with mock.patch.object(lp, "_shared", {}):
+            concentration_lp(s)
+            rows, inverse = lp._shared[n, True]
+            held = inverse.ln_weights, inverse.ln_duals
+            prob = concentration_lp(s, weights)
+            assert prob.constraint_matrix is rows
+            assert prob.objective is not inverse.ln_weights
+            fresh = _fresh_problem(weights, raw, zero_tol)
+            assert prob == fresh and repr(prob) == repr(fresh)
+            sol = simplex_solve(prob)
+            alone = simplex_solve(fresh)
+            assert sol == alone and repr(sol) == repr(alone)
+            assert verify_solution(prob, sol) == verify_solution(fresh, alone)
+            assert lp._shared[n, True][1] is inverse
+            assert (inverse.ln_weights, inverse.ln_duals) == held
+            assert all(map(operator.is_, held, (inverse.ln_weights, inverse.ln_duals)))
+
+    def test_evicting_a_rank_drops_its_held_pieces(self, monkeypatch):
+        monkeypatch.setattr(lp, "_shared", {})
+        monkeypatch.setattr(lp, "_SHARED_ENTRIES", 50)
+        s = make_spectrum([Fraction(k) for k in (5, 4, 3, 2, 1)])
+        first = concentration_lp(s)
+        inverse = weakref.ref(lp._shared[5, True][1])
+        # 25 + 36 entries are over the bound, so rank 5 goes
+        concentration_lp(make_spectrum([Fraction(k) for k in range(1, 7)]))
+        assert (5, True) not in lp._shared
+        gc.collect()
+        assert inverse() is None
+        again = concentration_lp(s)
+        assert again == first and again.objective is not first.objective
+        assert again.objective is lp._shared[5, True][1].ln_weights
 
 
 def test_problem_validation():

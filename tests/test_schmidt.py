@@ -1,7 +1,9 @@
 """Spectrum construction, decomposition and entropy."""
 
 import ast
+import copy
 import math
+import pickle
 import warnings
 from fractions import Fraction
 from itertools import repeat
@@ -11,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import entmanip
@@ -24,17 +26,32 @@ from entmanip import (
     PovmElement,
     SchmidtSpectrum,
     TargetEnsemble,
+    concentration_lp,
     entropy,
     make_ensemble,
     make_spectrum,
+    max_conversion_probability,
+    nielsen_feasible,
+    optimal_plan,
     schmidt_decompose,
+    simplex_solve,
+    single_shot_povm,
     uniform_spectrum,
+    vidal_monotones,
 )
-from entmanip import amplitudes
+from entmanip import amplitudes, schmidt
 from entmanip.amplitudes import _SMALL_SIDE, _SMALL_WORK
 from entmanip.exact import exact_sum, integer_ratios, ratio_dot
-from entmanip.schmidt import ZERO_TOL, holds_fraction
-from util import reference_exact_spectrum, reference_fraction_sum, random_unitary
+from entmanip.schmidt import NORM_TOL, ZERO_TOL, holds_fraction
+from util import (
+    exact_spectrum_inputs,
+    random_unitary,
+    reference_exact_spectrum,
+    reference_fraction_sum,
+    reference_max_conversion_probability,
+    reference_optimal_plan,
+    reference_tails,
+)
 
 
 def svd_oracle_2x2(matrix):
@@ -607,6 +624,184 @@ class TestExactMakeSpectrum:
     def test_single_level_is_fraction_one(self):
         (c,) = make_spectrum([Fraction(5)]).coeffs
         assert type(c) is Fraction and c == 1
+
+
+_SIGN_ENTRIES = st.one_of(
+    _SPECTRUM_ENTRIES,
+    st.sampled_from([-1, -0.5, -0.0, Fraction(-1, 3), math.nan, math.inf, -math.inf]),
+)
+
+
+class TestExactSigns:
+    """Exact input is tested ``v >= 0`` in turn, a ``Fraction`` by its numerator."""
+
+    @given(
+        st.lists(_SIGN_ENTRIES, max_size=10),
+        st.fractions(min_value=-10, max_value=10, max_denominator=50),
+        st.randoms(use_true_random=False),
+    )
+    def test_the_messages_of_the_fraction_reference(self, raw, fraction, rng):
+        raw.insert(rng.randint(0, len(raw)), fraction)
+        expected = reference_exact_spectrum(raw)
+        try:
+            coeffs = make_spectrum(raw).coeffs
+        except ValueError as exc:
+            assert str(exc) == expected
+            return
+        assert coeffs == expected
+
+    def test_a_value_that_is_no_number_raises_as_its_comparison_does(self):
+        # the first failing comparison raises, in input order
+        with pytest.raises(TypeError):
+            make_spectrum([Fraction(1), "1/2"])
+        with pytest.raises(ValueError, match="nonnegative"):
+            make_spectrum([Fraction(-1), "1/2"])
+
+
+def _outcome(f):
+    try:
+        return f()
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestHeldNumerators:
+    """An exact ``make_spectrum`` holds its numerators over their sum.
+
+    It acts as the tuple-held spectrum of its coefficients, and the exact
+    kernels read the numerators without building ``coeffs``, held or put
+    over a common denominator for a tuple-held spectrum.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(exact_spectrum_inputs())
+    def test_acts_as_the_tuple_held_spectrum(self, case):
+        raw, zero_tol = case
+        expected = reference_exact_spectrum(raw, zero_tol)
+        twin = SchmidtSpectrum(make_spectrum(raw, zero_tol).coeffs)
+        held = make_spectrum(raw, zero_tol)
+        numerators, den = held.__dict__["_ratios"]
+        assert den == sum(numerators) and held.rank == len(expected)
+        assert "coeffs" not in held.__dict__
+        # a first read that pickles builds the same state as the tuple's
+        assert pickle.dumps(held) == pickle.dumps(twin)
+        assert held.coeffs == expected and all(type(c) is Fraction for c in held.coeffs)
+        assert held == twin and twin == held
+        assert hash(held) == hash(twin) and repr(held) == repr(twin)
+        fresh = make_spectrum(raw, zero_tol)
+        clones = pickle.loads(pickle.dumps(fresh)), copy.copy(fresh), copy.deepcopy(fresh)
+        for clone in clones:
+            assert clone == twin and repr(clone) == repr(twin)
+            assert "_ratios" not in clone.__dict__
+
+    @settings(max_examples=100, deadline=None)
+    @given(exact_spectrum_inputs(), st.floats(0.01, 0.99))
+    @example(([Fraction(1, 500), 2.0, 5e-324], 0), 0.5)  # a coefficient below floats
+    def test_the_kernels_equal_the_fraction_loops(self, case, p):
+        raw, zero_tol = case
+        held = make_spectrum(raw, zero_tol)
+        twin = SchmidtSpectrum(make_spectrum(raw, zero_tol).coeffs)
+        other = make_spectrum([p, 1 - p])
+        povm = single_shot_povm(make_spectrum([1.0] * held.rank))
+        for s in (held, twin):
+            coeffs = reference_exact_spectrum(raw, zero_tol)
+            tails = vidal_monotones(s)
+            assert tails == reference_tails(coeffs)
+            assert all(type(t) is Fraction for t in tails)
+            plan = optimal_plan(s)
+            probs, expected = reference_optimal_plan(SchmidtSpectrum(coeffs))
+            assert plan.probabilities == probs
+            assert all(type(q) is Fraction for q in plan.probabilities)
+            assert plan.expected_entanglement.hex() == expected.hex()
+            floats = [float(a) for a in coeffs]
+            # a coefficient below the float range is 0.0 here, whose log
+            # raises in both
+            assert _outcome(lambda: entropy(s).hex()) == _outcome(
+                lambda: (-math.fsum(a * math.log(a) for a in floats)).hex()
+            )
+            outcomes = [
+                math.fsum(el.diag[i] ** 2 * a for i, a in enumerate(floats))
+                for el in povm.elements
+            ]
+            assert povm.outcome_probabilities(s) == tuple(outcomes)
+            # an exact target's tail below the float range is 0.0 as a
+            # float, by which both divide
+            for pair in ((s, other), (other, s)):
+                assert _outcome(lambda: max_conversion_probability(*pair).hex()) == (
+                    _outcome(lambda: reference_max_conversion_probability(*pair).hex())
+                )
+            q = max_conversion_probability(s, make_spectrum([Fraction(1)] * 3))
+            assert type(q) is Fraction
+            assert q == reference_max_conversion_probability(
+                s, make_spectrum([Fraction(1)] * 3), Fraction
+            )
+
+    def test_a_float_spectrum_of_an_int_makes_the_ratio_a_float(self):
+        # ``SchmidtSpectrum((1,))`` holds no Fraction, so it is float
+        s = make_spectrum([Fraction(1, 2)] * 2)
+        one = SchmidtSpectrum((1,))
+        assert repr(max_conversion_probability(s, one)) == "1.0"
+        assert repr(max_conversion_probability(one, s)) == "0.0"
+
+    def test_the_exact_pipeline_leaves_coeffs_unbuilt(self):
+        s = make_spectrum([Fraction(k) for k in (7, 5, 5, 3, 2, 1)])
+        other = make_spectrum([0.7, 0.3])
+        prob = concentration_lp(s)
+        assert simplex_solve(prob).pivots == 0
+        optimal_plan(s)
+        entropy(s)
+        vidal_monotones(s)
+        nielsen_feasible(s, other)
+        max_conversion_probability(other, s)
+        single_shot_povm(make_spectrum([1.0] * 6)).outcome_probabilities(s)
+        assert s.norm_residual == 0
+        assert "coeffs" not in s.__dict__
+
+
+class TestNormResidual:
+    """``norm_residual`` is |sum - 1|, derived when read, not stored."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(exact_spectrum_inputs())
+    def test_zero_for_every_exact_make_spectrum(self, case):
+        s = make_spectrum(*case)
+        residual = s.norm_residual
+        assert residual == 0 and type(residual) is Fraction
+        assert SchmidtSpectrum(s.coeffs).norm_residual == 0
+        assert "norm_residual" not in s.__dict__
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(0.01, 1), min_size=1, max_size=12),
+        st.integers(-3000, 3000).map(lambda k: Fraction(k, 10**12)),
+        st.booleans(),
+    )
+    def test_within_norm_tol_for_every_spectrum_the_constructor_accepts(
+        self, raw, shift, exact
+    ):
+        total = math.fsum(raw)
+        coeffs = sorted((v / total for v in raw), reverse=True)
+        if exact:
+            coeffs = [Fraction(v) for v in coeffs]
+            coeffs[0] += shift
+        else:
+            coeffs[0] += float(shift)
+        try:
+            s = SchmidtSpectrum(coeffs)
+        except ValueError:
+            return
+        residual = s.norm_residual
+        assert residual <= NORM_TOL
+        if exact:
+            assert residual == abs(sum(s.coeffs) - 1)
+        else:
+            assert residual == abs(math.fsum(s.coeffs) - 1.0)
+
+    def test_an_array_held_spectrum_is_summed_without_its_tuple(self):
+        with mock.patch.object(schmidt, "VECTOR_RANK", 1):
+            s = make_spectrum([0.7, 0.2, 0.1, 0.05])
+        assert "_array" in s.__dict__
+        assert s.norm_residual == 0.0 and "coeffs" not in s.__dict__
 
 
 class TestSpectrumValidation:

@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from entmanip import (
     LpSolution,
@@ -154,6 +155,38 @@ def reference_fraction_sum(values) -> Fraction:
     for v in values:
         total += v
     return total
+
+
+def reference_tails(coeffs) -> tuple:
+    """Tail sums E_l by the per-level loop, term-by-term from the last coefficient."""
+    tails = []
+    total = 0
+    for a in reversed(coeffs):
+        total = total + a
+        tails.append(total)
+    return tuple(reversed(tails))
+
+
+@st.composite
+def exact_spectrum_inputs(draw, max_rank=40):
+    """Raw exact ``make_spectrum`` input of 1 to ``max_rank`` entries, and a zero_tol.
+
+    The entries are ints, ``Fraction``s or floats, and one of them is a
+    ``Fraction`` above every zero_tol drawn, so the input is exact and
+    something survives the stripping; zero_tol is 0, the default or a
+    ``Fraction``.
+    """
+    n = draw(st.integers(1, max_rank), label="n")
+    entries = draw(st.sampled_from([
+        st.integers(0, 1000),
+        st.fractions(min_value=0, max_value=10, max_denominator=1000),
+        st.floats(min_value=0, max_value=10),
+    ]))
+    raw = draw(st.lists(entries, min_size=n, max_size=n))
+    at = draw(st.integers(0, n - 1))
+    raw[at] = draw(st.fractions(min_value=Fraction(1, 500), max_value=10, max_denominator=1000))
+    zero_tol = draw(st.sampled_from([0, 1e-12, Fraction(1, 1000)]), label="zero_tol")
+    return raw, zero_tol
 
 
 def reference_exact_spectrum(raw, zero_tol=1e-12) -> tuple:

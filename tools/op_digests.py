@@ -4,8 +4,10 @@ For each seed given, the inputs of both benchmark workloads are generated by
 ``perfbench/inputs.py`` into a temporary directory, as a benchmark run
 generates them.  Each ``library`` op then runs once, in this process,
 through ``perfbench/library_ops.py``; its line digests the ``repr`` of the
-op's result.  Each ``cli_small`` op runs once as ``python -m entmanip``;
-its line digests stdout and gives the exit code.  Every line also gives
+op's result and, so that a change to how results are stored shows too, the
+bytes of ``pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)``.  Each
+``cli_small`` op runs once as ``python -m entmanip``; its line digests
+stdout and gives the exit code.  Every line also gives
 the verdict of the op's benchmark check, and starts with the seed.
 Nothing is timed, and nothing under ``perfbench/`` is written.  As in the
 benchmark, BLAS runs on one thread, so that the numpy results do not
@@ -37,8 +39,11 @@ import inputs  # noqa: E402
 from spans import SpanRecorder  # noqa: E402
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+def _digest(data) -> str:
+    """The first 16 hex digits of the SHA-256 of ``data``, text or bytes."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def _verdict(ok: bool) -> str:
@@ -46,7 +51,8 @@ def _verdict(ok: bool) -> str:
 
 
 def library_lines(doc):
-    """One line per ``library`` op: index, kind, check verdict, digest."""
+    """One line per ``library`` op: index, kind, check verdict, and the
+    digests of the result's repr and of its pickle."""
     import library_ops
 
     rec = SpanRecorder(enabled=False)
@@ -57,7 +63,11 @@ def library_lines(doc):
             inst = prepare(raw)
             result = run(inst, rec)
             ok = check(inst, result)
-            yield f"library {index:3d} {slot['kind']} {_verdict(ok)} {_digest(repr(result))}"
+            pickled = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+            yield (
+                f"library {index:3d} {slot['kind']} {_verdict(ok)} "
+                f"{_digest(repr(result))} pickle={_digest(pickled)}"
+            )
             index += 1
 
 
