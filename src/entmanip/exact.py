@@ -1,4 +1,4 @@
-"""Exact arithmetic on integer ratios: sums, spectra and LU substitutions.
+"""Exact arithmetic on integer ratios: sums, spectra and the LP arithmetic.
 
 Only exact work loads this module, and with it ``fractions``: float calls
 never do.  It sums an exact spectrum's coefficients and builds the spectrum
@@ -18,21 +18,14 @@ result entry; a value wanted as a float is an int divided by ``den``,
 which int true division rounds correctly, so it is the ``float()`` of the
 ``Fraction`` bit for bit.
 
-The LU substitutions of an exact LP (:class:`ExactLu`) run the same way:
-the factorisation keeps U's pivots and entries as (numerator, denominator)
-pairs, each solved entry carries its own pair, and an entry's products are
-summed by :func:`ratio_dot` with the division by the pivot folded into
-that ratio.  So each solved entry becomes a ``Fraction`` once, the same
-number as term-by-term ``Fraction`` arithmetic gives (the fraction-free
-idea of E. H. Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 22, 1968, applied
-where it changes no value).  The concentration matrix needs no
-factorisation at all: its inverse is a second difference
-(:class:`TailSumInverse`), solved on integer numerators over one common
-denominator.
+The concentration matrix of an exact LP needs no factorisation: its
+inverse is a second difference (:class:`TailSumInverse`), solved on
+integer numerators over one common denominator.  Any other exact basis
+is factored by ``lp``'s own LU, whose substitutions give ``Fraction``s
+when handed ``Fraction``s.
 
 The module is also the exact arithmetic of ``entmanip.lp``: ``zero``,
-``tol``, ``convert``, ``dots``, ``signs`` and ``Lu`` are the names that
+``tol``, ``convert``, ``dots`` and ``signs`` are the names that
 ``lp._Float`` offers for floats, so the LP kernels read the arithmetic
 they are handed without asking which one it is.
 """
@@ -202,117 +195,6 @@ def dots(rows, vector) -> list:
     return [Fraction(*ratio_dot(zip(*_ratios(row), v_nums, v_dens))) for row in rows]
 
 
-def _exact_sub_dot(x_num, x_den, terms, pivot=(1, 1)) -> Fraction:
-    """``(x - the sum of the products of the terms) / pivot``, one ``Fraction``.
-
-    x is ``x_num / x_den``, ``terms`` are the ``(a, b, c, d)`` terms of
-    :func:`ratio_dot`, each the product of two ratios, and ``pivot`` is a
-    ``(numerator, denominator)`` pair.  The sum runs from -x, and the pivot
-    division is folded into its ratio.
-    """
-    num, den = ratio_dot(terms, -x_num, x_den)
-    p_num, p_den = pivot
-    return Fraction(-num * p_den, den * p_num)
-
-
-class ExactLu:
-    """An exact ``lp._factor`` on integer ratios, and the solves that read it.
-
-    ``ExactLu(steps, u_rows)`` is built from the factorisation's ``steps``
-    and ``u_rows``, the nonzero ``(k, u)`` pairs of each row of U; only
-    their ratios are kept.  A vector of ratios is held as two sequences,
-    numerators and denominators.  ``eliminations[col]`` is the pivot row,
-    the eliminated rows and the ratios of their factors; ``rows[col]`` is
-    the pivot's ``(numerator, denominator)`` and the ratios of U's row
-    right of it, last column first (the order back substitution solves them
-    in); ``columns[col]`` the ratios of U's column above it.  Rows and
-    columns are dense: a zero entry is a term whose product is skipped.
-    The transposed solve reads U by columns, not by rows as the float one
-    does: a row sweep would cost one ``ratio_dot`` call per product.
-    """
-
-    def __init__(self, steps, u_rows):
-        # U as dense integer ratios, a zero as 0/1; an entry is a Fraction
-        # or an int (the ints of slack columns)
-        size = len(u_rows)
-        u_nums, u_dens = [], []
-        for pairs in u_rows:
-            nums, dens = [0] * size, [1] * size
-            for k, u in pairs:
-                nums[k], dens[k] = u.as_integer_ratio()
-            u_nums.append(nums)
-            u_dens.append(dens)
-        self.rows = [
-            ((nums[col], dens[col]), (nums[:col:-1], dens[:col:-1]))
-            for col, (nums, dens) in enumerate(zip(u_nums, u_dens))
-        ]
-        self.columns = [
-            (nums[:col], dens[:col])
-            for col, (nums, dens) in enumerate(zip(zip(*u_nums), zip(*u_dens)))
-        ]
-        self.eliminations = [
-            (pivot_row, [r for r, _ in eliminated], _ratios(f for _, f in eliminated))
-            if eliminated else (pivot_row, (), ((), ()))
-            for pivot_row, eliminated in steps
-        ]
-
-    def solve(self, rhs) -> list:
-        """Solve B x = rhs; the values are ``Fraction``s.
-
-        The forward eliminations add into each entry's integer ratio, and an
-        entry is brought to lowest terms once, when it scales the rows below
-        it.  Back substitution makes each solved entry a ``Fraction`` once
-        and keeps its ratio, last entry first, for the rows above.
-        """
-        nums, dens = map(list, _ratios(rhs))
-        for col, (pivot_row, targets, (f_nums, f_dens)) in enumerate(self.eliminations):
-            for v in (nums, dens):
-                v[col], v[pivot_row] = v[pivot_row], v[col]
-            if targets and nums[col]:
-                g = math.gcd(nums[col], dens[col])
-                x_num = nums[col] = nums[col] // g
-                x_den = dens[col] = dens[col] // g
-                for r, f_num, f_den in zip(targets, f_nums, f_dens):
-                    term = (-f_num, f_den, x_num, x_den)
-                    nums[r], dens[r] = ratio_dot((term,), nums[r], dens[r])
-        x, solved_nums, solved_dens = [], [], []
-        for col in reversed(range(len(nums))):
-            pivot, (u_nums, u_dens) = self.rows[col]
-            terms = zip(u_nums, u_dens, solved_nums, solved_dens)
-            value = _exact_sub_dot(nums[col], dens[col], terms, pivot)
-            x.append(value)
-            num, den = value.as_integer_ratio()
-            solved_nums.append(num)
-            solved_dens.append(den)
-        x.reverse()
-        return x
-
-    def solve_transposed(self, rhs) -> list:
-        """Solve B^T y = rhs, as the float solve does.
-
-        Forward substitution down the columns of U, then the transposed
-        eliminations and the swaps in reverse order; each substitution makes
-        one ``Fraction`` and replaces the entry's ratio with its own.
-        """
-        nums, dens = map(list, _ratios(rhs))
-        w = [None] * len(nums)
-        for col, ((pivot, _), (c_nums, c_dens)) in enumerate(zip(self.rows, self.columns)):
-            # the column above the pivot meets the entries solved before it
-            terms = zip(c_nums, c_dens, nums, dens)
-            w[col] = _exact_sub_dot(nums[col], dens[col], terms, pivot)
-            nums[col], dens[col] = w[col].as_integer_ratio()
-        for col in reversed(range(len(w))):
-            pivot_row, targets, (f_nums, f_dens) = self.eliminations[col]
-            if targets:
-                eliminated = map(nums.__getitem__, targets), map(dens.__getitem__, targets)
-                terms = zip(f_nums, f_dens, *eliminated)
-                w[col] = _exact_sub_dot(nums[col], dens[col], terms)
-                nums[col], dens[col] = w[col].as_integer_ratio()
-            for v in (w, nums, dens):
-                v[col], v[pivot_row] = v[pivot_row], v[col]
-        return w
-
-
 class TailSumInverse:
     """The solves of the exact concentration matrix B, by its inverse.
 
@@ -322,7 +204,7 @@ class TailSumInverse:
     on three diagonals.  Each solve puts its right-hand side over one
     common denominator (:func:`over_common_denominator`), takes the second
     differences of the integer numerators, and makes each solved entry one
-    ``Fraction``: the values an ``ExactLu`` of B gives, for any rank.
+    ``Fraction``: the values an exact LU of B gives, for any rank.
 
     An inverse is made for one rank n with that rank's ``ln_weights``, ln j
     for j = 1..n as ``Fraction``s, the objective of every exact
@@ -363,7 +245,6 @@ class TailSumInverse:
 zero = Fraction(0)
 tol = 0
 convert = as_fraction
-Lu = ExactLu
 
 
 def signs(values):

@@ -16,11 +16,10 @@ it to the kernels it runs as a namespace, ``_Float`` or the ``exact``
 module, and both offer the same names: ``zero``, ``tol`` (``PIVOT_TOL``,
 or 0), ``convert`` (a real number into the arithmetic, which returns a
 float or a ``Fraction`` of its own arithmetic as it is), ``dots`` (dot
-products: ``math.fsum``, or sums on integer ratios), ``signs`` (numbers
-with the values' signs: the floats themselves, or the numerators, ints
-that compare several times faster than ``Fraction``s) and ``Lu`` (the
-type of a factorisation: :class:`FloatLu` or ``exact.ExactLu``).  So a
-float call never loads ``exact`` or ``fractions``, and an exact one
+products: ``math.fsum``, or sums on integer ratios) and ``signs``
+(numbers with the values' signs: the floats themselves, or the
+numerators, ints that compare several times faster than ``Fraction``s).
+So a float call never loads ``exact`` or ``fractions``, and an exact one
 imports ``exact`` once.  A claimed solution is converted into the
 problem's arithmetic before it is checked.  The solver solves a problem
 in its own arithmetic, and lifts a float problem to ``Fraction``s only
@@ -32,9 +31,9 @@ factor.  Skipped entries would be updated by ``x - factor * 0``, so the
 results are the same number for number as a full sweep, at a fraction of
 the cost on the sparse tableaus the concentration LPs produce.  The one
 routine serves float and exact mode alike.  So does the LU factorisation
-below, which hands its factors to the arithmetic's ``Lu``; the
-substitutions are that type's.  A float entry subtracts its products one
-by one; an exact one is summed on integer ratios.
+below and its :class:`Lu`: its substitutions subtract products one by
+one and divide by the pivot, plain arithmetic that gives floats on
+floats and the exact ``Fraction``s on ``Fraction``s.
 
 Square problems (as many constraints as variables) are first given a
 crash check of the all-structural basis (R. E. Bixby, "Implementing the
@@ -77,7 +76,7 @@ row's nonzeros, and the float singularity test reads a per-row magnitude
 bound instead of rescanning rows), or reads the held solves, and answers
 B x = q and B^T y = c_B from that one factorisation or inverse, by sparse
 triangular substitution or by second differences.
-The float solves read U by its rows only: B^T y = c_B subtracts each
+The LU solves read U by its rows only: B^T y = c_B subtracts each
 solved entry, times its row of U, from the entries right of it.  On the
 triangular bases of the concentration LPs the factorisation does no
 elimination and compares no magnitudes at all.
@@ -539,12 +538,11 @@ def _factor(matrix, ex):
     """LU factorisation with partial pivoting; raises on singularity.
 
     Works for float and ``Fraction`` entries alike, in the arithmetic
-    ``ex``, and returns its ``ex.Lu`` of the factors: a :class:`FloatLu`
-    or an ``exact.ExactLu``.  The pivot is the largest of the column's
-    nonzero entries on or below the diagonal (ties go to the first row, and
-    a lone candidate is taken without comparing magnitudes), and only the
-    rows of the other candidates are eliminated, over the pivot row's
-    nonzero columns.
+    ``ex``, and returns the :class:`Lu` of the factors, one type for both.
+    The pivot is the largest of the column's nonzero entries on or below
+    the diagonal (ties go to the first row, and a lone candidate is taken
+    without comparing magnitudes), and only the rows of the other
+    candidates are eliminated, over the pivot row's nonzero columns.
 
     Exact: a column without a candidate is singular.  Float: so is a pivot
     no larger than ``1e-13 * max(scale, 1)``, where ``scale`` is the largest
@@ -557,7 +555,7 @@ def _factor(matrix, ex):
     bound rescans the remaining rows (resetting their bounds to the
     magnitudes found), and that rescan decides.
 
-    ``ex.Lu`` is built from ``steps`` and ``u_rows``.  ``steps[col]`` is
+    ``Lu`` is built from ``steps`` and ``u_rows``.  ``steps[col]`` is
     the row swapped into position ``col`` and the ``(row, factor)`` pairs
     that eliminated the column below it; ``u_rows[col]`` holds the
     ``(k, u)`` pairs of the nonzero entries of row col of U, the pivot
@@ -605,26 +603,29 @@ def _factor(matrix, ex):
                 bound[r] += abs(factor) * bound[col]
         steps.append((pivot_row, eliminated))
         u_rows.append(nonzero)
-    return ex.Lu(steps, u_rows)
+    return Lu(steps, u_rows)
 
 
 def _sub_dot(x, terms, vector):
     """``x`` minus the sum of ``u * vector[k]`` over the ``(k, u)`` terms.
 
-    The float kernel: the terms are subtracted one by one in the given
-    order (``exact._exact_sub_dot`` is the exact one).
+    The terms are subtracted one by one in the given order, in the
+    arithmetic of the values: floats round each step, ``Fraction``s give
+    the exact difference.
     """
     for k, u in terms:
         x -= u * vector[k]
     return x
 
 
-class FloatLu:
-    """A float ``_factor``, and the solves that read it.
+class Lu:
+    """A ``_factor`` of float or ``Fraction`` entries, and the solves that read it.
 
     ``steps`` are the factorisation's swaps and eliminations.
     ``upper[col]`` is the pivot and the ``(k, u)`` pairs of the nonzero
-    entries right of it, so both solves read U by its rows.
+    entries right of it, so both solves read U by its rows.  The solves
+    are plain arithmetic on the entries, so a ``Fraction`` factorisation
+    and right-hand side give the exact solution, as ``Fraction``s.
     """
 
     def __init__(self, steps, u_rows):
@@ -672,14 +673,12 @@ class _Float:
 
     Entries are floats (``convert`` makes one), sign tests allow
     ``PIVOT_TOL`` and read the values themselves (``signs``), dot products
-    are ``math.fsum``s of the products, and a factorisation is a
-    :class:`FloatLu`.
+    are ``math.fsum``s of the products.
     """
 
     convert = float
     zero = 0.0
     tol = PIVOT_TOL
-    Lu = FloatLu
 
     @staticmethod
     def dots(rows, vector) -> list:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate, chain, repeat, starmap, zip_longest
+from itertools import accumulate, compress, starmap, zip_longest
 
 from .schmidt import Frozen, SchmidtSpectrum, exact_passes, numpy_passes, padded_average
 
@@ -159,11 +159,13 @@ def max_conversion_probability(source: SchmidtSpectrum, target: SchmidtSpectrum)
     Equals the smallest ratio of source to target tail sums over the
     indices where the target monotone is nonzero (the first
     ``target.rank``), clamped to at most 1; no ratio is negative.  A target
-    rank exceeding the source rank forces 0.  The tails are divided in the
-    spectra's own arithmetic: two exact spectra give an exact ``Fraction``,
-    and a float spectrum on either side gives a float, the ratio of the
-    tails as floats; an exact spectrum's float tails are its int tail sums
-    divided by its denominator.
+    rank exceeding the source rank forces 0, decided by the ranks.  The
+    tails are divided in the spectra's own arithmetic: two exact spectra
+    give an exact ``Fraction``, and a float spectrum on either side gives a
+    float, the ratio of the tails as floats; an exact spectrum's float
+    tails are its int tail sums divided by its denominator.  An exact
+    target tail below the float range is 0.0 as a float, and its ratio is
+    +inf, so it is skipped.
     """
     vector = numpy_passes((source, target))
     if vector:
@@ -174,7 +176,9 @@ def max_conversion_probability(source: SchmidtSpectrum, target: SchmidtSpectrum)
             ex.tails(s, as_floats=not all(exact)) if ex else vidal_monotones(s)
             for ex, s in zip(exact, (source, target))
         )
-        # zeros past the source rank, of the source's kind: 0.0 or Fraction(0)
-        zeros = repeat(0 * tails[0])
-        p = min(map(operator.truediv, chain(tails, zeros), target_tails))
+        if target.rank > source.rank:  # 0.0 or Fraction(0), a ratio of the pair
+            return 0 / target_tails[0]
+        # the first target tail, the sum, is not 0.0, so one ratio is left
+        kept = filter(None, target_tails)
+        p = min(map(operator.truediv, compress(tails, target_tails), kept))
     return p if p <= 1 else type(p)(1)

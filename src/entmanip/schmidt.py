@@ -448,6 +448,7 @@ def entropy(s: SchmidtSpectrum) -> float:
 
     An exact spectrum is converted to floats once, from its numerators
     (:func:`float_coefficients`): a ``Fraction`` times a float is
-    ``float(a)`` times it, so the bits are the same.
+    ``float(a)`` times it, so the bits are the same.  A coefficient below
+    the float range is 0.0 there, and its term is 0.
     """
-    return -math.fsum(a * math.log(a) for a in float_coefficients(s))
+    return -math.fsum(a * math.log(a) for a in float_coefficients(s) if a)

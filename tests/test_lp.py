@@ -32,7 +32,6 @@ from entmanip import (
 )
 from entmanip import lp, verify
 from entmanip import exact as exact_module
-from entmanip.exact import ExactLu, _exact_sub_dot, _ratios
 from entmanip.schmidt import holds_fraction
 from util import (
     CYCLING_LP,
@@ -1175,6 +1174,9 @@ class TestSparseKernelsMatchDenseReferences:
             # 1.5e-10: only the raised bound (2e3) sends it to the rescan,
             # which finds it singular
             ([[1.0, 0.0, 1e3], [1.0, 1.5e-10, -1e3], [0.0, 0.0, 1.0]], [1.0, 1.0, 1.0]),
+            # a pivot of exactly 1e-13 * max(scale, 1) is singular: the
+            # bound test sends it to the rescan, which rejects it
+            ([[1e-13]], [1.0]),
             # w_1 = 0.0 and u = -1 make a term of -0.0, which would turn
             # the -0.0 start of w_2 into 0.0
             ([[1.0, -1.0], [0.0, 1.0]], [0.0, -0.0]),
@@ -1192,9 +1194,8 @@ def assert_lu_matches_rescanning_kernels(matrix, rhs, exact):
 
     The same singular decision; otherwise the same ``steps`` and ``upper``
     and the same solutions of A and A^T, compared by ``repr`` so that a
-    zero's sign and each value's type count too.  An ``ExactLu`` holds its
-    factors as integer ratios: read back as ``Fraction``s, they equal the
-    reference's.
+    zero's sign and each value's type count too, in both arithmetics: one
+    ``Lu`` serves floats and ``Fraction``s.
     """
     try:
         lu = lp._factor(matrix, lp._arithmetic(exact))
@@ -1207,33 +1208,12 @@ def assert_lu_matches_rescanning_kernels(matrix, rhs, exact):
     assert (lu is None) == (reference is None)
     if lu is None:
         return
-    if exact:
-        assert type(lu) is ExactLu
-        assert exact_factors(lu) == reference
-    else:
-        assert type(lu) is lp.FloatLu
-        assert repr((lu.steps, lu.upper)) == repr(reference)
+    assert type(lu) is lp.Lu
+    assert repr((lu.steps, lu.upper)) == repr(reference)
     assert repr(lu.solve(rhs)) == repr(reference_lu_solve(reference, rhs))
     assert repr(lu.solve_transposed(rhs)) == repr(
         reference_lu_solve_transposed(reference, rhs)
     )
-
-
-def exact_factors(lu) -> tuple:
-    """``(steps, upper)`` of an ``ExactLu``, laid out as ``_factor``'s reference.
-
-    Each factor, pivot and entry of U is read back from its integer ratio
-    as a ``Fraction``; a row of U is held dense and last column first.
-    """
-    steps = [
-        (pivot_row, [(r, Fraction(a, b)) for r, a, b in zip(targets, *factors)])
-        for pivot_row, targets, factors in lu.eliminations
-    ]
-    upper = []
-    for col, (pivot, (nums, dens)) in enumerate(lu.rows):
-        right = zip(range(col + 1, len(lu.rows)), nums[::-1], dens[::-1])
-        upper.append((Fraction(*pivot), [(k, Fraction(a, b)) for k, a, b in right if a]))
-    return steps, upper
 
 
 _TERM_FLOATS = st.one_of(
@@ -1252,11 +1232,8 @@ _TERM_EXACT = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_sub_dot_is_the_term_by_term_difference(exact, data):
-    """Float ``_sub_dot``: bit for bit the sequential loop.
-
-    Exact ``_exact_sub_dot`` on the integer ratios of the same entries,
-    with a pivot of 1: the same number, as a ``Fraction``.
-    """
+    """``_sub_dot`` is the sequential loop, compared by ``repr``: the same
+    float bits, or the same exact number of the same type."""
     entries = _TERM_EXACT if exact else _TERM_FLOATS
     x = data.draw(entries)
     us = data.draw(st.lists(entries, max_size=8))
@@ -1265,15 +1242,7 @@ def test_sub_dot_is_the_term_by_term_difference(exact, data):
     expected = x
     for k, u in terms:
         expected -= u * vector[k]
-    if not exact:
-        assert repr(lp._sub_dot(x, terms, vector)) == repr(expected)
-        return
-    (x_num,), (x_den,) = _ratios([x])
-    u = _ratios(u for _, u in terms)
-    v = _ratios(vector[k] for k, _ in terms)
-    result = _exact_sub_dot(x_num, x_den, zip(*u, *v))
-    assert type(result) is Fraction
-    assert result == expected
+    assert repr(lp._sub_dot(x, terms, vector)) == repr(expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1352,16 +1321,15 @@ def test_both_arithmetics_offer_every_name_the_kernels_read():
     # the kernels of lp and verify read the arithmetic they are handed as
     # ex.<name>; each name must exist on both sides, so that no kernel can
     # reach for one that only floats or only Fractions have
-    names = {"zero", "tol", "convert", "dots", "signs", "Lu"}
+    names = {"zero", "tol", "convert", "dots", "signs"}
     read = set()
     for module in (lp, verify):
         read |= set(re.findall(r"\bex\.(\w+)", inspect.getsource(module)))
     assert read == names
     assert lp._arithmetic(False) is lp._Float
     assert lp._arithmetic(True) is exact_module
-    for ex, kind, lu in ((lp._Float, float, lp.FloatLu), (exact_module, Fraction, ExactLu)):
+    for ex, kind in ((lp._Float, float), (exact_module, Fraction)):
         assert all(hasattr(ex, name) for name in names)
-        assert ex.Lu is lu
         assert type(ex.zero) is kind and ex.zero == 0
         assert type(ex.convert(1)) is kind
         # a number of the arithmetic converts to itself, so no value moves
@@ -1414,7 +1382,7 @@ def test_exact_solves_with_row_swaps_match_the_reference(system):
     """Exact LU solves of A and A^T equal dense Gauss-Jordan, as ``Fraction``s."""
     matrix, rhs = system
     lu = lp._factor(matrix, lp._arithmetic(True))
-    assume(any(pivot_row != col for col, (pivot_row, *_) in enumerate(lu.eliminations)))
+    assume(any(pivot_row != col for col, (pivot_row, _) in enumerate(lu.steps)))
     transposed = [list(column) for column in zip(*matrix)]
     for x, a in ((lu.solve(rhs), matrix), (lu.solve_transposed(rhs), transposed)):
         assert x == reference_solve_square(a, rhs)

@@ -309,6 +309,20 @@ class TestMaxConversionProbability:
             p = max_conversion_probability(source, pair)
             assert type(p) is Fraction and p == expected
 
+    def test_a_target_tail_below_the_float_range(self):
+        # the last tail of this exact target is 0.0 as a float: the ranks
+        # decide the obstruction before any ratio, and its ratio is skipped
+        tiny = make_spectrum([Fraction(1, 500), 2.0, 5e-324], 0)
+        last = vidal_monotones(tiny)[-1]
+        assert last > 0 and float(last) == 0.0
+        assert repr(max_conversion_probability(make_spectrum([0.5, 0.5]), tiny)) == "0.0"
+        source = make_spectrum([0.5, 0.3, 0.2])
+        assert nielsen_feasible(source, tiny).feasible
+        assert repr(max_conversion_probability(source, tiny)) == "1.0"
+        exact = make_spectrum([Fraction(1, 2)] * 2)
+        p = max_conversion_probability(exact, tiny)
+        assert type(p) is Fraction and p == 0
+
     def test_matches_lp_optimum(self):
         # one-variable LP: maximize p with p * E_l(target) <= E_l(source)
         rng = np.random.default_rng(21)

@@ -133,18 +133,22 @@ def reference_max_conversion_probability(
 ):
     """Per-entry loop over both zero-padded tail vectors.
 
-    The reference that ``max_conversion_probability`` must match: the
-    smallest ratio of source to target tail sums where the target's is
-    nonzero, starting from 1 and clamped to [0, 1], each tail taken as
+    The reference that ``max_conversion_probability`` must match: 0 when
+    the target's rank exceeds the source's, else the smallest ratio of
+    source to target tail sums where the target's is nonzero once taken as
+    ``number`` (an exact tail below the float range is 0.0, a ratio of
+    +inf), starting from 1 and clamped to [0, 1], each tail taken as
     ``number`` first.  ``float`` gives the float answer bit for bit, and
     ``Fraction`` the exact one.
     """
     n = max(source.rank, target.rank)
     source_tails = list(vidal_monotones(source)) + [0] * (n - source.rank)
     target_tails = list(vidal_monotones(target)) + [0] * (n - target.rank)
+    if target.rank > source.rank:
+        return number(0)
     best = number(1)
     for es, et in zip(source_tails, target_tails):
-        if et > 0:
+        if number(et) > 0:
             best = min(best, number(es) / number(et))
     return max(number(0), min(number(1), best))
 
