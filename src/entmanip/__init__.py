@@ -27,6 +27,7 @@ _SUBMODULE_OF = {
     "nielsen_feasible": "monotones",
     "ensemble_feasible": "monotones",
     "max_conversion_probability": "monotones",
+    "ensemble_probability": "monotones",
     "TargetEnsemble": "transform",
     "make_ensemble": "transform",
     "PovmElement": "transform",

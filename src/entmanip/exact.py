@@ -149,16 +149,16 @@ def numerators(s) -> tuple:
     return s.__dict__.get("_ratios") or over_common_denominator(s.coeffs)
 
 
-def tails(s, as_floats=False) -> tuple:
+def tails(s) -> tuple:
     """``vidal_monotones`` of exact spectrum ``s``, on its integer numerators.
 
-    The tail sums are int running sums, and each is divided by the
-    denominator once: into a ``Fraction``, or with ``as_floats`` into the
-    float that ``float(E_l)`` is, as int true division rounds correctly.
+    The tail sums are int running sums, each made one ``Fraction`` over
+    the denominator.  A caller that wants floats takes ``float()`` of
+    each, the bits the int sum divided by the denominator gives, as both
+    divisions round correctly.
     """
     nums, den = numerators(s)
-    divide = operator.truediv if as_floats else Fraction
-    return tuple(map(divide, accumulate(reversed(nums)), repeat(den)))[::-1]
+    return tuple(map(Fraction, accumulate(reversed(nums)), repeat(den)))[::-1]
 
 
 def plan_probabilities(s) -> tuple:

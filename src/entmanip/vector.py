@@ -155,11 +155,13 @@ def slack(source_tails, target_tails, tol: float) -> tuple:
 def min_ratio(source_tails, target_tails) -> float:
     """Smallest ratio of source to target tails over the target's rank.
 
-    Source tails past the source's rank count as 0.0.
+    It is 0.0 when the target tails are more, as a target's rank beyond
+    the source's decides.  The source tails are positive, so a target
+    tail of 0.0 (an average that underflowed) gives +inf, which the
+    minimum passes over as the scalar code skips it; the first, the sum,
+    is not 0.0.
     """
+    if len(target_tails) > len(source_tails):
+        return 0.0
     with np.errstate(all="ignore"):
-        t = np.asarray(target_tails, dtype=float)
-        s = np.zeros(len(t))
-        m = min(len(source_tails), len(t))
-        s[:m] = source_tails[:m]
-        return float((s / t).min())
+        return float((source_tails[: len(target_tails)] / target_tails).min())

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entmanip import (
@@ -13,6 +13,7 @@ from entmanip import (
     SchmidtSpectrum,
     TargetEnsemble,
     ensemble_feasible,
+    ensemble_probability,
     make_ensemble,
     make_spectrum,
     max_conversion_probability,
@@ -26,7 +27,9 @@ from entmanip.schmidt import NORM_TOL
 from util import (
     concentrate_toward_top,
     random_spectrum,
+    reference_ensemble_probability,
     reference_max_conversion_probability,
+    reference_tails,
 )
 
 
@@ -49,6 +52,11 @@ _NORM_SHIFTS = (st.sampled_from([-0.99, 0.99]) | st.floats(-0.99, 0.99)).map(
 edge_spectra = st.tuples(float_spectra, _NORM_SHIFTS).map(
     lambda pair: SchmidtSpectrum(tuple(a * (1 + pair[1]) for a in pair[0].coeffs))
 )
+
+any_spectra = st.one_of(float_spectra, exact_spectra, edge_spectra)
+
+# An exact spectrum whose last tail is 0.0 as a float.
+tiny_tail = make_spectrum([Fraction(1, 500), 2.0, 5e-324], 0)
 
 
 def brute_force_tails(coeffs):
@@ -158,6 +166,36 @@ class TestNielsenFeasible:
             assert nielsen_feasible(a, b).feasible
             assert nielsen_feasible(b, c).feasible
             assert nielsen_feasible(a, c).feasible
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_spectra, any_spectra, st.sampled_from([0, FEASIBILITY_TOL]))
+    @example(make_spectrum([0.5, 0.3, 0.2]), tiny_tail, 0)
+    @example(make_spectrum([Fraction(1), Fraction(1), Fraction(1)]), make_spectrum([0.5, 0.5]), 0)
+    @example(make_spectrum([1.0]), make_spectrum([Fraction(1)]), FEASIBILITY_TOL)
+    @example(make_spectrum([0.5, 0.5]), tiny_tail, 0)
+    def test_report_equals_the_loop_oracle(self, a, b, tol):
+        # term-by-term tails, each zero-filled in its own arithmetic past
+        # the shorter vector
+        for source, target in ((a, b), (b, a)):
+            s, t = reference_tails(source.coeffs), reference_tails(target.coeffs)
+            n = max(len(s), len(t))
+            s, t = s + (0,) * (n - len(s)), t + (0,) * (n - len(t))
+            slack = [x - y for x, y in zip(s, t)]
+            report = nielsen_feasible(source, target, tol)
+            assert list(map(repr, report.slack)) == list(map(repr, slack))
+            violated = tuple(l for l, gap in enumerate(slack, start=1) if gap < -tol)
+            assert report.violated_indices == violated
+
+    def test_an_exact_tail_below_the_float_range_past_the_source_rank(self):
+        # the exact last tail is 0.0 as a float, but the slack stays exact,
+        # so the rank-2 source still cannot reach the rank-3 target
+        source = make_spectrum([0.5, 0.5])
+        report = nielsen_feasible(source, tiny_tail, 0)
+        assert report.violated_indices == (3,)
+        assert type(report.slack[2]) is Fraction and report.slack[2] < 0
+        ensemble = make_ensemble([(Fraction(1), tiny_tail)])
+        assert ensemble_feasible(source, ensemble, 0).violated_indices == (3,)
+        assert ensemble_probability(source, ensemble) == 0.0
 
     @settings(max_examples=200, deadline=None)
     @given(exact_spectra, exact_spectra, exact_spectra)
@@ -341,6 +379,107 @@ class TestMaxConversionProbability:
             assert solution.status == "optimal"
             expected = max_conversion_probability(source, target)
             assert float(solution.values[0]) == pytest.approx(expected, abs=1e-9)
+
+
+# Exact ensembles of 1-4 targets of rank 1-7, with Fraction probabilities.
+exact_entries = st.lists(
+    st.tuples(
+        st.integers(1, 9),
+        st.lists(st.integers(0, 9), min_size=1, max_size=7).filter(any).map(
+            lambda weights: make_spectrum([Fraction(w) for w in weights])
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+).map(lambda pairs: [(Fraction(w, sum(v for v, _ in pairs)), t) for w, t in pairs])
+
+exact_sources = st.lists(st.integers(0, 9), min_size=1, max_size=9).filter(any).map(
+    lambda weights: make_spectrum([Fraction(w) for w in weights])
+)
+
+
+class TestEnsembleProbability:
+    @settings(max_examples=200, deadline=None)
+    @given(exact_sources, exact_entries)
+    def test_the_largest_feasible_scale_exact(self, source, entries):
+        ensemble = make_ensemble(entries)
+        lam = ensemble_probability(source, ensemble)
+        assert type(lam) is Fraction and 0 <= lam <= 1
+        assert lam == reference_ensemble_probability(source, ensemble.entries, Fraction)
+        assert (lam == 1) == ensemble_feasible(source, ensemble, 0).feasible
+        for _, target in ensemble.entries:  # one target: Vidal's probability
+            single = make_ensemble([(Fraction(1), target)])
+            assert ensemble_probability(source, single) == max_conversion_probability(
+                source, target
+            )
+
+        # the rest, 1 - x, goes to a product state
+        def scaled(x):
+            rest = (1 - x, make_spectrum([Fraction(1)]))
+            return make_ensemble([*((x * p, t) for p, t in ensemble.entries), rest])
+
+        if lam > 0:
+            assert ensemble_feasible(source, scaled(lam), 0).feasible
+        above = lam * (1 + Fraction(1, 10**6)) if lam > 0 else Fraction(1, 10**6)
+        if above < 1:
+            assert not ensemble_feasible(source, scaled(above), 0).feasible
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        any_spectra,
+        st.lists(st.tuples(st.integers(1, 9), any_spectra), min_size=1, max_size=4),
+        st.booleans(),
+    )
+    @example(make_spectrum([0.5, 0.3, 0.2]), [(1, tiny_tail), (3, make_spectrum([1.0]))], True)
+    @example(make_spectrum([0.5, 0.5]), [(1, tiny_tail), (1, make_spectrum([1.0]))], False)
+    def test_bit_for_bit_equal_to_loop_oracle(self, source, weighted, exact_p):
+        # a float anywhere gives the float ratio, bit for bit; exact
+        # spectra and probabilities give the exact one
+        total = sum(w for w, _ in weighted)
+        ensemble = make_ensemble(
+            [(Fraction(w, total) if exact_p else w / total, t) for w, t in weighted]
+        )
+        spectra = (source, *(t for _, t in weighted))
+        p = ensemble_probability(source, ensemble)
+        if exact_p and all(type(s.coeffs[0]) is Fraction for s in spectra):
+            assert type(p) is Fraction
+            expected = reference_ensemble_probability(source, ensemble.entries, Fraction)
+            assert p == expected
+        else:
+            assert type(p) is float
+            expected = reference_ensemble_probability(source, ensemble.entries)
+            assert p.hex() == expected.hex()
+
+    def test_an_int_probability_of_1_beside_another_entry(self):
+        # probabilities may sum to 1 within NORM_TOL, so an int 1 need not
+        # be the only entry, and the rank-3 target must count (index 1
+        # fails too, as the probabilities sum to 1 + 1e-10)
+        source, target = make_spectrum([0.5, 0.5]), make_spectrum([0.6, 0.4])
+        ensemble = TargetEnsemble(((1, target), (1e-10, make_spectrum([1.0] * 3))))
+        assert ensemble_probability(source, ensemble) == 0.0
+        assert ensemble_feasible(source, ensemble, 0.0).violated_indices == (1, 3)
+
+    def test_a_float_average_that_underflows_past_the_source_rank(self):
+        # 1e-300 times the last tail, 5e-31, is 0.0: the ranks give 0, and
+        # the float feasibility test passes index 3
+        source = make_spectrum([0.5, 0.5])
+        target = make_spectrum([1.0, 1.0, 1e-30], 0)
+        ensemble = make_ensemble([(1.0, make_spectrum([1.0])), (1e-300, target)])
+        assert ensemble_probability(source, ensemble) == 0.0
+        assert ensemble_feasible(source, ensemble, 0).feasible
+
+    def test_worked_example(self):
+        # E(source) = (1, 2/5); the average of 1/2 (1/2, 1/2) and 1/2 (1)
+        # has tails (1, 1/4), and (1/2, 1/2) alone (1, 1/2)
+        source = make_spectrum([Fraction(3, 5), Fraction(2, 5)])
+        half = make_spectrum([Fraction(1), Fraction(1)])
+        product = make_spectrum([Fraction(1)])
+        mixed = make_ensemble([(Fraction(1, 2), half), (Fraction(1, 2), product)])
+        assert ensemble_probability(source, mixed) == 1
+        assert ensemble_probability(source, make_ensemble([(1, half)])) == Fraction(4, 5)
+        three = make_spectrum([Fraction(1)] * 3)
+        ranked = make_ensemble([(Fraction(1, 2), three), (Fraction(1, 2), product)])
+        assert ensemble_probability(source, ranked) == 0
 
 
 def test_ensemble_probabilities_must_sum_to_one():

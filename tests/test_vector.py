@@ -25,7 +25,9 @@ from hypothesis import strategies as st
 
 from entmanip import (
     SchmidtSpectrum,
+    TargetEnsemble,
     ensemble_feasible,
+    ensemble_probability,
     make_ensemble,
     make_spectrum,
     max_conversion_probability,
@@ -160,6 +162,31 @@ def test_max_conversion_probability(source, target):
     for a, b in ((source, target), (target, source)):
         scalar, vectored = _both_paths("min_ratio", max_conversion_probability, a, b)
         assert scalar == vectored
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SPECTRA, st.lists(st.tuples(st.floats(1e-300, 1), _SPECTRA), min_size=1, max_size=4))
+@example(  # the averaged last tail underflows to 0.0, and has no ratio
+    SchmidtSpectrum((0.5, 0.5)),
+    [(1.0, SchmidtSpectrum((1.0,))), (1e-300, SchmidtSpectrum((1.0, 1e-300)))],
+)
+def test_ensemble_probability(source, pairs):
+    total = math.fsum(p for p, _ in pairs)
+    ensemble = make_ensemble([(p / total, t) for p, t in pairs])
+    for a in (source, *(t for _, t in pairs)):
+        scalar, vectored = _both_paths("min_ratio", ensemble_probability, a, ensemble)
+        assert scalar == vectored
+
+
+@pytest.mark.parametrize("p", [1.0, 1 - 1e-10, 1 + 1e-10])
+def test_a_one_entry_ensemble(p):
+    # a float p, 1 or within NORM_TOL of it, is multiplied in on both paths
+    source, target = SchmidtSpectrum((0.5, 0.3, 0.2)), SchmidtSpectrum((0.6, 0.4))
+    ensemble = TargetEnsemble(((p, target),))
+    scalar, vectored = _both_paths("slack", ensemble_feasible, source, ensemble, 0.0)
+    assert scalar == vectored
+    scalar, vectored = _both_paths("min_ratio", ensemble_probability, source, ensemble)
+    assert scalar == vectored
 
 
 class TestArrayHeldSpectra:
@@ -336,6 +363,7 @@ class TestScalarFallback:
         nielsen_feasible(t, s)
         max_conversion_probability(s, t)
         ensemble_feasible(t, make_ensemble([(1.0, s)]))
+        ensemble_probability(t, make_ensemble([(0.5, s), (0.5, t)]))
 
     def test_an_int_first_coefficient(self):
         # the only place a valid spectrum can hold an int

@@ -153,6 +153,38 @@ def reference_max_conversion_probability(
     return max(number(0), min(number(1), best))
 
 
+def reference_ensemble_probability(source: SchmidtSpectrum, entries, number=float):
+    """Per-index loop over the zero-padded tail vectors of an ensemble.
+
+    The reference that ``ensemble_probability`` must match, on the
+    ``(p, target)`` pairs of an ensemble: 0 when a target's rank exceeds
+    the source's, else the smallest ratio of a source tail to the averaged
+    tail where that average is nonzero once taken as ``number``, starting
+    from 1 and clamped to [0, 1].  The average at each index is summed in
+    entry order from int 0, p times each padded tail in their own
+    arithmetic, and then taken as ``number``, as is each source tail.
+    ``float`` gives the float answer bit for bit, and ``Fraction`` the
+    exact one.
+    """
+    n = max(source.rank, *(t.rank for _, t in entries))
+
+    def padded(s):
+        return list(vidal_monotones(s)) + [0] * (n - s.rank)
+
+    if any(t.rank > source.rank for _, t in entries):
+        return number(0)
+    source_tails = padded(source)
+    target_tails = [(p, padded(t)) for p, t in entries]
+    best = number(1)
+    for l in range(n):
+        average = 0
+        for p, tails in target_tails:
+            average = average + p * tails[l]
+        if number(average) > 0:
+            best = min(best, number(source_tails[l]) / number(average))
+    return max(number(0), min(number(1), best))
+
+
 def reference_fraction_sum(values) -> Fraction:
     """Term-by-term ``Fraction`` addition from ``Fraction(0)``."""
     total = Fraction(0)
